@@ -200,9 +200,7 @@ func main() {
 			failed++
 			continue
 		}
-		header := fmt.Sprintf("== %s: %s ==\n(scale %s, generated %s)\n\n",
-			e.name, e.desc, *scaleFlag, time.Now().Format(time.RFC3339))
-		text := header + out
+		text := fmt.Sprintf("== %s: %s ==\n\n", e.name, e.desc) + out
 		path := filepath.Join(*outFlag, e.name+".txt")
 		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
 			log.Errorf("writing %s: %v", path, err)

@@ -2,6 +2,9 @@ package mpilib
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"sync"
 
 	"mpicollpred/internal/coll"
 	"mpicollpred/internal/machine"
@@ -10,10 +13,10 @@ import (
 )
 
 // IntelMPI returns the Intel MPI 2019-like library profile. Its default
-// decision logic consults a tuning table computed by exhaustively evaluating
-// the portfolio on the machine's reference system (the simulated stand-in
-// for Intel's factory mpitune tables) — which is why the paper finds the
-// Intel defaults already near-optimal.
+// decision logic consults a tuning table computed by exhaustive search,
+// pruned by a makespan bound, over the portfolio on the machine's reference
+// system (the simulated stand-in for Intel's factory mpitune tables) — which
+// is why the paper finds the Intel defaults already near-optimal.
 func IntelMPI() *Library {
 	return &Library{
 		Name:    "Intel MPI",
@@ -35,22 +38,64 @@ func IntelMPI() *Library {
 // network (memoized by the caller via CollectiveSet.Decide).
 func tunedDecide(s *CollectiveSet) func(machine.Machine, netmodel.Topology, int64) int {
 	return func(mach machine.Machine, topo netmodel.Topology, m int64) int {
-		eng := sim.NewEngine()
-		bestID, bestT := 0, 0.0
-		for _, c := range s.Selectable() {
-			t, err := SimulateOnce(eng, c, mach.RefNet, topo, m, 1, false)
-			if err != nil {
-				continue // a failing schedule cannot be the default
-			}
-			if bestID == 0 || t < bestT {
-				bestID, bestT = c.ID, t
-			}
-		}
-		if bestID == 0 {
-			bestID = 1
-		}
-		return bestID
+		return fastestConfig(s.Selectable(), mach.RefNet, topo, m)
 	}
+}
+
+// fastestConfig returns the id of the configuration with the smallest
+// noise-free makespan, the lowest id on ties, and 1 when every schedule
+// fails. The configurations are simulated by GOMAXPROCS workers, each with
+// its own engine and recycled program, and every run is bounded by the best
+// makespan completed so far. A run is cut only when its makespan is strictly
+// greater than a completed one, so every configuration attaining the minimum
+// completes and the argmin below, in id order with strict <, is the plain
+// exhaustive one whatever the scheduling.
+func fastestConfig(cfgs []Config, prm netmodel.Params, topo netmodel.Topology, m int64) int {
+	var (
+		mu    sync.Mutex
+		next  int
+		bound = math.Inf(1)
+		times = make([]float64, len(cfgs))
+		ok    = make([]bool, len(cfgs))
+		wg    sync.WaitGroup
+	)
+	for w := min(runtime.GOMAXPROCS(0), len(cfgs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng := sim.NewEngine()
+			var prog *sim.Program
+			for {
+				mu.Lock()
+				i, b := next, bound
+				next++
+				mu.Unlock()
+				if i >= len(cfgs) {
+					return
+				}
+				prog = BuildProgramInto(prog, cfgs[i], topo, m, false)
+				res, err := eng.RunWithin(prog, netmodel.New(prm, topo, 1, false), nil, b)
+				if err != nil {
+					continue // cut, or a failing schedule: neither can be the default
+				}
+				mu.Lock()
+				times[i], ok[i] = res.Time, true
+				bound = math.Min(bound, res.Time)
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	bestID, bestT := 0, 0.0
+	for i, c := range cfgs {
+		if ok[i] && (bestID == 0 || times[i] < bestT) {
+			bestID, bestT = c.ID, times[i]
+		}
+	}
+	if bestID == 0 {
+		bestID = 1
+	}
+	return bestID
 }
 
 // intelBcast provides 12 broadcast algorithms (Intel MPI 2019 exposes its

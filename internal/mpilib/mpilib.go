@@ -17,7 +17,11 @@
 //   - The Intel profile decides by consulting a tuning table computed on a
 //     "reference system" almost identical to the target machine (the
 //     simulated stand-in for mpitune factory tables), which makes its
-//     defaults near-optimal, as the paper observes.
+//     defaults near-optimal, as the paper observes. Each table entry is an
+//     exhaustive search over the portfolio, pruned by a makespan bound:
+//     configurations run in parallel, and a run stops as soon as it is
+//     certain to be slower than one already completed, which never changes
+//     the answer.
 package mpilib
 
 import (
@@ -73,7 +77,21 @@ type CollectiveSet struct {
 
 	decide func(mach machine.Machine, topo netmodel.Topology, m int64) int
 	mu     sync.Mutex
-	memo   map[string]int
+	memo   map[decideKey]*decision
+}
+
+// decideKey identifies one default decision.
+type decideKey struct {
+	mach       string
+	nodes, ppn int
+	m          int64
+}
+
+// decision is a memoized default decision, computed once by whichever
+// caller first asks for its key; concurrent callers wait for that answer.
+type decision struct {
+	once sync.Once
+	id   int
 }
 
 // Config returns the configuration with the given id (>= 1).
@@ -96,25 +114,24 @@ func (s *CollectiveSet) Selectable() []Config {
 }
 
 // Decide runs the library's default decision logic for an instance and
-// returns the chosen configuration id. Results are memoized (the Intel
+// returns the chosen configuration id. Results are memoized and computed
+// once per instance, however many callers ask at the same time (the Intel
 // profile's decision involves consulting its tuning table, which is
 // expensive to build).
 func (s *CollectiveSet) Decide(mach machine.Machine, topo netmodel.Topology, m int64) int {
-	key := fmt.Sprintf("%s/%d/%d/%d", mach.Name, topo.Nodes, topo.PPN, m)
+	key := decideKey{mach.Name, topo.Nodes, topo.PPN, m}
 	s.mu.Lock()
 	if s.memo == nil {
-		s.memo = make(map[string]int)
+		s.memo = make(map[decideKey]*decision)
 	}
-	if id, ok := s.memo[key]; ok {
-		s.mu.Unlock()
-		return id
+	d, ok := s.memo[key]
+	if !ok {
+		d = &decision{}
+		s.memo[key] = d
 	}
 	s.mu.Unlock()
-	id := s.decide(mach, topo, m)
-	s.mu.Lock()
-	s.memo[key] = id
-	s.mu.Unlock()
-	return id
+	d.once.Do(func() { d.id = s.decide(mach, topo, m) })
+	return d.id
 }
 
 // Library is a simulated MPI library profile.
@@ -174,8 +191,7 @@ func BuildProgramInto(scratch *sim.Program, c Config, topo netmodel.Topology, m 
 }
 
 // SimulateOnce runs configuration c once on the given network parameters and
-// returns the makespan. It is the primitive used both by the benchmark
-// harness and by the Intel-style tuning-table construction.
+// returns the makespan.
 func SimulateOnce(eng *sim.Engine, c Config, prm netmodel.Params, topo netmodel.Topology, m int64, seed uint64, noisy bool) (float64, error) {
 	prog := BuildProgram(c, topo, m, false)
 	model := netmodel.New(prm, topo, seed, noisy)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -150,9 +151,28 @@ func (e *Engine) pairOf(src, dst int32) *pairState {
 	return ps
 }
 
+// ErrExceeded is returned by RunWithin when the makespan is known to exceed
+// the bound.
+var ErrExceeded = errors.New("sim: makespan exceeds bound")
+
 // Run executes prog against model. start gives per-rank start times (nil
 // means all ranks start at time zero). obs may be nil.
 func (e *Engine) Run(prog *Program, model CostModel, start []float64, obs Observer) (Result, error) {
+	return e.run(prog, model, start, obs, math.Inf(1))
+}
+
+// RunWithin is Run without an observer that gives up early, returning
+// ErrExceeded, once the makespan is known to exceed bound. The check is
+// exact: clocks never decrease, so every scheduled event time, measured from
+// the earliest start, is a lower bound on the makespan. It is ErrExceeded
+// only when the makespan is greater than bound; a run that is not cut
+// returns exactly what Run returns, which may still exceed bound when the
+// last events were never queued.
+func (e *Engine) RunWithin(prog *Program, model CostModel, start []float64, bound float64) (Result, error) {
+	return e.run(prog, model, start, nil, bound)
+}
+
+func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observer, bound float64) (Result, error) {
 	p := prog.NumRanks()
 	if cap(e.clock) < p {
 		e.clock = make([]float64, p)
@@ -222,7 +242,12 @@ func (e *Engine) Run(prog *Program, model CostModel, start []float64, obs Observ
 
 	events := 0
 	for len(e.heap) > 0 {
-		_, r32 := e.heap.pop()
+		t, r32 := e.heap.pop()
+		// Subtracting minStart from both sides keeps the comparison monotone
+		// under rounding: t-minStart <= Result.Time whenever t <= max(Finish).
+		if t-minStart > bound {
+			return Result{}, ErrExceeded
+		}
 		r := int(r32)
 		if e.status[r] != statusReady {
 			continue // stale entry
