@@ -159,6 +159,7 @@ func main() {
 		listFlag    = flag.Bool("list", false, "list experiments and exit")
 		metricsFlag = flag.String("metrics", "", "write a metrics-registry snapshot to this file (.json for JSON)")
 		workersFlag = flag.Int("fitworkers", 0, "fit-worker pool size for model training (0 = GOMAXPROCS, 1 = serial)")
+		profileFlag = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		verboseFlag = flag.Bool("v", false, "verbose (debug) logging")
 		quietFlag   = flag.Bool("quiet", false, "suppress informational logging")
 	)
@@ -183,6 +184,11 @@ func main() {
 
 	if err := os.MkdirAll(*outFlag, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	stopProfile, err := obs.StartCPUProfile(*profileFlag)
+	if err != nil {
+		log.Errorf("%v", err)
 		os.Exit(1)
 	}
 	ctx := newCtx(*cacheFlag, dataset.Scale(*scaleFlag), []string{"knn", "gam", "xgboost"}, log)
@@ -219,6 +225,10 @@ func main() {
 		} else {
 			log.Infof("metrics snapshot -> %s", *metricsFlag)
 		}
+	}
+	if err := stopProfile(); err != nil {
+		log.Errorf("writing CPU profile: %v", err)
+		failed++
 	}
 	if failed > 0 {
 		os.Exit(1)

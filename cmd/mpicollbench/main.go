@@ -67,6 +67,7 @@ func main() {
 		verbose    = flag.Bool("v", false, "verbose (debug) logging")
 		metrics    = flag.String("metrics", "", "write a metrics-registry snapshot to this file (.json for JSON)")
 		listAll    = flag.Bool("list", false, "list dataset specs and exit")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	)
 	flag.Parse()
 	*quiet = *quiet || *quiet2
@@ -91,6 +92,22 @@ func main() {
 		os.Exit(2)
 	}
 
+	stopProfile, err := obs.StartCPUProfile(*cpuprofile)
+	if err != nil {
+		log.Errorf("mpicollbench: %v", err)
+		os.Exit(1)
+	}
+	// exit completes the CPU profile, which os.Exit alone would leave empty.
+	exit := func(code int) {
+		if err := stopProfile(); err != nil {
+			log.Errorf("mpicollbench: writing CPU profile: %v", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+		os.Exit(code)
+	}
+
 	var names []string
 	if *name == "all" {
 		for _, s := range specs {
@@ -105,7 +122,7 @@ func main() {
 			log.Errorf("mpicollbench: -benchout needs exactly one -dataset, not 'all'")
 			os.Exit(2)
 		}
-		os.Exit(runBenchSelfCheck(log, *name, sc, plan, *retries, *outlierK,
+		exit(runBenchSelfCheck(log, *name, sc, plan, *retries, *outlierK,
 			*workers, *benchout, *minSpeedup))
 	}
 
@@ -131,11 +148,11 @@ func main() {
 	if *metrics != "" {
 		if err := obs.Default.DumpFile(*metrics); err != nil {
 			log.Errorf("writing metrics: %v", err)
-			os.Exit(1)
+			exit(1)
 		}
 		log.Infof("metrics snapshot -> %s", *metrics)
 	}
-	os.Exit(exitCode)
+	exit(exitCode)
 }
 
 // runOne loads or (resumably) generates one dataset and reports it. The

@@ -1,0 +1,44 @@
+package main
+
+import (
+	"compress/gzip"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+)
+
+// TestCPUProfileFlag builds the CLI, generates the smoke d1 dataset with
+// -cpuprofile, and checks that the file is a non-empty pprof profile: a
+// gzip stream holding the encoded profile.
+func TestCPUProfileFlag(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "mpicollbench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	prof := filepath.Join(dir, "cpu.pprof")
+	run := exec.Command(bin, "-dataset", "d1", "-scale", "smoke", "-q",
+		"-cache", filepath.Join(dir, "cache"), "-cpuprofile", prof)
+	if out, err := run.CombinedOutput(); err != nil {
+		t.Fatalf("mpicollbench: %v\n%s", err, out)
+	}
+
+	f, err := os.Open(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("profile is not gzip-compressed: %v", err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatalf("reading profile: %v", err)
+	}
+	if len(body) == 0 {
+		t.Fatal("profile is empty")
+	}
+}

@@ -90,12 +90,16 @@ func main() {
 		retrainCells = flag.Int("retrain-cells", 0, "offline retrain: cap on distinct instance cells swept (0 = default)")
 		fitbench     = flag.String("fitbench", "", "train serially and in parallel, verify bit-identity, write a speedup report here")
 		metrics      = flag.String("metrics", "", "write a metrics-registry snapshot to this file (.json for JSON)")
+		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		verbose      = flag.Bool("v", false, "verbose (debug) logging")
 		quiet        = flag.Bool("quiet", false, "suppress informational logging")
 	)
 	flag.Parse()
 	log := obs.NewLogger(os.Stderr, obs.FlagLevel(*verbose, *quiet))
 	core.SetFitWorkers(*workers)
+	stopProfile, err := obs.StartCPUProfile(*cpuprofile)
+	fail(err)
+	defer func() { fail(stopProfile()) }()
 
 	if *retrainFrom != "" {
 		if *retrainLog == "" {

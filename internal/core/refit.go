@@ -90,13 +90,13 @@ func Refit(base *Selector, ds *dataset.Dataset, set *mpilib.CollectiveSet, confi
 		Learner:           base.Learner,
 		TrainNodes:        append([]int(nil), base.TrainNodes...),
 		PlausibilitySlack: base.PlausibilitySlack,
-		configs:           set.Selectable(),
 		models:            make(map[int]ml.Regressor),
 		envelopes:         make(map[int]Envelope),
 		selectHist:        base.selectHist,
 		fbMach:            base.fbMach,
 		fbSet:             base.fbSet,
 	}
+	cand.setConfigs(set.Selectable())
 
 	// Carry over every model and envelope that is not being refit, and
 	// every quarantine record except the ones the refit may clear.

@@ -76,6 +76,7 @@ type Selector struct {
 	PlausibilitySlack float64
 
 	configs    []mpilib.Config
+	labels     []string // configs[i].Label(), built once by setConfigs
 	selectHist *obs.Histogram
 
 	// mu guards models and quarantined — the only state a concurrent
@@ -135,8 +136,8 @@ func TrainPool(ds *dataset.Dataset, set *mpilib.CollectiveSet, learner string, t
 		TrainNodes: append([]int(nil), trainNodes...),
 		models:     make(map[int]ml.Regressor),
 		envelopes:  make(map[int]Envelope),
-		configs:    set.Selectable(),
 	}
+	sel.setConfigs(set.Selectable())
 
 	// Group training samples by configuration.
 	xs := map[int][][]float64{}
@@ -213,6 +214,17 @@ func TrainPool(ds *dataset.Dataset, set *mpilib.CollectiveSet, learner string, t
 	return sel, nil
 }
 
+// setConfigs installs the selectable portfolio and its labels. A label
+// concatenates the algorithm name and rendered parameters, so it is built
+// once here rather than on every query.
+func (s *Selector) setConfigs(cfgs []mpilib.Config) {
+	s.configs = cfgs
+	s.labels = make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		s.labels[i] = cfg.Label()
+	}
+}
+
 // PredictAll returns every configuration's predicted running time for an
 // instance, sorted ascending by prediction.
 func (s *Selector) PredictAll(nodes, ppn int, msize int64) []Prediction {
@@ -229,7 +241,7 @@ func (s *Selector) PredictAll(nodes, ppn int, msize int64) []Prediction {
 // even when several configurations predict exactly the same time.
 func (s *Selector) PredictAllFeatures(f []float64) []Prediction {
 	out := make([]Prediction, 0, len(s.configs))
-	for _, cfg := range s.configs {
+	for i, cfg := range s.configs {
 		t := s.safePredict(cfg.ID, f)
 		if math.IsNaN(t) {
 			t = math.Inf(1)
@@ -237,7 +249,7 @@ func (s *Selector) PredictAllFeatures(f []float64) []Prediction {
 		out = append(out, Prediction{
 			ConfigID:  cfg.ID,
 			AlgID:     cfg.AlgID,
-			Label:     cfg.Label(),
+			Label:     s.labels[i],
 			Predicted: t,
 		})
 	}
@@ -339,13 +351,13 @@ func (s *Selector) SelectFeatures(f []float64) Prediction {
 	}
 	var best Prediction
 	first := true
-	for _, cfg := range s.configs {
+	for i, cfg := range s.configs {
 		t := s.safePredict(cfg.ID, f)
 		if math.IsNaN(t) {
 			continue
 		}
 		if first || t < best.Predicted {
-			best = Prediction{ConfigID: cfg.ID, AlgID: cfg.AlgID, Label: cfg.Label(), Predicted: t}
+			best = Prediction{ConfigID: cfg.ID, AlgID: cfg.AlgID, Label: s.labels[i], Predicted: t}
 			first = false
 		}
 	}

@@ -55,8 +55,12 @@ func TestTrainAndSelect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", learner, err)
 		}
-		// Selection on held-out node counts must return valid configs and
-		// positive predictions.
+		labels := map[int]string{}
+		for _, cfg := range set.Selectable() {
+			labels[cfg.ID] = cfg.Label()
+		}
+		// Selection on held-out node counts must return valid configs,
+		// labeled as the portfolio labels them, and positive predictions.
 		for _, n := range []int{3, 5} {
 			for _, m := range []int64{16, 16384, 1048576} {
 				pred := sel.Select(n, 4, m)
@@ -65,6 +69,11 @@ func TestTrainAndSelect(t *testing.T) {
 				}
 				if !(pred.Predicted > 0) {
 					t.Fatalf("%s: non-positive prediction %v", learner, pred.Predicted)
+				}
+				for _, p := range append(sel.PredictAll(n, 4, m), pred) {
+					if p.Label != labels[p.ConfigID] {
+						t.Fatalf("%s: config %d labeled %q, want %q", learner, p.ConfigID, p.Label, labels[p.ConfigID])
+					}
 				}
 			}
 		}

@@ -86,9 +86,9 @@ func (s *Selector) Snapshot(fp Fingerprint) ([]byte, error) {
 	// Portfolio identity: the selectable configuration ids and labels, so a
 	// loader can detect drift against the code-defined portfolio.
 	w.U32(uint32(len(s.configs)))
-	for _, cfg := range s.configs {
+	for i, cfg := range s.configs {
 		w.Int(cfg.ID)
-		w.String(cfg.Label())
+		w.String(s.labels[i])
 	}
 
 	// Per-configuration models, sorted by id.
@@ -191,7 +191,7 @@ func DecodeSnapshot(data []byte) (*Selector, Fingerprint, error) {
 	if err != nil {
 		return nil, fp, fmt.Errorf("core: snapshot collective: %w", err)
 	}
-	sel.configs = set.Selectable()
+	sel.setConfigs(set.Selectable())
 
 	nCfg := int(r.U32())
 	if r.Err() == nil && nCfg != len(sel.configs) {
@@ -203,9 +203,9 @@ func DecodeSnapshot(data []byte) (*Selector, Fingerprint, error) {
 		if r.Err() != nil {
 			break
 		}
-		if id != sel.configs[i].ID || label != sel.configs[i].Label() {
+		if id != sel.configs[i].ID || label != sel.labels[i] {
 			return nil, fp, fmt.Errorf("core: snapshot portfolio drift at position %d: snapshot has %d (%s), build has %d (%s)",
-				i, id, label, sel.configs[i].ID, sel.configs[i].Label())
+				i, id, label, sel.configs[i].ID, sel.labels[i])
 		}
 	}
 

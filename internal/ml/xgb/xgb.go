@@ -130,22 +130,20 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 	for i := range idx {
 		idx[i] = i
 	}
+	leaf := make([]float64, n) // leaf[i]: this round's tree at x[i]
 	topt := tree.Options{MaxDepth: r.opts.MaxDepth, Lambda: r.opts.Lambda, MinChild: r.opts.MinChild}
 
 	for round := 0; round < r.opts.Rounds; round++ {
 		r.gradients(y, score, g, h)
-		t := tree.BuildGradHess(x, g, h, idx, topt)
+		t := tree.BuildGradHess(x, g, h, idx, topt, leaf)
 		r.trees = append(r.trees, t)
 		for i := range score {
-			score[i] += r.opts.Eta * t.Predict(x[i])
+			score[i] += r.opts.Eta * leaf[i]
 		}
-		if t.NumNodes() == 1 && round > 0 {
-			// Pure-stump round: the ensemble has converged; further
-			// rounds only repeat the same shrinkage step.
-			leaf := t.Predict(x[0])
-			if math.Abs(leaf) < 1e-12 {
-				break
-			}
+		// Pure-stump round: the ensemble has converged; further rounds
+		// only repeat the same shrinkage step.
+		if t.NumNodes() == 1 && round > 0 && math.Abs(leaf[0]) < 1e-12 {
+			break
 		}
 	}
 	return nil
