@@ -160,6 +160,7 @@ func main() {
 		metricsFlag = flag.String("metrics", "", "write a metrics-registry snapshot to this file (.json for JSON)")
 		workersFlag = flag.Int("fitworkers", 0, "fit-worker pool size for model training (0 = GOMAXPROCS, 1 = serial)")
 		profileFlag = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memFlag     = flag.String("memprofile", "", "write a heap profile at the end of the run to this file (go tool pprof)")
 		verboseFlag = flag.Bool("v", false, "verbose (debug) logging")
 		quietFlag   = flag.Bool("quiet", false, "suppress informational logging")
 	)
@@ -187,6 +188,11 @@ func main() {
 		os.Exit(1)
 	}
 	stopProfile, err := obs.StartCPUProfile(*profileFlag)
+	if err != nil {
+		log.Errorf("%v", err)
+		os.Exit(1)
+	}
+	stopMemProfile, err := obs.StartMemProfile(*memFlag)
 	if err != nil {
 		log.Errorf("%v", err)
 		os.Exit(1)
@@ -228,6 +234,10 @@ func main() {
 	}
 	if err := stopProfile(); err != nil {
 		log.Errorf("writing CPU profile: %v", err)
+		failed++
+	}
+	if err := stopMemProfile(); err != nil {
+		log.Errorf("writing heap profile: %v", err)
 		failed++
 	}
 	if failed > 0 {

@@ -68,6 +68,7 @@ func main() {
 		metrics    = flag.String("metrics", "", "write a metrics-registry snapshot to this file (.json for JSON)")
 		listAll    = flag.Bool("list", false, "list dataset specs and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memprofile = flag.String("memprofile", "", "write a heap profile at the end of the run to this file (go tool pprof)")
 	)
 	flag.Parse()
 	*quiet = *quiet || *quiet2
@@ -97,10 +98,21 @@ func main() {
 		log.Errorf("mpicollbench: %v", err)
 		os.Exit(1)
 	}
-	// exit completes the CPU profile, which os.Exit alone would leave empty.
+	stopMemProfile, err := obs.StartMemProfile(*memprofile)
+	if err != nil {
+		log.Errorf("mpicollbench: %v", err)
+		os.Exit(1)
+	}
+	// exit completes the profiles, which os.Exit alone would leave empty.
 	exit := func(code int) {
 		if err := stopProfile(); err != nil {
 			log.Errorf("mpicollbench: writing CPU profile: %v", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+		if err := stopMemProfile(); err != nil {
+			log.Errorf("mpicollbench: writing heap profile: %v", err)
 			if code == 0 {
 				code = 1
 			}

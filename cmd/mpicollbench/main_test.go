@@ -12,15 +12,22 @@ import (
 // TestCPUProfileFlag builds the CLI, generates the smoke d1 dataset with
 // -cpuprofile, and checks that the file is a non-empty pprof profile: a
 // gzip stream holding the encoded profile.
-func TestCPUProfileFlag(t *testing.T) {
+func TestCPUProfileFlag(t *testing.T) { checkProfileFlag(t, "-cpuprofile") }
+
+// TestMemProfileFlag is TestCPUProfileFlag for the heap profile that
+// -memprofile writes at the end of the run.
+func TestMemProfileFlag(t *testing.T) { checkProfileFlag(t, "-memprofile") }
+
+func checkProfileFlag(t *testing.T, flag string) {
+	t.Helper()
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "mpicollbench")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	prof := filepath.Join(dir, "cpu.pprof")
+	prof := filepath.Join(dir, "profile.pprof")
 	run := exec.Command(bin, "-dataset", "d1", "-scale", "smoke", "-q",
-		"-cache", filepath.Join(dir, "cache"), "-cpuprofile", prof)
+		"-cache", filepath.Join(dir, "cache"), flag, prof)
 	if out, err := run.CombinedOutput(); err != nil {
 		t.Fatalf("mpicollbench: %v\n%s", err, out)
 	}

@@ -110,7 +110,7 @@ func main() {
 	fail(f.Close())
 
 	fmt.Printf("makespan      %.6g s\n", res.Time)
-	fmt.Printf("events        %d (peak heap depth %d)\n", res.Events, ss.PeakHeapDepth)
+	fmt.Printf("events        %d (peak ready-queue depth %d)\n", res.Events, ss.PeakHeapDepth)
 	fmt.Printf("sends         %d (%d eager, %d rendezvous), recvs %d, computes %d\n",
 		ss.Sends, ss.EagerSends, ss.RendezvousSends, ss.Recvs, ss.Computes)
 	fmt.Printf("matched       %d messages, blocked %d sends / %d recvs\n",

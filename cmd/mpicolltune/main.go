@@ -91,6 +91,7 @@ func main() {
 		fitbench     = flag.String("fitbench", "", "train serially and in parallel, verify bit-identity, write a speedup report here")
 		metrics      = flag.String("metrics", "", "write a metrics-registry snapshot to this file (.json for JSON)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memprofile   = flag.String("memprofile", "", "write a heap profile at the end of the run to this file (go tool pprof)")
 		verbose      = flag.Bool("v", false, "verbose (debug) logging")
 		quiet        = flag.Bool("quiet", false, "suppress informational logging")
 	)
@@ -100,6 +101,9 @@ func main() {
 	stopProfile, err := obs.StartCPUProfile(*cpuprofile)
 	fail(err)
 	defer func() { fail(stopProfile()) }()
+	stopMemProfile, err := obs.StartMemProfile(*memprofile)
+	fail(err)
+	defer func() { fail(stopMemProfile()) }()
 
 	if *retrainFrom != "" {
 		if *retrainLog == "" {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // CostModel supplies the timing semantics of the simulated network and CPUs.
@@ -86,7 +85,9 @@ type Engine struct {
 	clock  []float64
 	pc     []int
 	status []rankStatus
-	heap   timeHeap
+	queue  readyTree
+	// queued counts the ready ranks, the running one included.
+	queued int
 	pairs  map[uint64]*pairState
 	// Direct-mapped caches of the last send/recv pair per rank: collective
 	// schedules talk to the same peer many times in a row, making the map
@@ -163,11 +164,11 @@ func (e *Engine) Run(prog *Program, model CostModel, start []float64, obs Observ
 
 // RunWithin is Run without an observer that gives up early, returning
 // ErrExceeded, once the makespan is known to exceed bound. The check is
-// exact: clocks never decrease, so every scheduled event time, measured from
-// the earliest start, is a lower bound on the makespan. It is ErrExceeded
-// only when the makespan is greater than bound; a run that is not cut
-// returns exactly what Run returns, which may still exceed bound when the
-// last events were never queued.
+// exact: clocks never decrease, so the time of every rank the scheduler
+// switches to, measured from the earliest start, is a lower bound on the
+// makespan. It is ErrExceeded only when the makespan is greater than bound;
+// a run that is not cut returns exactly what Run returns, which may still
+// exceed bound when the last events ran without a switch.
 func (e *Engine) RunWithin(prog *Program, model CostModel, start []float64, bound float64) (Result, error) {
 	return e.run(prog, model, start, nil, bound)
 }
@@ -194,7 +195,8 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 		e.sendPeer[i] = -1
 		e.recvPeer[i] = -1
 	}
-	e.heap = e.heap[:0]
+	e.queue.reset(p)
+	e.queued = 0
 	// The pair map is pooled across runs: collective sweeps execute many
 	// programs back to back on one engine, and reallocating the map plus its
 	// inflight message records every run dominated the per-cell GC churn.
@@ -236,28 +238,34 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 			e.done++
 		} else {
 			e.status[r] = statusReady
-			e.heap.push(t, int32(r))
+			e.queue.put(int32(r), timeBits(t))
+			e.queued++
 		}
 	}
+	e.queue.build()
 
 	events := 0
-	for len(e.heap) > 0 {
-		t, r32 := e.heap.pop()
+	for {
+		top := e.queue.nodes[1]
+		if top.tb == absent {
+			break
+		}
 		// Subtracting minStart from both sides keeps the comparison monotone
 		// under rounding: t-minStart <= Result.Time whenever t <= max(Finish).
-		if t-minStart > bound {
+		if t := timeFromBits(top.tb); t-minStart > bound {
 			return Result{}, ErrExceeded
 		}
-		r := int(r32)
-		if e.status[r] != statusReady {
-			continue // stale entry
-		}
-		// Run this rank until it blocks, finishes, or is no longer the
-		// earliest ready rank.
+		// Run this rank, its leaf updated after every step, until it blocks,
+		// finishes, or another rank is strictly earlier. A tie with a lower
+		// rank keeps it running: the root then holds that rank at the same
+		// time.
+		r := int(top.r)
 		for {
 			if e.pc[r] >= len(e.prog.Ranks[r]) {
 				e.status[r] = statusDone
 				e.done++
+				e.queued--
+				e.queue.set(top.r, absent)
 				break
 			}
 			advanced, err := e.step(r)
@@ -265,14 +273,17 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 				return Result{}, err
 			}
 			events++
-			if e.collectStats && len(e.heap) > e.stats.PeakHeapDepth {
-				e.stats.PeakHeapDepth = len(e.heap)
+			if e.collectStats && e.queued-1 > e.stats.PeakHeapDepth {
+				e.stats.PeakHeapDepth = e.queued - 1
 			}
 			if !advanced {
+				e.queued--
+				e.queue.set(top.r, absent)
 				break // blocked; woken later
 			}
-			if len(e.heap) > 0 && timeBits(e.clock[r]) > e.heap[0].tb {
-				e.heap.push(e.clock[r], r32)
+			tb := timeBits(e.clock[r])
+			e.queue.set(top.r, tb)
+			if e.queue.nodes[1].tb != tb {
 				break
 			}
 		}
@@ -423,7 +434,8 @@ func (e *Engine) step(r int) (bool, error) {
 				e.clock[s] = sdone
 				e.pc[s]++
 				e.status[s] = statusReady
-				e.heap.push(sdone, s)
+				e.queued++
+				e.queue.set(s, timeBits(sdone))
 				if e.collectStats {
 					e.stats.Sends++
 					e.stats.RendezvousSends++
@@ -463,7 +475,8 @@ func (e *Engine) wakeReceiver(src, dst int32, arrival, recvPost float64, op *Op,
 	e.clock[dst] = arrival + e.model.RecvOverhead(op.Bytes)
 	e.pc[dst]++
 	e.status[dst] = statusReady
-	e.heap.push(e.clock[dst], dst)
+	e.queued++
+	e.queue.set(dst, timeBits(e.clock[dst]))
 	if e.collectStats {
 		e.stats.Recvs++
 		e.stats.MessagesMatched++
@@ -479,10 +492,20 @@ func (e *Engine) wakeReceiver(src, dst int32, arrival, recvPost float64, op *Op,
 	return nil
 }
 
+// maxListedBlocked caps the blocked ranks a deadlock error lists.
+const maxListedBlocked = 8
+
+// deadlockError lists the blocked ranks in rank order, the first
+// maxListedBlocked of them in full and the rest as a count.
 func (e *Engine) deadlockError(prog *Program) error {
 	var blocked []string
+	more := 0
 	for r := range e.status {
 		if e.status[r] == statusDone {
+			continue
+		}
+		if len(blocked) == maxListedBlocked {
+			more++
 			continue
 		}
 		op := prog.Ranks[r][e.pc[r]]
@@ -491,12 +514,10 @@ func (e *Engine) deadlockError(prog *Program) error {
 			kind = "send(rvz) to"
 		}
 		blocked = append(blocked, fmt.Sprintf("rank %d pc %d: %s %d (%d B)", r, e.pc[r], kind, op.Peer, op.Bytes))
-		if len(blocked) >= 8 {
-			blocked = append(blocked, "...")
-			break
-		}
 	}
-	sort.Strings(blocked)
+	if more > 0 {
+		blocked = append(blocked, fmt.Sprintf("... (%d more)", more))
+	}
 	return fmt.Errorf("sim: deadlock; blocked ranks: %v", blocked)
 }
 
@@ -511,15 +532,84 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-// timeHeap is a 4-ary min-heap of (time, rank) entries — shallower and more
-// cache-friendly than a binary heap, which matters because the scheduler is
-// the hottest code in large simulations. Ties are broken by rank id for
-// determinism.
-type timeHeap []heapEntry
+// readyTree is the scheduler's ready queue: an indexed winner (tournament)
+// tree with one leaf per rank. nodes[size+r] holds rank r's next event time,
+// or absent while the rank is blocked or done; each inner node
+// nodes[i] holds the earlier of its children nodes[2i] and nodes[2i+1], so
+// nodes[1] is the earliest ready rank. Leaves are in rank order and a tie at
+// an inner node goes to the left child, which makes the order (time, rank):
+// with at most one entry per rank, every key is unique and the pop sequence
+// is the same as any exact priority queue's.
+//
+// A rank keeps its leaf while it runs, so yielding and resuming is one
+// leaf-to-root walk (set) instead of a push and a pop, and the walk's
+// compare is branchless: the scheduler's hottest code would otherwise
+// mispredict on nearly every level.
+type readyTree struct {
+	size  int // number of leaves: the smallest power of two >= the rank count
+	nodes []entry
+}
 
-type heapEntry struct {
-	tb uint64 // timeBits(time): an order-preserving encoding, see below
+type entry struct {
+	tb uint64 // timeBits(time), or absent
 	r  int32
+}
+
+// absent marks the leaf of a rank that is not ready. It orders after every
+// timeBits value, +Inf included (timeBits never returns all ones: that
+// would be a NaN).
+const absent = ^uint64(0)
+
+// reset sizes the tree for p ranks with every leaf absent; put then fills
+// the ready leaves and build computes the inner nodes.
+func (q *readyTree) reset(p int) {
+	q.size = 1
+	for q.size < p {
+		q.size <<= 1
+	}
+	if cap(q.nodes) < 2*q.size {
+		q.nodes = make([]entry, 2*q.size)
+	}
+	q.nodes = q.nodes[:2*q.size]
+	for r := 0; r < q.size; r++ {
+		q.nodes[q.size+r] = entry{absent, int32(r)}
+	}
+}
+
+func (q *readyTree) put(r int32, tb uint64) { q.nodes[q.size+int(r)] = entry{tb, r} }
+
+func (q *readyTree) build() {
+	n := q.nodes
+	for i := q.size - 1; i >= 1; i-- {
+		if l, r := n[2*i], n[2*i+1]; r.tb < l.tb {
+			n[i] = r
+		} else {
+			n[i] = l
+		}
+	}
+}
+
+// set changes rank r's leaf to tb and replays the matches on its path to
+// the root, stopping at the first inner node whose winner is unchanged:
+// every node above it is a function of the same children.
+func (q *readyTree) set(r int32, tb uint64) {
+	n := q.nodes
+	i := q.size + int(r)
+	cur := entry{tb, r}
+	n[i] = cur
+	for i > 1 {
+		// A left sibling (i odd) wins ties: subtracting i&1 turns the strict
+		// compare into <= without a branch. tb is never 0 (timeBits sets the
+		// top bit or flips a set sign bit), so the subtraction cannot wrap.
+		if sib := n[i^1]; sib.tb-uint64(i&1) < cur.tb {
+			cur = sib
+		}
+		i >>= 1
+		if n[i] == cur {
+			return
+		}
+		n[i] = cur
+	}
 }
 
 // timeBits maps a float64 time to a uint64 whose unsigned ordering matches
@@ -527,12 +617,12 @@ type heapEntry struct {
 // bit is flipped for non-negative values and all bits are flipped for
 // negative ones. Raw math.Float64bits ordering is only valid for t >= 0,
 // and fault plans apply clock-outlier adjustments to rank start times — a
-// negative start must not silently reorder the event heap. NaN has no place
-// in a simulated clock at all and is rejected outright.
+// negative start must not silently reorder the ready queue. NaN has no
+// place in a simulated clock at all and is rejected outright.
 func timeBits(t float64) uint64 {
 	if math.IsNaN(t) {
 		//mpicollvet:ignore panicguard scheduler invariant: a NaN event time means a cost model returned garbage; continuing would order events arbitrarily
-		panic("sim: NaN event time pushed to scheduler heap")
+		panic("sim: NaN event time entered the ready queue")
 	}
 	b := math.Float64bits(t)
 	if b&(1<<63) != 0 {
@@ -547,65 +637,4 @@ func timeFromBits(b uint64) float64 {
 		return math.Float64frombits(b &^ (1 << 63))
 	}
 	return math.Float64frombits(^b)
-}
-
-const heapArity = 4
-
-func (h *timeHeap) push(t float64, r int32) {
-	*h = append(*h, heapEntry{timeBits(t), r})
-	hh := *h
-	i := len(hh) - 1
-	e := hh[i]
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if less(e, hh[parent]) {
-			hh[i] = hh[parent]
-			i = parent
-		} else {
-			break
-		}
-	}
-	hh[i] = e
-}
-
-func (h *timeHeap) pop() (float64, int32) {
-	hh := *h
-	top := hh[0]
-	n := len(hh) - 1
-	e := hh[n]
-	*h = hh[:n]
-	hh = hh[:n]
-	i := 0
-	for {
-		first := heapArity*i + 1
-		if first >= n {
-			break
-		}
-		last := first + heapArity
-		if last > n {
-			last = n
-		}
-		smallest := first
-		for c := first + 1; c < last; c++ {
-			if less(hh[c], hh[smallest]) {
-				smallest = c
-			}
-		}
-		if !less(hh[smallest], e) {
-			break
-		}
-		hh[i] = hh[smallest]
-		i = smallest
-	}
-	if n > 0 {
-		hh[i] = e
-	}
-	return timeFromBits(top.tb), top.r
-}
-
-func less(a, b heapEntry) bool {
-	if a.tb != b.tb {
-		return a.tb < b.tb
-	}
-	return a.r < b.r
 }

@@ -315,49 +315,90 @@ func TestRelayChainTimingScalesWithHops(t *testing.T) {
 	}
 }
 
-func TestHeapPropertyQuick(t *testing.T) {
-	// The heap key is an order-preserving bit encoding (timeBits), so the
-	// property must hold for negative times too — fault plans apply
-	// clock-outlier adjustments to start times, and a negative time must
-	// order before every non-negative one.
-	f := func(ts []float64) bool {
-		var h timeHeap
-		for i, v := range ts {
-			if math.IsNaN(v) {
-				v = 0
-			}
-			h.push(v, int32(i))
+// treeValues are the times the ready-tree tests draw most leaves from, few
+// enough that ties are common: signed zeros, infinities and negatives.
+var treeValues = []float64{math.Inf(-1), -3, -1.5, math.Copysign(0, -1), 0, 0.5, 2, math.Inf(1)}
+
+// argminScan is the reference: the earliest ready leaf by (timeBits, rank),
+// found by a linear scan.
+func argminScan(leaves []uint64) entry {
+	best := entry{absent, -1}
+	for r, tb := range leaves {
+		if tb != absent && (best.tb == absent || tb < best.tb) {
+			best = entry{tb, int32(r)}
 		}
-		prev := math.Inf(-1)
-		for len(h) > 0 {
-			v, _ := h.pop()
-			if v < prev {
+	}
+	return best
+}
+
+func TestHeapPropertyQuick(t *testing.T) {
+	// Random set sequences on the ready tree, the root checked after every
+	// set against a linear scan. The rank count ranges over powers of two
+	// and the sizes between them, and values repeat often enough that ties
+	// (including -0 against +0, which timeBits orders -0 first) decide most
+	// roots.
+	f := func(seed uint64, pp uint8, ops []uint16) bool {
+		p := int(pp)%40 + 1
+		rng := NewRNG(seed)
+		var q readyTree
+		q.reset(p)
+		leaves := make([]uint64, p)
+		for r := range leaves {
+			leaves[r] = absent
+			if rng.Intn(2) == 0 {
+				leaves[r] = timeBits(treeValues[rng.Intn(len(treeValues))])
+				q.put(int32(r), leaves[r])
+			}
+		}
+		q.build()
+		for _, op := range ops {
+			r := int(op) % p
+			var tb uint64
+			switch k := int(op>>8) % (len(treeValues) + 2); {
+			case k < len(treeValues):
+				tb = timeBits(treeValues[k])
+			case k == len(treeValues):
+				tb = absent
+			default:
+				tb = timeBits(rng.Norm())
+			}
+			q.set(int32(r), tb)
+			leaves[r] = tb
+			want, got := argminScan(leaves), q.nodes[1]
+			if got.tb != want.tb || (want.tb != absent && got.r != want.r) {
+				t.Logf("p=%d leaves=%x: root %+v, want %+v", p, leaves, got, want)
 				return false
 			}
-			prev = v
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestHeapOrdersNegativeTimes(t *testing.T) {
 	// Regression: raw math.Float64bits ordering inverts for negative values
-	// (sign-magnitude bits), so a heap keyed on it silently popped negative
-	// times LAST. timeBits must keep the true ascending order.
-	var h timeHeap
+	// (sign-magnitude bits), so a queue keyed on it silently served negative
+	// times LAST. timeBits must keep the true ascending order: draining the
+	// tree (take the root, mark it absent) yields the times sorted.
 	in := []float64{0.5, -1.5, 0, -0.25, 2, -3, math.Inf(1), math.Inf(-1)}
-	for i, v := range in {
-		h.push(v, int32(i))
+	var q readyTree
+	q.reset(len(in))
+	for r, v := range in {
+		q.put(int32(r), timeBits(v))
 	}
+	q.build()
 	want := []float64{math.Inf(-1), -3, -1.5, -0.25, 0, 0.5, 2, math.Inf(1)}
 	for i, w := range want {
-		got, _ := h.pop()
-		if got != w {
+		top := q.nodes[1]
+		if got := timeFromBits(top.tb); got != w {
 			t.Fatalf("pop %d = %v, want %v (negative times reordered)", i, got, w)
 		}
+		q.set(top.r, absent)
+	}
+	if q.nodes[1].tb != absent {
+		t.Fatalf("drained tree still has root %+v", q.nodes[1])
 	}
 }
 
@@ -373,14 +414,46 @@ func TestHeapRoundTripsTimeBits(t *testing.T) {
 	}
 }
 
+// nanModel is a cost model whose computations take NaN seconds.
+type nanModel struct{ *testModel }
+
+func (nanModel) Compute(uint32) float64 { return math.NaN() }
+
 func TestHeapRejectsNaNTime(t *testing.T) {
+	b := NewBuilder(2, false)
+	b.Compute(0, 100)
+	b.Compute(1, 100)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("pushing a NaN time must panic, not silently mis-order the heap")
+			t.Fatal("a NaN event time must panic, not silently mis-order the ready queue")
 		}
 	}()
-	var h timeHeap
-	h.push(math.NaN(), 0)
+	NewEngine().Run(b.Build(), nanModel{newTestModel()}, nil, nil)
+}
+
+func TestDeadlockListsBlockedRanksInOrder(t *testing.T) {
+	// Twelve ranks each wait for the next: the error lists the first eight
+	// in rank order (rank 2 before rank 10) and counts the rest.
+	const p = 12
+	b := NewBuilder(p, false)
+	for r := 0; r < p; r++ {
+		b.Recv(r, (r+1)%p, 10)
+	}
+	_, err := NewEngine().Run(b.Build(), newTestModel(), nil, nil)
+	if err == nil {
+		t.Fatal("expected deadlock")
+	}
+	msg := err.Error()
+	want := "sim: deadlock; blocked ranks: [rank 0 pc 0: recv from 1 (10 B) rank 1 pc 0: recv from 2 (10 B)"
+	if !strings.HasPrefix(msg, want) {
+		t.Errorf("deadlock error %q does not start with %q", msg, want)
+	}
+	if !strings.HasSuffix(msg, "rank 7 pc 0: recv from 8 (10 B) ... (4 more)]") {
+		t.Errorf("deadlock error %q does not end with the eighth rank and the count", msg)
+	}
+	if strings.Contains(msg, "rank 8 ") {
+		t.Errorf("deadlock error %q lists more than eight ranks", msg)
+	}
 }
 
 // postOrderModel wraps testModel and records the posting time of every

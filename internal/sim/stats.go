@@ -19,8 +19,10 @@ type Stats struct {
 	// waiting for their partner (a measure of schedule slack).
 	BlockedSends int
 	BlockedRecvs int
-	// PeakHeapDepth is the maximum number of runnable-rank entries in the
-	// scheduler heap, sampled once per executed operation.
+	// PeakHeapDepth is the maximum number of ready ranks queued behind the
+	// running one (ready ranks minus one), sampled after each executed
+	// operation. The name dates from the heap the ready queue replaced;
+	// the values are the heap depths it reported.
 	PeakHeapDepth int
 }
 

@@ -63,7 +63,7 @@ func TestStatsCountsMixedProtocols(t *testing.T) {
 		t.Errorf("expected some blocking in a ping-pong: %+v", s)
 	}
 	if s.PeakHeapDepth < 1 {
-		t.Errorf("peak heap depth = %d", s.PeakHeapDepth)
+		t.Errorf("peak ready-queue depth = %d", s.PeakHeapDepth)
 	}
 	// Stats must reset between runs, not accumulate.
 	res2, err := eng.Run(b.Build(), newTestModel(), nil, nil)
@@ -143,6 +143,6 @@ func TestStatsMatchRingDeliveries(t *testing.T) {
 		t.Errorf("ring accounting: %+v, want %d messages", s, wantMsgs)
 	}
 	if s.PeakHeapDepth > p {
-		t.Errorf("peak heap depth %d exceeds rank count %d", s.PeakHeapDepth, p)
+		t.Errorf("peak ready-queue depth %d exceeds rank count %d", s.PeakHeapDepth, p)
 	}
 }
