@@ -69,12 +69,10 @@ func runRobustness(c *expCtx) (string, error) {
 		}
 
 		// Selections depend only on the instance, not the fault level: the
-		// model cannot see the fault. Decide and Select once per instance.
-		type matchup struct {
-			in            dataset.Instance
-			defID, predID int
-		}
-		var matchups []matchup
+		// model cannot see the fault. Decide and Select once per instance;
+		// cells 2k and 2k+1 measure instance k's selected and default
+		// configurations at every level.
+		var cells []bench.Cell
 		for _, in := range instances {
 			topo, err := mach.Topo(in.Nodes, in.PPN)
 			if err != nil {
@@ -84,7 +82,13 @@ func runRobustness(c *expCtx) (string, error) {
 			if pred.ConfigID < 1 {
 				return "", fmt.Errorf("robustness: no selection for %+v", in)
 			}
-			matchups = append(matchups, matchup{in, set.Decide(mach, topo, in.Msize), pred.ConfigID})
+			for _, id := range []int{pred.ConfigID, set.Decide(mach, topo, in.Msize)} {
+				c, err := robustnessCell(set, id, mach, topo, in.Msize)
+				if err != nil {
+					return "", err
+				}
+				cells = append(cells, c)
+			}
 		}
 		if n := sel.Fallbacks(); n != 0 {
 			return "", fmt.Errorf("robustness: %d unexpected fallbacks on in-grid instances", n)
@@ -99,27 +103,23 @@ func runRobustness(c *expCtx) (string, error) {
 			opts := bench.DefaultOptions(mach.Name)
 			opts.MaxReps = 2
 			opts.Faults = plan
-			runner := bench.NewRunner(opts)
+			times := make([]float64, len(cells))
+			err = bench.Sweep(cells, opts, nil, func(i int, meas bench.Measurement) error {
+				times[i] = meas.Median()
+				return nil
+			})
+			if err != nil {
+				return "", err
+			}
 
 			logSpeed, sumPred, sumDef := 0.0, 0.0, 0.0
-			for _, mu := range matchups {
-				topo, err := mach.Topo(mu.in.Nodes, mu.in.PPN)
-				if err != nil {
-					return "", err
-				}
-				predT, err := robustnessMeasure(runner, set, mu.predID, mach, topo, mu.in.Msize)
-				if err != nil {
-					return "", err
-				}
-				defT, err := robustnessMeasure(runner, set, mu.defID, mach, topo, mu.in.Msize)
-				if err != nil {
-					return "", err
-				}
+			for k := 0; k < len(times); k += 2 {
+				predT, defT := times[k], times[k+1]
 				logSpeed += math.Log(defT / predT)
 				sumPred += predT
 				sumDef += defT
 			}
-			n := float64(len(matchups))
+			n := float64(len(instances))
 			if lvl.name == "clean" {
 				cleanPred, cleanDef = sumPred, sumDef
 			}
@@ -127,7 +127,7 @@ func runRobustness(c *expCtx) (string, error) {
 				tablefmt.F(math.Exp(logSpeed/n), 2),
 				tablefmt.F(sumPred/cleanPred, 2),
 				tablefmt.F(sumDef/cleanDef, 2),
-				tablefmt.I(len(matchups)))
+				tablefmt.I(len(instances)))
 		}
 
 		// Guardrail probe: instances far beyond the training grid must be
@@ -228,19 +228,15 @@ func robustnessInstances(d *dataset.Dataset, testNodes []int) []dataset.Instance
 	return out
 }
 
-// robustnessMeasure benchmarks one configuration on one instance under the
-// runner's fault plan. The seed depends only on the configuration and
-// instance, so fault levels are compared on identical noise draws.
-func robustnessMeasure(runner *bench.Runner, set *mpilib.CollectiveSet, cfgID int,
-	mach machine.Machine, topo netmodel.Topology, msize int64) (float64, error) {
+// robustnessCell is one configuration on one instance, measured with two
+// repetitions. The seed depends only on the configuration and instance, so
+// fault levels are compared on identical noise draws.
+func robustnessCell(set *mpilib.CollectiveSet, cfgID int,
+	mach machine.Machine, topo netmodel.Topology, msize int64) (bench.Cell, error) {
 	cfg, err := set.Config(cfgID)
 	if err != nil {
-		return 0, err
+		return bench.Cell{}, err
 	}
 	seed := sim.Seed(0xB0B5, uint64(cfgID), uint64(topo.Nodes), uint64(topo.PPN), uint64(msize))
-	meas, err := runner.MeasureCapped(cfg, mach.Net, topo, msize, seed, 2)
-	if err != nil {
-		return 0, err
-	}
-	return meas.Median(), nil
+	return bench.Cell{Cfg: cfg, Net: mach.Net, Topo: topo, Msize: msize, Seed: seed, MaxReps: 2}, nil
 }

@@ -42,7 +42,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"mpicollpred/internal/core"
@@ -50,6 +49,7 @@ import (
 	"mpicollpred/internal/eval"
 	"mpicollpred/internal/fault"
 	"mpicollpred/internal/obs"
+	"mpicollpred/internal/par"
 	"mpicollpred/internal/retrain"
 )
 
@@ -261,48 +261,41 @@ func buildUnits(log *obs.Logger, dsList, learnerList []string, cache string, sca
 	return units
 }
 
-// trainMatrix fits every unit concurrently on the shared fit-worker pool.
-// Each unit's snapshot is saved from its own goroutine the moment its fits
-// complete, overlapping disk writes with the remaining training work.
+// trainMatrix fits every unit concurrently on the shared fit-worker pool:
+// one par.Run worker per unit, since the pool already bounds the fits. Each
+// unit's snapshot is saved by its worker the moment its fits complete,
+// overlapping disk writes with the remaining training work; the first
+// failing unit in matrix order ends the run.
 func trainMatrix(log *obs.Logger, units []*unit, saveDir, savePath string) {
-	var wg sync.WaitGroup
-	errs := make([]error, len(units))
-	for i, u := range units {
-		wg.Add(1)
-		go func(i int, u *unit) {
-			defer wg.Done()
-			mach, set, err := u.ds.Spec.Resolve()
-			if err != nil {
-				errs[i] = err
-				return
+	fail(par.Run(len(units), len(units), nil, func(_, i int) (*core.Selector, error) {
+		u := units[i]
+		mach, set, err := u.ds.Spec.Resolve()
+		if err != nil {
+			return nil, err
+		}
+		t0 := time.Now()
+		sel, err := core.Train(u.ds, set, u.learner, u.nodes)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", u.name(), err)
+		}
+		sel.SetFallback(mach, set)
+		log.Infof("trained %s on %s (%d configurations, nodes %v) in %.3gs (fit wall %.3gs)",
+			u.learner, u.ds.Spec.Name, len(sel.Configs()), u.nodes, time.Since(t0).Seconds(), sel.FitWall)
+		path := savePath
+		if saveDir != "" {
+			path = filepath.Join(saveDir, u.name()+".snap")
+		}
+		if path != "" {
+			if err := sel.SaveSnapshot(path, u.fingerprint()); err != nil {
+				return nil, err
 			}
-			t0 := time.Now()
-			sel, err := core.Train(u.ds, set, u.learner, u.nodes)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", u.name(), err)
-				return
-			}
-			sel.SetFallback(mach, set)
-			u.sel = sel
-			log.Infof("trained %s on %s (%d configurations, nodes %v) in %.3gs (fit wall %.3gs)",
-				u.learner, u.ds.Spec.Name, len(sel.Configs()), u.nodes, time.Since(t0).Seconds(), sel.FitWall)
-			path := savePath
-			if saveDir != "" {
-				path = filepath.Join(saveDir, u.name()+".snap")
-			}
-			if path != "" {
-				if err := sel.SaveSnapshot(path, u.fingerprint()); err != nil {
-					errs[i] = err
-					return
-				}
-				log.Infof("snapshot -> %s (%s)", path, u.fingerprint())
-			}
-		}(i, u)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		fail(err)
-	}
+			log.Infof("snapshot -> %s (%s)", path, u.fingerprint())
+		}
+		return sel, nil
+	}, func(i int, sel *core.Selector) error {
+		units[i].sel = sel
+		return nil
+	}))
 }
 
 // fitBenchReport is what -fitbench writes (BENCH_train.json in CI).
@@ -354,57 +347,43 @@ func runFitBench(log *obs.Logger, units []*unit, workers int, out string) error 
 		fitWall float64
 		configs int
 	}
-	run := func(pool *core.FitPool, concurrent bool) ([]trained, float64, error) {
+	// run trains the matrix with `workers` units in flight on pool.
+	run := func(pool *core.FitPool, workers int) ([]trained, float64, error) {
 		defer pool.Close()
 		outs := make([]trained, len(units))
-		errs := make([]error, len(units))
-		one := func(i int, u *unit) {
+		t0 := time.Now()
+		err := par.Run(len(units), workers, nil, func(_, i int) (trained, error) {
+			u := units[i]
 			_, set, err := u.ds.Spec.Resolve()
 			if err != nil {
-				errs[i] = err
-				return
+				return trained{}, err
 			}
 			sel, err := core.TrainPool(u.ds, set, u.learner, u.nodes, pool)
 			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", u.name(), err)
-				return
+				return trained{}, fmt.Errorf("%s: %w", u.name(), err)
 			}
 			snap, err := sel.Snapshot(u.fingerprint())
 			if err != nil {
-				errs[i] = err
-				return
+				return trained{}, err
 			}
-			outs[i] = trained{snap: snap, fitWall: sel.FitWall, configs: len(sel.Configs())}
+			return trained{snap: snap, fitWall: sel.FitWall, configs: len(sel.Configs())}, nil
+		}, func(i int, t trained) error {
+			outs[i] = t
+			return nil
+		})
+		if err != nil {
+			return nil, 0, err
 		}
-		t0 := time.Now()
-		if concurrent {
-			var wg sync.WaitGroup
-			for i, u := range units {
-				wg.Add(1)
-				go func(i int, u *unit) { defer wg.Done(); one(i, u) }(i, u)
-			}
-			wg.Wait()
-		} else {
-			for i, u := range units {
-				one(i, u)
-			}
-		}
-		elapsed := time.Since(t0).Seconds()
-		for _, err := range errs {
-			if err != nil {
-				return nil, 0, err
-			}
-		}
-		return outs, elapsed, nil
+		return outs, time.Since(t0).Seconds(), nil
 	}
 
 	log.Infof("fitbench: serial leg (%d selectors, 1 worker)", len(units))
-	serial, serialElapsed, err := run(core.NewFitPool(1), false)
+	serial, serialElapsed, err := run(core.NewFitPool(1), 1)
 	if err != nil {
 		return err
 	}
 	log.Infof("fitbench: parallel leg (%d workers)", rep.Workers)
-	parallel, parallelElapsed, err := run(core.NewFitPool(rep.Workers), true)
+	parallel, parallelElapsed, err := run(core.NewFitPool(rep.Workers), len(units))
 	if err != nil {
 		return err
 	}

@@ -7,10 +7,6 @@
 //	go run ./cmd/mpicollvet -json ./...               # machine-readable report
 //	go run ./cmd/mpicollvet -list                     # describe the analyzers
 //	go run ./cmd/mpicollvet -sarif out.sarif ./...    # SARIF 2.1.0 for code scanning
-//	go run ./cmd/mpicollvet -write-baseline b.json ./...
-//	go run ./cmd/mpicollvet -baseline b.json ./...    # fail only on NEW findings
-//	go run ./cmd/mpicollvet -fix -diff ./...          # preview mechanical rewrites
-//	go run ./cmd/mpicollvet -fix ./...                # apply them in place
 //	go run ./cmd/mpicollvet -workers 4 -benchout BENCH_lint.json -min-speedup 2 ./...
 //
 // The analyzers enforce the pipeline's determinism, numeric-safety,

@@ -1,13 +1,11 @@
 package bench
 
 import (
-	"errors"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"mpicollpred/internal/mpilib"
 	"mpicollpred/internal/netmodel"
+	"mpicollpred/internal/par"
 )
 
 // Cell is one independent measurement of a sweep grid: a configuration on an
@@ -30,7 +28,7 @@ type Cell struct {
 
 // ErrSweepStopped reports that the stop hook ended a Sweep early. All cells
 // before the stop point were committed in order; nothing at or after it was.
-var ErrSweepStopped = errors.New("bench: sweep stopped")
+var ErrSweepStopped = par.ErrStopped
 
 // workerCount resolves Options.Workers (<= 0 means GOMAXPROCS, matching the
 // fit-pool convention).
@@ -42,12 +40,13 @@ func (o Options) workerCount() int {
 }
 
 // Sweep measures every cell and invokes commit exactly once per cell, in
-// cell order, from the calling goroutine. Measurement is sharded across
-// Options.Workers workers (one Runner + Engine each, since Runners are
-// single-goroutine), but because each cell's noise stream is derived from
-// its content-addressed Seed and all observable effects — commit calls,
-// Options.Metrics accounting, stop polls — happen in cell order, the output
-// is byte-identical to a serial run at any worker count.
+// cell order, from the calling goroutine. It is par.Run over the cells
+// (DESIGN §10): measurement is sharded across Options.Workers workers, each
+// with its own Runner + Engine since Runners are single-goroutine, and
+// because each cell's noise stream is derived from its content-addressed
+// Seed and all observable effects — commit calls, Options.Metrics
+// accounting, stop polls — happen in cell order, the output is
+// byte-identical to a serial run at any worker count.
 //
 // stop, when non-nil, is polled once per non-Skip cell, in cell order,
 // before that cell is handed to a worker; returning true abandons the cell
@@ -61,159 +60,33 @@ func (o Options) workerCount() int {
 // exactly as a serial loop would fail.
 func Sweep(cells []Cell, opts Options, stop func() bool, commit func(i int, meas Measurement) error) error {
 	metrics := opts.Metrics
-	wopts := opts
 	// Workers never see the metrics sink: accounting happens at commit
 	// time, in cell order, so counter and histogram contents cannot depend
 	// on measurement completion order.
+	wopts := opts
 	wopts.Metrics = nil
 
-	fresh := 0
-	for _, c := range cells {
-		if !c.Skip {
-			fresh++
-		}
+	workers := opts.workerCount()
+	runners := make([]*Runner, workers)
+	var poll func(i int) bool
+	if stop != nil {
+		poll = func(i int) bool { return !cells[i].Skip && stop() }
 	}
-	w := opts.workerCount()
-	if w > fresh {
-		w = fresh
-	}
-	if w < 2 {
-		return sweepSerial(cells, wopts, metrics, stop, commit)
-	}
-	return sweepParallel(cells, wopts, metrics, w, stop, commit)
-}
-
-// sweepSerial is the reference implementation: poll, measure, record, commit
-// — one cell at a time, in order. The parallel path is tested byte-identical
-// against it.
-func sweepSerial(cells []Cell, wopts Options, metrics *Metrics, stop func() bool, commit func(i int, meas Measurement) error) error {
-	r := NewRunner(wopts)
-	for i, c := range cells {
-		if c.Skip {
-			if err := commit(i, Measurement{}); err != nil {
-				return err
-			}
-			continue
-		}
-		if stop != nil && stop() {
-			return ErrSweepStopped
-		}
-		meas, err := r.MeasureCapped(c.Cfg, c.Net, c.Topo, c.Msize, c.Seed, c.MaxReps)
-		if err != nil {
-			return err
-		}
-		metrics.record(meas)
-		if err := commit(i, meas); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sweepResult is one worker's output for a cell, published under the sweep
-// mutex.
-type sweepResult struct {
-	meas Measurement
-	err  error
-	done bool
-}
-
-func sweepParallel(cells []Cell, wopts Options, metrics *Metrics, workers int, stop func() bool, commit func(i int, meas Measurement) error) error {
-	var (
-		mu      sync.Mutex
-		cond    = sync.NewCond(&mu)
-		results = make([]sweepResult, len(cells))
-		// stopIdx is the index of the first cell the stop hook abandoned;
-		// len(cells) while no stop has fired. Guarded by mu.
-		stopIdx = len(cells)
-		// aborted tells workers and the dispatcher to wind down without
-		// measuring further; set on any error and when Sweep returns.
-		aborted atomic.Bool
-	)
-
-	// The job channel carries cell indices. Its small buffer bounds how far
-	// dispatch runs ahead of measurement, so a stop request takes effect
-	// within ~2×workers cells.
-	jobs := make(chan int, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func() {
-			defer wg.Done()
-			r := NewRunner(wopts)
-			for i := range jobs {
-				var res sweepResult
-				if !aborted.Load() {
-					c := cells[i]
-					res.meas, res.err = r.MeasureCapped(c.Cfg, c.Net, c.Topo, c.Msize, c.Seed, c.MaxReps)
-				}
-				res.done = true
-				mu.Lock()
-				results[i] = res
-				cond.Broadcast()
-				mu.Unlock()
-			}
-		}()
-	}
-
-	// Dispatcher: walks the cells in order, polling stop once per fresh
-	// cell — the same poll sequence as the serial path — and marking Skip
-	// cells complete without a worker round-trip.
-	go func() {
-		defer close(jobs)
-		for i, c := range cells {
-			if aborted.Load() {
-				return
-			}
+	return par.Run(len(cells), workers, poll,
+		func(w, i int) (Measurement, error) {
+			c := cells[i]
 			if c.Skip {
-				mu.Lock()
-				results[i].done = true
-				cond.Broadcast()
-				mu.Unlock()
-				continue
+				return Measurement{}, nil
 			}
-			if stop != nil && stop() {
-				mu.Lock()
-				if i < stopIdx {
-					stopIdx = i
-				}
-				cond.Broadcast()
-				mu.Unlock()
-				return
+			if runners[w] == nil {
+				runners[w] = NewRunner(wopts)
 			}
-			jobs <- i
-		}
-	}()
-
-	defer func() {
-		// Drain on every exit path: workers skip measuring once aborted is
-		// set, so this returns promptly even when cells remain undispatched.
-		aborted.Store(true)
-		wg.Wait()
-	}()
-
-	for i := range cells {
-		mu.Lock()
-		for !results[i].done && stopIdx > i {
-			//mpicollvet:ignore lockscope sync.Cond.Wait atomically releases mu while parked and reacquires before returning; holding it here is the condition-variable contract
-			cond.Wait()
-		}
-		stopped := !results[i].done
-		res := results[i]
-		results[i] = sweepResult{} // drop the Times slice once committed
-		mu.Unlock()
-		if stopped {
-			return ErrSweepStopped
-		}
-		if res.err != nil {
-			return res.err
-		}
-		if !cells[i].Skip {
-			metrics.record(res.meas)
-		}
-		if err := commit(i, res.meas); err != nil {
-			return err
-		}
-	}
-	return nil
+			return runners[w].MeasureCapped(c.Cfg, c.Net, c.Topo, c.Msize, c.Seed, c.MaxReps)
+		},
+		func(i int, meas Measurement) error {
+			if !cells[i].Skip {
+				metrics.record(meas)
+			}
+			return commit(i, meas)
+		})
 }

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"mpicollpred/internal/ml"
 	"mpicollpred/internal/obs"
 )
 
@@ -64,6 +65,45 @@ func (p *FitPool) Workers() int { return p.workers }
 
 // submit blocks until a worker accepts the job.
 func (p *FitPool) submit(f func()) { p.jobs <- f }
+
+// fitResult is one configuration's outcome, produced by a pool worker and
+// committed by the Train or Refit goroutine.
+type fitResult struct {
+	m    ml.Regressor
+	env  Envelope
+	wall float64
+	err  error
+}
+
+// fitAll fits a fresh learner to each of n training sets on the pool, where
+// data(i) returns set i, and returns the outcomes in input order. A learner
+// panic comes back as an errLearnerPanic error. Each worker writes only its
+// own slot; wg.Wait orders those writes before the caller's commit loop
+// reads them.
+func (p *FitPool) fitAll(learner string, n int, data func(i int) ([][]float64, []float64)) []fitResult {
+	results := make([]fitResult, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		x, y := data(i)
+		wg.Add(1)
+		p.submit(func() {
+			defer wg.Done()
+			m, err := ml.New(learner)
+			if err != nil {
+				results[i].err = err
+				return
+			}
+			f0 := time.Now()
+			if err := safeFit(m, x, y); err != nil {
+				results[i].err = err
+				return
+			}
+			results[i] = fitResult{m: m, env: newEnvelope(x, y), wall: time.Since(f0).Seconds()}
+		})
+	}
+	wg.Wait()
+	return results
+}
 
 // Close stops the workers after the queue drains. A closed pool must not
 // receive further Train calls.

@@ -14,8 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"mpicollpred/internal/dataset"
 	"mpicollpred/internal/ml"
@@ -126,27 +124,9 @@ func Refit(base *Selector, ds *dataset.Dataset, set *mpilib.CollectiveSet, confi
 	}
 	fitHist := obs.Default.Histogram("core_fit_seconds", obs.Labels{"learner": base.Learner})
 
-	results := make([]fitResult, len(ids))
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		i, x, y := i, xs[id], ys[id]
-		wg.Add(1)
-		pool.submit(func() {
-			defer wg.Done()
-			m, err := ml.New(base.Learner)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			f0 := time.Now()
-			if err := safeFit(m, x, y); err != nil {
-				results[i].err = err
-				return
-			}
-			results[i] = fitResult{m: m, env: newEnvelope(x, y), wall: time.Since(f0).Seconds()}
-		})
-	}
-	wg.Wait()
+	results := pool.fitAll(base.Learner, len(ids), func(i int) ([][]float64, []float64) {
+		return xs[ids[i]], ys[ids[i]]
+	})
 
 	for i, id := range ids {
 		res := results[i]

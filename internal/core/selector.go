@@ -103,15 +103,6 @@ func Train(ds *dataset.Dataset, set *mpilib.CollectiveSet, learner string, train
 	return TrainPool(ds, set, learner, trainNodes, nil)
 }
 
-// fitResult is one configuration's outcome, produced by a pool worker and
-// committed by the Train goroutine.
-type fitResult struct {
-	m    ml.Regressor
-	env  Envelope
-	wall float64
-	err  error
-}
-
 // TrainPool is Train on an explicit worker pool (nil means the default
 // pool). A pool of size 1 reproduces the serial fitting path; any size
 // yields the same selector bit for bit, because workers only compute
@@ -164,31 +155,11 @@ func TrainPool(ds *dataset.Dataset, set *mpilib.CollectiveSet, learner string, t
 		pool = DefaultFitPool()
 	}
 
-	// Fan the per-configuration fits across the pool. Each worker writes
-	// only its own slot of results; wg.Wait orders those writes before the
-	// commit loop below.
-	results := make([]fitResult, len(sel.configs))
 	t0 := time.Now()
-	var wg sync.WaitGroup
-	for i, cfg := range sel.configs {
-		i, x, y := i, xs[cfg.ID], ys[cfg.ID]
-		wg.Add(1)
-		pool.submit(func() {
-			defer wg.Done()
-			m, err := ml.New(learner)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			f0 := time.Now()
-			if err := safeFit(m, x, y); err != nil {
-				results[i].err = err
-				return
-			}
-			results[i] = fitResult{m: m, env: newEnvelope(x, y), wall: time.Since(f0).Seconds()}
-		})
-	}
-	wg.Wait()
+	results := pool.fitAll(learner, len(sel.configs), func(i int) ([][]float64, []float64) {
+		id := sel.configs[i].ID
+		return xs[id], ys[id]
+	})
 	obs.Default.Histogram("core_fit_parallel_seconds", obs.Labels{"learner": learner}).
 		Observe(time.Since(t0).Seconds())
 

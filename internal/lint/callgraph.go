@@ -8,6 +8,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"mpicollpred/internal/par"
 )
 
 // Function identity. The parallel loader type-checks packages in separate
@@ -90,17 +92,17 @@ func newGraph() *Graph {
 func BuildGraph(pkgs []*Package) *Graph { return BuildGraphWorkers(pkgs, 1) }
 
 // BuildGraphWorkers builds per-package subgraphs on a bounded worker pool,
-// then merges them in package order (deterministic) and runs the effect
-// fixed point.
+// merges them in package order (deterministic) as par.Run commits them, and
+// runs the effect fixed point.
 func BuildGraphWorkers(pkgs []*Package, workers int) *Graph {
-	partial := make([]*Graph, len(pkgs))
-	forEachIndex(len(pkgs), workers, func(i int) {
-		partial[i] = buildPkgGraph(pkgs[i])
-	})
 	g := newGraph()
-	for _, pg := range partial {
-		g.merge(pg)
-	}
+	// Neither the build nor the merge can fail.
+	_ = par.Run(len(pkgs), workers, nil,
+		func(_, i int) (*Graph, error) { return buildPkgGraph(pkgs[i]), nil },
+		func(_ int, pg *Graph) error {
+			g.merge(pg)
+			return nil
+		})
 	g.propagate()
 	return g
 }

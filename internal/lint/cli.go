@@ -30,10 +30,6 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("C", ".", "directory to resolve package patterns in")
 	workers := fs.Int("workers", 0, "concurrent package load/analysis (0 = GOMAXPROCS)")
 	sarifOut := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file (- for stdout)")
-	baselinePath := fs.String("baseline", "", "suppress findings recorded in this baseline file; fail only on new ones")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit clean")
-	fix := fs.Bool("fix", false, "apply the mechanically-safe rewrites (floats.Eq, sim.StubRNG) in place")
-	diff := fs.Bool("diff", false, "with -fix semantics: print the rewrite diffs without writing files")
 	benchout := fs.String("benchout", "", "benchmark serial vs parallel runner, write JSON to this file, and exit")
 	minSpeedup := fs.Float64("min-speedup", 0, "with -benchout: fail (exit 2) if parallel/serial speedup is below this")
 	fs.Usage = func() {
@@ -68,48 +64,9 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 		return ExitError
 	}
 
-	if *fix || *diff {
-		write := *fix && !*diff
-		changed, err := ApplyFixes(pkgs, write, stdout)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return ExitError
-		}
-		verb := "would change"
-		if write {
-			verb = "rewrote"
-		}
-		fmt.Fprintf(stderr, "mpicollvet -fix: %s %d file(s)\n", verb, changed)
-		return ExitClean
-	}
-
 	runner := &Runner{Analyzers: analyzers, Workers: *workers}
 	findings := runner.Run(pkgs)
 	relativize(findings)
-
-	if *writeBaseline != "" {
-		if err := WriteBaselineFile(*writeBaseline, NewBaseline(findings)); err != nil {
-			fmt.Fprintln(stderr, err)
-			return ExitError
-		}
-		fmt.Fprintf(stderr, "mpicollvet: wrote baseline with %d finding(s) to %s\n",
-			len(findings), *writeBaseline)
-		return ExitClean
-	}
-
-	if *baselinePath != "" {
-		base, err := ReadBaselineFile(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return ExitError
-		}
-		fresh, known := base.Filter(findings)
-		if len(known) > 0 {
-			fmt.Fprintf(stderr, "mpicollvet: %d known finding(s) suppressed by baseline %s\n",
-				len(known), *baselinePath)
-		}
-		findings = fresh
-	}
 
 	if *sarifOut != "" {
 		w := stdout

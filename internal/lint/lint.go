@@ -26,7 +26,8 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
+
+	"mpicollpred/internal/par"
 )
 
 // An Analyzer is one named check. Run inspects a single package via the
@@ -161,8 +162,8 @@ func (r *Runner) Run(pkgs []*Package) []Finding {
 		known[a.Name] = true
 	}
 	graph := BuildGraphWorkers(pkgs, r.Workers)
-	results := make([][]Finding, len(pkgs))
-	runPkg := func(i int) {
+	var out []Finding
+	analyze := func(_, i int) ([]Finding, error) {
 		pkg := pkgs[i]
 		sups, bad := collectSuppressions(pkg.Fset, pkg.Files, known)
 		kept := bad
@@ -186,48 +187,18 @@ func (r *Runner) Run(pkgs []*Package) []Finding {
 			}
 			kept = append(kept, f)
 		}
-		results[i] = kept
+		return kept, nil
 	}
-	forEachIndex(len(pkgs), r.Workers, runPkg)
-	var out []Finding
-	for _, fs := range results {
+	// Neither analyze nor the commit can fail.
+	_ = par.Run(len(pkgs), r.Workers, nil, analyze, func(_ int, fs []Finding) error {
 		out = append(out, fs...)
-	}
+		return nil
+	})
 	for i := range out {
 		out[i].fill()
 	}
 	sortFindings(out)
 	return dedupFindings(out)
-}
-
-// forEachIndex runs fn(0..n-1) on a bounded worker pool (the PR-5 fit-pool
-// pattern); workers <= 1 runs inline.
-func forEachIndex(n, workers int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 }
 
 // sortFindings orders findings canonically. The message is the final

@@ -14,6 +14,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+
+	"mpicollpred/internal/par"
 )
 
 // Package is one loaded, parsed, and type-checked package.
@@ -100,8 +102,8 @@ func list(dir string, patterns []string) (*listing, error) {
 // object identities therefore differ between worker universes for the same
 // dependency — which is why the call graph (callgraph.go) keys functions on
 // FullName strings rather than object pointers. Package order and any error
-// reported are independent of scheduling: results commit into load-order
-// slots and the first error by index wins.
+// reported are independent of scheduling: par.Run commits in load order and
+// the first error by index wins.
 func (l *listing) load(workers int) ([]*Package, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -115,36 +117,20 @@ func (l *listing) load(workers int) ([]*Package, error) {
 		return os.Open(exp)
 	}
 	pkgs := make([]*Package, len(l.targets))
-	errs := make([]error, len(l.targets))
-	jobs := make(chan int)
-	done := make(chan struct{})
-	nworkers := workers
-	if nworkers > len(l.targets) {
-		nworkers = len(l.targets)
-	}
-	if nworkers < 1 {
-		nworkers = 1
-	}
-	for w := 0; w < nworkers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-			for i := range jobs {
-				pkgs[i], errs[i] = loadOne(fset, &conf, l.targets[i])
+	confs := make([]*types.Config, workers)
+	err := par.Run(len(l.targets), workers, nil,
+		func(w, i int) (*Package, error) {
+			if confs[w] == nil {
+				confs[w] = &types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
 			}
-		}()
-	}
-	for i := range l.targets {
-		jobs <- i
-	}
-	close(jobs)
-	for w := 0; w < nworkers; w++ {
-		<-done
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+			return loadOne(fset, confs[w], l.targets[i])
+		},
+		func(i int, p *Package) error {
+			pkgs[i] = p
+			return nil
+		})
+	if err != nil {
+		return nil, err
 	}
 	return pkgs, nil
 }

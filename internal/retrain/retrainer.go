@@ -18,6 +18,7 @@ import (
 	"mpicollpred/internal/core"
 	"mpicollpred/internal/dataset"
 	"mpicollpred/internal/fault"
+	"mpicollpred/internal/netmodel"
 	"mpicollpred/internal/sim"
 )
 
@@ -167,36 +168,45 @@ func (rt *retrainer) cycle(model, basePath string, cells []cell, plan *fault.Pla
 		}
 		return a.msize < b.msize
 	})
+	topos := make([]netmodel.Topology, len(cells))
+	for j, c := range cells {
+		if topos[j], err = mach.Topo(c.nodes, c.ppn); err != nil {
+			return nil, fmt.Errorf("retrain: topology %dx%d: %w", c.nodes, c.ppn, err)
+		}
+	}
+	cfgs := set.Selectable()
+	grid := make([]bench.Cell, 0, len(cfgs)*len(cells))
+	for _, cfg := range cfgs {
+		for j, c := range cells {
+			grid = append(grid, bench.Cell{
+				Cfg: cfg, Net: mach.Net, Topo: topos[j], Msize: c.msize,
+				Seed: sim.DomainSeed(sim.DomainRetrain,
+					uint64(cfg.ID), uint64(c.nodes), uint64(c.ppn), uint64(c.msize)),
+				MaxReps: rt.reps,
+			})
+		}
+	}
 	bo := bench.DefaultOptions(mach.Name)
 	bo.MaxReps = rt.reps
 	bo.Faults = plan
-	runner := bench.NewRunner(bo)
 	refit := map[int]bool{}
-	for _, cfg := range set.Selectable() {
-		for _, c := range cells {
-			topo, err := mach.Topo(c.nodes, c.ppn)
-			if err != nil {
-				return nil, fmt.Errorf("retrain: topology %dx%d: %w", c.nodes, c.ppn, err)
-			}
-			seed := sim.DomainSeed(sim.DomainRetrain,
-				uint64(cfg.ID), uint64(c.nodes), uint64(c.ppn), uint64(c.msize))
-			meas, err := runner.MeasureCapped(cfg, mach.Net, topo, c.msize, seed, rt.reps)
-			if err != nil {
-				return nil, fmt.Errorf("retrain: measuring config %d on %dx%d m=%d: %w",
-					cfg.ID, c.nodes, c.ppn, c.msize, err)
-			}
-			s := dataset.Sample{
-				ConfigID: cfg.ID, AlgID: cfg.AlgID,
-				Nodes: c.nodes, PPN: c.ppn, Msize: c.msize,
-				Time: meas.Median(), Reps: meas.Reps(),
-				Consumed: meas.Consumed, Exhausted: meas.Exhausted,
-			}
-			if _, err := ds.Upsert(s); err != nil {
-				return nil, fmt.Errorf("retrain: %w", err)
-			}
-			cand.Samples++
-			refit[cfg.ID] = true
+	err = bench.Sweep(grid, bo, nil, func(i int, meas bench.Measurement) error {
+		cfg, c := grid[i].Cfg, cells[i%len(cells)]
+		s := dataset.Sample{
+			ConfigID: cfg.ID, AlgID: cfg.AlgID,
+			Nodes: c.nodes, PPN: c.ppn, Msize: c.msize,
+			Time: meas.Median(), Reps: meas.Reps(),
+			Consumed: meas.Consumed, Exhausted: meas.Exhausted,
 		}
+		if _, err := ds.Upsert(s); err != nil {
+			return err
+		}
+		cand.Samples++
+		refit[cfg.ID] = true
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("retrain: %w", err)
 	}
 
 	ids := make([]int, 0, len(refit))

@@ -7,12 +7,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mpicollpred/internal/audit"
 	"mpicollpred/internal/bench"
 	"mpicollpred/internal/core"
 	"mpicollpred/internal/dataset"
@@ -447,5 +449,98 @@ func TestLoadgenCancelledContext(t *testing.T) {
 	}
 	if rep.Requests != 0 {
 		t.Fatalf("pre-cancelled run issued %d requests, want 0", rep.Requests)
+	}
+}
+
+// TestBatchIsScheduleIndependent posts one batch with repeated and invalid
+// entries to servers answering batches on 1 and 16 goroutines: the results,
+// their Cached flags and the audit-record sequence must be the same.
+func TestBatchIsScheduleIndependent(t *testing.T) {
+	_, knn, _ := testModels(t)
+	distinct := []InstanceRequest{
+		{Nodes: 2, PPN: 1, Msize: 16}, {Nodes: 3, PPN: 4, Msize: 1024},
+		{Nodes: 4, PPN: 4, Msize: 16384}, {Nodes: 5, PPN: 1, Msize: 262144},
+		{Nodes: 6, PPN: 4, Msize: 1024}, {Nodes: 2, PPN: 4, Msize: 262144},
+	}
+	var req BatchRequest
+	for r := 0; r < 5; r++ {
+		for j := range distinct {
+			req.Instances = append(req.Instances, distinct[(j*(r+1))%len(distinct)])
+		}
+		req.Instances = append(req.Instances, InstanceRequest{Nodes: 0, PPN: 4, Msize: 64})
+	}
+
+	run := func(workers int) (BatchResponse, []audit.Record) {
+		path := filepath.Join(t.TempDir(), "audit.jsonl")
+		lg, err := audit.NewLogger(path, audit.LoggerOptions{Clock: func() time.Time { return time.Unix(1, 0) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(Options{CacheSize: 1024, CacheShards: 4, BatchWorkers: workers, Audit: lg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Registry().Install(knn); err != nil {
+			t.Fatal(err)
+		}
+		var resp BatchResponse
+		postJSON(t, s.Handler(), "/v1/batch", req, http.StatusOK, &resp)
+		if err := lg.Close(); err != nil {
+			t.Fatal(err)
+		}
+		recs, err := audit.ReadLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var id string
+		for i := range recs {
+			if i == 0 {
+				id = recs[0].RequestID
+			} else if recs[i].RequestID != id {
+				t.Fatalf("workers=%d: batch audited under request ids %q and %q", workers, id, recs[i].RequestID)
+			}
+			recs[i].RequestID, recs[i].LatencyUs = "", 0
+		}
+		return resp, recs
+	}
+
+	wantResp, wantRecs := run(1)
+	seen := map[InstanceRequest]bool{}
+	var valid []InstanceRequest
+	for i, res := range wantResp.Results {
+		in := req.Instances[i]
+		if res.InstanceRequest != in {
+			t.Fatalf("result %d answers %+v, want %+v", i, res.InstanceRequest, in)
+		}
+		if in.Nodes == 0 {
+			if res.Error == "" {
+				t.Fatalf("result %d: invalid instance answered", i)
+			}
+			continue
+		}
+		if res.Cached != seen[in] {
+			t.Fatalf("result %d: Cached=%v, want %v (first occurrence misses, repeats hit)", i, res.Cached, seen[in])
+		}
+		seen[in] = true
+		valid = append(valid, in)
+	}
+	if len(wantRecs) != len(valid) {
+		t.Fatalf("%d audit records, want one per valid entry (%d)", len(wantRecs), len(valid))
+	}
+	for i, rec := range wantRecs {
+		if in := (InstanceRequest{Nodes: rec.Nodes, PPN: rec.PPN, Msize: rec.Msize}); in != valid[i] {
+			t.Fatalf("audit record %d is for %+v, want %+v (instance order)", i, in, valid[i])
+		}
+	}
+
+	// Repeated, since a scheduling-dependent batch differs only sometimes.
+	for rep := 0; rep < 3; rep++ {
+		resp, recs := run(16)
+		if !reflect.DeepEqual(resp, wantResp) {
+			t.Fatal("16 workers: batch response differs from the serial one")
+		}
+		if !reflect.DeepEqual(recs, wantRecs) {
+			t.Fatal("16 workers: audit records differ from the serial ones")
+		}
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"mpicollpred/internal/core"
 	"mpicollpred/internal/dataset"
 	"mpicollpred/internal/obs"
+	"mpicollpred/internal/par"
 )
 
 // Options configures a Server.
@@ -609,53 +610,58 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	resp := BatchResponse{Model: m.Name, Coll: m.Sel.Coll, Results: make([]BatchResult, len(req.Instances))}
 	s.metrics.Counter("serve_batch_instances_total", nil).Add(int64(len(req.Instances)))
 
-	// Fan the instances across a bounded worker set. Ordering is preserved
-	// by construction: worker k only ever writes Results[i] for the
-	// instances i it claimed off the shared counter, so Results[i] always
-	// answers Instances[i] regardless of which worker got there.
-	workers := s.batchWorkers
-	if workers > len(req.Instances) {
-		workers = len(req.Instances)
-	}
-	if workers <= 1 {
-		for i, in := range req.Instances {
-			s.batchOne(ri, set, m, in, &resp.Results[i])
+	// Answer each distinct valid instance once, on up to batchWorkers
+	// goroutines. par.Run commits in instance order: a repeat copies the
+	// decision of its first occurrence as a cache hit, and every valid
+	// entry is observed there, under the batch's request id (entries get no
+	// spans of their own — a 10000-instance batch would drown the trace
+	// ring). Cached flags and the audit-record sequence therefore do not
+	// depend on scheduling. An invalid instance gets a per-entry error
+	// without failing the rest of the batch.
+	first := make([]int, len(req.Instances)) // -1 marks an invalid instance
+	seen := make(map[InstanceRequest]int, len(req.Instances))
+	for i, in := range req.Instances {
+		resp.Results[i].InstanceRequest = in
+		if err := dataset.CheckInstance(in.Nodes, in.PPN, in.Msize); err != nil {
+			resp.Results[i].Error = err.Error()
+			first[i] = -1
+			continue
 		}
-		return s.writeJSON(w, http.StatusOK, resp)
+		j, ok := seen[in]
+		if !ok {
+			j = i
+			seen[in] = i
+		}
+		first[i] = j
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(req.Instances) {
-					return
-				}
-				s.batchOne(ri, set, m, req.Instances[i], &resp.Results[i])
+	type answer struct {
+		d       Decision
+		latency time.Duration
+	}
+	// Neither the selection nor the commit can fail.
+	_ = par.Run(len(req.Instances), s.batchWorkers, nil,
+		func(_, i int) (answer, error) {
+			if first[i] != i {
+				return answer{}, nil
 			}
-		}()
-	}
-	wg.Wait()
+			t0 := time.Now()
+			p, cached := s.selectCached(set, m, req.Instances[i], nil)
+			return answer{toDecision(p, cached), time.Since(t0)}, nil
+		},
+		func(i int, a answer) error {
+			j := first[i]
+			if j < 0 {
+				return nil
+			}
+			if j != i {
+				a.d = resp.Results[j].Decision
+				a.d.Cached = true
+			}
+			resp.Results[i].Decision = a.d
+			s.observeDecision(ri, "batch", set, m, req.Instances[i], a.d, a.latency)
+			return nil
+		})
 	return s.writeJSON(w, http.StatusOK, resp)
-}
-
-// batchOne answers one batch entry in place; an invalid instance gets a
-// per-entry error without failing the rest of the batch. Valid entries are
-// audited individually under the batch's request id (batch entries don't get
-// per-entry spans — a 10000-instance batch would drown the trace ring).
-func (s *Server) batchOne(ri reqInfo, set *modelSet, m *Model, in InstanceRequest, out *BatchResult) {
-	out.InstanceRequest = in
-	if err := dataset.CheckInstance(in.Nodes, in.PPN, in.Msize); err != nil {
-		out.Error = err.Error()
-		return
-	}
-	t0 := time.Now()
-	p, cached := s.selectCached(set, m, in, nil)
-	out.Decision = toDecision(p, cached)
-	s.observeDecision(ri, "batch", set, m, in, out.Decision, time.Since(t0))
 }
 
 // ReloadRequest is the optional /v1/reload body: naming Paths switches the

@@ -15,15 +15,6 @@ type RNG struct {
 // NewRNG returns an RNG seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
-// StubRNG returns a fresh RNG seeded with a fixed constant. It exists as
-// the mechanical target of `mpicollvet -fix` for global math/rand call
-// sites: the rewrite keeps the program compiling and makes the draw
-// deterministic, but every StubRNG call starts the same stream. Treat any
-// call as a TODO — derive a real seed with DomainSeed (picking or adding a
-// domain salt below) and replace the stub with a long-lived NewRNG
-// instance, as every in-tree consumer now does.
-func StubRNG() *RNG { return NewRNG(Seed(0x57AB)) }
-
 // Seed-domain salts. Every subsystem that measures in the simulator derives
 // its seeds under its own salt, so no two consumers can ever walk the same
 // noise stream even when their content keys (config id, instance) collide:
