@@ -187,12 +187,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	stopProfile, err := obs.StartCPUProfile(*profileFlag)
-	if err != nil {
-		log.Errorf("%v", err)
-		os.Exit(1)
-	}
-	stopMemProfile, err := obs.StartMemProfile(*memFlag)
+	stopProfiles, err := obs.StartProfiles(*profileFlag, *memFlag)
 	if err != nil {
 		log.Errorf("%v", err)
 		os.Exit(1)
@@ -232,12 +227,8 @@ func main() {
 			log.Infof("metrics snapshot -> %s", *metricsFlag)
 		}
 	}
-	if err := stopProfile(); err != nil {
-		log.Errorf("writing CPU profile: %v", err)
-		failed++
-	}
-	if err := stopMemProfile(); err != nil {
-		log.Errorf("writing heap profile: %v", err)
+	if err := stopProfiles(); err != nil {
+		log.Errorf("writing profiles: %v", err)
 		failed++
 	}
 	if failed > 0 {

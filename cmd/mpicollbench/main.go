@@ -17,7 +17,7 @@
 // and results are committed in grid order, so the caches, journals and
 // metrics are byte-identical at any worker count; -benchout generates one
 // dataset serially and in parallel, proves the identity with a byte compare,
-// and writes the wall-clock speedup report (BENCH_bench.json in CI).
+// and writes the shared par.SelfCheck report (BENCH_bench.json in CI).
 //
 // Usage:
 //
@@ -30,14 +30,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -46,6 +44,7 @@ import (
 	"mpicollpred/internal/dataset"
 	"mpicollpred/internal/fault"
 	"mpicollpred/internal/obs"
+	"mpicollpred/internal/par"
 )
 
 func main() {
@@ -60,7 +59,6 @@ func main() {
 		outlierK   = flag.Float64("outlier-k", 0, "MAD multiple beyond which a repetition is an outlier (0 = default)")
 		workers    = flag.Int("benchworkers", 0, "measurement workers sharding the grid (0 = GOMAXPROCS); never changes results")
 		benchout   = flag.String("benchout", "", "generate serially and in parallel, verify byte-identity, write a speedup report here (single dataset only)")
-		minSpeedup = flag.Float64("min-speedup", 0, "with -benchout: fail unless the parallel speedup reaches this factor (0 = report only)")
 		validate   = flag.Bool("validate", false, "validate the dataset after load/generate; exit nonzero on bad rows")
 		quiet      = flag.Bool("q", false, "suppress progress output")
 		quiet2     = flag.Bool("quiet", false, "alias for -q")
@@ -93,33 +91,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	stopProfile, err := obs.StartCPUProfile(*cpuprofile)
-	if err != nil {
-		log.Errorf("mpicollbench: %v", err)
-		os.Exit(1)
-	}
-	stopMemProfile, err := obs.StartMemProfile(*memprofile)
-	if err != nil {
-		log.Errorf("mpicollbench: %v", err)
-		os.Exit(1)
-	}
-	// exit completes the profiles, which os.Exit alone would leave empty.
-	exit := func(code int) {
-		if err := stopProfile(); err != nil {
-			log.Errorf("mpicollbench: writing CPU profile: %v", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-		if err := stopMemProfile(); err != nil {
-			log.Errorf("mpicollbench: writing heap profile: %v", err)
-			if code == 0 {
-				code = 1
-			}
-		}
-		os.Exit(code)
-	}
-
 	var names []string
 	if *name == "all" {
 		for _, s := range specs {
@@ -128,43 +99,59 @@ func main() {
 	} else {
 		names = []string{*name}
 	}
-
-	if *benchout != "" {
-		if *name == "all" {
-			log.Errorf("mpicollbench: -benchout needs exactly one -dataset, not 'all'")
-			os.Exit(2)
-		}
-		exit(runBenchSelfCheck(log, *name, sc, plan, *retries, *outlierK,
-			*workers, *benchout, *minSpeedup))
+	if *benchout != "" && *name == "all" {
+		log.Errorf("mpicollbench: -benchout needs exactly one -dataset, not 'all'")
+		os.Exit(2)
 	}
 
-	// SIGINT/SIGTERM flip a flag the generator polls between measurements,
-	// so the journal is always left at a measurement boundary.
-	var interrupted atomic.Bool
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigCh
-		interrupted.Store(true)
-		signal.Stop(sigCh) // a second ^C kills immediately
-	}()
-
+	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		log.Errorf("mpicollbench: %v", err)
+		os.Exit(1)
+	}
 	exitCode := 0
-	for _, n := range names {
-		code := runOne(log, n, sc, *cache, plan, *resume, *maxSamples, *retries, *outlierK, *workers, *validate, &interrupted)
-		if code != 0 {
-			exitCode = code
-			break
+	if *benchout != "" {
+		rep, err := par.SelfCheck(*benchout, "mpicollbench", *workers,
+			benchLeg(*name, sc, plan, *retries, *outlierK))
+		if err != nil {
+			log.Errorf("mpicollbench: %v", err)
+			exitCode = 1
+		} else {
+			log.Infof("benchout: %v -> %s", rep, *benchout)
+		}
+	} else {
+		// SIGINT/SIGTERM flip a flag the generator polls between
+		// measurements, so the journal is always left at a measurement
+		// boundary.
+		var interrupted atomic.Bool
+		sigCh := make(chan os.Signal, 1)
+		signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+		go func() {
+			<-sigCh
+			interrupted.Store(true)
+			signal.Stop(sigCh) // a second ^C kills immediately
+		}()
+		for _, n := range names {
+			exitCode = runOne(log, n, sc, *cache, plan, *resume, *maxSamples, *retries, *outlierK, *workers, *validate, &interrupted)
+			if exitCode != 0 {
+				break
+			}
 		}
 	}
 	if *metrics != "" {
 		if err := obs.Default.DumpFile(*metrics); err != nil {
 			log.Errorf("writing metrics: %v", err)
-			exit(1)
+			exitCode = 1
+		} else {
+			log.Infof("metrics snapshot -> %s", *metrics)
 		}
-		log.Infof("metrics snapshot -> %s", *metrics)
 	}
-	exit(exitCode)
+	// os.Exit skips deferred calls, so the profiles are completed here.
+	if err := stopProfiles(); err != nil {
+		log.Errorf("mpicollbench: writing profiles: %v", err)
+		exitCode = max(exitCode, 1)
+	}
+	os.Exit(exitCode)
 }
 
 // runOne loads or (resumably) generates one dataset and reports it. The
@@ -197,12 +184,7 @@ func runOne(log *obs.Logger, name string, sc dataset.Scale, cache string,
 		}
 		log.Infof("%s: loaded %d samples from cache", name, len(d.Samples))
 	} else {
-		opts := dataset.DefaultGenOptions(spec, sc)
-		opts.Faults = plan
-		opts.OutlierRetries = retries
-		opts.OutlierK = outlierK
-		opts.Workers = workers
-
+		opts := genOptions(spec, sc, plan, retries, outlierK, workers)
 		fresh := 0
 		stop := func() bool {
 			if interrupted.Load() {
@@ -248,106 +230,37 @@ func runOne(log *obs.Logger, name string, sc dataset.Scale, cache string,
 	return 0
 }
 
-// benchReport is what -benchout writes (BENCH_bench.json in CI).
-type benchReport struct {
-	Dataset string `json:"dataset"`
-	Scale   string `json:"scale"`
-	Samples int    `json:"samples"`
-	Workers int    `json:"workers"`
-	// SerialSeconds and ParallelSeconds are the wall-clock generation times
-	// of the two legs; Speedup is their ratio.
-	SerialSeconds   float64 `json:"serial_seconds"`
-	ParallelSeconds float64 `json:"parallel_seconds"`
-	Speedup         float64 `json:"speedup"`
-	// CSVIdentical reports whether the two legs produced byte-identical CSV
-	// encodings — the determinism guarantee of the sharded sweep.
-	CSVIdentical bool `json:"csv_identical"`
+// genOptions is the generation setup shared by a run and a self-check leg.
+func genOptions(spec dataset.Spec, sc dataset.Scale, plan *fault.Plan, retries int, outlierK float64, workers int) bench.Options {
+	opts := dataset.DefaultGenOptions(spec, sc)
+	opts.Faults = plan
+	opts.OutlierRetries = retries
+	opts.OutlierK = outlierK
+	opts.Workers = workers
+	return opts
 }
 
-// runBenchSelfCheck generates one dataset twice — serially, then sharded
-// across the requested workers — verifies the two CSV encodings are
-// byte-identical, and writes the wall-clock speedup report. A byte mismatch
-// is a determinism bug and fails the run; minSpeedup > 0 additionally gates
-// on the measured speedup (left off by default so single-core dev containers
-// still pass).
-func runBenchSelfCheck(log *obs.Logger, name string, sc dataset.Scale,
-	plan *fault.Plan, retries int, outlierK float64, workers int,
-	out string, minSpeedup float64) int {
-
-	spec, err := dataset.SpecByName(name, sc)
-	if err != nil {
-		log.Errorf("mpicollbench: %v", err)
-		return 1
-	}
-	rep := benchReport{Dataset: name, Scale: string(sc), Workers: workers}
-	if rep.Workers <= 0 {
-		rep.Workers = runtime.GOMAXPROCS(0)
-	}
-
-	gen := func(workers int) (*dataset.Dataset, float64, error) {
-		opts := dataset.DefaultGenOptions(spec, sc)
-		opts.Faults = plan
-		opts.OutlierRetries = retries
-		opts.OutlierK = outlierK
-		opts.Workers = workers
-		// Each leg gets its own metrics registry so the self-check does not
-		// double-count the default registry.
+// benchLeg is the -benchout self-check's leg: generate the dataset on w
+// workers, with the CSV encoding as the output. Each leg gets its own
+// metrics registry so the check does not double-count the default one.
+func benchLeg(name string, sc dataset.Scale, plan *fault.Plan, retries int, outlierK float64) func(w int) ([]byte, any, error) {
+	return func(w int) ([]byte, any, error) {
+		spec, err := dataset.SpecByName(name, sc)
+		if err != nil {
+			return nil, nil, err
+		}
+		opts := genOptions(spec, sc, plan, retries, outlierK, w)
 		opts.Metrics = bench.NewMetrics(obs.NewRegistry(), obs.Labels{"dataset": name})
-		start := time.Now()
 		d, err := dataset.Generate(spec, opts, nil)
-		return d, time.Since(start).Seconds(), err
+		if err != nil {
+			return nil, nil, err
+		}
+		var csv bytes.Buffer
+		if err := d.WriteCSV(&csv); err != nil {
+			return nil, nil, err
+		}
+		return csv.Bytes(), map[string]any{"dataset": name, "scale": sc, "samples": len(d.Samples)}, nil
 	}
-
-	log.Infof("benchout: serial leg (%s/%s, 1 worker)", name, sc)
-	serial, serialElapsed, err := gen(1)
-	if err != nil {
-		log.Errorf("mpicollbench: benchout serial leg: %v", err)
-		return 1
-	}
-	log.Infof("benchout: parallel leg (%d workers)", rep.Workers)
-	parallel, parallelElapsed, err := gen(rep.Workers)
-	if err != nil {
-		log.Errorf("mpicollbench: benchout parallel leg: %v", err)
-		return 1
-	}
-
-	var sbuf, pbuf bytes.Buffer
-	if err := serial.WriteCSV(&sbuf); err != nil {
-		log.Errorf("mpicollbench: %v", err)
-		return 1
-	}
-	if err := parallel.WriteCSV(&pbuf); err != nil {
-		log.Errorf("mpicollbench: %v", err)
-		return 1
-	}
-	rep.Samples = len(serial.Samples)
-	rep.SerialSeconds, rep.ParallelSeconds = serialElapsed, parallelElapsed
-	if parallelElapsed > 0 {
-		rep.Speedup = serialElapsed / parallelElapsed
-	}
-	rep.CSVIdentical = bytes.Equal(sbuf.Bytes(), pbuf.Bytes())
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		log.Errorf("mpicollbench: %v", err)
-		return 1
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		log.Errorf("mpicollbench: %v", err)
-		return 1
-	}
-	log.Infof("benchout: serial %.3gs, parallel %.3gs at %d workers -> %.2fx, identical=%v -> %s",
-		rep.SerialSeconds, rep.ParallelSeconds, rep.Workers, rep.Speedup, rep.CSVIdentical, out)
-	if !rep.CSVIdentical {
-		log.Errorf("mpicollbench: parallel generation is not byte-identical to serial generation")
-		return 1
-	}
-	if minSpeedup > 0 && rep.Speedup < minSpeedup {
-		log.Errorf("mpicollbench: speedup %.2fx below the -min-speedup %.2fx floor", rep.Speedup, minSpeedup)
-		return 1
-	}
-	return 0
 }
 
 // faultTag derives the cache-file tag for a fault plan: empty (the clean

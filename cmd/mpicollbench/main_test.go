@@ -2,6 +2,7 @@ package main
 
 import (
 	"compress/gzip"
+	"encoding/json"
 	"io"
 	"os"
 	"os/exec"
@@ -47,5 +48,41 @@ func checkProfileFlag(t *testing.T, flag string) {
 	}
 	if len(body) == 0 {
 		t.Fatal("profile is empty")
+	}
+}
+
+// TestBenchoutSmoke runs the -benchout self-check on the smoke d8 grid and
+// checks that serial and parallel generation wrote identical CSV.
+func TestBenchoutSmoke(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "mpicollbench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	report := filepath.Join(dir, "bench.json")
+	run := exec.Command(bin, "-dataset", "d8", "-scale", "smoke", "-q",
+		"-benchworkers", "2", "-benchout", report)
+	if out, err := run.CombinedOutput(); err != nil {
+		t.Fatalf("mpicollbench: %v\n%s", err, out)
+	}
+	data, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		Tool      string `json:"tool"`
+		Workers   int    `json:"workers"`
+		Identical bool   `json:"identical"`
+		Serial    struct {
+			Detail struct {
+				Samples int `json:"samples"`
+			} `json:"detail"`
+		} `json:"serial"`
+	}
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Identical || rep.Tool != "mpicollbench" || rep.Workers != 2 || rep.Serial.Detail.Samples == 0 {
+		t.Errorf("implausible report:\n%s", data)
 	}
 }

@@ -10,7 +10,7 @@
 // dataset × learner matrix of selectors is trained concurrently on one
 // bounded fit-worker pool (-fitworkers), with snapshot saving overlapped
 // with the remaining fits. Parallel training is bit-identical to serial
-// training; -fitbench measures the speedup and proves the identity.
+// training; -benchout measures the speedup and proves the identity.
 //
 // Usage:
 //
@@ -19,7 +19,7 @@
 //	mpicolltune -dataset d2 -learner knn -nodes 27 -ppn 16 -msize 4096 -top 5
 //	mpicolltune -dataset d1 -learner gam -save models/d1-gam.snap
 //	mpicolltune -dataset d1,d2 -learner knn,gam,xgboost -save models/
-//	mpicolltune -dataset d4 -learner gam -fitworkers 4 -fitbench BENCH_train.json
+//	mpicolltune -dataset d4 -learner gam -fitworkers 4 -benchout BENCH_train.json
 //	mpicolltune -load models/d1-gam.snap -nodes 27 -ppn 16 -msize 65536
 //
 // -retrain-from runs one offline pass of the internal/retrain pipeline: it
@@ -36,6 +36,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -88,7 +89,7 @@ func main() {
 		retrainOut   = flag.String("retrain-out", "results/retrain", "offline retrain: candidate snapshot output directory")
 		retrainDrift = flag.String("retrain-drift", "", "offline retrain: fault plan perturbing the re-measurements")
 		retrainCells = flag.Int("retrain-cells", 0, "offline retrain: cap on distinct instance cells swept (0 = default)")
-		fitbench     = flag.String("fitbench", "", "train serially and in parallel, verify bit-identity, write a speedup report here")
+		benchout     = flag.String("benchout", "", "train serially and in parallel, verify bit-identity, write a speedup report here")
 		metrics      = flag.String("metrics", "", "write a metrics-registry snapshot to this file (.json for JSON)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memprofile   = flag.String("memprofile", "", "write a heap profile at the end of the run to this file (go tool pprof)")
@@ -97,50 +98,53 @@ func main() {
 	)
 	flag.Parse()
 	log := obs.NewLogger(os.Stderr, obs.FlagLevel(*verbose, *quiet))
-	core.SetFitWorkers(*workers)
-	stopProfile, err := obs.StartCPUProfile(*cpuprofile)
-	fail(err)
-	defer func() { fail(stopProfile()) }()
-	stopMemProfile, err := obs.StartMemProfile(*memprofile)
-	fail(err)
-	defer func() { fail(stopMemProfile()) }()
-
-	if *retrainFrom != "" {
-		if *retrainLog == "" {
-			fmt.Fprintln(os.Stderr, "mpicolltune: -retrain-from needs the audit log via -retrain-log")
-			os.Exit(2)
-		}
-		runRetrainOnce(log, *retrainFrom, *retrainLog, *retrainOut, *retrainDrift,
-			*cache, dataset.Scale(*scale), *retrainCells)
-		return
-	}
-	if *load != "" && *save != "" {
-		fmt.Fprintln(os.Stderr, "mpicolltune: -save and -load are mutually exclusive")
-		os.Exit(2)
-	}
 	dsList := splitList(*dsNames)
 	learnerList := splitList(*learners)
 	matrix := len(dsList)*len(learnerList) > 1
 	wantQuery := *tuning || *msize > 0
-	if wantQuery && (*nodes <= 0 || *ppn <= 0) {
-		fmt.Fprintln(os.Stderr, "mpicolltune: -nodes and -ppn are required")
+	usage := func(msg string) {
+		fmt.Fprintln(os.Stderr, "mpicolltune: "+msg)
 		os.Exit(2)
 	}
-	if wantQuery && matrix {
-		fmt.Fprintln(os.Stderr, "mpicolltune: predictions and tuning files need exactly one dataset and one learner")
-		os.Exit(2)
-	}
-	if !wantQuery && *save == "" && *fitbench == "" {
-		fmt.Fprintln(os.Stderr, "mpicolltune: provide -msize for a prediction, -tuning-file for a rules file, -save for snapshots, or -fitbench for a training benchmark")
-		os.Exit(2)
+	switch {
+	case *retrainFrom != "" && *retrainLog == "":
+		usage("-retrain-from needs the audit log via -retrain-log")
+	case *retrainFrom != "":
+		// The offline retrain pass is a mode of its own.
+	case *load != "" && *save != "":
+		usage("-save and -load are mutually exclusive")
+	case wantQuery && (*nodes <= 0 || *ppn <= 0):
+		usage("-nodes and -ppn are required")
+	case wantQuery && matrix:
+		usage("predictions and tuning files need exactly one dataset and one learner")
+	case !wantQuery && *save == "" && *benchout == "":
+		usage("provide -msize for a prediction, -tuning-file for a rules file, -save for snapshots, or -benchout for a training benchmark")
+	case *load == "" && len(dsList)*len(learnerList) == 0:
+		usage("no dataset/learner selected")
 	}
 
-	defer func() {
+	core.SetFitWorkers(*workers)
+	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	fail(err)
+	finish = func() error {
+		finish = func() error { return nil }
+		err := stopProfiles()
 		if *metrics != "" {
-			fail(obs.Default.DumpFile(*metrics))
-			log.Infof("metrics snapshot -> %s", *metrics)
+			if derr := obs.Default.DumpFile(*metrics); derr != nil {
+				err = errors.Join(err, derr)
+			} else {
+				log.Infof("metrics snapshot -> %s", *metrics)
+			}
 		}
-	}()
+		return err
+	}
+	defer func() { fail(finish()) }()
+
+	if *retrainFrom != "" {
+		runRetrainOnce(log, *retrainFrom, *retrainLog, *retrainOut, *retrainDrift,
+			*cache, dataset.Scale(*scale), *retrainCells)
+		return
+	}
 
 	var (
 		sel    *core.Selector
@@ -161,8 +165,10 @@ func main() {
 	} else {
 		units := buildUnits(log, dsList, learnerList, *cache, dataset.Scale(*scale), *train)
 
-		if *fitbench != "" {
-			fail(runFitBench(log, units, *workers, *fitbench))
+		if *benchout != "" {
+			rep, err := par.SelfCheck(*benchout, "mpicolltune", *workers, benchLeg(units))
+			fail(err)
+			log.Infof("benchout: %v -> %s", rep, *benchout)
 			if !wantQuery && *save == "" {
 				return
 			}
@@ -254,10 +260,6 @@ func buildUnits(log *obs.Logger, dsList, learnerList []string, cache string, sca
 			units = append(units, &unit{ds: ds, learner: learner, nodes: trainNodes})
 		}
 	}
-	if len(units) == 0 {
-		fmt.Fprintln(os.Stderr, "mpicolltune: no dataset/learner selected")
-		os.Exit(2)
-	}
 	return units
 }
 
@@ -298,61 +300,31 @@ func trainMatrix(log *obs.Logger, units []*unit, saveDir, savePath string) {
 	}))
 }
 
-// fitBenchReport is what -fitbench writes (BENCH_train.json in CI).
-type fitBenchReport struct {
-	Datasets        []string `json:"datasets"`
-	Learners        []string `json:"learners"`
-	Selectors       int      `json:"selectors"`
-	ModelsFitted    int      `json:"models_fitted"`
-	Workers         int      `json:"workers"`
-	SerialSeconds   float64  `json:"serial_seconds"`
-	ParallelSeconds float64  `json:"parallel_seconds"`
-	Speedup         float64  `json:"speedup"`
-	SerialFitWall   float64  `json:"serial_fit_wall_seconds"`
-	ParallelFitWall float64  `json:"parallel_fit_wall_seconds"`
-	// FitWallSpeedup divides the serial fit wall (the time the fits alone
-	// would take back to back) by the parallel leg's elapsed time — the
-	// headline parallelism number, independent of dataset-loading overhead.
-	FitWallSpeedup     float64 `json:"fit_wall_speedup"`
-	SnapshotsIdentical bool    `json:"snapshots_identical"`
-}
-
-// runFitBench trains the matrix twice — on a 1-worker pool, one unit at a
-// time (the serial baseline), then concurrently on a pool of the requested
-// size — verifies the two runs produced bit-identical snapshots, and writes
-// the wall-clock speedup report. A snapshot mismatch is a determinism bug
-// and fails the run.
-func runFitBench(log *obs.Logger, units []*unit, workers int, out string) error {
-	rep := fitBenchReport{Workers: workers, Selectors: len(units)}
-	if rep.Workers <= 0 {
-		rep.Workers = core.DefaultFitPool().Workers()
+// benchLeg is the -benchout self-check's leg: train the matrix on a fresh
+// pool of w fit workers, with one unit in flight at w = 1 and every unit
+// otherwise, as trainMatrix runs them. The output is the unit-ordered
+// snapshots.
+func benchLeg(units []*unit) func(w int) ([]byte, any, error) {
+	type fitDetail struct {
+		Selectors      int     `json:"selectors"`
+		ModelsFitted   int     `json:"models_fitted"`
+		FitWallSeconds float64 `json:"fit_wall_seconds"`
 	}
-	seen := map[string]bool{}
-	for _, u := range units {
-		if !seen[u.ds.Spec.Name] {
-			seen[u.ds.Spec.Name] = true
-			rep.Datasets = append(rep.Datasets, u.ds.Spec.Name)
-		}
-	}
-	seen = map[string]bool{}
-	for _, u := range units {
-		if !seen[u.learner] {
-			seen[u.learner] = true
-			rep.Learners = append(rep.Learners, u.learner)
-		}
-	}
-
 	type trained struct {
 		snap    []byte
-		fitWall float64
 		configs int
+		fitWall float64
 	}
-	// run trains the matrix with `workers` units in flight on pool.
-	run := func(pool *core.FitPool, workers int) ([]trained, float64, error) {
+	return func(w int) ([]byte, any, error) {
+		pool := core.NewFitPool(w)
 		defer pool.Close()
-		outs := make([]trained, len(units))
-		t0 := time.Now()
-		err := par.Run(len(units), workers, nil, func(_, i int) (trained, error) {
+		inFlight := len(units)
+		if w == 1 {
+			inFlight = 1
+		}
+		var snaps bytes.Buffer
+		detail := fitDetail{Selectors: len(units)}
+		err := par.Run(len(units), inFlight, nil, func(_, i int) (trained, error) {
 			u := units[i]
 			_, set, err := u.ds.Spec.Resolve()
 			if err != nil {
@@ -363,63 +335,15 @@ func runFitBench(log *obs.Logger, units []*unit, workers int, out string) error 
 				return trained{}, fmt.Errorf("%s: %w", u.name(), err)
 			}
 			snap, err := sel.Snapshot(u.fingerprint())
-			if err != nil {
-				return trained{}, err
-			}
-			return trained{snap: snap, fitWall: sel.FitWall, configs: len(sel.Configs())}, nil
-		}, func(i int, t trained) error {
-			outs[i] = t
+			return trained{snap, len(sel.Configs()), sel.FitWall}, err
+		}, func(_ int, t trained) error {
+			snaps.Write(t.snap)
+			detail.ModelsFitted += t.configs
+			detail.FitWallSeconds += t.fitWall
 			return nil
 		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return outs, time.Since(t0).Seconds(), nil
+		return snaps.Bytes(), detail, err
 	}
-
-	log.Infof("fitbench: serial leg (%d selectors, 1 worker)", len(units))
-	serial, serialElapsed, err := run(core.NewFitPool(1), 1)
-	if err != nil {
-		return err
-	}
-	log.Infof("fitbench: parallel leg (%d workers)", rep.Workers)
-	parallel, parallelElapsed, err := run(core.NewFitPool(rep.Workers), len(units))
-	if err != nil {
-		return err
-	}
-
-	rep.SerialSeconds, rep.ParallelSeconds = serialElapsed, parallelElapsed
-	if parallelElapsed > 0 {
-		rep.Speedup = serialElapsed / parallelElapsed
-	}
-	rep.SnapshotsIdentical = true
-	for i := range units {
-		rep.SerialFitWall += serial[i].fitWall
-		rep.ParallelFitWall += parallel[i].fitWall
-		rep.ModelsFitted += serial[i].configs
-		if !bytes.Equal(serial[i].snap, parallel[i].snap) {
-			rep.SnapshotsIdentical = false
-			log.Errorf("fitbench: %s: parallel snapshot differs from serial snapshot", units[i].name())
-		}
-	}
-	if parallelElapsed > 0 {
-		rep.FitWallSpeedup = rep.SerialFitWall / parallelElapsed
-	}
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return err
-	}
-	log.Infof("fitbench: serial %.3gs, parallel %.3gs at %d workers -> %.2fx, identical=%v -> %s",
-		rep.SerialSeconds, rep.ParallelSeconds, rep.Workers, rep.Speedup, rep.SnapshotsIdentical, out)
-	if !rep.SnapshotsIdentical {
-		return fmt.Errorf("fitbench: parallel training is not bit-identical to serial training")
-	}
-	return nil
 }
 
 func splitList(s string) []string {
@@ -432,9 +356,17 @@ func splitList(s string) []string {
 	return out
 }
 
+// finish stops the profiles and writes the metrics snapshot; main installs
+// it, and it disarms itself on its first call. fail runs it too, because
+// os.Exit skips deferred calls.
+var finish = func() error { return nil }
+
 func fail(err error) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mpicolltune: %v\n", err)
+		if err := finish(); err != nil {
+			fmt.Fprintf(os.Stderr, "mpicolltune: %v\n", err)
+		}
 		os.Exit(1)
 	}
 }

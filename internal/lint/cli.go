@@ -1,21 +1,22 @@
 package lint
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"time"
+
+	"mpicollpred/internal/par"
 )
 
 // Exit codes of the mpicollvet driver.
 const (
 	ExitClean    = 0 // no findings
 	ExitFindings = 1 // at least one finding
-	ExitError    = 2 // usage, load, or type-check failure; failed bench gate
+	ExitError    = 2 // usage, load, or type-check failure; failed -benchout self-check
 )
 
 // CLIMain is the mpicollvet driver, factored out of cmd/mpicollvet so the
@@ -26,12 +27,11 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mpicollvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
-	list := fs.Bool("list", false, "list the analyzers and exit")
+	listOnly := fs.Bool("list", false, "list the analyzers and exit")
 	dir := fs.String("C", ".", "directory to resolve package patterns in")
 	workers := fs.Int("workers", 0, "concurrent package load/analysis (0 = GOMAXPROCS)")
 	sarifOut := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file (- for stdout)")
-	benchout := fs.String("benchout", "", "benchmark serial vs parallel runner, write JSON to this file, and exit")
-	minSpeedup := fs.Float64("min-speedup", 0, "with -benchout: fail (exit 2) if parallel/serial speedup is below this")
+	benchout := fs.String("benchout", "", "run serially and in parallel, verify byte-identity, write a speedup report here, and exit")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: mpicollvet [flags] [packages]\n\n"+
 			"Runs the repository's domain-specific static analyzers over the\n"+
@@ -47,7 +47,7 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	analyzers := DefaultAnalyzers()
-	if *list {
+	if *listOnly {
 		for _, a := range analyzers {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
@@ -55,7 +55,18 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *benchout != "" {
-		return runBench(*dir, fs.Args(), analyzers, *benchout, *minSpeedup, *workers, stderr)
+		l, err := list(*dir, fs.Args())
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return ExitError
+		}
+		rep, err := par.SelfCheck(*benchout, "mpicollvet", *workers, l.benchLeg(analyzers))
+		if err != nil {
+			fmt.Fprintf(stderr, "mpicollvet: %v\n", err)
+			return ExitError
+		}
+		fmt.Fprintf(stderr, "mpicollvet bench: %v\n", rep)
+		return ExitClean
 	}
 
 	pkgs, err := LoadWorkers(*dir, fs.Args(), *workers)
@@ -115,88 +126,22 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 	return ExitClean
 }
 
-// BenchResult is the BENCH_lint.json schema: the PR-5 convention of a small
-// machine-readable perf artifact with an explicit gate.
-type BenchResult struct {
-	Targets          int     `json:"targets"`
-	Workers          int     `json:"workers"`
-	SerialSeconds    float64 `json:"serial_seconds"`
-	ParallelSeconds  float64 `json:"parallel_seconds"`
-	Speedup          float64 `json:"speedup"`
-	Findings         int     `json:"findings"`
-	OutputsIdentical bool    `json:"outputs_identical"`
-	MinSpeedup       float64 `json:"min_speedup"`
-}
-
-// runBench times the full load+analyze pipeline serially and at the
-// requested worker count from one shared `go list` invocation, verifies the
-// outputs are byte-identical, and writes the JSON artifact. The serial leg
-// runs first so its page-cache warmup benefits the parallel leg — the bias
-// works against the speedup gate, not for it.
-func runBench(dir string, patterns []string, analyzers []*Analyzer, outPath string, minSpeedup float64, workers int, stderr io.Writer) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	l, err := list(dir, patterns)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return ExitError
-	}
-	leg := func(w int) (string, int, time.Duration, error) {
-		start := time.Now()
+// benchLeg is the -benchout self-check's leg: load and analyze the listed
+// packages on w workers, with the findings text as the output. The one
+// `go list` stays outside the timed legs.
+func (l *listing) benchLeg(analyzers []*Analyzer) func(w int) ([]byte, any, error) {
+	return func(w int) ([]byte, any, error) {
 		pkgs, err := l.load(w)
 		if err != nil {
-			return "", 0, 0, err
+			return nil, nil, err
 		}
-		runner := &Runner{Analyzers: analyzers, Workers: w}
-		findings := runner.Run(pkgs)
-		elapsed := time.Since(start)
-		text := ""
+		findings := (&Runner{Analyzers: analyzers, Workers: w}).Run(pkgs)
+		var text bytes.Buffer
 		for _, f := range findings {
-			text += f.String() + "\n"
+			fmt.Fprintln(&text, f)
 		}
-		return text, len(findings), elapsed, nil
+		return text.Bytes(), map[string]int{"packages": len(l.targets), "findings": len(findings)}, nil
 	}
-	serialOut, nFindings, serialDur, err := leg(1)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return ExitError
-	}
-	parallelOut, _, parallelDur, err := leg(workers)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return ExitError
-	}
-	res := BenchResult{
-		Targets:          len(l.targets),
-		Workers:          workers,
-		SerialSeconds:    serialDur.Seconds(),
-		ParallelSeconds:  parallelDur.Seconds(),
-		Speedup:          serialDur.Seconds() / parallelDur.Seconds(),
-		Findings:         nFindings,
-		OutputsIdentical: serialOut == parallelOut,
-		MinSpeedup:       minSpeedup,
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return ExitError
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(stderr, err)
-		return ExitError
-	}
-	fmt.Fprintf(stderr, "mpicollvet bench: %d pkgs, serial %.2fs, parallel(%d) %.2fs, speedup %.2fx, identical=%v\n",
-		res.Targets, res.SerialSeconds, res.Workers, res.ParallelSeconds, res.Speedup, res.OutputsIdentical)
-	if !res.OutputsIdentical {
-		fmt.Fprintln(stderr, "mpicollvet bench: FAIL — parallel output differs from serial")
-		return ExitError
-	}
-	if minSpeedup > 0 && res.Speedup < minSpeedup {
-		fmt.Fprintf(stderr, "mpicollvet bench: FAIL — speedup %.2fx below gate %.2fx\n", res.Speedup, minSpeedup)
-		return ExitError
-	}
-	return ExitClean
 }
 
 // relativize rewrites absolute finding paths relative to the working
@@ -211,17 +156,4 @@ func relativize(findings []Finding) {
 			findings[i].File = rel
 		}
 	}
-}
-
-// ReadBenchFile loads a -benchout artifact (BENCH_lint.json).
-func ReadBenchFile(path string) (*BenchResult, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r BenchResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("bench file %s: %v", path, err)
-	}
-	return &r, nil
 }

@@ -4,7 +4,7 @@
 // benchmark's (configuration, instance) cells, the per-configuration fits of
 // the tuning matrix, the analyzer's per-package passes and /v1/batch
 // decisions all run through Run, so their outputs are byte-identical at any
-// worker count (DESIGN §10).
+// worker count (DESIGN §10). SelfCheck is the CLIs' -benchout proof of that.
 package par
 
 import (
