@@ -21,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"mpicollpred/internal/core"
 	"mpicollpred/internal/dataset"
 	"mpicollpred/internal/eval"
 	"mpicollpred/internal/machine"
@@ -158,7 +157,6 @@ func main() {
 		onlyFlag    = flag.String("only", "", "comma-separated subset of experiments (default: all)")
 		listFlag    = flag.Bool("list", false, "list experiments and exit")
 		metricsFlag = flag.String("metrics", "", "write a metrics-registry snapshot to this file (.json for JSON)")
-		workersFlag = flag.Int("fitworkers", 0, "fit-worker pool size for model training (0 = GOMAXPROCS, 1 = serial)")
 		profileFlag = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memFlag     = flag.String("memprofile", "", "write a heap profile at the end of the run to this file (go tool pprof)")
 		verboseFlag = flag.Bool("v", false, "verbose (debug) logging")
@@ -166,7 +164,6 @@ func main() {
 	)
 	flag.Parse()
 	log := obs.NewLogger(os.Stderr, obs.FlagLevel(*verboseFlag, *quietFlag))
-	core.SetFitWorkers(*workersFlag)
 
 	all := experimentsList()
 	if *listFlag {

@@ -13,7 +13,7 @@ import (
 // phase A observes a faithful machine, phase B shifts the machine via a
 // fault plan until the loop detects drift, retrains, and redeploys, and
 // phase C verifies the detector settles back to ok on the retrained model.
-// The scenario runs once per fit-pool size and cross-checks that the
+// The scenario runs once per fit worker count and cross-checks that the
 // candidate snapshots are byte-identical; the JSON report additionally
 // lands in <out>/BENCH_retrain.json. Work happens in throwaway directories
 // so the shared dataset cache only ever holds the benchmark grids.
@@ -37,7 +37,7 @@ func runDriftRecovery(c *expCtx) (string, error) {
 		return "", err
 	}
 	if !rep.Deterministic {
-		return "", fmt.Errorf("candidate snapshots differ across fit pools %v", rep.FitWorkers)
+		return "", fmt.Errorf("candidate snapshots differ across fit worker counts %v", rep.FitWorkers)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")

@@ -12,12 +12,13 @@
 // into the simulated machine; fault-perturbed caches are written under a
 // fault-specific tag so they never clobber the clean cache.
 //
-// Generation shards the measurement grid across -benchworkers workers
-// (default: GOMAXPROCS). Every cell's noise seed is derived from its content
-// and results are committed in grid order, so the caches, journals and
-// metrics are byte-identical at any worker count; -benchout generates one
-// dataset serially and in parallel, proves the identity with a byte compare,
-// and writes the shared par.SelfCheck report (BENCH_bench.json in CI).
+// Generation shards the measurement grid across GOMAXPROCS workers
+// (GOMAXPROCS=1 generates serially). Every cell's noise seed is derived from
+// its content and results are committed in grid order, so the caches,
+// journals and metrics are byte-identical at any worker count; -benchout
+// generates one dataset serially and in parallel, proves the identity with
+// a byte compare, and writes the shared par.SelfCheck report
+// (BENCH_bench.json in CI).
 //
 // Usage:
 //
@@ -25,7 +26,7 @@
 //	mpicollbench -dataset all -scale mid -cache results/cache
 //	mpicollbench -dataset d1 -scale smoke -faults "straggler:node=0,factor=4" -cache /tmp/cache
 //	mpicollbench -dataset d1 -scale mid -resume -cache results/cache
-//	mpicollbench -dataset d3 -scale mid -benchworkers 4 -benchout BENCH_bench.json
+//	GOMAXPROCS=4 mpicollbench -dataset d3 -scale mid -benchout BENCH_bench.json
 package main
 
 import (
@@ -57,7 +58,6 @@ func main() {
 		maxSamples = flag.Int("max-samples", 0, "stop after this many fresh measurements (0 = no limit; for testing resume)")
 		retries    = flag.Int("outlier-retries", 0, "re-measurement budget for outlier repetitions (0 = off)")
 		outlierK   = flag.Float64("outlier-k", 0, "MAD multiple beyond which a repetition is an outlier (0 = default)")
-		workers    = flag.Int("benchworkers", 0, "measurement workers sharding the grid (0 = GOMAXPROCS); never changes results")
 		benchout   = flag.String("benchout", "", "generate serially and in parallel, verify byte-identity, write a speedup report here (single dataset only)")
 		validate   = flag.Bool("validate", false, "validate the dataset after load/generate; exit nonzero on bad rows")
 		quiet      = flag.Bool("q", false, "suppress progress output")
@@ -111,7 +111,7 @@ func main() {
 	}
 	exitCode := 0
 	if *benchout != "" {
-		rep, err := par.SelfCheck(*benchout, "mpicollbench", *workers,
+		rep, err := par.SelfCheck(*benchout, "mpicollbench", 0,
 			benchLeg(*name, sc, plan, *retries, *outlierK))
 		if err != nil {
 			log.Errorf("mpicollbench: %v", err)
@@ -132,7 +132,7 @@ func main() {
 			signal.Stop(sigCh) // a second ^C kills immediately
 		}()
 		for _, n := range names {
-			exitCode = runOne(log, n, sc, *cache, plan, *resume, *maxSamples, *retries, *outlierK, *workers, *validate, &interrupted)
+			exitCode = runOne(log, n, sc, *cache, plan, *resume, *maxSamples, *retries, *outlierK, *validate, &interrupted)
 			if exitCode != 0 {
 				break
 			}
@@ -159,7 +159,7 @@ func main() {
 // 1 on error, 3 on validation failure.
 func runOne(log *obs.Logger, name string, sc dataset.Scale, cache string,
 	plan *fault.Plan, resume bool, maxSamples, retries int, outlierK float64,
-	workers int, validate bool, interrupted *atomic.Bool) int {
+	validate bool, interrupted *atomic.Bool) int {
 
 	start := time.Now()
 	spec, err := dataset.SpecByName(name, sc)
@@ -184,7 +184,7 @@ func runOne(log *obs.Logger, name string, sc dataset.Scale, cache string,
 		}
 		log.Infof("%s: loaded %d samples from cache", name, len(d.Samples))
 	} else {
-		opts := genOptions(spec, sc, plan, retries, outlierK, workers)
+		opts := genOptions(spec, sc, plan, retries, outlierK, 0)
 		fresh := 0
 		stop := func() bool {
 			if interrupted.Load() {
@@ -230,7 +230,8 @@ func runOne(log *obs.Logger, name string, sc dataset.Scale, cache string,
 	return 0
 }
 
-// genOptions is the generation setup shared by a run and a self-check leg.
+// genOptions is the generation setup shared by a run and a self-check leg;
+// workers <= 0 means GOMAXPROCS.
 func genOptions(spec dataset.Spec, sc dataset.Scale, plan *fault.Plan, retries int, outlierK float64, workers int) bench.Options {
 	opts := dataset.DefaultGenOptions(spec, sc)
 	opts.Faults = plan

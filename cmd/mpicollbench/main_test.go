@@ -60,8 +60,8 @@ func TestBenchoutSmoke(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	report := filepath.Join(dir, "bench.json")
-	run := exec.Command(bin, "-dataset", "d8", "-scale", "smoke", "-q",
-		"-benchworkers", "2", "-benchout", report)
+	run := exec.Command(bin, "-dataset", "d8", "-scale", "smoke", "-q", "-benchout", report)
+	run.Env = append(os.Environ(), "GOMAXPROCS=2")
 	if out, err := run.CombinedOutput(); err != nil {
 		t.Fatalf("mpicollbench: %v\n%s", err, out)
 	}

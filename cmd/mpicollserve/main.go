@@ -59,7 +59,6 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
 		cacheSize  = flag.Int("cache-size", 65536, "selection cache capacity in entries (<= -1 disables)")
 		shards     = flag.Int("cache-shards", 16, "selection cache shard count")
-		batchWrk   = flag.Int("batch-workers", 0, "per-request /v1/batch concurrency cap (0 = GOMAXPROCS, 1 = serial)")
 		auditPath  = flag.String("audit", "", "append-only JSONL selection audit log (empty disables auditing)")
 		auditMax   = flag.Int64("audit-max-bytes", audit.DefaultMaxBytes, "audit log rotation threshold in bytes")
 		traceRing  = flag.Int("trace-ring", 0, "recent request traces kept for /debug/traces (0 disables tracing)")
@@ -165,7 +164,6 @@ func main() {
 		SnapshotPaths: paths,
 		CacheSize:     *cacheSize,
 		CacheShards:   *shards,
-		BatchWorkers:  *batchWrk,
 		Log:           log,
 		Audit:         auditLog,
 		TraceRing:     *traceRing,

@@ -7,10 +7,11 @@
 // models.
 //
 // -dataset and -learner accept comma-separated lists; the resulting
-// dataset × learner matrix of selectors is trained concurrently on one
-// bounded fit-worker pool (-fitworkers), with snapshot saving overlapped
-// with the remaining fits. Parallel training is bit-identical to serial
-// training; -benchout measures the speedup and proves the identity.
+// dataset × learner matrix of selectors is trained concurrently, each
+// selector's fits spread over GOMAXPROCS workers, with snapshot saving
+// overlapped with the remaining fits. Parallel training is bit-identical to
+// serial training; -benchout measures the speedup and proves the identity
+// (run with GOMAXPROCS=1 to train serially).
 //
 // Usage:
 //
@@ -19,7 +20,7 @@
 //	mpicolltune -dataset d2 -learner knn -nodes 27 -ppn 16 -msize 4096 -top 5
 //	mpicolltune -dataset d1 -learner gam -save models/d1-gam.snap
 //	mpicolltune -dataset d1,d2 -learner knn,gam,xgboost -save models/
-//	mpicolltune -dataset d4 -learner gam -fitworkers 4 -benchout BENCH_train.json
+//	GOMAXPROCS=4 mpicolltune -dataset d4 -learner gam -benchout BENCH_train.json
 //	mpicolltune -load models/d1-gam.snap -nodes 27 -ppn 16 -msize 65536
 //
 // -retrain-from runs one offline pass of the internal/retrain pipeline: it
@@ -82,7 +83,6 @@ func main() {
 		train    = flag.String("train-nodes", "", "comma-separated training node counts (default: the machine's full Table III split)")
 		save     = flag.String("save", "", "write trained models here (a file for a single model, a directory for a matrix)")
 		load     = flag.String("load", "", "load a model snapshot instead of training (skips dataset generation)")
-		workers  = flag.Int("fitworkers", 0, "fit-worker pool size (0 = GOMAXPROCS, 1 = serial)")
 
 		retrainFrom  = flag.String("retrain-from", "", "offline retrain: base snapshot to retrain from an audit log")
 		retrainLog   = flag.String("retrain-log", "", "offline retrain: finished audit log to ingest (required with -retrain-from)")
@@ -123,7 +123,6 @@ func main() {
 		usage("no dataset/learner selected")
 	}
 
-	core.SetFitWorkers(*workers)
 	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
 	fail(err)
 	finish = func() error {
@@ -166,7 +165,7 @@ func main() {
 		units := buildUnits(log, dsList, learnerList, *cache, dataset.Scale(*scale), *train)
 
 		if *benchout != "" {
-			rep, err := par.SelfCheck(*benchout, "mpicolltune", *workers, benchLeg(units))
+			rep, err := par.SelfCheck(*benchout, "mpicolltune", 0, benchLeg(units))
 			fail(err)
 			log.Infof("benchout: %v -> %s", rep, *benchout)
 			if !wantQuery && *save == "" {
@@ -263,8 +262,8 @@ func buildUnits(log *obs.Logger, dsList, learnerList []string, cache string, sca
 	return units
 }
 
-// trainMatrix fits every unit concurrently on the shared fit-worker pool:
-// one par.Run worker per unit, since the pool already bounds the fits. Each
+// trainMatrix fits every unit concurrently: one par.Run worker per unit,
+// each unit's Train fanning out over GOMAXPROCS fit workers of its own. Each
 // unit's snapshot is saved by its worker the moment its fits complete,
 // overlapping disk writes with the remaining training work; the first
 // failing unit in matrix order ends the run.
@@ -300,8 +299,8 @@ func trainMatrix(log *obs.Logger, units []*unit, saveDir, savePath string) {
 	}))
 }
 
-// benchLeg is the -benchout self-check's leg: train the matrix on a fresh
-// pool of w fit workers, with one unit in flight at w = 1 and every unit
+// benchLeg is the -benchout self-check's leg: train the matrix with w fit
+// workers per unit, with one unit in flight at w = 1 and every unit
 // otherwise, as trainMatrix runs them. The output is the unit-ordered
 // snapshots.
 func benchLeg(units []*unit) func(w int) ([]byte, any, error) {
@@ -316,8 +315,6 @@ func benchLeg(units []*unit) func(w int) ([]byte, any, error) {
 		fitWall float64
 	}
 	return func(w int) ([]byte, any, error) {
-		pool := core.NewFitPool(w)
-		defer pool.Close()
 		inFlight := len(units)
 		if w == 1 {
 			inFlight = 1
@@ -330,7 +327,7 @@ func benchLeg(units []*unit) func(w int) ([]byte, any, error) {
 			if err != nil {
 				return trained{}, err
 			}
-			sel, err := core.TrainPool(u.ds, set, u.learner, u.nodes, pool)
+			sel, err := core.TrainWorkers(u.ds, set, u.learner, u.nodes, w)
 			if err != nil {
 				return trained{}, fmt.Errorf("%s: %w", u.name(), err)
 			}

@@ -49,7 +49,8 @@ func TestBenchoutSmoke(t *testing.T) {
 	bin, dir := build(t)
 	report := filepath.Join(dir, "bench.json")
 	run := exec.Command(bin, "-dataset", "d4", "-learner", "knn,gam", "-scale", "smoke",
-		"-cache", filepath.Join(dir, "cache"), "-fitworkers", "2", "-benchout", report, "-quiet")
+		"-cache", filepath.Join(dir, "cache"), "-benchout", report, "-quiet")
+	run.Env = append(os.Environ(), "GOMAXPROCS=2")
 	if out, err := run.CombinedOutput(); err != nil {
 		t.Fatalf("mpicolltune: %v\n%s", err, out)
 	}

@@ -7,7 +7,7 @@
 //	go run ./cmd/mpicollvet -json ./...               # machine-readable report
 //	go run ./cmd/mpicollvet -list                     # describe the analyzers
 //	go run ./cmd/mpicollvet -sarif out.sarif ./...    # SARIF 2.1.0 for code scanning
-//	go run ./cmd/mpicollvet -workers 4 -benchout BENCH_lint.json ./...
+//	GOMAXPROCS=4 go run ./cmd/mpicollvet -benchout BENCH_lint.json ./...
 //
 // The analyzers enforce the pipeline's determinism, numeric-safety,
 // metrics-hygiene, and concurrency-contract invariants. The per-file checks

@@ -30,8 +30,8 @@ type Cell struct {
 // before the stop point were committed in order; nothing at or after it was.
 var ErrSweepStopped = par.ErrStopped
 
-// workerCount resolves Options.Workers (<= 0 means GOMAXPROCS, matching the
-// fit-pool convention).
+// workerCount resolves Options.Workers (<= 0 means GOMAXPROCS, as for every
+// worker count in the pipeline).
 func (o Options) workerCount() int {
 	if o.Workers > 0 {
 		return o.Workers

@@ -2,39 +2,39 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"mpicollpred/internal/ml"
 )
 
 // TestTrainParallelBitIdentical is the acceptance test of the parallel
-// fitting path: for every registered learner, a selector trained on a
-// 4-worker pool must snapshot to exactly the bytes of one trained on a
-// 1-worker (serial) pool and of one trained on the default pool — model
-// state, envelopes, and quarantine records are independent of worker count
-// and scheduling.
+// fitting path: for every registered learner, a selector trained on 4
+// workers must snapshot to exactly the bytes of one trained on 1 worker
+// (serial) and of one trained by Train at GOMAXPROCS — model state,
+// envelopes, and quarantine records are independent of worker count and
+// scheduling.
 func TestTrainParallelBitIdentical(t *testing.T) {
 	ds, set := testDataset(t)
 	trainNodes := []int{2, 4, 6}
-	serial := NewFitPool(1)
-	defer serial.Close()
-	par := NewFitPool(4)
-	defer par.Close()
 
 	for _, learner := range []string{"knn", "gam", "xgboost", "rf", "linear"} {
-		a, err := TrainPool(ds, set, learner, trainNodes, serial)
+		a, err := TrainWorkers(ds, set, learner, trainNodes, 1)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", learner, err)
 		}
-		b, err := TrainPool(ds, set, learner, trainNodes, par)
+		b, err := TrainWorkers(ds, set, learner, trainNodes, 4)
 		if err != nil {
 			t.Fatalf("%s: parallel: %v", learner, err)
 		}
 		c, err := Train(ds, set, learner, trainNodes)
 		if err != nil {
-			t.Fatalf("%s: default pool: %v", learner, err)
+			t.Fatalf("%s: GOMAXPROCS workers: %v", learner, err)
 		}
 		if b.FitWall <= 0 {
 			t.Errorf("%s: parallel FitWall = %v, accounting lost", learner, b.FitWall)
@@ -56,29 +56,25 @@ func TestTrainParallelBitIdentical(t *testing.T) {
 			t.Errorf("%s: 4-worker snapshot differs from serial snapshot", learner)
 		}
 		if !bytes.Equal(sa, sc) {
-			t.Errorf("%s: default-pool snapshot differs from serial snapshot", learner)
+			t.Errorf("%s: GOMAXPROCS-worker snapshot differs from serial snapshot", learner)
 		}
 	}
 }
 
 // TestTrainParallelQuarantineDeterministic drives the quarantine-on-panic
-// path through the worker pool: a learner whose Fit always panics must
+// path through par.Run: a learner whose Fit always panics must
 // leave the same quarantine records — and the same snapshot bytes — no
 // matter how many workers fitted it.
 func TestTrainParallelQuarantineDeterministic(t *testing.T) {
 	ml.Register("panic-fit-par", func() ml.Regressor { return &panicLearner{fitPanics: true} })
 	ds, set := testDataset(t)
 	trainNodes := []int{2, 4, 6}
-	serial := NewFitPool(1)
-	defer serial.Close()
-	par := NewFitPool(4)
-	defer par.Close()
 
-	a, err := TrainPool(ds, set, "panic-fit-par", trainNodes, serial)
+	a, err := TrainWorkers(ds, set, "panic-fit-par", trainNodes, 1)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
-	b, err := TrainPool(ds, set, "panic-fit-par", trainNodes, par)
+	b, err := TrainWorkers(ds, set, "panic-fit-par", trainNodes, 4)
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -105,21 +101,19 @@ func TestTrainParallelQuarantineDeterministic(t *testing.T) {
 	}
 }
 
-// TestTrainMatrixSharedPool trains a learner matrix concurrently on one
-// shared pool — the mpicolltune deployment shape — and checks every
-// selector against its serially trained twin. Meaningful under -race: the
-// pool's workers, the per-Train result slices, and the obs accounting all
-// run concurrently here.
+// TestTrainMatrixSharedPool trains a learner matrix concurrently, each
+// Train fanning out on its own 4 workers — the mpicolltune deployment
+// shape — and checks every selector against its serially trained twin.
+// Meaningful under -race: the concurrent fan-outs, their commits, and the
+// obs accounting all run at once here.
 func TestTrainMatrixSharedPool(t *testing.T) {
 	ds, set := testDataset(t)
 	trainNodes := []int{2, 4, 6}
 	learners := []string{"knn", "gam", "xgboost", "rf", "linear"}
 
-	serial := NewFitPool(1)
-	defer serial.Close()
 	want := make(map[string][]byte, len(learners))
 	for _, learner := range learners {
-		sel, err := TrainPool(ds, set, learner, trainNodes, serial)
+		sel, err := TrainWorkers(ds, set, learner, trainNodes, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", learner, err)
 		}
@@ -130,8 +124,6 @@ func TestTrainMatrixSharedPool(t *testing.T) {
 		want[learner] = snap
 	}
 
-	pool := NewFitPool(4)
-	defer pool.Close()
 	got := make(map[string][]byte, len(learners))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -139,7 +131,7 @@ func TestTrainMatrixSharedPool(t *testing.T) {
 		wg.Add(1)
 		go func(learner string) {
 			defer wg.Done()
-			sel, err := TrainPool(ds, set, learner, trainNodes, pool)
+			sel, err := TrainWorkers(ds, set, learner, trainNodes, 4)
 			if err != nil {
 				t.Errorf("%s: %v", learner, err)
 				return
@@ -158,6 +150,81 @@ func TestTrainMatrixSharedPool(t *testing.T) {
 	for _, learner := range learners {
 		if !bytes.Equal(got[learner], want[learner]) {
 			t.Errorf("%s: matrix-trained snapshot differs from serial snapshot", learner)
+		}
+	}
+}
+
+var errFitRefused = errors.New("refusingLearner: fit refused")
+
+// refusingLearner returns an error (not a panic) from Fit for training
+// times no measurement produces: zero times fail after a delay, negative
+// ones at once. Everything else fits trivially.
+type refusingLearner struct{}
+
+func (refusingLearner) Fit(x [][]float64, y []float64) error {
+	switch {
+	case y[0] == 0:
+		time.Sleep(50 * time.Millisecond)
+		return errFitRefused
+	case y[0] < 0:
+		return errFitRefused
+	}
+	return nil
+}
+
+func (refusingLearner) Predict(x []float64) float64 { return 1e-3 }
+
+// TestFitErrorFirstInConfigOrder covers the non-panic fit-error path: an
+// early configuration whose fit fails slowly and a late one whose fit fails
+// at once. Train and Refit must both report the early one — the failure a
+// serial loop stops at — with the same error at 1 and 4 workers, even
+// though at 4 workers the late failure completes first.
+func TestFitErrorFirstInConfigOrder(t *testing.T) {
+	ml.Register("refuse-fit", func() ml.Regressor { return refusingLearner{} })
+	ds, set := testDataset(t)
+	trainNodes := []int{2, 4, 6}
+	cfgs := set.Selectable()
+	if len(cfgs) < 8 {
+		t.Fatalf("test needs >= 8 configs, have %d", len(cfgs))
+	}
+	early, late := cfgs[1], cfgs[len(cfgs)-1]
+	bad := refitPerturb(refitPerturb(ds, early.ID, 0), late.ID, -1)
+
+	base, err := Train(ds, set, "refuse-fit", trainNodes)
+	if err != nil {
+		t.Fatalf("clean training failed: %v", err)
+	}
+	// Refit commits in ascending id order, Train in selectable order; the
+	// two agree when the portfolio lists ids ascending.
+	ids := make([]int, len(cfgs))
+	for i, cfg := range cfgs {
+		ids[i] = cfg.ID
+	}
+	if !slices.IsSorted(ids) {
+		t.Fatalf("selectable ids %v are not ascending", ids)
+	}
+
+	for _, c := range []struct {
+		name string
+		want string
+		run  func(workers int) (*Selector, error)
+	}{
+		{"Train", fmt.Sprintf("core: fitting refuse-fit for config %d (%s): %v", early.ID, early.Label(), errFitRefused),
+			func(w int) (*Selector, error) { return TrainWorkers(bad, set, "refuse-fit", trainNodes, w) }},
+		{"Refit", fmt.Sprintf("core: refitting refuse-fit for config %d: %v", early.ID, errFitRefused),
+			func(w int) (*Selector, error) { return Refit(base, bad, set, ids, w) }},
+	} {
+		for _, workers := range []int{1, 4} {
+			sel, err := c.run(workers)
+			if sel != nil || err == nil {
+				t.Fatalf("%s at %d workers: got a selector, want an error", c.name, workers)
+			}
+			if !errors.Is(err, errFitRefused) {
+				t.Errorf("%s at %d workers: %v does not wrap the learner's error", c.name, workers, err)
+			}
+			if err.Error() != c.want {
+				t.Errorf("%s at %d workers:\n got %q\nwant %q", c.name, workers, err, c.want)
+			}
 		}
 	}
 }

@@ -4,8 +4,8 @@
 // not change and would lose their bit-exact identity. Refit clones a
 // trained selector, refits exactly the listed configurations from the
 // (updated) dataset, and reassembles the guardrail state, with the same
-// worker-count-independence guarantee as TrainPool: the candidate's
-// snapshot bytes depend only on the inputs, never on pool size or
+// worker-count-independence guarantee as TrainWorkers: the candidate's
+// snapshot bytes depend only on the inputs, never on worker count or
 // scheduling.
 
 package core
@@ -29,11 +29,12 @@ import (
 // base and refits cleanly here rejoins selection; one whose learner panics
 // again is quarantined in the candidate. base itself is never mutated.
 //
-// Determinism: fits fan out on pool but are committed in ascending
-// configuration-id order on this goroutine, and the union envelope is
-// rebuilt by a min/max merge over the portfolio in selectable order —
-// the candidate is bit-identical across pool sizes.
-func Refit(base *Selector, ds *dataset.Dataset, set *mpilib.CollectiveSet, configIDs []int, pool *FitPool) (*Selector, error) {
+// Determinism: fits fan out on workers goroutines (<= 0 means GOMAXPROCS)
+// but are committed in ascending configuration-id order on this goroutine,
+// and the union envelope is rebuilt by a min/max merge over the portfolio
+// in selectable order — the candidate is bit-identical across worker
+// counts.
+func Refit(base *Selector, ds *dataset.Dataset, set *mpilib.CollectiveSet, configIDs []int, workers int) (*Selector, error) {
 	if base == nil {
 		return nil, fmt.Errorf("core: refit: nil base selector")
 	}
@@ -119,29 +120,27 @@ func Refit(base *Selector, ds *dataset.Dataset, set *mpilib.CollectiveSet, confi
 		}
 	}
 
-	if pool == nil {
-		pool = DefaultFitPool()
-	}
 	fitHist := obs.Default.Histogram("core_fit_seconds", obs.Labels{"learner": base.Learner})
-
-	results := pool.fitAll(base.Learner, len(ids), func(i int) ([][]float64, []float64) {
+	err := fitAll(base.Learner, len(ids), workers, func(i int) ([][]float64, []float64) {
 		return xs[ids[i]], ys[ids[i]]
-	})
-
-	for i, id := range ids {
-		res := results[i]
+	}, func(i int, res fitResult) error {
+		id := ids[i]
 		if res.err != nil {
 			if errors.Is(res.err, errLearnerPanic) {
 				cand.quarantine(id, "refit", res.err.Error())
-				continue
+				return nil
 			}
-			return nil, fmt.Errorf("core: refitting %s for config %d: %w", base.Learner, id, res.err)
+			return fmt.Errorf("core: refitting %s for config %d: %w", base.Learner, id, res.err)
 		}
 		cand.FitWall += res.wall
 		fitHist.Observe(res.wall)
 		cand.models[id] = res.m
 		cand.envelopes[id] = res.env
 		obs.Default.Counter("core_refit_total", obs.Labels{"learner": base.Learner}).Inc()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// The union envelope cannot be widened incrementally — a refit model's
@@ -155,14 +154,4 @@ func Refit(base *Selector, ds *dataset.Dataset, set *mpilib.CollectiveSet, confi
 		}
 	}
 	return cand, nil
-}
-
-// RefitAll is Refit over every selectable configuration — a full retrain
-// that preserves base's guardrail arming and slack settings.
-func RefitAll(base *Selector, ds *dataset.Dataset, set *mpilib.CollectiveSet, pool *FitPool) (*Selector, error) {
-	ids := make([]int, 0, len(set.Selectable()))
-	for _, cfg := range set.Selectable() {
-		ids = append(ids, cfg.ID)
-	}
-	return Refit(base, ds, set, ids, pool)
 }

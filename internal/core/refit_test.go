@@ -31,7 +31,7 @@ func TestRefitReplacesOnlyListedConfigs(t *testing.T) {
 	target := set.Selectable()[0].ID
 	ds2 := refitPerturb(ds, target, 5)
 
-	cand, err := Refit(base, ds2, set, []int{target}, nil)
+	cand, err := Refit(base, ds2, set, []int{target}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,9 +79,7 @@ func TestRefitDeterministicAcrossPoolSizes(t *testing.T) {
 
 	var snaps [][]byte
 	for _, workers := range []int{1, 4} {
-		pool := NewFitPool(workers)
-		cand, err := Refit(base, ds2, set, ids, pool)
-		pool.Close()
+		cand, err := Refit(base, ds2, set, ids, workers)
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
@@ -110,7 +108,7 @@ func TestRefitLeavesBaseUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := set.Selectable()[0].ID
-	if _, err := Refit(base, refitPerturb(ds, target, 5), set, []int{target}, nil); err != nil {
+	if _, err := Refit(base, refitPerturb(ds, target, 5), set, []int{target}, 0); err != nil {
 		t.Fatal(err)
 	}
 	after, err := base.Snapshot(fp)
@@ -128,10 +126,10 @@ func TestRefitRejectsUnknownConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Refit(base, ds, set, []int{99999}, nil); err == nil {
+	if _, err := Refit(base, ds, set, []int{99999}, 0); err == nil {
 		t.Fatalf("refit accepted a configuration outside the portfolio")
 	}
-	if _, err := Refit(base, ds, set, nil, nil); err == nil {
+	if _, err := Refit(base, ds, set, nil, 0); err == nil {
 		t.Fatalf("refit accepted an empty configuration list")
 	}
 }

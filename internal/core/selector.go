@@ -96,21 +96,20 @@ type Selector struct {
 // Train fits one regression model per selectable configuration using the
 // samples of ds whose node count is in trainNodes (the paper's split: train
 // on commonly used node counts, predict the rest). learner is one of
-// ml.Names() ("knn", "gam", "xgboost", ...). Fitting runs on the package's
-// default worker pool (GOMAXPROCS workers; see SetFitWorkers) and is
-// bit-identical to a serial run.
+// ml.Names() ("knn", "gam", "xgboost", ...). Fitting runs on GOMAXPROCS
+// workers and is bit-identical to a serial run.
 func Train(ds *dataset.Dataset, set *mpilib.CollectiveSet, learner string, trainNodes []int) (*Selector, error) {
-	return TrainPool(ds, set, learner, trainNodes, nil)
+	return TrainWorkers(ds, set, learner, trainNodes, 0)
 }
 
-// TrainPool is Train on an explicit worker pool (nil means the default
-// pool). A pool of size 1 reproduces the serial fitting path; any size
+// TrainWorkers is Train on an explicit number of fit workers (<= 0 means
+// GOMAXPROCS). One worker reproduces the serial fitting path; any count
 // yields the same selector bit for bit, because workers only compute
 // independent per-configuration results and this goroutine commits them in
 // configuration order: model-map and envelope contents, the envelope merge
 // order, FitWall's floating-point accumulation order, and quarantine
 // records never depend on scheduling.
-func TrainPool(ds *dataset.Dataset, set *mpilib.CollectiveSet, learner string, trainNodes []int, pool *FitPool) (*Selector, error) {
+func TrainWorkers(ds *dataset.Dataset, set *mpilib.CollectiveSet, learner string, trainNodes []int, workers int) (*Selector, error) {
 	if len(trainNodes) == 0 {
 		return nil, fmt.Errorf("core: no training node counts given")
 	}
@@ -151,36 +150,35 @@ func TrainPool(ds *dataset.Dataset, set *mpilib.CollectiveSet, learner string, t
 
 	fitHist := obs.Default.Histogram("core_fit_seconds", obs.Labels{"learner": learner})
 	sel.selectHist = obs.Default.Histogram("core_select_seconds", obs.Labels{"learner": learner})
-	if pool == nil {
-		pool = DefaultFitPool()
-	}
-
-	t0 := time.Now()
-	results := pool.fitAll(learner, len(sel.configs), func(i int) ([][]float64, []float64) {
-		id := sel.configs[i].ID
-		return xs[id], ys[id]
-	})
-	obs.Default.Histogram("core_fit_parallel_seconds", obs.Labels{"learner": learner}).
-		Observe(time.Since(t0).Seconds())
 
 	// Deterministic assembly: commit in configuration order, single-threaded.
-	for i, cfg := range sel.configs {
-		res := results[i]
+	t0 := time.Now()
+	err := fitAll(learner, len(sel.configs), workers, func(i int) ([][]float64, []float64) {
+		id := sel.configs[i].ID
+		return xs[id], ys[id]
+	}, func(i int, res fitResult) error {
+		cfg := sel.configs[i]
 		if res.err != nil {
 			if errors.Is(res.err, errLearnerPanic) {
 				// One broken learner instance must not take down the whole
 				// tuning run: the configuration is quarantined (never
 				// selected) and training continues.
 				sel.quarantine(cfg.ID, "fit", res.err.Error())
-				continue
+				return nil
 			}
-			return nil, fmt.Errorf("core: fitting %s for config %d (%s): %w", learner, cfg.ID, cfg.Label(), res.err)
+			return fmt.Errorf("core: fitting %s for config %d (%s): %w", learner, cfg.ID, cfg.Label(), res.err)
 		}
 		sel.FitWall += res.wall
 		fitHist.Observe(res.wall)
 		sel.models[cfg.ID] = res.m
 		sel.envelopes[cfg.ID] = res.env
 		sel.envelope.merge(res.env)
+		return nil
+	})
+	obs.Default.Histogram("core_fit_parallel_seconds", obs.Labels{"learner": learner}).
+		Observe(time.Since(t0).Seconds())
+	if err != nil {
+		return nil, err
 	}
 	return sel, nil
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 
 	"mpicollpred/internal/par"
 )
@@ -29,7 +30,6 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
 	listOnly := fs.Bool("list", false, "list the analyzers and exit")
 	dir := fs.String("C", ".", "directory to resolve package patterns in")
-	workers := fs.Int("workers", 0, "concurrent package load/analysis (0 = GOMAXPROCS)")
 	sarifOut := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file (- for stdout)")
 	benchout := fs.String("benchout", "", "run serially and in parallel, verify byte-identity, write a speedup report here, and exit")
 	fs.Usage = func() {
@@ -45,6 +45,9 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return ExitError
 	}
+	// Packages load and analyze on GOMAXPROCS workers; the output does not
+	// depend on the count.
+	workers := runtime.GOMAXPROCS(0)
 
 	analyzers := DefaultAnalyzers()
 	if *listOnly {
@@ -60,7 +63,7 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return ExitError
 		}
-		rep, err := par.SelfCheck(*benchout, "mpicollvet", *workers, l.benchLeg(analyzers))
+		rep, err := par.SelfCheck(*benchout, "mpicollvet", workers, l.benchLeg(analyzers))
 		if err != nil {
 			fmt.Fprintf(stderr, "mpicollvet: %v\n", err)
 			return ExitError
@@ -69,13 +72,13 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 		return ExitClean
 	}
 
-	pkgs, err := LoadWorkers(*dir, fs.Args(), *workers)
+	pkgs, err := LoadWorkers(*dir, fs.Args(), workers)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return ExitError
 	}
 
-	runner := &Runner{Analyzers: analyzers, Workers: *workers}
+	runner := &Runner{Analyzers: analyzers, Workers: workers}
 	findings := runner.Run(pkgs)
 	relativize(findings)
 

@@ -3,10 +3,18 @@ package lint
 import (
 	"encoding/json"
 	"os"
+	"runtime"
 	"testing"
 
 	"mpicollpred/internal/par"
 )
+
+// setGOMAXPROCS sets GOMAXPROCS, which sizes the CLI's worker count, until
+// the test ends. No test here runs in parallel, so the change is safe.
+func setGOMAXPROCS(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // TestParallelOutputByteIdentical is the ordering contract with teeth: the
 // concurrent runner must produce output indistinguishable from the serial
@@ -17,8 +25,9 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping multi-package analysis in -short mode")
 	}
-	run := func(workers string) (int, string) {
-		code, out, errb := runCLI("-json", "-workers", workers,
+	run := func(workers int) (int, string) {
+		setGOMAXPROCS(t, workers)
+		code, out, errb := runCLI("-json",
 			"./testdata/src/driver/...",
 			"./testdata/src/lockscope/...",
 			"./testdata/src/goleak/...",
@@ -29,12 +38,12 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 			"./testdata/src/seededrand/...",
 		)
 		if code != ExitFindings {
-			t.Fatalf("workers=%s exit = %d, want %d\nstderr:\n%s", workers, code, ExitFindings, errb)
+			t.Fatalf("workers=%d exit = %d, want %d\nstderr:\n%s", workers, code, ExitFindings, errb)
 		}
 		return code, out
 	}
-	_, serial := run("1")
-	_, parallel := run("4")
+	_, serial := run(1)
+	_, parallel := run(4)
 	if serial == "" {
 		t.Fatal("no output from serial run")
 	}
@@ -51,7 +60,8 @@ func TestBenchMode(t *testing.T) {
 		t.Skip("skipping bench harness in -short mode")
 	}
 	path := t.TempDir() + "/bench.json"
-	code, _, errb := runCLI("-workers", "2", "-benchout", path, "./testdata/src/driver/...")
+	setGOMAXPROCS(t, 2)
+	code, _, errb := runCLI("-benchout", path, "./testdata/src/driver/...")
 	if code != ExitClean {
 		t.Fatalf("bench exit = %d, want %d\nstderr:\n%s", code, ExitClean, errb)
 	}

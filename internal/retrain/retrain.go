@@ -2,12 +2,12 @@
 // observe served decisions (audit log) → re-measure them on the live
 // (possibly drifted) machine → detect sustained observed-vs-predicted error
 // → re-measure the affected grid cells, refit the affected configurations
-// on the shared fit pool → deploy the candidate through a hot reload or a
+// in parallel → deploy the candidate through a hot reload or a
 // canary rollout. The whole loop is event-driven and seeded: state advances
 // only per processed record, measurement seeds are content-derived, and the
 // only wall-clock read is the injectable status-log timestamp clock — so a
 // given audit log always produces the same candidates, byte for byte,
-// whatever the fit-pool size.
+// whatever the fit worker count.
 //
 // State machine (DESIGN §13):
 //
@@ -61,8 +61,9 @@ type Options struct {
 	Scale dataset.Scale
 	// Reps is the simulated repetitions per observation (default 2).
 	Reps int
-	// Pool is the fit pool refits run on (nil uses core's default pool).
-	Pool *core.FitPool
+	// FitWorkers is the number of goroutines refits run on (<= 0 means
+	// GOMAXPROCS).
+	FitWorkers int
 	// Detector tunes drift declaration.
 	Detector DetectorOptions
 	// MaxCells bounds the observed-cell set swept per model per cycle
@@ -168,7 +169,7 @@ func New(opts Options) (*Loop, error) {
 		state:   StateObserving,
 		det:     newDetector(opts.Detector),
 		obsr:    newObserver(opts.Reps, opts.Drift),
-		rt:      newRetrainer(opts.CacheDir, opts.OutDir, opts.Scale, opts.Reps, opts.Pool),
+		rt:      newRetrainer(opts.CacheDir, opts.OutDir, opts.Scale, opts.Reps, opts.FitWorkers),
 		cells:   map[string]map[cell]struct{}{},
 		dropped: map[string]int{},
 		maxGen:  map[string]uint64{},

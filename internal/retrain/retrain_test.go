@@ -100,12 +100,10 @@ func TestOnceDeterministicAcrossFitWorkers(t *testing.T) {
 		if err := os.MkdirAll(outDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		pool := core.NewFitPool(workers)
 		rep, err := Once(OnceOptions{
 			SnapshotPath: basePath, AuditPath: logPath, OutDir: outDir,
-			CacheDir: cacheDir, Drift: plan, Pool: pool,
+			CacheDir: cacheDir, Drift: plan, FitWorkers: workers,
 		})
-		pool.Close()
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
@@ -143,7 +141,7 @@ func TestOnceDeterministicAcrossFitWorkers(t *testing.T) {
 // TestScenarioDriftRecovery runs the full closed loop in-process: baseline
 // phase clean, drift detected after the machine shifts, candidate deployed,
 // detector back to ok on the shifted machine — deterministically across fit
-// pool sizes.
+// worker counts.
 func TestScenarioDriftRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full drift scenario in -short mode")
@@ -171,7 +169,7 @@ func TestScenarioDriftRecovery(t *testing.T) {
 		t.Errorf("loop did not recover: phase C %+v", rep.Phases[2])
 	}
 	if !rep.Deterministic {
-		t.Errorf("candidates differ across fit pools %v", rep.FitWorkers)
+		t.Errorf("candidates differ across fit worker counts %v", rep.FitWorkers)
 	}
 	if rep.Cycles != 1 {
 		t.Errorf("expected exactly one retrain cycle, got %d", rep.Cycles)

@@ -2,8 +2,8 @@
 // selectable configuration is re-measured on the drifted machine over the
 // instance cells the loop actually observed, the fresh samples are upserted
 // into the model's dataset (held to the same row validation as a loaded
-// cache), and exactly the refreshed configurations are refit on the shared
-// fit pool. Re-measuring ALL configurations — not just the served winners —
+// cache), and exactly the refreshed configurations are refit in
+// parallel. Re-measuring ALL configurations — not just the served winners —
 // matters for convergence: the post-deploy argmin ranges over the whole
 // portfolio, and a stale loser with an optimistic model would win the next
 // selection and re-trigger drift forever.
@@ -95,14 +95,14 @@ type retrainer struct {
 	outDir   string
 	scale    dataset.Scale
 	reps     int
-	pool     *core.FitPool
+	workers  int // fit workers; <= 0 means GOMAXPROCS
 	// datasets caches the working copy per dataset name; upserts accumulate
 	// across cycles so later candidates keep earlier corrections.
 	datasets map[string]*dataset.Dataset
 	seq      map[string]int // candidate sequence per model name
 }
 
-func newRetrainer(cacheDir, outDir string, scale dataset.Scale, reps int, pool *core.FitPool) *retrainer {
+func newRetrainer(cacheDir, outDir string, scale dataset.Scale, reps, workers int) *retrainer {
 	if scale == "" {
 		scale = dataset.ScaleSmoke
 	}
@@ -110,7 +110,7 @@ func newRetrainer(cacheDir, outDir string, scale dataset.Scale, reps int, pool *
 		reps = 2
 	}
 	return &retrainer{cacheDir: cacheDir, outDir: outDir, scale: scale, reps: reps,
-		pool: pool, datasets: map[string]*dataset.Dataset{}, seq: map[string]int{}}
+		workers: workers, datasets: map[string]*dataset.Dataset{}, seq: map[string]int{}}
 }
 
 // dataset returns the working dataset for a fingerprint, loading (or
@@ -215,7 +215,7 @@ func (rt *retrainer) cycle(model, basePath string, cells []cell, plan *fault.Pla
 	}
 	sort.Ints(ids)
 	cand.RefitConfigs = len(ids)
-	next, err := core.Refit(base, ds, set, ids, rt.pool)
+	next, err := core.Refit(base, ds, set, ids, rt.workers)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,10 @@
 // detector ok). Phase B shifts the machine's constants via a fault plan —
 // the detector must declare drift and the loop must retrain and deploy.
 // Phase C keeps serving on the shifted machine with the retrained model —
-// the detector must settle back to ok. The scenario runs once per fit-pool
-// size and asserts the candidate snapshots are byte-identical, which is the
-// experiment behind BENCH_retrain.json and results/drift_recovery.txt.
+// the detector must settle back to ok. The scenario runs once per fit
+// worker count and asserts the candidate snapshots are byte-identical,
+// which is the experiment behind BENCH_retrain.json and
+// results/drift_recovery.txt.
 
 package retrain
 
@@ -48,7 +49,7 @@ type ScenarioOptions struct {
 	PhaseRecords int
 	// Seed keys the served instance sequence.
 	Seed uint64
-	// FitWorkers are the pool sizes the scenario cross-checks for
+	// FitWorkers are the worker counts the scenario cross-checks for
 	// byte-identical candidates (default 1 and 4).
 	FitWorkers []int
 	// Detector overrides the loop's drift thresholds (zero = loop
@@ -146,7 +147,7 @@ func (r *scenarioReloader) ReloadPaths(paths []string) error {
 	return nil
 }
 
-// RunScenario executes the drift-recovery scenario once per fit-pool size
+// RunScenario executes the drift-recovery scenario once per fit worker count
 // and cross-checks the runs.
 func RunScenario(opts ScenarioOptions) (*ScenarioReport, error) {
 	if err := opts.defaults(); err != nil {
@@ -180,7 +181,7 @@ func RunScenario(opts ScenarioOptions) (*ScenarioReport, error) {
 	return rep, nil
 }
 
-// runScenarioPass runs the three phases on one fit pool and returns the
+// runScenarioPass runs the three phases at one fit worker count and returns the
 // report plus the candidate snapshot's bytes.
 func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, workers int) (*ScenarioReport, []byte, error) {
 	dir := filepath.Join(opts.WorkDir, fmt.Sprintf("w%d", workers))
@@ -199,9 +200,7 @@ func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, workers int) (*Scen
 	if err != nil {
 		return nil, nil, err
 	}
-	pool := core.NewFitPool(workers)
-	defer pool.Close()
-	sel, err := core.TrainPool(ds, set, opts.Learner, opts.TrainNodes, pool)
+	sel, err := core.TrainWorkers(ds, set, opts.Learner, opts.TrainNodes, workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -213,12 +212,12 @@ func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, workers int) (*Scen
 
 	rel := &scenarioReloader{paths: []string{basePath}, gen: 1, sel: sel}
 	loop, err := New(Options{
-		Reloader: rel,
-		OutDir:   dir,
-		CacheDir: opts.CacheDir,
-		Scale:    opts.Scale,
-		Pool:     pool,
-		Detector: opts.Detector,
+		Reloader:   rel,
+		OutDir:     dir,
+		CacheDir:   opts.CacheDir,
+		Scale:      opts.Scale,
+		FitWorkers: workers,
+		Detector:   opts.Detector,
 		// Loop behavior never reads the clock; pin it so even the unused
 		// default seam stays out of the scenario.
 		Clock: func() time.Time { return time.UnixMicro(1) },
