@@ -64,7 +64,7 @@ func runTable2(c *expCtx) (string, error) {
 			d.Spec.Lib,
 			d.Spec.Version,
 			d.Spec.Machine,
-			tablefmt.I(set.NumAlgs),
+			tablefmt.I(set.NumAlgs()),
 			tablefmt.I(len(set.Configs)),
 			tablefmt.I(len(d.Spec.Nodes)),
 			tablefmt.I(len(d.Spec.PPNs)),
@@ -188,8 +188,8 @@ func runBudget(c *expCtx) (string, error) {
 			tablefmt.F(d.Consumed/bound, 3),
 		)
 		labels := obs.Labels{"dataset": name, "machine": d.Spec.Machine}
-		obs.Default.Gauge("budget_bound_seconds", labels).Set(bound)
-		obs.Default.Gauge("budget_consumed_seconds", labels).Set(d.Consumed)
+		obs.Default.Gauge("budget_bound_sim_seconds", labels).Set(bound)
+		obs.Default.Gauge("budget_consumed_sim_seconds", labels).Set(d.Consumed)
 		obs.Default.Gauge("budget_consumed_over_bound", labels).Set(d.Consumed / bound)
 		obs.Default.Counter("budget_measurements_total", labels).Add(int64(len(d.Samples)))
 		obs.Default.Counter("budget_exhausted_total", labels).Add(int64(exhausted))

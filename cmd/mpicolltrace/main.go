@@ -125,8 +125,8 @@ func main() {
 		obs.Default.Counter("sim_messages_matched_total", labels).Add(int64(ss.MessagesMatched))
 		obs.Default.Counter("sim_eager_sends_total", labels).Add(int64(ss.EagerSends))
 		obs.Default.Counter("sim_rendezvous_sends_total", labels).Add(int64(ss.RendezvousSends))
-		obs.Default.Gauge("net_queue_delay_seconds", labels).Set(ns.QueueDelay)
-		obs.Default.Gauge("sim_makespan_seconds", labels).Set(res.Time)
+		obs.Default.Gauge("net_queue_delay_sim_seconds", labels).Set(ns.QueueDelay)
+		obs.Default.Gauge("sim_makespan_sim_seconds", labels).Set(res.Time)
 		fail(obs.Default.DumpFile(*metrics))
 		log.Infof("metrics snapshot -> %s", *metrics)
 	}

@@ -48,7 +48,7 @@ func main() {
 		if collName == mpilib.Alltoall {
 			msizes = []int64{16, 1024, 16384, 65536}
 		}
-		fmt.Printf("\n%s (%d algorithms, %d configurations):\n", collName, set.NumAlgs, len(set.Configs))
+		fmt.Printf("\n%s (%d algorithms, %d configurations):\n", collName, set.NumAlgs(), len(set.Configs))
 		for _, m := range msizes {
 			var bestCfg, worstCfg mpilib.Config
 			bestT, worstT := math.Inf(1), 0.0

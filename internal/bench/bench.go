@@ -75,11 +75,8 @@ func DefaultOptions(machineName string) Options {
 // Measurement is the result of benchmarking one configuration on one
 // instance.
 type Measurement struct {
-	// Times holds the per-repetition makespans, in seconds. It must not be
-	// mutated in place once the Measurement has been produced: quantile
-	// queries are served from a sorted cache, and an in-place write would
-	// leave that cache stale. In-package code replaces repetitions through
-	// replaceTime, which invalidates the cache.
+	// Times holds the per-repetition makespans in simulated seconds, in
+	// measurement order.
 	Times    []float64
 	Consumed float64 // total simulated time spent, including all reps
 	// Exhausted reports whether the time budget stopped the loop before
@@ -88,43 +85,10 @@ type Measurement struct {
 	// Retried counts repetitions that were flagged as outliers and
 	// re-measured (see Options.OutlierRetries).
 	Retried int
-
-	// sorted caches an ascending copy of Times, populated once by the
-	// Runner so repeated quantile queries do not re-sort. Zero-value
-	// Measurements fall back to sorting on demand.
-	sorted []float64
 }
 
 // Reps returns the number of repetitions that were run.
 func (m Measurement) Reps() int { return len(m.Times) }
-
-// sortedTimes returns the repetition times in ascending order, using the
-// Runner-populated cache when present.
-func (m Measurement) sortedTimes() []float64 {
-	if len(m.sorted) == len(m.Times) {
-		return m.sorted
-	}
-	s := append([]float64(nil), m.Times...)
-	sort.Float64s(s)
-	return s
-}
-
-// finalize populates the sorted cache; the Runner calls it once per
-// measurement.
-func (m *Measurement) finalize() {
-	m.sorted = append([]float64(nil), m.Times...)
-	sort.Float64s(m.sorted)
-}
-
-// replaceTime substitutes the time of repetition i and invalidates the
-// sorted cache. sortedTimes validates its cache by length alone, so a bare
-// in-place write after finalize would keep serving the pre-replacement order
-// statistics (quantiles, winsorized means, MAD); all in-package mutation
-// goes through here.
-func (m *Measurement) replaceTime(i int, t float64) {
-	m.Times[i] = t
-	m.sorted = nil
-}
 
 // Quantile returns the q-quantile (0 <= q <= 1) of the repetition times with
 // linear interpolation between order statistics, so Quantile(0.5) equals the
@@ -133,7 +97,7 @@ func (m *Measurement) replaceTime(i int, t float64) {
 // other summary statistic of an empty Measurement), never a fake 0 that a
 // selector could mistake for an infinitely fast configuration.
 func (m Measurement) Quantile(q float64) float64 {
-	s := m.sortedTimes()
+	s := sortedCopy(m.Times)
 	if len(s) == 0 {
 		return math.NaN()
 	}
@@ -151,6 +115,13 @@ func (m Measurement) Quantile(q float64) float64 {
 	}
 	// frac == 0 degenerates to s[lo] exactly, so no special case is needed.
 	return s[lo]*(1-frac) + s[lo+1]*frac
+}
+
+// sortedCopy returns the values in ascending order, leaving v as it is.
+func sortedCopy(v []float64) []float64 {
+	s := append([]float64(nil), v...)
+	sort.Float64s(s)
+	return s
 }
 
 // Median returns the median repetition time, the paper's summary statistic.
@@ -193,7 +164,7 @@ func (m Measurement) Min() float64 {
 // that, unlike a trimmed mean, keeps the sample count. frac outside [0, 0.5)
 // is clamped; zero reps yield NaN.
 func (m Measurement) WinsorizedMean(frac float64) float64 {
-	s := m.sortedTimes()
+	s := sortedCopy(m.Times)
 	if len(s) == 0 {
 		return math.NaN()
 	}
@@ -220,18 +191,15 @@ func (m Measurement) WinsorizedMean(frac float64) float64 {
 // spread estimate behind outlier flagging. Multiply by 1.4826 to estimate a
 // Gaussian standard deviation. Zero reps yield NaN.
 func (m Measurement) MAD() float64 {
-	s := m.sortedTimes()
-	if len(s) == 0 {
+	if len(m.Times) == 0 {
 		return math.NaN()
 	}
 	med := m.Median()
-	dev := make([]float64, len(s))
-	for i, t := range s {
+	dev := make([]float64, len(m.Times))
+	for i, t := range m.Times {
 		dev[i] = math.Abs(t - med)
 	}
-	sort.Float64s(dev)
-	d := Measurement{Times: dev, sorted: dev}
-	return d.Median()
+	return Measurement{Times: dev}.Median()
 }
 
 // madNormal is the consistency constant relating MAD to the standard
@@ -332,7 +300,6 @@ func (r *Runner) MeasureCapped(cfg mpilib.Config, prm netmodel.Params, topo netm
 			break
 		}
 	}
-	meas.finalize()
 	if r.opts.OutlierRetries > 0 {
 		if err := r.retryOutliers(&meas, prog, model, seed, inj); err != nil {
 			return Measurement{}, fmt.Errorf("bench %s topo=%dx%d m=%d: %w", cfg.Label(), topo.Nodes, topo.PPN, m, err)
@@ -387,12 +354,9 @@ func (r *Runner) retryOutliers(meas *Measurement, prog *sim.Program, model *netm
 		if err != nil {
 			return err
 		}
-		meas.replaceTime(idx, t)
+		meas.Times[idx] = t
 		meas.Consumed += t
 		meas.Retried++
-	}
-	if meas.Retried > 0 {
-		meas.finalize()
 	}
 	return nil
 }

@@ -204,25 +204,23 @@ func TestTinyBudgetStillRunsOneRep(t *testing.T) {
 	}
 }
 
-func TestQuantilesCachedAndUncached(t *testing.T) {
-	times := []float64{10, 1, 9, 2, 8, 3, 7, 4, 6, 5}
-	uncached := Measurement{Times: times}
-	cached := Measurement{Times: times}
-	cached.finalize()
-	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.9, 1} {
-		if a, b := uncached.Quantile(q), cached.Quantile(q); a != b {
-			t.Errorf("q=%v: uncached %v != cached %v", q, a, b)
-		}
+func TestQuantilesInterpolate(t *testing.T) {
+	m := Measurement{Times: []float64{10, 1, 9, 2, 8, 3, 7, 4, 6, 5}}
+	if m.P10() != 1.9 || m.P90() != 9.1 {
+		t.Errorf("interpolated percentiles: p10=%v p90=%v", m.P10(), m.P90())
 	}
-	if cached.P10() != 1.9 || cached.P90() != 9.1 {
-		t.Errorf("interpolated percentiles: p10=%v p90=%v", cached.P10(), cached.P90())
+	if m.Quantile(0) != 1 || m.Quantile(1) != 10 {
+		t.Errorf("extremes: %v, %v", m.Quantile(0), m.Quantile(1))
 	}
-	if cached.Quantile(0) != 1 || cached.Quantile(1) != 10 {
-		t.Errorf("extremes: %v, %v", cached.Quantile(0), cached.Quantile(1))
-	}
-	// The cache must not have reordered the raw repetition times.
-	if uncached.Times[0] != 10 || cached.Times[0] != 10 {
+	// Quantiles must not reorder the raw repetition times.
+	if m.Times[0] != 10 {
 		t.Error("Times must keep measurement order")
+	}
+	// Every statistic reads Times as it is now, so an in-place write (as
+	// outlier re-measurement does) shows at once.
+	m.Times[0] = 100
+	if m.Quantile(1) != 100 || m.Median() != 5.5 {
+		t.Errorf("after an in-place write: max=%v median=%v, want 100 and 5.5", m.Quantile(1), m.Median())
 	}
 }
 

@@ -31,9 +31,9 @@ func NewMetrics(r *obs.Registry, labels obs.Labels) *Metrics {
 	return &Metrics{
 		Measurements: r.Counter("bench_measurements_total", labels),
 		Reps:         r.Counter("bench_reps_total", labels),
-		Consumed:     r.Gauge("bench_consumed_seconds", labels),
+		Consumed:     r.Gauge("bench_consumed_sim_seconds", labels),
 		Exhausted:    r.Counter("bench_budget_exhausted_total", labels),
-		RepSeconds:   r.Histogram("bench_rep_seconds", labels),
+		RepSeconds:   r.Histogram("bench_rep_sim_seconds", labels),
 		Retried:      r.Counter("bench_outlier_retries_total", labels),
 	}
 }

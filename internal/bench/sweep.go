@@ -26,10 +26,6 @@ type Cell struct {
 	Skip bool
 }
 
-// ErrSweepStopped reports that the stop hook ended a Sweep early. All cells
-// before the stop point were committed in order; nothing at or after it was.
-var ErrSweepStopped = par.ErrStopped
-
 // workerCount resolves Options.Workers (<= 0 means GOMAXPROCS, as for every
 // worker count in the pipeline).
 func (o Options) workerCount() int {
@@ -50,7 +46,7 @@ func (o Options) workerCount() int {
 //
 // stop, when non-nil, is polled once per non-Skip cell, in cell order,
 // before that cell is handed to a worker; returning true abandons the cell
-// and everything after it, and Sweep returns ErrSweepStopped once the
+// and everything after it, and Sweep returns par.ErrStopped once the
 // preceding cells have been committed. Because commits are in-order, the
 // committed set is always a contiguous prefix — the property the resume
 // journal relies on.

@@ -9,6 +9,7 @@ import (
 	"mpicollpred/internal/mpilib"
 	"mpicollpred/internal/netmodel"
 	"mpicollpred/internal/obs"
+	"mpicollpred/internal/par"
 	"mpicollpred/internal/sim"
 )
 
@@ -142,8 +143,8 @@ func TestSweepStopCommitsContiguousPrefix(t *testing.T) {
 				committed = append(committed, i)
 				return nil
 			})
-		if !errors.Is(err, ErrSweepStopped) {
-			t.Fatalf("workers=%d: err = %v, want ErrSweepStopped", w, err)
+		if !errors.Is(err, par.ErrStopped) {
+			t.Fatalf("workers=%d: err = %v, want par.ErrStopped", w, err)
 		}
 		// The stop hook fired on the 4th poll, so exactly cells 0..2 were
 		// committed — in order, regardless of worker count.
@@ -216,31 +217,5 @@ func TestSweepCommitErrorAborts(t *testing.T) {
 		if commits != 2 {
 			t.Errorf("workers=%d: %d successful commits before the error, want 2", w, commits)
 		}
-	}
-}
-
-func TestReplaceTimeInvalidatesSortedCache(t *testing.T) {
-	// Regression for the length-only cache check: after finalize, replacing
-	// a repetition in place must invalidate the sorted cache — the stale
-	// cache has the same length, so sortedTimes would otherwise keep
-	// serving pre-replacement order statistics.
-	m := Measurement{Times: []float64{1, 2, 3, 4, 5}}
-	m.finalize()
-	if m.Median() != 3 {
-		t.Fatalf("median = %v, want 3", m.Median())
-	}
-	staleMAD := m.MAD()
-	m.replaceTime(2, 100) // Times: {1, 2, 100, 4, 5}
-	if got := m.Median(); got != 4 {
-		t.Errorf("median after replacement = %v, want 4 (stale cache would say 3)", got)
-	}
-	if got := m.Quantile(1); got != 100 {
-		t.Errorf("max after replacement = %v, want 100", got)
-	}
-	if m.MAD() == staleMAD {
-		t.Error("MAD must be recomputed after an in-place replacement")
-	}
-	if wm := m.WinsorizedMean(0); wm != (1+2+100+4+5)/5.0 {
-		t.Errorf("winsorized mean = %v, want the post-replacement mean", wm)
 	}
 }

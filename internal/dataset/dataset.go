@@ -12,6 +12,7 @@ import (
 	"mpicollpred/internal/machine"
 	"mpicollpred/internal/mpilib"
 	"mpicollpred/internal/obs"
+	"mpicollpred/internal/par"
 	"mpicollpred/internal/sim"
 )
 
@@ -286,7 +287,7 @@ func generate(spec Spec, opts bench.Options, progress func(done, total int), ctl
 		return nil
 	}
 	if err := bench.Sweep(cells, opts, ctl.stop, commit); err != nil {
-		if errors.Is(err, bench.ErrSweepStopped) {
+		if errors.Is(err, par.ErrStopped) {
 			return nil, ErrInterrupted
 		}
 		if err == cbErr {

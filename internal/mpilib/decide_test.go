@@ -2,13 +2,13 @@ package mpilib
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"mpicollpred/internal/coll"
 	"mpicollpred/internal/machine"
 	"mpicollpred/internal/netmodel"
+	"mpicollpred/internal/par"
 	"mpicollpred/internal/sim"
 )
 
@@ -95,7 +95,7 @@ func TestIntelDecisionTiesGoToLowestID(t *testing.T) {
 	}
 	withProcs(t, func(t *testing.T) {
 		for i := 0; i < 20; i++ {
-			if got := tunedDecide(s)(mach, topo, 64); got != 2 {
+			if got := fastestConfig(s.Configs, mach.RefNet, topo, 64); got != 2 {
 				t.Fatalf("GOMAXPROCS=%d: tie decided %d, want 2", runtime.GOMAXPROCS(0), got)
 			}
 		}
@@ -121,10 +121,10 @@ func TestIntelDecisionSkipsFailingSchedules(t *testing.T) {
 		{ID: 3, AlgID: 3, Name: "broken", Gen: deadlocked},
 	}}
 	withProcs(t, func(t *testing.T) {
-		if got := tunedDecide(allFail)(mach, topo, 1024); got != 1 {
+		if got := fastestConfig(allFail.Configs, mach.RefNet, topo, 1024); got != 1 {
 			t.Errorf("every schedule fails: decided %d, want the fallback 1", got)
 		}
-		if got := tunedDecide(oneWorks)(mach, topo, 1024); got != 2 {
+		if got := fastestConfig(oneWorks.Configs, mach.RefNet, topo, 1024); got != 2 {
 			t.Errorf("one working schedule: decided %d, want 2", got)
 		}
 	})
@@ -132,36 +132,64 @@ func TestIntelDecisionSkipsFailingSchedules(t *testing.T) {
 
 func TestDecideIsSingleFlight(t *testing.T) {
 	const n = 16
-	var calls atomic.Int32
-	var started, done sync.WaitGroup
-	started.Add(n)
+	var calls, arrived atomic.Int32
+	all := make(chan struct{}) // closed once every caller has arrived
 	s := &CollectiveSet{Coll: Bcast, decide: func(machine.Machine, netmodel.Topology, int64) int {
 		calls.Add(1)
-		started.Wait() // stay in flight until every caller has started
+		<-all // stay in flight until every caller has arrived
 		return 7
 	}}
 	mach := machine.Hydra()
 	topo := netmodel.Topology{Nodes: 4, PPN: 2}
-	ids := make([]int, n)
-	for i := 0; i < n; i++ {
-		done.Add(1)
-		go func() {
-			defer done.Done()
-			started.Done()
-			ids[i] = s.Decide(mach, topo, 4096)
-		}()
+	// n workers for n callers: no caller returns before all have arrived,
+	// so each runs on its own goroutine.
+	err := par.Run(n, n, nil,
+		func(_, _ int) (int, error) {
+			if arrived.Add(1) == n {
+				close(all)
+			}
+			return s.Decide(mach, topo, 4096), nil
+		},
+		func(i, id int) error {
+			if id != 7 {
+				t.Errorf("caller %d got %d, want 7", i, id)
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
 	}
-	done.Wait()
 	if c := calls.Load(); c != 1 {
 		t.Errorf("%d concurrent callers ran the decision %d times, want once", n, c)
-	}
-	for i, id := range ids {
-		if id != 7 {
-			t.Errorf("caller %d got %d, want 7", i, id)
-		}
 	}
 	// A different key is a different decision.
 	if got := s.Decide(mach, topo, 8192); got != 7 || calls.Load() != 2 {
 		t.Errorf("second key: id %d after %d calls, want 7 after 2", got, calls.Load())
+	}
+}
+
+func TestDecideKeysOnPlacement(t *testing.T) {
+	// On Hydra, Intel bcast 4x4 at 1 MiB has a different exhaustive argmin
+	// under block and under cyclic rank placement; a set that has decided
+	// one placement must still answer the other with its own argmin.
+	mach := machine.Hydra()
+	block := netmodel.Topology{Nodes: 4, PPN: 4}
+	cyclic := netmodel.Topology{Nodes: 4, PPN: 4, Cyclic: true}
+	const m = 1 << 20
+	set, _ := IntelMPI().Collective(Bcast)
+	want := map[bool]int{
+		false: exhaustiveArgmin(set.Selectable(), mach.RefNet, block, m),
+		true:  exhaustiveArgmin(set.Selectable(), mach.RefNet, cyclic, m),
+	}
+	if want[false] == want[true] {
+		t.Fatalf("block and cyclic share argmin %d; the instance no longer separates them", want[false])
+	}
+	for _, order := range [][]netmodel.Topology{{block, cyclic}, {cyclic, block}} {
+		set, _ := IntelMPI().Collective(Bcast)
+		for _, topo := range order {
+			if got := set.Decide(mach, topo, m); got != want[topo.Cyclic] {
+				t.Errorf("order %v: %+v decided %d, want its exhaustive argmin %d", order, topo, got, want[topo.Cyclic])
+			}
+		}
 	}
 }

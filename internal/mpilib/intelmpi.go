@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"mpicollpred/internal/coll"
 	"mpicollpred/internal/machine"
 	"mpicollpred/internal/netmodel"
+	"mpicollpred/internal/par"
 	"mpicollpred/internal/sim"
 )
 
@@ -18,7 +19,7 @@ import (
 // system (the simulated stand-in for Intel's factory mpitune tables) — which
 // is why the paper finds the Intel defaults already near-optimal.
 func IntelMPI() *Library {
-	return &Library{
+	lib := &Library{
 		Name:    "Intel MPI",
 		Version: "2019",
 		collectives: map[string]*CollectiveSet{
@@ -31,70 +32,57 @@ func IntelMPI() *Library {
 			Scatter:   intelScatter(),
 		},
 	}
-}
-
-// tunedDecide returns a decision function that picks the configuration with
-// the smallest noise-free simulated runtime on the machine's reference
-// network (memoized by the caller via CollectiveSet.Decide).
-func tunedDecide(s *CollectiveSet) func(machine.Machine, netmodel.Topology, int64) int {
-	return func(mach machine.Machine, topo netmodel.Topology, m int64) int {
-		return fastestConfig(s.Selectable(), mach.RefNet, topo, m)
+	for _, s := range lib.collectives {
+		s.decide = func(mach machine.Machine, topo netmodel.Topology, m int64) int {
+			return fastestConfig(s.Selectable(), mach.RefNet, topo, m)
+		}
 	}
+	return lib
 }
 
 // fastestConfig returns the id of the configuration with the smallest
 // noise-free makespan, the lowest id on ties, and 1 when every schedule
-// fails. The configurations are simulated by GOMAXPROCS workers, each with
-// its own engine and recycled program, and every run is bounded by the best
-// makespan completed so far. A run is cut only when its makespan is strictly
-// greater than a completed one, so every configuration attaining the minimum
-// completes and the argmin below, in id order with strict <, is the plain
-// exhaustive one whatever the scheduling.
+// fails. The configurations are simulated on par.Run, each worker with its
+// own engine and recycled program, and every run is bounded by the best
+// makespan completed so far: work lowers the bound as soon as its run
+// completes, not when the run commits. A run is cut only when its makespan
+// is strictly greater than a completed one, so every configuration
+// attaining the minimum completes, and the argmin in commit, in id order
+// with strict <, is the plain exhaustive one whatever the scheduling.
 func fastestConfig(cfgs []Config, prm netmodel.Params, topo netmodel.Topology, m int64) int {
-	var (
-		mu    sync.Mutex
-		next  int
-		bound = math.Inf(1)
-		times = make([]float64, len(cfgs))
-		ok    = make([]bool, len(cfgs))
-		wg    sync.WaitGroup
-	)
-	for w := min(runtime.GOMAXPROCS(0), len(cfgs)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng := sim.NewEngine()
-			var prog *sim.Program
-			for {
-				mu.Lock()
-				i, b := next, bound
-				next++
-				mu.Unlock()
-				if i >= len(cfgs) {
-					return
-				}
-				prog = BuildProgramInto(prog, cfgs[i], topo, m, false)
-				res, err := eng.RunWithin(prog, netmodel.New(prm, topo, 1, false), nil, b)
-				if err != nil {
-					continue // cut, or a failing schedule: neither can be the default
-				}
-				mu.Lock()
-				times[i], ok[i] = res.Time, true
-				bound = math.Min(bound, res.Time)
-				mu.Unlock()
+	workers := runtime.GOMAXPROCS(0)
+	engs := make([]*sim.Engine, workers)
+	progs := make([]*sim.Program, workers)
+	// bound holds the bits of the best completed makespan. Makespans are
+	// non-negative, and non-negative float64s order like their bits.
+	var bound atomic.Uint64
+	bound.Store(math.Float64bits(math.Inf(1)))
+	bestID, bestT := 1, math.Inf(1)
+	// Neither callback fails and nothing stops the run, so Run returns nil.
+	_ = par.Run(len(cfgs), workers, nil,
+		func(w, i int) (float64, error) {
+			if engs[w] == nil {
+				engs[w] = sim.NewEngine()
 			}
-		}()
-	}
-	wg.Wait()
-	bestID, bestT := 0, 0.0
-	for i, c := range cfgs {
-		if ok[i] && (bestID == 0 || times[i] < bestT) {
-			bestID, bestT = c.ID, times[i]
-		}
-	}
-	if bestID == 0 {
-		bestID = 1
-	}
+			progs[w] = BuildProgramInto(progs[w], cfgs[i], topo, m, false)
+			res, err := engs[w].RunWithin(progs[w], netmodel.New(prm, topo, 1, false), nil, math.Float64frombits(bound.Load()))
+			if err != nil {
+				return math.NaN(), nil // cut, or a failing schedule: neither can be the default
+			}
+			for t := math.Float64bits(res.Time); ; {
+				cur := bound.Load()
+				if t >= cur || bound.CompareAndSwap(cur, t) {
+					break
+				}
+			}
+			return res.Time, nil
+		},
+		func(i int, t float64) error {
+			if t < bestT { // false for NaN
+				bestID, bestT = cfgs[i].ID, t
+			}
+			return nil
+		})
 	return bestID
 }
 
@@ -104,31 +92,25 @@ func fastestConfig(cfgs []Config, prm netmodel.Params, topo netmodel.Topology, m
 // 7 split_binary, 8 binary, 9 double_tree, 10 scatter_allgather,
 // 11 scatter_ring_allgather, 12 topology_aware (two-level).
 func intelBcast() *CollectiveSet {
-	s := &CollectiveSet{Coll: Bcast, NumAlgs: 12}
-	add := func(algID int, name string, g coll.Generator, prm coll.Params) {
-		s.Configs = append(s.Configs, Config{
-			ID: len(s.Configs) + 1, AlgID: algID, Name: name, Params: prm, Gen: g,
-		})
-	}
-	add(1, "linear", coll.BcastLinear, coll.Params{})
-	add(2, "binomial", coll.BcastBinomial, coll.Params{})
-	add(3, "knomial", coll.BcastKnomial, coll.Params{Fanout: 4})
-	add(4, "knomial", coll.BcastKnomial, coll.Params{Fanout: 8})
+	s := &CollectiveSet{Coll: Bcast}
+	s.add(1, "linear", coll.BcastLinear, coll.Params{})
+	s.add(2, "binomial", coll.BcastBinomial, coll.Params{})
+	s.add(3, "knomial", coll.BcastKnomial, coll.Params{Fanout: 4})
+	s.add(4, "knomial", coll.BcastKnomial, coll.Params{Fanout: 8})
 	for _, seg := range []int64{4 << 10, 16 << 10, 64 << 10} {
-		add(5, "pipeline", coll.BcastPipeline, coll.Params{Seg: seg})
+		s.add(5, "pipeline", coll.BcastPipeline, coll.Params{Seg: seg})
 	}
 	for _, seg := range []int64{4 << 10, 16 << 10, 64 << 10} {
-		add(6, "chain", coll.BcastChain, coll.Params{Seg: seg, Fanout: 4})
+		s.add(6, "chain", coll.BcastChain, coll.Params{Seg: seg, Fanout: 4})
 	}
-	add(7, "split_binary", coll.BcastSplitBinary, coll.Params{Seg: 8 << 10})
-	add(8, "binary", coll.BcastBinary, coll.Params{Seg: 8 << 10})
-	add(9, "double_tree", coll.BcastDoubleTree, coll.Params{Seg: 16 << 10})
-	add(10, "scatter_allgather", coll.BcastScatterAllgather, coll.Params{})
-	add(11, "scatter_ring_allgather", coll.BcastScatterRingAllgather, coll.Params{})
+	s.add(7, "split_binary", coll.BcastSplitBinary, coll.Params{Seg: 8 << 10})
+	s.add(8, "binary", coll.BcastBinary, coll.Params{Seg: 8 << 10})
+	s.add(9, "double_tree", coll.BcastDoubleTree, coll.Params{Seg: 16 << 10})
+	s.add(10, "scatter_allgather", coll.BcastScatterAllgather, coll.Params{})
+	s.add(11, "scatter_ring_allgather", coll.BcastScatterRingAllgather, coll.Params{})
 	for _, radix := range []int{2, 4} {
-		add(12, "topology_aware", coll.BcastHierarchical, coll.Params{Seg: 16 << 10, Fanout: radix})
+		s.add(12, "topology_aware", coll.BcastHierarchical, coll.Params{Seg: 16 << 10, Fanout: radix})
 	}
-	s.decide = tunedDecide(s)
 	return s
 }
 
@@ -136,29 +118,23 @@ func intelBcast() *CollectiveSet {
 // exposes a comparable portfolio): exchange-based, ring-based, tree-based
 // and SHM/topology-aware two-level schemes.
 func intelAllreduce() *CollectiveSet {
-	s := &CollectiveSet{Coll: Allreduce, NumAlgs: 16}
-	add := func(algID int, name string, g coll.Generator, prm coll.Params) {
-		s.Configs = append(s.Configs, Config{
-			ID: len(s.Configs) + 1, AlgID: algID, Name: name, Params: prm, Gen: g,
-		})
-	}
-	add(1, "recursive_doubling", coll.AllreduceRecursiveDoubling, coll.Params{})
-	add(2, "rabenseifner", coll.AllreduceRabenseifner, coll.Params{})
-	add(3, "reduce_bcast", coll.AllreduceNonoverlapping, coll.Params{})
-	add(4, "ring", coll.AllreduceRing, coll.Params{})
-	add(5, "segmented_ring", coll.AllreduceSegmentedRing, coll.Params{Seg: 1 << 10})
-	add(6, "segmented_ring", coll.AllreduceSegmentedRing, coll.Params{Seg: 4 << 10})
-	add(7, "segmented_ring", coll.AllreduceSegmentedRing, coll.Params{Seg: 16 << 10})
-	add(8, "segmented_ring", coll.AllreduceSegmentedRing, coll.Params{Seg: 64 << 10})
-	add(9, "segmented_ring", coll.AllreduceSegmentedRing, coll.Params{Seg: 128 << 10})
-	add(10, "knomial", coll.AllreduceKnomial, coll.Params{Fanout: 4})
-	add(11, "knomial", coll.AllreduceKnomial, coll.Params{Fanout: 8})
-	add(12, "allgather_reduce", coll.AllreduceAllgatherReduce, coll.Params{})
-	add(13, "linear", coll.AllreduceLinear, coll.Params{})
-	add(14, "shm_rdoubling", coll.AllreduceHierarchical, coll.Params{})
-	add(15, "shm_ring", coll.AllreduceHierarchical, coll.Params{Fanout: 2})
-	add(16, "shm_rabenseifner", coll.AllreduceHierarchical, coll.Params{Fanout: 3})
-	s.decide = tunedDecide(s)
+	s := &CollectiveSet{Coll: Allreduce}
+	s.add(1, "recursive_doubling", coll.AllreduceRecursiveDoubling, coll.Params{})
+	s.add(2, "rabenseifner", coll.AllreduceRabenseifner, coll.Params{})
+	s.add(3, "reduce_bcast", coll.AllreduceNonoverlapping, coll.Params{})
+	s.add(4, "ring", coll.AllreduceRing, coll.Params{})
+	s.add(5, "segmented_ring", coll.AllreduceSegmentedRing, coll.Params{Seg: 1 << 10})
+	s.add(6, "segmented_ring", coll.AllreduceSegmentedRing, coll.Params{Seg: 4 << 10})
+	s.add(7, "segmented_ring", coll.AllreduceSegmentedRing, coll.Params{Seg: 16 << 10})
+	s.add(8, "segmented_ring", coll.AllreduceSegmentedRing, coll.Params{Seg: 64 << 10})
+	s.add(9, "segmented_ring", coll.AllreduceSegmentedRing, coll.Params{Seg: 128 << 10})
+	s.add(10, "knomial", coll.AllreduceKnomial, coll.Params{Fanout: 4})
+	s.add(11, "knomial", coll.AllreduceKnomial, coll.Params{Fanout: 8})
+	s.add(12, "allgather_reduce", coll.AllreduceAllgatherReduce, coll.Params{})
+	s.add(13, "linear", coll.AllreduceLinear, coll.Params{})
+	s.add(14, "shm_rdoubling", coll.AllreduceHierarchical, coll.Params{})
+	s.add(15, "shm_ring", coll.AllreduceHierarchical, coll.Params{Fanout: 2})
+	s.add(16, "shm_rabenseifner", coll.AllreduceHierarchical, coll.Params{Fanout: 3})
 	return s
 }
 
@@ -166,80 +142,56 @@ func intelAllreduce() *CollectiveSet {
 // (linear), 3 pairwise, 4 plum (windowed spread), 5 topology-aware
 // node aggregation.
 func intelAlltoall() *CollectiveSet {
-	s := &CollectiveSet{Coll: Alltoall, NumAlgs: 5}
-	add := func(algID int, name string, g coll.Generator, prm coll.Params) {
-		s.Configs = append(s.Configs, Config{
-			ID: len(s.Configs) + 1, AlgID: algID, Name: name, Params: prm, Gen: g,
-		})
-	}
-	add(1, "bruck", coll.AlltoallBruck, coll.Params{})
-	add(2, "isend_irecv", coll.AlltoallLinear, coll.Params{})
-	add(3, "pairwise", coll.AlltoallPairwise, coll.Params{})
+	s := &CollectiveSet{Coll: Alltoall}
+	s.add(1, "bruck", coll.AlltoallBruck, coll.Params{})
+	s.add(2, "isend_irecv", coll.AlltoallLinear, coll.Params{})
+	s.add(3, "pairwise", coll.AlltoallPairwise, coll.Params{})
 	for _, w := range []int{4, 8, 16, 32} {
-		add(4, "plum", coll.AlltoallSpread, coll.Params{Fanout: w})
+		s.add(4, "plum", coll.AlltoallSpread, coll.Params{Fanout: w})
 	}
-	add(5, "topology_aware", coll.AlltoallHierarchical, coll.Params{})
-	s.decide = tunedDecide(s)
+	s.add(5, "topology_aware", coll.AlltoallHierarchical, coll.Params{})
 	return s
 }
 
 // intelReduce: 1 shumilin (linear), 2 binomial, 3 knomial(4), 4 knomial(8),
 // 5 pipelined binomial.
 func intelReduce() *CollectiveSet {
-	s := &CollectiveSet{Coll: Reduce, NumAlgs: 5}
-	add := func(algID int, name string, g coll.Generator, prm coll.Params) {
-		s.Configs = append(s.Configs, Config{
-			ID: len(s.Configs) + 1, AlgID: algID, Name: name, Params: prm, Gen: g,
-		})
-	}
-	add(1, "shumilin", coll.ReduceLinear, coll.Params{})
-	add(2, "binomial", coll.ReduceBinomial, coll.Params{})
-	add(3, "knomial", coll.ReduceKnomial, coll.Params{Fanout: 4})
-	add(4, "knomial", coll.ReduceKnomial, coll.Params{Fanout: 8})
+	s := &CollectiveSet{Coll: Reduce}
+	s.add(1, "shumilin", coll.ReduceLinear, coll.Params{})
+	s.add(2, "binomial", coll.ReduceBinomial, coll.Params{})
+	s.add(3, "knomial", coll.ReduceKnomial, coll.Params{Fanout: 4})
+	s.add(4, "knomial", coll.ReduceKnomial, coll.Params{Fanout: 8})
 	for _, seg := range []int64{16 << 10, 64 << 10} {
-		add(5, "pipelined", coll.ReducePipelined, coll.Params{Seg: seg})
+		s.add(5, "pipelined", coll.ReducePipelined, coll.Params{Seg: seg})
 	}
-	s.decide = tunedDecide(s)
 	return s
 }
 
 // intelAllgather: 1 recursive_doubling, 2 bruck, 3 ring, 4 topology-neutral
 // linear, 5 neighbor exchange.
 func intelAllgather() *CollectiveSet {
-	s := &CollectiveSet{Coll: Allgather, NumAlgs: 5}
-	add := func(algID int, name string, g coll.Generator, prm coll.Params) {
-		s.Configs = append(s.Configs, Config{
-			ID: len(s.Configs) + 1, AlgID: algID, Name: name, Params: prm, Gen: g,
-		})
-	}
-	add(1, "recursive_doubling", coll.AllgatherRecursiveDoubling, coll.Params{})
-	add(2, "bruck", coll.AllgatherBruck, coll.Params{})
-	add(3, "ring", coll.AllgatherRing, coll.Params{})
-	add(4, "linear", coll.AllgatherLinear, coll.Params{})
-	add(5, "neighbor", coll.AllgatherNeighborExchange, coll.Params{})
-	s.decide = tunedDecide(s)
+	s := &CollectiveSet{Coll: Allgather}
+	s.add(1, "recursive_doubling", coll.AllgatherRecursiveDoubling, coll.Params{})
+	s.add(2, "bruck", coll.AllgatherBruck, coll.Params{})
+	s.add(3, "ring", coll.AllgatherRing, coll.Params{})
+	s.add(4, "linear", coll.AllgatherLinear, coll.Params{})
+	s.add(5, "neighbor", coll.AllgatherNeighborExchange, coll.Params{})
 	return s
 }
 
 // intelGather: 1 linear, 2 binomial.
 func intelGather() *CollectiveSet {
-	s := &CollectiveSet{Coll: Gather, NumAlgs: 2}
-	s.Configs = []Config{
-		{ID: 1, AlgID: 1, Name: "linear", Gen: coll.GatherLinear},
-		{ID: 2, AlgID: 2, Name: "binomial", Gen: coll.GatherBinomial},
-	}
-	s.decide = tunedDecide(s)
+	s := &CollectiveSet{Coll: Gather}
+	s.add(1, "linear", coll.GatherLinear, coll.Params{})
+	s.add(2, "binomial", coll.GatherBinomial, coll.Params{})
 	return s
 }
 
 // intelScatter: 1 linear, 2 binomial.
 func intelScatter() *CollectiveSet {
-	s := &CollectiveSet{Coll: Scatter, NumAlgs: 2}
-	s.Configs = []Config{
-		{ID: 1, AlgID: 1, Name: "linear", Gen: coll.ScatterLinear},
-		{ID: 2, AlgID: 2, Name: "binomial", Gen: coll.ScatterBinomial},
-	}
-	s.decide = tunedDecide(s)
+	s := &CollectiveSet{Coll: Scatter}
+	s.add(1, "linear", coll.ScatterLinear, coll.Params{})
+	s.add(2, "binomial", coll.ScatterBinomial, coll.Params{})
 	return s
 }
 

@@ -73,25 +73,33 @@ func (c Config) Label() string { return c.Name + c.Params.String() }
 type CollectiveSet struct {
 	Coll    string
 	Configs []Config // ids 1..len; index i holds ID i+1
-	NumAlgs int      // number of distinct algorithm ids
 
 	decide func(mach machine.Machine, topo netmodel.Topology, m int64) int
 	mu     sync.Mutex
-	memo   map[decideKey]*decision
+	// memo holds one decision per instance, computed once by whichever
+	// caller first asks for its key; concurrent callers wait for that answer.
+	memo map[decideKey]func() int
 }
 
 // decideKey identifies one default decision.
 type decideKey struct {
-	mach       string
-	nodes, ppn int
-	m          int64
+	mach string
+	topo netmodel.Topology
+	m    int64
 }
 
-// decision is a memoized default decision, computed once by whichever
-// caller first asks for its key; concurrent callers wait for that answer.
-type decision struct {
-	once sync.Once
-	id   int
+// add appends configuration u(algID, prm) under the next dense id.
+func (s *CollectiveSet) add(algID int, name string, gen coll.Generator, prm coll.Params) {
+	s.Configs = append(s.Configs, Config{ID: len(s.Configs) + 1, AlgID: algID, Name: name, Params: prm, Gen: gen})
+}
+
+// NumAlgs returns the number of distinct algorithm ids in the portfolio.
+func (s *CollectiveSet) NumAlgs() int {
+	algs := map[int]bool{}
+	for _, c := range s.Configs {
+		algs[c.AlgID] = true
+	}
+	return len(algs)
 }
 
 // Config returns the configuration with the given id (>= 1).
@@ -115,23 +123,23 @@ func (s *CollectiveSet) Selectable() []Config {
 
 // Decide runs the library's default decision logic for an instance and
 // returns the chosen configuration id. Results are memoized and computed
-// once per instance, however many callers ask at the same time (the Intel
+// once per instance — machine, topology with its rank placement, message
+// size — however many callers ask at the same time (the Intel
 // profile's decision involves consulting its tuning table, which is
 // expensive to build).
 func (s *CollectiveSet) Decide(mach machine.Machine, topo netmodel.Topology, m int64) int {
-	key := decideKey{mach.Name, topo.Nodes, topo.PPN, m}
+	key := decideKey{mach.Name, topo, m}
 	s.mu.Lock()
 	if s.memo == nil {
-		s.memo = make(map[decideKey]*decision)
+		s.memo = make(map[decideKey]func() int)
 	}
 	d, ok := s.memo[key]
 	if !ok {
-		d = &decision{}
+		d = sync.OnceValue(func() int { return s.decide(mach, topo, m) })
 		s.memo[key] = d
 	}
 	s.mu.Unlock()
-	d.once.Do(func() { d.id = s.decide(mach, topo, m) })
-	return d.id
+	return d()
 }
 
 // Library is a simulated MPI library profile.

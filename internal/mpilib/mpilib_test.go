@@ -1,6 +1,11 @@
 package mpilib
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"mpicollpred/internal/coll"
@@ -25,21 +30,37 @@ func TestPortfolioShapes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.NumAlgs != numAlgs {
-				t.Errorf("%s %s: NumAlgs = %d, want %d", libName, collName, s.NumAlgs, numAlgs)
+			if got := s.NumAlgs(); got != numAlgs {
+				t.Errorf("%s %s: NumAlgs() = %d, want %d", libName, collName, got, numAlgs)
 			}
-			// Distinct algorithm ids in configs must match NumAlgs.
-			ids := map[int]bool{}
 			for _, c := range s.Configs {
-				ids[c.AlgID] = true
 				if c.Gen == nil {
 					t.Errorf("%s %s config %d: nil generator", libName, collName, c.ID)
 				}
 			}
-			if len(ids) != numAlgs {
-				t.Errorf("%s %s: %d distinct alg ids, want %d", libName, collName, len(ids), numAlgs)
+		}
+	}
+}
+
+// portfolioDigest is the SHA-256 of every configuration tuple of both
+// libraries, recorded before the portfolios were declared through
+// CollectiveSet.add.
+const portfolioDigest = "db9bf0b282b607234380a51dd1961ebba1592fec3402688a60da7459a53e0fb4"
+
+func TestPortfolioDigestPinned(t *testing.T) {
+	h := sha256.New()
+	for _, lib := range Libraries() {
+		for _, collName := range lib.Collectives() {
+			s, _ := lib.Collective(collName)
+			for _, c := range s.Configs {
+				gen := runtime.FuncForPC(reflect.ValueOf(c.Gen).Pointer()).Name()
+				fmt.Fprintf(h, "%s|%s|%s|%d|%d|%s|%d|%d|%t|%s\n", lib.Name, lib.Version, collName,
+					c.ID, c.AlgID, c.Name, c.Params.Seg, c.Params.Fanout, c.Excluded, gen)
 			}
 		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != portfolioDigest {
+		t.Errorf("portfolio digest %s, want %s: a configuration tuple changed", got, portfolioDigest)
 	}
 }
 

@@ -33,36 +33,32 @@ func OpenMPI() *Library {
 // 6 binomial, 7 knomial, 8 scatter_allgather (buggy in 4.0.2 per the paper,
 // hence excluded from tuning), 9 scatter_allgather_ring.
 func ompiBcast() *CollectiveSet {
-	s := &CollectiveSet{Coll: Bcast, NumAlgs: 9}
-	add := func(algID int, name string, g coll.Generator, prm coll.Params, excluded bool) {
-		s.Configs = append(s.Configs, Config{
-			ID: len(s.Configs) + 1, AlgID: algID, Name: name, Params: prm, Gen: g, Excluded: excluded,
-		})
-	}
-	add(1, "basic_linear", coll.BcastLinear, coll.Params{}, false)
+	s := &CollectiveSet{Coll: Bcast}
+	s.add(1, "basic_linear", coll.BcastLinear, coll.Params{})
 	for _, seg := range ompiSegs {
 		for _, ch := range []int{2, 4, 8, 16} {
-			add(2, "chain", coll.BcastChain, coll.Params{Seg: seg, Fanout: ch}, false)
+			s.add(2, "chain", coll.BcastChain, coll.Params{Seg: seg, Fanout: ch})
 		}
 	}
 	for _, seg := range ompiSegs {
-		add(3, "pipeline", coll.BcastPipeline, coll.Params{Seg: seg}, false)
+		s.add(3, "pipeline", coll.BcastPipeline, coll.Params{Seg: seg})
 	}
 	for _, seg := range ompiSegs {
-		add(4, "split_binary_tree", coll.BcastSplitBinary, coll.Params{Seg: seg}, false)
+		s.add(4, "split_binary_tree", coll.BcastSplitBinary, coll.Params{Seg: seg})
 	}
 	for _, seg := range ompiSegs {
-		add(5, "binary_tree", coll.BcastBinary, coll.Params{Seg: seg}, false)
+		s.add(5, "binary_tree", coll.BcastBinary, coll.Params{Seg: seg})
 	}
-	add(6, "binomial", coll.BcastBinomial, coll.Params{}, false)
+	s.add(6, "binomial", coll.BcastBinomial, coll.Params{})
 	for _, seg := range ompiSegs {
-		add(6, "binomial", coll.BcastBinomial, coll.Params{Seg: seg}, false)
+		s.add(6, "binomial", coll.BcastBinomial, coll.Params{Seg: seg})
 	}
 	for _, radix := range []int{3, 4, 8} {
-		add(7, "knomial", coll.BcastKnomial, coll.Params{Fanout: radix}, false)
+		s.add(7, "knomial", coll.BcastKnomial, coll.Params{Fanout: radix})
 	}
-	add(8, "scatter_allgather", coll.BcastScatterAllgather, coll.Params{}, true)
-	add(9, "scatter_allgather_ring", coll.BcastScatterRingAllgather, coll.Params{}, false)
+	s.add(8, "scatter_allgather", coll.BcastScatterAllgather, coll.Params{})
+	s.Configs[len(s.Configs)-1].Excluded = true // buggy in 4.0.2: benchmarked, never selected
+	s.add(9, "scatter_allgather_ring", coll.BcastScatterRingAllgather, coll.Params{})
 
 	// Fixed decision rules in the spirit of coll_tuned_decision_fixed.c:
 	// machine-independent thresholds on communicator and message size.
@@ -98,21 +94,16 @@ func ompiBcast() *CollectiveSet {
 // 2 nonoverlapping (reduce+bcast), 3 recursive_doubling, 4 ring,
 // 5 segmented_ring, 6 rabenseifner, 7 allgather_reduce.
 func ompiAllreduce() *CollectiveSet {
-	s := &CollectiveSet{Coll: Allreduce, NumAlgs: 7}
-	add := func(algID int, name string, g coll.Generator, prm coll.Params) {
-		s.Configs = append(s.Configs, Config{
-			ID: len(s.Configs) + 1, AlgID: algID, Name: name, Params: prm, Gen: g,
-		})
-	}
-	add(1, "basic_linear", coll.AllreduceLinear, coll.Params{})
-	add(2, "nonoverlapping", coll.AllreduceNonoverlapping, coll.Params{})
-	add(3, "recursive_doubling", coll.AllreduceRecursiveDoubling, coll.Params{})
-	add(4, "ring", coll.AllreduceRing, coll.Params{})
+	s := &CollectiveSet{Coll: Allreduce}
+	s.add(1, "basic_linear", coll.AllreduceLinear, coll.Params{})
+	s.add(2, "nonoverlapping", coll.AllreduceNonoverlapping, coll.Params{})
+	s.add(3, "recursive_doubling", coll.AllreduceRecursiveDoubling, coll.Params{})
+	s.add(4, "ring", coll.AllreduceRing, coll.Params{})
 	for _, seg := range ompiSegs {
-		add(5, "segmented_ring", coll.AllreduceSegmentedRing, coll.Params{Seg: seg})
+		s.add(5, "segmented_ring", coll.AllreduceSegmentedRing, coll.Params{Seg: seg})
 	}
-	add(6, "rabenseifner", coll.AllreduceRabenseifner, coll.Params{})
-	add(7, "allgather_reduce", coll.AllreduceAllgatherReduce, coll.Params{})
+	s.add(6, "rabenseifner", coll.AllreduceRabenseifner, coll.Params{})
+	s.add(7, "allgather_reduce", coll.AllreduceAllgatherReduce, coll.Params{})
 
 	s.decide = func(_ machine.Machine, topo netmodel.Topology, m int64) int {
 		p := topo.P()
@@ -136,19 +127,14 @@ func ompiAllreduce() *CollectiveSet {
 // ompiReduce: 1 basic_linear, 2 binomial, 3 knomial, 4 pipeline (segmented
 // binomial).
 func ompiReduce() *CollectiveSet {
-	s := &CollectiveSet{Coll: Reduce, NumAlgs: 4}
-	add := func(algID int, name string, g coll.Generator, prm coll.Params) {
-		s.Configs = append(s.Configs, Config{
-			ID: len(s.Configs) + 1, AlgID: algID, Name: name, Params: prm, Gen: g,
-		})
-	}
-	add(1, "basic_linear", coll.ReduceLinear, coll.Params{})
-	add(2, "binomial", coll.ReduceBinomial, coll.Params{})
+	s := &CollectiveSet{Coll: Reduce}
+	s.add(1, "basic_linear", coll.ReduceLinear, coll.Params{})
+	s.add(2, "binomial", coll.ReduceBinomial, coll.Params{})
 	for _, radix := range []int{3, 4, 8} {
-		add(3, "knomial", coll.ReduceKnomial, coll.Params{Fanout: radix})
+		s.add(3, "knomial", coll.ReduceKnomial, coll.Params{Fanout: radix})
 	}
 	for _, seg := range ompiSegs {
-		add(4, "pipeline", coll.ReducePipelined, coll.Params{Seg: seg})
+		s.add(4, "pipeline", coll.ReducePipelined, coll.Params{Seg: seg})
 	}
 	s.decide = func(_ machine.Machine, topo netmodel.Topology, m int64) int {
 		switch {
@@ -166,17 +152,12 @@ func ompiReduce() *CollectiveSet {
 // ompiAllgather: 1 basic_linear, 2 bruck, 3 recursive_doubling, 4 ring,
 // 5 neighbor exchange.
 func ompiAllgather() *CollectiveSet {
-	s := &CollectiveSet{Coll: Allgather, NumAlgs: 5}
-	add := func(algID int, name string, g coll.Generator, prm coll.Params) {
-		s.Configs = append(s.Configs, Config{
-			ID: len(s.Configs) + 1, AlgID: algID, Name: name, Params: prm, Gen: g,
-		})
-	}
-	add(1, "basic_linear", coll.AllgatherLinear, coll.Params{})
-	add(2, "bruck", coll.AllgatherBruck, coll.Params{})
-	add(3, "recursive_doubling", coll.AllgatherRecursiveDoubling, coll.Params{})
-	add(4, "ring", coll.AllgatherRing, coll.Params{})
-	add(5, "neighbor", coll.AllgatherNeighborExchange, coll.Params{})
+	s := &CollectiveSet{Coll: Allgather}
+	s.add(1, "basic_linear", coll.AllgatherLinear, coll.Params{})
+	s.add(2, "bruck", coll.AllgatherBruck, coll.Params{})
+	s.add(3, "recursive_doubling", coll.AllgatherRecursiveDoubling, coll.Params{})
+	s.add(4, "ring", coll.AllgatherRing, coll.Params{})
+	s.add(5, "neighbor", coll.AllgatherNeighborExchange, coll.Params{})
 	s.decide = func(_ machine.Machine, topo netmodel.Topology, m int64) int {
 		p := topo.P()
 		switch {
@@ -193,11 +174,9 @@ func ompiAllgather() *CollectiveSet {
 
 // ompiGather: 1 basic_linear, 2 binomial.
 func ompiGather() *CollectiveSet {
-	s := &CollectiveSet{Coll: Gather, NumAlgs: 2}
-	s.Configs = []Config{
-		{ID: 1, AlgID: 1, Name: "basic_linear", Gen: coll.GatherLinear},
-		{ID: 2, AlgID: 2, Name: "binomial", Gen: coll.GatherBinomial},
-	}
+	s := &CollectiveSet{Coll: Gather}
+	s.add(1, "basic_linear", coll.GatherLinear, coll.Params{})
+	s.add(2, "binomial", coll.GatherBinomial, coll.Params{})
 	s.decide = func(_ machine.Machine, topo netmodel.Topology, m int64) int {
 		if topo.P() < 8 || m >= 65536 {
 			return 1
@@ -209,11 +188,9 @@ func ompiGather() *CollectiveSet {
 
 // ompiScatter: 1 basic_linear, 2 binomial.
 func ompiScatter() *CollectiveSet {
-	s := &CollectiveSet{Coll: Scatter, NumAlgs: 2}
-	s.Configs = []Config{
-		{ID: 1, AlgID: 1, Name: "basic_linear", Gen: coll.ScatterLinear},
-		{ID: 2, AlgID: 2, Name: "binomial", Gen: coll.ScatterBinomial},
-	}
+	s := &CollectiveSet{Coll: Scatter}
+	s.add(1, "basic_linear", coll.ScatterLinear, coll.Params{})
+	s.add(2, "binomial", coll.ScatterBinomial, coll.Params{})
 	s.decide = func(_ machine.Machine, topo netmodel.Topology, m int64) int {
 		if topo.P() < 8 || m >= 65536 {
 			return 1
@@ -227,17 +204,12 @@ func ompiScatter() *CollectiveSet {
 // (windowed). Not used by the paper's Open MPI datasets but provided for
 // completeness (the tooling accepts any library/collective combination).
 func ompiAlltoall() *CollectiveSet {
-	s := &CollectiveSet{Coll: Alltoall, NumAlgs: 4}
-	add := func(algID int, name string, g coll.Generator, prm coll.Params) {
-		s.Configs = append(s.Configs, Config{
-			ID: len(s.Configs) + 1, AlgID: algID, Name: name, Params: prm, Gen: g,
-		})
-	}
-	add(1, "basic_linear", coll.AlltoallLinear, coll.Params{})
-	add(2, "pairwise", coll.AlltoallPairwise, coll.Params{})
-	add(3, "bruck", coll.AlltoallBruck, coll.Params{})
+	s := &CollectiveSet{Coll: Alltoall}
+	s.add(1, "basic_linear", coll.AlltoallLinear, coll.Params{})
+	s.add(2, "pairwise", coll.AlltoallPairwise, coll.Params{})
+	s.add(3, "bruck", coll.AlltoallBruck, coll.Params{})
 	for _, w := range []int{4, 8, 16, 32} {
-		add(4, "linear_sync", coll.AlltoallSpread, coll.Params{Fanout: w})
+		s.add(4, "linear_sync", coll.AlltoallSpread, coll.Params{Fanout: w})
 	}
 
 	s.decide = func(_ machine.Machine, topo netmodel.Topology, m int64) int {

@@ -98,7 +98,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("bench_reps_total", Labels{"dataset": "d1", "machine": "Hydra"}).Add(500)
 	r.Counter("bench_reps_total", Labels{"dataset": "d8", "machine": "SuperMUC-NG"}).Add(42)
-	r.Gauge("bench_consumed_seconds", Labels{"dataset": "d1"}).Add(34.5)
+	r.Gauge("bench_consumed_sim_seconds", Labels{"dataset": "d1"}).Add(34.5)
 	hist := r.Histogram("core_select_seconds", Labels{"learner": "gam"})
 	for i := 1; i <= 100; i++ {
 		hist.Observe(float64(i) * 1e-6)

@@ -2,9 +2,10 @@
 // run on a bounded set of goroutines, and their results come back to the
 // caller in index order, exactly as a serial loop would produce them. The
 // benchmark's (configuration, instance) cells, the per-configuration fits of
-// the tuning matrix, the analyzer's per-package passes and /v1/batch
-// decisions all run through Run, so their outputs are byte-identical at any
-// worker count (DESIGN §10). SelfCheck is the CLIs' -benchout proof of that.
+// the tuning matrix, the analyzer's per-package passes, /v1/batch decisions
+// and the Intel default decision's portfolio search all run through Run, so
+// their outputs are byte-identical at any worker count (DESIGN §10).
+// SelfCheck is the CLIs' -benchout proof of that.
 package par
 
 import (
