@@ -5,7 +5,9 @@ import (
 	"strings"
 
 	"mpicollpred/internal/core"
+	"mpicollpred/internal/dataset"
 	"mpicollpred/internal/eval"
+	"mpicollpred/internal/mpilib"
 	"mpicollpred/internal/tablefmt"
 )
 
@@ -52,28 +54,31 @@ func runStrategies(c *expCtx) (string, error) {
 		if err != nil {
 			return "", err
 		}
+		var test []dataset.Instance
+		var qs []mpilib.Query
+		for _, in := range d.Instances() {
+			for _, tn := range split.Test {
+				if in.Nodes == tn {
+					topo, err := mach.Topo(in.Nodes, in.PPN)
+					if err != nil {
+						return "", err
+					}
+					test = append(test, in)
+					qs = append(qs, mpilib.Query{Topo: topo, M: in.Msize})
+					break
+				}
+			}
+		}
+		defaults := set.DecideAll(mach, qs)
 		for i, strat := range []core.Strategy{paper, ratio, clf} {
 			spSum, vbSum, n := 0.0, 0.0, 0
-			for _, in := range d.Instances() {
-				test := false
-				for _, tn := range split.Test {
-					if in.Nodes == tn {
-						test = true
-					}
-				}
-				if !test {
-					continue
-				}
+			for j, in := range test {
 				pred := strat.Select(in.Nodes, in.PPN, in.Msize)
 				predT, ok := d.Lookup(pred.ConfigID, in.Nodes, in.PPN, in.Msize)
 				if !ok {
 					return "", fmt.Errorf("strategy %s selected unmeasured config %d", strat.Name(), pred.ConfigID)
 				}
-				topo, err := mach.Topo(in.Nodes, in.PPN)
-				if err != nil {
-					return "", err
-				}
-				defT, _ := d.Lookup(set.Decide(mach, topo, in.Msize), in.Nodes, in.PPN, in.Msize)
+				defT, _ := d.Lookup(defaults[j], in.Nodes, in.PPN, in.Msize)
 				_, bestT, _ := d.Best(set, in.Nodes, in.PPN, in.Msize)
 				spSum += defT / predT
 				vbSum += predT / bestT

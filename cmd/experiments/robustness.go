@@ -72,18 +72,23 @@ func runRobustness(c *expCtx) (string, error) {
 		// model cannot see the fault. Decide and Select once per instance;
 		// cells 2k and 2k+1 measure instance k's selected and default
 		// configurations at every level.
-		var cells []bench.Cell
-		for _, in := range instances {
-			topo, err := mach.Topo(in.Nodes, in.PPN)
-			if err != nil {
+		topos := make([]netmodel.Topology, len(instances))
+		qs := make([]mpilib.Query, len(instances))
+		for i, in := range instances {
+			if topos[i], err = mach.Topo(in.Nodes, in.PPN); err != nil {
 				return "", err
 			}
+			qs[i] = mpilib.Query{Topo: topos[i], M: in.Msize}
+		}
+		defaults := set.DecideAll(mach, qs)
+		var cells []bench.Cell
+		for i, in := range instances {
 			pred := sel.Select(in.Nodes, in.PPN, in.Msize)
 			if pred.ConfigID < 1 {
 				return "", fmt.Errorf("robustness: no selection for %+v", in)
 			}
-			for _, id := range []int{pred.ConfigID, set.Decide(mach, topo, in.Msize)} {
-				c, err := robustnessCell(set, id, mach, topo, in.Msize)
+			for _, id := range []int{pred.ConfigID, defaults[i]} {
+				c, err := robustnessCell(set, id, mach, topos[i], in.Msize)
 				if err != nil {
 					return "", err
 				}

@@ -243,10 +243,6 @@ type Runner struct {
 	eng   *sim.Engine
 	opts  Options
 	start []float64
-	// prog is the recycled schedule storage: successive measurements rebuild
-	// their op lists into the same backing arrays, so a sweep of thousands
-	// of cells does not churn the GC with per-cell op-slice allocations.
-	prog *sim.Program
 }
 
 // NewRunner returns a Runner with the given options.
@@ -275,8 +271,7 @@ func (r *Runner) MeasureCapped(cfg mpilib.Config, prm netmodel.Params, topo netm
 	if maxReps < 1 {
 		maxReps = 1
 	}
-	r.prog = mpilib.BuildProgramInto(r.prog, cfg, topo, m, false)
-	prog := r.prog
+	prog := mpilib.BuildProgram(cfg, topo, m, false)
 	p := topo.P()
 	if cap(r.start) < p {
 		r.start = make([]float64, p)

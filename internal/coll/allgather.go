@@ -16,7 +16,6 @@ func AllgatherRing(b *sim.Builder, topo netmodel.Topology, m int64, _ Params) {
 	if p <= 1 {
 		return
 	}
-	b.Reserve(2 * (p - 1))
 	for s := 0; s < p-1; s++ {
 		for r := 0; r < p; r++ {
 			blk := (((r - s) % p) + p) % p
@@ -39,12 +38,22 @@ func AllgatherRecursiveDoubling(b *sim.Builder, topo netmodel.Topology, m int64,
 	}
 	extras := p - p2
 
-	held := make([][]int, p)
-	for r := 0; r < p; r++ {
-		held[r] = []int{r}
+	// cnt[r] counts the blocks rank r holds. Partners' holdings are
+	// disjoint, so an exchange sums them. The block sets themselves are kept
+	// only to annotate payloads in verify mode.
+	cnt := make([]int64, p)
+	for r := range cnt {
+		cnt[r] = 1
+	}
+	var held [][]int
+	if b.Verify() {
+		held = make([][]int, p)
+		for r := range held {
+			held[r] = []int{r}
+		}
 	}
 	payFor := func(r int) []sim.PayUnit {
-		if !b.Verify() {
+		if held == nil {
 			return nil
 		}
 		pay := make([]sim.PayUnit, 0, len(held[r]))
@@ -58,27 +67,30 @@ func AllgatherRecursiveDoubling(b *sim.Builder, topo netmodel.Topology, m int64,
 		src, dst := p2+e, e
 		b.Send(src, dst, m, payFor(src)...)
 		b.Recv(dst, src, m)
-		held[dst] = append(held[dst], src)
+		cnt[dst]++
+		if held != nil {
+			held[dst] = append(held[dst], src)
+		}
 	}
-	// Doubling over [0, p2).
+	// Doubling over [0, p2), each round reading a snapshot of the holdings.
+	sendCnt := make([]int64, p2)
+	pays := make([][]sim.PayUnit, p2)
 	for dist := 1; dist < p2; dist *= 2 {
-		bytes := make([]int64, p2)
-		pays := make([][]sim.PayUnit, p2)
+		copy(sendCnt, cnt)
 		for r := 0; r < p2; r++ {
-			bytes[r] = int64(len(held[r])) * m
 			pays[r] = payFor(r)
 		}
 		for r := 0; r < p2; r++ {
 			partner := r ^ dist
-			b.SendRecv(r, partner, bytes[r], partner, bytes[partner], pays[r]...)
+			b.SendRecv(r, partner, sendCnt[r]*m, partner, sendCnt[partner]*m, pays[r]...)
+			cnt[r] = sendCnt[r] + sendCnt[partner]
 		}
-		newHeld := make([][]int, p2)
-		for r := 0; r < p2; r++ {
-			partner := r ^ dist
-			newHeld[r] = append(append([]int{}, held[r]...), held[partner]...)
-		}
-		for r := 0; r < p2; r++ {
-			held[r] = newHeld[r]
+		if held != nil {
+			newHeld := make([][]int, p2)
+			for r := 0; r < p2; r++ {
+				newHeld[r] = append(append([]int{}, held[r]...), held[r^dist]...)
+			}
+			copy(held, newHeld)
 		}
 	}
 	// Post-phase: partners return the full result to the extras.
@@ -133,7 +145,6 @@ func AllgatherLinear(b *sim.Builder, topo netmodel.Topology, m int64, _ Params) 
 	if p <= 1 {
 		return
 	}
-	b.Reserve(2 * (p - 1))
 	for r := 0; r < p; r++ {
 		for i := 1; i < p; i++ {
 			b.SendNB(r, (r+i)%p, m, pay1(b, int32(r), 1)...)
@@ -156,22 +167,22 @@ func AllgatherNeighborExchange(b *sim.Builder, topo netmodel.Topology, m int64, 
 		AllgatherRing(b, topo, m, Params{})
 		return
 	}
-	// Block bookkeeping per rank: the contiguous run (start, count) mod p
-	// currently held. Implemented with explicit sets to stay obviously
-	// correct (verification mode exercises it fully).
-	held := make([][]int, p)
-	for r := range held {
-		held[r] = []int{r}
+	// Message sizes are fixed (m, then 2m), so blocks are tracked only to
+	// annotate payloads in verify mode: fwd[r] is what rank r sends next —
+	// its own block at step 0, then its own and its first partner's, and
+	// from step 2 on the two blocks it received in the previous step.
+	var fwd [][]sim.PayUnit
+	if b.Verify() {
+		fwd = make([][]sim.PayUnit, p)
+		for r := range fwd {
+			fwd[r] = []sim.PayUnit{{Block: int32(r), Mask: 1}}
+		}
 	}
-	payOf := func(blocks []int) []sim.PayUnit {
-		if !b.Verify() {
+	payOf := func(r int) []sim.PayUnit {
+		if fwd == nil {
 			return nil
 		}
-		pay := make([]sim.PayUnit, len(blocks))
-		for i, blk := range blocks {
-			pay[i] = sim.PayUnit{Block: int32(blk), Mask: 1}
-		}
-		return pay
+		return fwd[r]
 	}
 	// partner alternates between the two ring neighbours: even steps pair
 	// (0,1)(2,3)... and odd steps pair (1,2)(3,4)...(p-1,0).
@@ -186,29 +197,26 @@ func AllgatherNeighborExchange(b *sim.Builder, topo netmodel.Topology, m int64, 
 	}
 
 	// Step 0: exchange own block with the first partner.
-	snap := make([][]int, p)
 	for r := 0; r < p; r++ {
-		b.SendRecv(r, partner(r, 0), m, partner(r, 0), m, payOf(held[r])...)
+		b.SendRecv(r, partner(r, 0), m, partner(r, 0), m, payOf(r)...)
 	}
-	for r := range held {
-		snap[r] = append([]int(nil), held[r]...)
-	}
-	for r := 0; r < p; r++ {
-		held[r] = append(held[r], snap[partner(r, 0)]...)
+	if fwd != nil {
+		for r := range fwd {
+			fwd[r] = append(fwd[r], sim.PayUnit{Block: int32(partner(r, 0)), Mask: 1})
+		}
 	}
 	// Steps 1..p/2-1: forward the two blocks gained in the previous step
 	// to the other neighbour.
 	for s := 1; s < p/2; s++ {
-		for r := range held {
-			snap[r] = append(snap[r][:0], held[r]...)
-		}
 		for r := 0; r < p; r++ {
-			gained := snap[r][len(snap[r])-2:]
-			b.SendRecv(r, partner(r, s), 2*m, partner(r, s), 2*m, payOf(gained)...)
+			b.SendRecv(r, partner(r, s), 2*m, partner(r, s), 2*m, payOf(r)...)
 		}
-		for r := 0; r < p; r++ {
-			ps := snap[partner(r, s)]
-			held[r] = append(held[r], ps[len(ps)-2:]...)
+		if fwd != nil {
+			next := make([][]sim.PayUnit, p)
+			for r := range next {
+				next[r] = fwd[partner(r, s)]
+			}
+			fwd = next
 		}
 	}
 }

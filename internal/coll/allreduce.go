@@ -182,15 +182,6 @@ func allreduceRingSeg(b *sim.Builder, topo netmodel.Topology, m int64, seg int64
 			}
 		}
 	}
-	// Pre-size the op lists: 2(p-1) steps, each with at most
-	// ceil(maxChunk/seg) send/recv/compute triples per rank.
-	maxChunk := chunks[0]
-	segsPerChunk := 1
-	if seg > 0 && seg < maxChunk {
-		segsPerChunk = int((maxChunk + seg - 1) / seg)
-	}
-	b.Reserve(2 * (p - 1) * segsPerChunk * 3)
-
 	// segAt returns segment i of n bytes split into count pieces of at most
 	// s bytes; segCount the piece count (allocation-free segSizes).
 	segAt := func(n, s int64, i, count int) int64 {
@@ -435,7 +426,6 @@ func AllreduceAllgatherReduce(b *sim.Builder, topo netmodel.Topology, m int64, _
 	if p <= 1 {
 		return
 	}
-	b.Reserve(2*(p-1) + 3)
 	// Step s: rank r forwards the vector that originated at (r-s) mod p.
 	for s := 0; s < p-1; s++ {
 		for r := 0; r < p; r++ {

@@ -20,7 +20,6 @@ func AlltoallLinear(b *sim.Builder, topo netmodel.Topology, m int64, _ Params) {
 	if p <= 1 {
 		return
 	}
-	b.Reserve(2 * (p - 1))
 	for r := 0; r < p; r++ {
 		for i := 1; i < p; i++ {
 			dst := (r + i) % p
@@ -41,7 +40,6 @@ func AlltoallPairwise(b *sim.Builder, topo netmodel.Topology, m int64, _ Params)
 	if p <= 1 {
 		return
 	}
-	b.Reserve(2 * (p - 1))
 	for s := 1; s < p; s++ {
 		for r := 0; r < p; r++ {
 			dst := (r + s) % p
@@ -139,7 +137,6 @@ func AlltoallSpread(b *sim.Builder, topo netmodel.Topology, m int64, prm Params)
 	if w < 1 {
 		w = 4
 	}
-	b.Reserve(2 * (p - 1))
 	for r := 0; r < p; r++ {
 		for lo := 1; lo < p; lo += w {
 			hi := lo + w

@@ -64,7 +64,6 @@ func BcastChain(b *sim.Builder, topo netmodel.Topology, m int64, prm Params) {
 		start += length
 	}
 
-	b.Reserve(2 * len(segs))
 	for s, sz := range segs {
 		blk := int32(s)
 		// Root injects segment s into every chain.
@@ -95,7 +94,6 @@ func bcastTree(b *sim.Builder, t tree, m int64, seg int64) {
 		return
 	}
 	segs := segSizes(m, seg)
-	b.Reserve(3 * len(segs))
 	for s, sz := range segs {
 		blk := int32(s)
 		for r := 0; r < p; r++ {
@@ -270,12 +268,19 @@ func BcastScatterAllgather(b *sim.Builder, topo netmodel.Topology, m int64, _ Pa
 	}
 	extras := p - p2
 
-	held := make([][]int, p) // chunk indices currently held per rank
-	for r := 0; r < p; r++ {
-		held[r] = []int{r}
+	// bytes[r] is what rank r holds. Partners' holdings are disjoint, so an
+	// exchange sums them. The chunk sets themselves are kept only to
+	// annotate payloads in verify mode.
+	bytes := append([]int64(nil), chunks...)
+	var held [][]int
+	if b.Verify() {
+		held = make([][]int, p)
+		for r := range held {
+			held[r] = []int{r}
+		}
 	}
 	payFor := func(r int) []sim.PayUnit {
-		if !b.Verify() {
+		if held == nil {
 			return nil
 		}
 		pay := make([]sim.PayUnit, 0, len(held[r]))
@@ -284,41 +289,37 @@ func BcastScatterAllgather(b *sim.Builder, topo netmodel.Topology, m int64, _ Pa
 		}
 		return pay
 	}
-	bytesOf := func(r int) int64 {
-		var s int64
-		for _, c := range held[r] {
-			s += chunks[c]
-		}
-		return s
-	}
 
 	for e := 0; e < extras; e++ {
 		src, dst := p2+e, e
-		b.Send(src, dst, bytesOf(src), payFor(src)...)
-		b.Recv(dst, src, bytesOf(src))
-		held[dst] = append(held[dst], held[src]...)
+		b.Send(src, dst, bytes[src], payFor(src)...)
+		b.Recv(dst, src, bytes[src])
+		bytes[dst] += bytes[src]
+		if held != nil {
+			held[dst] = append(held[dst], held[src]...)
+		}
 	}
 
-	// Recursive doubling over ranks [0, p2).
+	// Recursive doubling over ranks [0, p2). Exchanges within a round are
+	// concurrent, so each round reads a snapshot of the holdings.
+	sendBytes := make([]int64, p2)
+	sendPay := make([][]sim.PayUnit, p2)
 	for dist := 1; dist < p2; dist *= 2 {
-		// Snapshot holdings: exchanges within a round are concurrent.
-		sendBytes := make([]int64, p2)
-		sendPay := make([][]sim.PayUnit, p2)
+		copy(sendBytes, bytes)
 		for r := 0; r < p2; r++ {
-			sendBytes[r] = bytesOf(r)
 			sendPay[r] = payFor(r)
 		}
 		for r := 0; r < p2; r++ {
 			partner := r ^ dist
 			b.SendRecv(r, partner, sendBytes[r], partner, sendBytes[partner], sendPay[r]...)
+			bytes[r] = sendBytes[r] + sendBytes[partner]
 		}
-		newHeld := make([][]int, p2)
-		for r := 0; r < p2; r++ {
-			partner := r ^ dist
-			newHeld[r] = append(append([]int{}, held[r]...), held[partner]...)
-		}
-		for r := 0; r < p2; r++ {
-			held[r] = newHeld[r]
+		if held != nil {
+			newHeld := make([][]int, p2)
+			for r := 0; r < p2; r++ {
+				newHeld[r] = append(append([]int{}, held[r]...), held[r^dist]...)
+			}
+			copy(held, newHeld)
 		}
 	}
 

@@ -57,7 +57,6 @@ func ReducePipelined(b *sim.Builder, topo netmodel.Topology, m int64, prm Params
 	}
 	t := knomialTree(p, 2)
 	segs := segSizes(m, prm.Seg)
-	b.Reserve(3 * len(segs))
 	// Each segment independently accumulates the sender's whole subtree,
 	// so every message of rank r carries r's subtree contribution mask.
 	subtree := make([]uint64, p)

@@ -55,7 +55,8 @@ func TrainRatio(ds *dataset.Dataset, mach machine.Machine, set *mpilib.Collectiv
 		inTrain[n] = true
 	}
 	// Default times per training instance.
-	defT := map[dataset.Instance]float64{}
+	var train []dataset.Instance
+	var qs []mpilib.Query
 	for _, in := range ds.Instances() {
 		if !inTrain[in.Nodes] {
 			continue
@@ -64,7 +65,12 @@ func TrainRatio(ds *dataset.Dataset, mach machine.Machine, set *mpilib.Collectiv
 		if err != nil {
 			return nil, err
 		}
-		id := set.Decide(mach, topo, in.Msize)
+		train = append(train, in)
+		qs = append(qs, mpilib.Query{Topo: topo, M: in.Msize})
+	}
+	defT := map[dataset.Instance]float64{}
+	for i, id := range set.DecideAll(mach, qs) {
+		in := train[i]
 		t, ok := ds.Lookup(id, in.Nodes, in.PPN, in.Msize)
 		if !ok {
 			return nil, fmt.Errorf("core: default config %d unmeasured for %+v", id, in)

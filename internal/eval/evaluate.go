@@ -87,11 +87,22 @@ func Evaluate(ds *dataset.Dataset, mach machine.Machine, set *mpilib.CollectiveS
 	})
 
 	tEval := time.Now()
+	var test []dataset.Instance
+	var qs []mpilib.Query
 	for _, in := range instances {
 		if !inTest[in.Nodes] {
 			continue
 		}
-		res, err := evaluateInstance(ds, mach, set, sel, in)
+		topo, err := mach.Topo(in.Nodes, in.PPN)
+		if err != nil {
+			return nil, err
+		}
+		test = append(test, in)
+		qs = append(qs, mpilib.Query{Topo: topo, M: in.Msize})
+	}
+	defaults := set.DecideAll(mach, qs)
+	for i, in := range test {
+		res, err := evaluateInstance(ds, set, sel, in, defaults[i])
 		if err != nil {
 			return nil, err
 		}
@@ -106,21 +117,18 @@ func Evaluate(ds *dataset.Dataset, mach machine.Machine, set *mpilib.CollectiveS
 	return ev, nil
 }
 
-func evaluateInstance(ds *dataset.Dataset, mach machine.Machine, set *mpilib.CollectiveSet,
-	sel *core.Selector, in dataset.Instance) (InstanceResult, error) {
+// evaluateInstance scores one test instance whose default decision is
+// defaultID.
+func evaluateInstance(ds *dataset.Dataset, set *mpilib.CollectiveSet,
+	sel *core.Selector, in dataset.Instance, defaultID int) (InstanceResult, error) {
 
-	res := InstanceResult{Instance: in}
+	res := InstanceResult{Instance: in, DefaultID: defaultID}
 	var ok bool
 	res.BestID, res.BestT, ok = ds.Best(set, in.Nodes, in.PPN, in.Msize)
 	if !ok {
 		return res, fmt.Errorf("eval: no measurements for instance %+v", in)
 	}
 
-	topo, err := mach.Topo(in.Nodes, in.PPN)
-	if err != nil {
-		return res, err
-	}
-	res.DefaultID = set.Decide(mach, topo, in.Msize)
 	res.DefaultT, ok = ds.Lookup(res.DefaultID, in.Nodes, in.PPN, in.Msize)
 	if !ok {
 		return res, fmt.Errorf("eval: default config %d unmeasured for %+v", res.DefaultID, in)

@@ -31,9 +31,18 @@ func NormalizedRuntime(ds *dataset.Dataset, mach machine.Machine, set *mpilib.Co
 	out := NormalizedSeries{Nodes: nodes, PPN: ppn}
 	msizes := append([]int64(nil), ds.Spec.Msizes...)
 	sort.Slice(msizes, func(i, j int) bool { return msizes[i] < msizes[j] })
-	for _, m := range msizes {
+	topo, err := mach.Topo(nodes, ppn)
+	if err != nil {
+		return out, err
+	}
+	qs := make([]mpilib.Query, len(msizes))
+	for i, m := range msizes {
+		qs[i] = mpilib.Query{Topo: topo, M: m}
+	}
+	defaults := set.DecideAll(mach, qs)
+	for i, m := range msizes {
 		in := dataset.Instance{Nodes: nodes, PPN: ppn, Msize: m}
-		res, err := evaluateInstance(ds, mach, set, sel, in)
+		res, err := evaluateInstance(ds, set, sel, in, defaults[i])
 		if err != nil {
 			return out, err
 		}

@@ -1,7 +1,9 @@
 package mpilib
 
 import (
+	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -12,7 +14,7 @@ import (
 	"mpicollpred/internal/sim"
 )
 
-// exhaustiveArgmin is the unpruned serial reference for fastestConfig: every
+// exhaustiveArgmin is the unpruned serial reference for fastestConfigs: every
 // configuration simulated to completion, the lowest id winning ties, 1 when
 // every schedule fails.
 func exhaustiveArgmin(cfgs []Config, prm netmodel.Params, topo netmodel.Topology, m int64) int {
@@ -49,31 +51,36 @@ func TestIntelDecisionEqualsExhaustiveArgmin(t *testing.T) {
 	if testing.Short() {
 		topos, sizes = topos[1:2], sizes[1:2]
 	}
-	type instance struct {
+	// One batch per (machine, collective): every topology and size.
+	type batch struct {
 		mach machine.Machine
 		set  *CollectiveSet
-		topo netmodel.Topology
-		m    int64
+		qs   []Query
+		want []int
 	}
-	var grid []instance
-	var want []int
+	var grid []batch
 	lib := IntelMPI()
 	for _, mach := range machines {
 		for _, name := range lib.Collectives() {
 			set, _ := lib.Collective(name)
+			bt := batch{mach: mach, set: set}
 			for _, topo := range topos {
 				for _, m := range sizes {
-					grid = append(grid, instance{mach, set, topo, m})
-					want = append(want, exhaustiveArgmin(set.Selectable(), mach.RefNet, topo, m))
+					bt.qs = append(bt.qs, Query{topo, m})
+					bt.want = append(bt.want, exhaustiveArgmin(set.Selectable(), mach.RefNet, topo, m))
 				}
 			}
+			grid = append(grid, bt)
 		}
 	}
 	withProcs(t, func(t *testing.T) {
-		for i, in := range grid {
-			if got := fastestConfig(in.set.Selectable(), in.mach.RefNet, in.topo, in.m); got != want[i] {
-				t.Errorf("GOMAXPROCS=%d %s %s %+v m=%d: pruned decision %d, exhaustive argmin %d",
-					runtime.GOMAXPROCS(0), in.mach.Name, in.set.Coll, in.topo, in.m, got, want[i])
+		for _, bt := range grid {
+			got := fastestConfigs(bt.set.Selectable(), bt.mach.RefNet, bt.qs)
+			for i, q := range bt.qs {
+				if got[i] != bt.want[i] {
+					t.Errorf("GOMAXPROCS=%d %s %s %+v m=%d: pruned decision %d, exhaustive argmin %d",
+						runtime.GOMAXPROCS(0), bt.mach.Name, bt.set.Coll, q.Topo, q.M, got[i], bt.want[i])
+				}
 			}
 		}
 	})
@@ -95,7 +102,7 @@ func TestIntelDecisionTiesGoToLowestID(t *testing.T) {
 	}
 	withProcs(t, func(t *testing.T) {
 		for i := 0; i < 20; i++ {
-			if got := fastestConfig(s.Configs, mach.RefNet, topo, 64); got != 2 {
+			if got := fastestConfigs(s.Configs, mach.RefNet, []Query{{topo, 64}})[0]; got != 2 {
 				t.Fatalf("GOMAXPROCS=%d: tie decided %d, want 2", runtime.GOMAXPROCS(0), got)
 			}
 		}
@@ -121,10 +128,10 @@ func TestIntelDecisionSkipsFailingSchedules(t *testing.T) {
 		{ID: 3, AlgID: 3, Name: "broken", Gen: deadlocked},
 	}}
 	withProcs(t, func(t *testing.T) {
-		if got := fastestConfig(allFail.Configs, mach.RefNet, topo, 1024); got != 1 {
+		if got := fastestConfigs(allFail.Configs, mach.RefNet, []Query{{topo, 1024}})[0]; got != 1 {
 			t.Errorf("every schedule fails: decided %d, want the fallback 1", got)
 		}
-		if got := fastestConfig(oneWorks.Configs, mach.RefNet, topo, 1024); got != 2 {
+		if got := fastestConfigs(oneWorks.Configs, mach.RefNet, []Query{{topo, 1024}})[0]; got != 2 {
 			t.Errorf("one working schedule: decided %d, want 2", got)
 		}
 	})
@@ -134,10 +141,14 @@ func TestDecideIsSingleFlight(t *testing.T) {
 	const n = 16
 	var calls, arrived atomic.Int32
 	all := make(chan struct{}) // closed once every caller has arrived
-	s := &CollectiveSet{Coll: Bcast, decide: func(machine.Machine, netmodel.Topology, int64) int {
+	s := &CollectiveSet{Coll: Bcast, decide: func(_ machine.Machine, qs []Query) []int {
 		calls.Add(1)
 		<-all // stay in flight until every caller has arrived
-		return 7
+		ids := make([]int, len(qs))
+		for i := range ids {
+			ids[i] = 7
+		}
+		return ids
 	}}
 	mach := machine.Hydra()
 	topo := netmodel.Topology{Nodes: 4, PPN: 2}
@@ -190,6 +201,86 @@ func TestDecideKeysOnPlacement(t *testing.T) {
 			if got := set.Decide(mach, topo, m); got != want[topo.Cyclic] {
 				t.Errorf("order %v: %+v decided %d, want its exhaustive argmin %d", order, topo, got, want[topo.Cyclic])
 			}
+		}
+	}
+}
+
+func TestDecideAllEqualsExhaustiveArgmin(t *testing.T) {
+	// Mixed topologies and placements, a duplicate query, and keys that an
+	// earlier Decide already memoized: every answer is the query's own
+	// exhaustive argmin, in query order.
+	mach := machine.Hydra()
+	block := netmodel.Topology{Nodes: 4, PPN: 4}
+	cyclic := netmodel.Topology{Nodes: 4, PPN: 4, Cyclic: true}
+	qs := []Query{
+		{block, 1 << 20}, {netmodel.Topology{Nodes: 3, PPN: 1}, 100003}, {cyclic, 1 << 20},
+		{netmodel.Topology{Nodes: 2, PPN: 3}, 8}, {block, 1 << 20}, {netmodel.Topology{Nodes: 1, PPN: 1}, 64},
+		{netmodel.Topology{Nodes: 5, PPN: 2}, 8192},
+	}
+	ref, _ := IntelMPI().Collective(Bcast)
+	want := make([]int, len(qs))
+	for i, q := range qs {
+		want[i] = exhaustiveArgmin(ref.Selectable(), mach.RefNet, q.Topo, q.M)
+	}
+	withProcs(t, func(t *testing.T) {
+		set, _ := IntelMPI().Collective(Bcast)
+		for _, i := range []int{2, 5} {
+			if got := set.Decide(mach, qs[i].Topo, qs[i].M); got != want[i] {
+				t.Fatalf("Decide %+v = %d, want %d", qs[i], got, want[i])
+			}
+		}
+		got := set.DecideAll(mach, qs)
+		for i, q := range qs {
+			if got[i] != want[i] {
+				t.Errorf("GOMAXPROCS=%d query %d %+v: decided %d, exhaustive argmin %d",
+					runtime.GOMAXPROCS(0), i, q, got[i], want[i])
+			}
+		}
+	})
+}
+
+func TestDecideAllIsSingleFlightPerKey(t *testing.T) {
+	// Concurrent batches over overlapping key sets: each key is decided by
+	// exactly one batch, and every caller gets every key's answer.
+	const callers = 8
+	var mu sync.Mutex
+	decided := map[int64]int{}
+	s := &CollectiveSet{Coll: Bcast, decide: func(_ machine.Machine, qs []Query) []int {
+		ids := make([]int, len(qs))
+		mu.Lock()
+		defer mu.Unlock()
+		for i, q := range qs {
+			decided[q.M]++
+			ids[i] = int(q.M)
+		}
+		return ids
+	}}
+	mach := machine.Hydra()
+	topo := netmodel.Topology{Nodes: 2, PPN: 2}
+	err := par.Run(callers, callers, nil,
+		func(_, c int) ([]int, error) {
+			var qs []Query
+			for m := int64(c); m < int64(c)+6; m++ {
+				qs = append(qs, Query{topo, m%10 + 1}, Query{topo, 1})
+			}
+			got := s.DecideAll(mach, qs)
+			for i, q := range qs {
+				if got[i] != int(q.M) {
+					return nil, fmt.Errorf("caller %d query %+v: got %d", c, q, got[i])
+				}
+			}
+			return got, nil
+		},
+		func(int, []int) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decided) != 10 {
+		t.Errorf("%d keys decided, want 10", len(decided))
+	}
+	for m, n := range decided {
+		if n != 1 {
+			t.Errorf("key m=%d decided %d times, want once", m, n)
 		}
 	}
 }

@@ -33,39 +33,48 @@ func IntelMPI() *Library {
 		},
 	}
 	for _, s := range lib.collectives {
-		s.decide = func(mach machine.Machine, topo netmodel.Topology, m int64) int {
-			return fastestConfig(s.Selectable(), mach.RefNet, topo, m)
+		s.decide = func(mach machine.Machine, qs []Query) []int {
+			return fastestConfigs(s.Selectable(), mach.RefNet, qs)
 		}
 	}
 	return lib
 }
 
-// fastestConfig returns the id of the configuration with the smallest
-// noise-free makespan, the lowest id on ties, and 1 when every schedule
-// fails. The configurations are simulated on par.Run, each worker with its
-// own engine and recycled program, and every run is bounded by the best
-// makespan completed so far: work lowers the bound as soon as its run
-// completes, not when the run commits. A run is cut only when its makespan
-// is strictly greater than a completed one, so every configuration
-// attaining the minimum completes, and the argmin in commit, in id order
-// with strict <, is the plain exhaustive one whatever the scheduling.
-func fastestConfig(cfgs []Config, prm netmodel.Params, topo netmodel.Topology, m int64) int {
+// fastestConfigs returns, per query, the id of the configuration with the
+// smallest noise-free makespan, the lowest id on ties, and 1 when every
+// schedule fails. Every (query, configuration) pair is one item of a single
+// par.Run, query-major and in id order, so the workers never wait for a
+// query's slowest configuration before starting the next query; each run
+// builds its program afresh on its worker's engine. Each query's runs are
+// bounded by the best makespan completed so far for that query: work
+// lowers the query's bound as soon as its run completes, not when the run
+// commits. A run is cut only when its makespan is strictly greater than a
+// completed one, so every configuration attaining a query's minimum
+// completes, and the argmin in commit, in id order with strict <, is the
+// plain exhaustive one whatever the scheduling.
+func fastestConfigs(cfgs []Config, prm netmodel.Params, qs []Query) []int {
 	workers := runtime.GOMAXPROCS(0)
 	engs := make([]*sim.Engine, workers)
-	progs := make([]*sim.Program, workers)
-	// bound holds the bits of the best completed makespan. Makespans are
-	// non-negative, and non-negative float64s order like their bits.
-	var bound atomic.Uint64
-	bound.Store(math.Float64bits(math.Inf(1)))
-	bestID, bestT := 1, math.Inf(1)
+	// bounds[q] holds the bits of query q's best completed makespan.
+	// Makespans are non-negative, and non-negative float64s order like
+	// their bits.
+	bounds := make([]atomic.Uint64, len(qs))
+	bestID := make([]int, len(qs))
+	bestT := make([]float64, len(qs))
+	for q := range qs {
+		bounds[q].Store(math.Float64bits(math.Inf(1)))
+		bestID[q], bestT[q] = 1, math.Inf(1)
+	}
+	n := len(cfgs)
 	// Neither callback fails and nothing stops the run, so Run returns nil.
-	_ = par.Run(len(cfgs), workers, nil,
+	_ = par.Run(len(qs)*n, workers, nil,
 		func(w, i int) (float64, error) {
+			q, bound := qs[i/n], &bounds[i/n]
 			if engs[w] == nil {
 				engs[w] = sim.NewEngine()
 			}
-			progs[w] = BuildProgramInto(progs[w], cfgs[i], topo, m, false)
-			res, err := engs[w].RunWithin(progs[w], netmodel.New(prm, topo, 1, false), nil, math.Float64frombits(bound.Load()))
+			prog := BuildProgram(cfgs[i%n], q.Topo, q.M, false)
+			res, err := engs[w].RunWithin(prog, netmodel.New(prm, q.Topo, 1, false), nil, math.Float64frombits(bound.Load()))
 			if err != nil {
 				return math.NaN(), nil // cut, or a failing schedule: neither can be the default
 			}
@@ -78,8 +87,8 @@ func fastestConfig(cfgs []Config, prm netmodel.Params, topo netmodel.Topology, m
 			return res.Time, nil
 		},
 		func(i int, t float64) error {
-			if t < bestT { // false for NaN
-				bestID, bestT = cfgs[i].ID, t
+			if q := i / n; t < bestT[q] { // false for NaN
+				bestID[q], bestT[q] = cfgs[i%n].ID, t
 			}
 			return nil
 		})

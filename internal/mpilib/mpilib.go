@@ -74,11 +74,19 @@ type CollectiveSet struct {
 	Coll    string
 	Configs []Config // ids 1..len; index i holds ID i+1
 
-	decide func(mach machine.Machine, topo netmodel.Topology, m int64) int
+	// decide answers a batch of queries, one id per query.
+	decide func(mach machine.Machine, qs []Query) []int
 	mu     sync.Mutex
 	// memo holds one decision per instance, computed once by whichever
 	// caller first asks for its key; concurrent callers wait for that answer.
 	memo map[decideKey]func() int
+}
+
+// Query is one instance of a collective to decide: the topology with its
+// rank placement, and the message size.
+type Query struct {
+	Topo netmodel.Topology
+	M    int64
 }
 
 // decideKey identifies one default decision.
@@ -122,24 +130,50 @@ func (s *CollectiveSet) Selectable() []Config {
 }
 
 // Decide runs the library's default decision logic for an instance and
-// returns the chosen configuration id. Results are memoized and computed
-// once per instance — machine, topology with its rank placement, message
-// size — however many callers ask at the same time (the Intel
-// profile's decision involves consulting its tuning table, which is
-// expensive to build).
+// returns the chosen configuration id. It is DecideAll for one query.
 func (s *CollectiveSet) Decide(mach machine.Machine, topo netmodel.Topology, m int64) int {
-	key := decideKey{mach.Name, topo, m}
+	return s.DecideAll(mach, []Query{{topo, m}})[0]
+}
+
+// DecideAll returns the default decision for every query, in query order.
+// Results are memoized and computed once per instance — machine, topology
+// with its rank placement, message size — however many callers ask at the
+// same time (the Intel profile's decision involves consulting its tuning
+// table, which is expensive to build). The queries not yet memoized are
+// decided together in one call of the decision logic, so the Intel
+// profile searches all of their portfolios in one parallel pass.
+func (s *CollectiveSet) DecideAll(mach machine.Machine, qs []Query) []int {
+	ds := make([]func() int, len(qs))
+	var missing []Query
+	var batch func() []int
 	s.mu.Lock()
 	if s.memo == nil {
 		s.memo = make(map[decideKey]func() int)
 	}
-	d, ok := s.memo[key]
-	if !ok {
-		d = sync.OnceValue(func() int { return s.decide(mach, topo, m) })
-		s.memo[key] = d
+	for i, q := range qs {
+		key := decideKey{mach.Name, q.Topo, q.M}
+		d, ok := s.memo[key]
+		if !ok {
+			// A placeholder: its first caller waits for the whole batch.
+			j := len(missing)
+			missing = append(missing, q)
+			d = sync.OnceValue(func() int { return batch()[j] })
+			s.memo[key] = d
+		}
+		ds[i] = d
+	}
+	if len(missing) > 0 {
+		batch = sync.OnceValue(func() []int { return s.decide(mach, missing) })
 	}
 	s.mu.Unlock()
-	return d()
+	if batch != nil {
+		batch() // before waiting on any other caller's batch
+	}
+	ids := make([]int, len(qs))
+	for i, d := range ds {
+		ids[i] = d()
+	}
+	return ids
 }
 
 // Library is a simulated MPI library profile.
@@ -184,16 +218,6 @@ func (s *CollectiveSet) findConfig(algID int, prm coll.Params) int {
 // BuildProgram emits the schedule of configuration c for an instance.
 func BuildProgram(c Config, topo netmodel.Topology, m int64, verify bool) *sim.Program {
 	b := sim.NewBuilder(topo.P(), verify)
-	c.Gen(b, topo, m, c.Params)
-	return b.Build()
-}
-
-// BuildProgramInto is BuildProgram reusing the backing arrays of scratch (a
-// Program returned by an earlier call, no longer in use); it avoids per-cell
-// op-slice allocations in measurement sweeps. A nil scratch behaves exactly
-// like BuildProgram. The returned Program aliases scratch's storage.
-func BuildProgramInto(scratch *sim.Program, c Config, topo netmodel.Topology, m int64, verify bool) *sim.Program {
-	b := sim.RecycleBuilder(scratch, topo.P(), verify)
 	c.Gen(b, topo, m, c.Params)
 	return b.Build()
 }

@@ -65,7 +65,7 @@ func ompiBcast() *CollectiveSet {
 	// They pick sane algorithm families but with parameters frozen long
 	// ago on a different machine, so a per-machine tuner retains a clear
 	// margin — the situation the paper quantifies.
-	s.decide = func(_ machine.Machine, topo netmodel.Topology, m int64) int {
+	s.decide = fixedRule(func(topo netmodel.Topology, m int64) int {
 		p := topo.P()
 		switch {
 		case p < 4:
@@ -86,7 +86,7 @@ func ompiBcast() *CollectiveSet {
 		default:
 			return s.findConfig(2, coll.Params{Seg: 64 << 10, Fanout: 8})
 		}
-	}
+	})
 	return s
 }
 
@@ -105,7 +105,7 @@ func ompiAllreduce() *CollectiveSet {
 	s.add(6, "rabenseifner", coll.AllreduceRabenseifner, coll.Params{})
 	s.add(7, "allgather_reduce", coll.AllreduceAllgatherReduce, coll.Params{})
 
-	s.decide = func(_ machine.Machine, topo netmodel.Topology, m int64) int {
+	s.decide = fixedRule(func(topo netmodel.Topology, m int64) int {
 		p := topo.P()
 		switch {
 		case p < 4:
@@ -120,7 +120,7 @@ func ompiAllreduce() *CollectiveSet {
 		default:
 			return s.findConfig(5, coll.Params{Seg: 128 << 10})
 		}
-	}
+	})
 	return s
 }
 
@@ -136,7 +136,7 @@ func ompiReduce() *CollectiveSet {
 	for _, seg := range ompiSegs {
 		s.add(4, "pipeline", coll.ReducePipelined, coll.Params{Seg: seg})
 	}
-	s.decide = func(_ machine.Machine, topo netmodel.Topology, m int64) int {
+	s.decide = fixedRule(func(topo netmodel.Topology, m int64) int {
 		switch {
 		case topo.P() < 4 && m < 65536:
 			return s.findConfig(1, coll.Params{})
@@ -145,7 +145,7 @@ func ompiReduce() *CollectiveSet {
 		default:
 			return s.findConfig(4, coll.Params{Seg: 64 << 10})
 		}
-	}
+	})
 	return s
 }
 
@@ -158,7 +158,7 @@ func ompiAllgather() *CollectiveSet {
 	s.add(3, "recursive_doubling", coll.AllgatherRecursiveDoubling, coll.Params{})
 	s.add(4, "ring", coll.AllgatherRing, coll.Params{})
 	s.add(5, "neighbor", coll.AllgatherNeighborExchange, coll.Params{})
-	s.decide = func(_ machine.Machine, topo netmodel.Topology, m int64) int {
+	s.decide = fixedRule(func(topo netmodel.Topology, m int64) int {
 		p := topo.P()
 		switch {
 		case m < 1024 && p >= 12:
@@ -168,7 +168,7 @@ func ompiAllgather() *CollectiveSet {
 		default:
 			return s.findConfig(4, coll.Params{})
 		}
-	}
+	})
 	return s
 }
 
@@ -177,12 +177,12 @@ func ompiGather() *CollectiveSet {
 	s := &CollectiveSet{Coll: Gather}
 	s.add(1, "basic_linear", coll.GatherLinear, coll.Params{})
 	s.add(2, "binomial", coll.GatherBinomial, coll.Params{})
-	s.decide = func(_ machine.Machine, topo netmodel.Topology, m int64) int {
+	s.decide = fixedRule(func(topo netmodel.Topology, m int64) int {
 		if topo.P() < 8 || m >= 65536 {
 			return 1
 		}
 		return 2
-	}
+	})
 	return s
 }
 
@@ -191,12 +191,12 @@ func ompiScatter() *CollectiveSet {
 	s := &CollectiveSet{Coll: Scatter}
 	s.add(1, "basic_linear", coll.ScatterLinear, coll.Params{})
 	s.add(2, "binomial", coll.ScatterBinomial, coll.Params{})
-	s.decide = func(_ machine.Machine, topo netmodel.Topology, m int64) int {
+	s.decide = fixedRule(func(topo netmodel.Topology, m int64) int {
 		if topo.P() < 8 || m >= 65536 {
 			return 1
 		}
 		return 2
-	}
+	})
 	return s
 }
 
@@ -212,7 +212,7 @@ func ompiAlltoall() *CollectiveSet {
 		s.add(4, "linear_sync", coll.AlltoallSpread, coll.Params{Fanout: w})
 	}
 
-	s.decide = func(_ machine.Machine, topo netmodel.Topology, m int64) int {
+	s.decide = fixedRule(func(topo netmodel.Topology, m int64) int {
 		p := topo.P()
 		switch {
 		case m < 256 && p >= 12:
@@ -222,6 +222,18 @@ func ompiAlltoall() *CollectiveSet {
 		default:
 			return s.findConfig(2, coll.Params{})
 		}
-	}
+	})
 	return s
+}
+
+// fixedRule lifts a per-instance decision rule to the batch-shaped decide
+// hook.
+func fixedRule(rule func(topo netmodel.Topology, m int64) int) func(machine.Machine, []Query) []int {
+	return func(_ machine.Machine, qs []Query) []int {
+		ids := make([]int, len(qs))
+		for i, q := range qs {
+			ids[i] = rule(q.Topo, q.M)
+		}
+		return ids
+	}
 }

@@ -93,7 +93,6 @@ func BenchmarkEngineBinomialPipelinedStats(b *testing.B) {
 func BenchmarkBuilderAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bd := NewBuilder(64, false)
-		bd.Reserve(128)
 		for s := 0; s < 64; s++ {
 			for r := 0; r < 63; r++ {
 				bd.Send(r, r+1, 1024)

@@ -82,8 +82,11 @@ type pairState struct {
 // Engine executes Programs. It is reusable across runs (per-run state is
 // reset by Run) but not safe for concurrent use.
 type Engine struct {
-	clock  []float64
-	pc     []int
+	clock []float64
+	// cur is each rank's position in the body of its current loop; ls, the
+	// rank's place in its loop list, changes only when pc reaches end.
+	cur    []cursor
+	ls     []loopState
 	status []rankStatus
 	queue  readyTree
 	// queued counts the ready ranks, the running one included.
@@ -108,6 +111,15 @@ type Engine struct {
 	stats        Stats
 	tracer       Tracer
 }
+
+// cursor is a rank's program counter: the index in its op store of the
+// next op, and the end of the loop body it lies in.
+type cursor struct{ pc, end int32 }
+
+// loopState is a rank's place in its loop list: the index of its current
+// loop, the start of the loop's body, and the iterations left after the
+// current one.
+type loopState struct{ loop, start, left int32 }
 
 // NewEngine returns an empty Engine.
 func NewEngine() *Engine { return &Engine{} }
@@ -177,7 +189,8 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 	p := prog.NumRanks()
 	if cap(e.clock) < p {
 		e.clock = make([]float64, p)
-		e.pc = make([]int, p)
+		e.cur = make([]cursor, p)
+		e.ls = make([]loopState, p)
 		e.status = make([]rankStatus, p)
 		e.sendPeer = make([]int32, p)
 		e.sendPair = make([]*pairState, p)
@@ -185,7 +198,8 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 		e.recvPair = make([]*pairState, p)
 	}
 	e.clock = e.clock[:p]
-	e.pc = e.pc[:p]
+	e.cur = e.cur[:p]
+	e.ls = e.ls[:p]
 	e.status = e.status[:p]
 	e.sendPeer = e.sendPeer[:p]
 	e.sendPair = e.sendPair[:p]
@@ -232,11 +246,11 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 			minStart = t
 		}
 		e.clock[r] = t
-		e.pc[r] = 0
-		if len(prog.Ranks[r]) == 0 {
+		if loops := prog.ranks[r].loops; len(loops) == 0 {
 			e.status[r] = statusDone
 			e.done++
 		} else {
+			e.enterLoop(r, 0)
 			e.status[r] = statusReady
 			e.queue.put(int32(r), timeBits(t))
 			e.queued++
@@ -261,7 +275,7 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 		// time.
 		r := int(top.r)
 		for {
-			if e.pc[r] >= len(e.prog.Ranks[r]) {
+			if c := e.cur[r]; c.pc == c.end && !e.advance(r) {
 				e.status[r] = statusDone
 				e.done++
 				e.queued--
@@ -308,15 +322,57 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 	return res, nil
 }
 
+// advance moves rank r, whose cursor is at the end of a loop body, to the
+// next iteration of the loop or to the start of the next loop. It reports
+// false when the rank's program is finished.
+func (e *Engine) advance(r int) bool {
+	if ls := &e.ls[r]; ls.left > 0 {
+		ls.left--
+		e.cur[r].pc = ls.start
+		return true
+	}
+	return e.nextLoop(r)
+}
+
+// nextLoop moves rank r to the start of its next loop, reporting false when
+// it has none.
+func (e *Engine) nextLoop(r int) bool {
+	next := e.ls[r].loop + 1
+	if int(next) == len(e.prog.ranks[r].loops) {
+		return false
+	}
+	e.enterLoop(r, next)
+	return true
+}
+
+// enterLoop points rank r's cursor at the first iteration of loop i.
+func (e *Engine) enterLoop(r int, i int32) {
+	l := e.prog.ranks[r].loops[i]
+	e.ls[r] = loopState{loop: i, start: l.start, left: l.n - 1}
+	e.cur[r] = cursor{l.start, l.start + l.len}
+}
+
+// opIndex returns the position of rank r's next op in its expanded stream.
+func (e *Engine) opIndex(r int) int {
+	ls := e.ls[r]
+	loops := e.prog.ranks[r].loops
+	n := 0
+	for _, l := range loops[:ls.loop] {
+		n += int(l.len) * int(l.n)
+	}
+	l := loops[ls.loop]
+	return n + int(l.n-1-ls.left)*int(l.len) + int(e.cur[r].pc-l.start)
+}
+
 // step executes the next op of rank r. It returns false when the rank
 // blocked (without advancing pc).
 func (e *Engine) step(r int) (bool, error) {
-	op := &e.prog.Ranks[r][e.pc[r]]
+	op := &e.prog.ranks[r].ops[e.cur[r].pc]
 	t0 := e.clock[r]
 	switch op.Kind {
 	case OpCompute:
 		e.clock[r] += e.model.Compute(op.Bytes)
-		e.pc[r]++
+		e.cur[r].pc++
 		if e.collectStats {
 			e.stats.Computes++
 		}
@@ -328,7 +384,7 @@ func (e *Engine) step(r int) (bool, error) {
 	case OpSend, OpSendNB:
 		if e.obs != nil && op.PayLen > 0 {
 			if err := e.obs.OnSend(int32(r), e.prog.Pay[op.PayStart:op.PayStart+int32(op.PayLen)]); err != nil {
-				return false, fmt.Errorf("rank %d op %d: %w", r, e.pc[r], err)
+				return false, fmt.Errorf("rank %d op %d: %w", r, e.opIndex(r), err)
 			}
 		}
 		ps := e.sendPairOf(int32(r), op.Peer)
@@ -348,7 +404,7 @@ func (e *Engine) step(r int) (bool, error) {
 					payStart: op.PayStart, payLen: op.PayLen, eager: true})
 			}
 			e.clock[r] = sdone
-			e.pc[r]++
+			e.cur[r].pc++
 			if e.collectStats {
 				e.stats.Sends++
 				e.stats.EagerSends++
@@ -373,7 +429,7 @@ func (e *Engine) step(r int) (bool, error) {
 			} else {
 				e.clock[r] = sdone
 			}
-			e.pc[r]++
+			e.cur[r].pc++
 			if e.collectStats {
 				e.stats.Sends++
 				e.stats.RendezvousSends++
@@ -389,7 +445,7 @@ func (e *Engine) step(r int) (bool, error) {
 			payStart: op.PayStart, payLen: op.PayLen, eager: false, nb: nb})
 		if nb {
 			e.clock[r] += e.model.PostOverhead(op.Bytes)
-			e.pc[r]++
+			e.cur[r].pc++
 			if e.collectStats {
 				e.stats.Sends++
 				e.stats.RendezvousSends++
@@ -432,7 +488,7 @@ func (e *Engine) step(r int) (bool, error) {
 				// Wake the parked blocking sender.
 				s := op.Peer
 				e.clock[s] = sdone
-				e.pc[s]++
+				e.cur[s].pc++
 				e.status[s] = statusReady
 				e.queued++
 				e.queue.set(s, timeBits(sdone))
@@ -455,7 +511,7 @@ func (e *Engine) step(r int) (bool, error) {
 			ps.inflight = ps.inflight[:0]
 			ps.head = 0
 		}
-		e.pc[r]++
+		e.cur[r].pc++
 		if e.collectStats {
 			e.stats.Recvs++
 			e.stats.MessagesMatched++
@@ -473,7 +529,7 @@ func (e *Engine) step(r int) (bool, error) {
 // timeline span), rendezvous the protocol of the matching send.
 func (e *Engine) wakeReceiver(src, dst int32, arrival, recvPost float64, op *Op, rendezvous bool) error {
 	e.clock[dst] = arrival + e.model.RecvOverhead(op.Bytes)
-	e.pc[dst]++
+	e.cur[dst].pc++
 	e.status[dst] = statusReady
 	e.queued++
 	e.queue.set(dst, timeBits(e.clock[dst]))
@@ -508,12 +564,12 @@ func (e *Engine) deadlockError(prog *Program) error {
 			more++
 			continue
 		}
-		op := prog.Ranks[r][e.pc[r]]
+		op := prog.ranks[r].ops[e.cur[r].pc]
 		kind := "recv from"
 		if op.Kind == OpSend {
 			kind = "send(rvz) to"
 		}
-		blocked = append(blocked, fmt.Sprintf("rank %d pc %d: %s %d (%d B)", r, e.pc[r], kind, op.Peer, op.Bytes))
+		blocked = append(blocked, fmt.Sprintf("rank %d pc %d: %s %d (%d B)", r, e.opIndex(r), kind, op.Peer, op.Bytes))
 	}
 	if more > 0 {
 		blocked = append(blocked, fmt.Sprintf("... (%d more)", more))

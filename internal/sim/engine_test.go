@@ -562,7 +562,7 @@ func TestComputeSplitsHugeByteCounts(t *testing.T) {
 		t.Fatalf("huge compute not split: %d ops", prog.NumOps())
 	}
 	var total int64
-	for _, op := range prog.Ranks[0] {
+	for _, op := range prog.Expand(0) {
 		if op.Kind != OpCompute {
 			t.Fatal("unexpected op kind")
 		}

@@ -1,0 +1,111 @@
+package sim
+
+import (
+	"slices"
+	"testing"
+)
+
+// appendOps feeds ops to rank 0 of a fresh one-rank builder through the
+// public calls and returns the built program.
+func appendOps(ops []Op) *Program {
+	b := NewBuilder(1, false)
+	for _, op := range ops {
+		switch op.Kind {
+		case OpSend:
+			b.Send(0, int(op.Peer), int64(op.Bytes))
+		case OpSendNB:
+			b.SendNB(0, int(op.Peer), int64(op.Bytes))
+		case OpRecv:
+			b.Recv(0, int(op.Peer), int64(op.Bytes))
+		default:
+			b.Compute(0, int64(op.Bytes))
+		}
+	}
+	return b.Build()
+}
+
+// period returns reps repetitions of a body of k distinct ops.
+func period(k, reps int) []Op {
+	var ops []Op
+	for i := 0; i < reps; i++ {
+		for j := 0; j < k; j++ {
+			ops = append(ops, Op{Kind: OpSendNB, Peer: int32(j), Bytes: 64, PayStart: -1})
+		}
+	}
+	return ops
+}
+
+func TestFoldExpandsToAppendedOps(t *testing.T) {
+	recv := func(peer int32) Op { return Op{Kind: OpRecv, Peer: peer, Bytes: 64, PayStart: -1} }
+	cases := []struct {
+		name   string
+		ops    []Op
+		stored int // ops in the rank's store
+	}{
+		{"empty", nil, 0},
+		{"single", period(1, 1), 1},
+		{"period 1", period(1, 100), 1},
+		{"period 2", period(2, 100), 2},
+		{"period 3", period(3, 100), 3},
+		{"period 4", period(4, 100), 4},
+		{"period 5", period(5, 100), 5},
+		{"period 6", period(6, 100), 6},
+		{"period 7", period(7, 100), 7},
+		{"period 8", period(8, 100), 8},
+		{"period above the maximum", period(maxPeriod+1, 10), 10 * (maxPeriod + 1)},
+		{"partial last iteration", period(5, 20)[:98], 5 + 3},
+		{"mismatch mid-iteration", append(period(4, 10)[:38], recv(9), recv(9)), 4 + 2 + 1},
+		{"loop then new loop", append(period(3, 10), period(2, 10)...), 3 + 2},
+		{"prefix then loop", append([]Op{recv(5), recv(6), recv(7)}, period(2, 10)...), 3 + 2},
+	}
+	for _, c := range cases {
+		prog := appendOps(c.ops)
+		if got := prog.Expand(0); !slices.Equal(got, c.ops) {
+			t.Errorf("%s: expanded %d ops differ from the %d appended", c.name, len(got), len(c.ops))
+		}
+		if prog.NumOps() != len(c.ops) {
+			t.Errorf("%s: NumOps %d, want %d", c.name, prog.NumOps(), len(c.ops))
+		}
+		if got := len(prog.ranks[0].ops); got != c.stored {
+			t.Errorf("%s: %d ops stored (loops %v), want %d", c.name, got, prog.ranks[0].loops, c.stored)
+		}
+	}
+}
+
+func TestFoldKeepsPayloadOps(t *testing.T) {
+	// In verify mode a send with a payload is never folded, so the Tracker
+	// sees every one; the receives between them still fold.
+	b := NewBuilder(2, true)
+	for i := 0; i < 50; i++ {
+		b.Send(0, 1, 64, PayUnit{Block: 0, Mask: 1})
+		b.Recv(1, 0, 64)
+	}
+	prog := b.Build()
+	if got := len(prog.ranks[0].ops); got != 50 {
+		t.Errorf("%d payload sends stored, want all 50", got)
+	}
+	if got := len(prog.ranks[1].ops); got != 1 {
+		t.Errorf("%d receives stored, want 1", got)
+	}
+	for i, op := range prog.Expand(0) {
+		if op.PayStart != int32(i) || op.PayLen != 1 {
+			t.Fatalf("send %d carries payload [%d,+%d), want [%d,+1)", i, op.PayStart, op.PayLen, i)
+		}
+	}
+}
+
+func TestFoldRandomStreams(t *testing.T) {
+	rng := NewRNG(7)
+	for trial := 0; trial < 2000; trial++ {
+		alpha := 1 + int(rng.Uint64()%4)
+		n := int(rng.Uint64() % 64)
+		ops := make([]Op, n)
+		for i := range ops {
+			ops[i] = Op{Kind: OpRecv, Peer: int32(rng.Uint64() % uint64(alpha)), Bytes: 8, PayStart: -1}
+		}
+		prog := appendOps(ops)
+		if got := prog.Expand(0); !slices.Equal(got, ops) {
+			t.Fatalf("trial %d: expanded %v, appended %v (loops %v)", trial, got, ops, prog.ranks[0].loops)
+		}
+	}
+}

@@ -39,8 +39,8 @@ const (
 	OpSendNB
 )
 
-// Op is a single operation in a rank program. It is kept small (16 bytes)
-// because large segmented collectives generate millions of operations.
+// Op is a single operation in a rank program. It is kept small (16 bytes):
+// the engine loads one per event.
 type Op struct {
 	Peer     int32 // destination (send) or source (recv); unused for compute
 	Bytes    uint32
@@ -58,79 +58,136 @@ type PayUnit struct {
 	Mask  uint64
 }
 
-// Program is a complete schedule: one op list per rank plus the shared
+// Program is a complete schedule: one op stream per rank plus the shared
 // payload table referenced by the ops.
+//
+// A rank's stream is stored folded: a list of loops, each running a body of
+// ops from the rank's store a number of times. Segmented and multi-step
+// schedules repeat the same few ops thousands of times, so the store holds
+// only the distinct bodies and the literal runs between them (a literal run
+// is a loop that runs once). Expand returns the stream unfolded.
 type Program struct {
-	Ranks [][]Op
+	ranks []rankProg
 	Pay   []PayUnit
+	nops  int
+}
+
+// rankProg is one rank's folded op stream.
+type rankProg struct {
+	ops   []Op
+	loops []loop
+}
+
+// loop runs ops[start:start+len] of its rank's store n times (n >= 1,
+// len >= 1).
+type loop struct {
+	start, len, n int32
 }
 
 // NumRanks returns the number of rank programs.
-func (p *Program) NumRanks() int { return len(p.Ranks) }
+func (p *Program) NumRanks() int { return len(p.ranks) }
 
-// NumOps returns the total number of operations across all ranks.
-func (p *Program) NumOps() int {
-	n := 0
-	for _, ops := range p.Ranks {
-		n += len(ops)
+// NumOps returns the total number of operations across all ranks, counting
+// every iteration of every loop.
+func (p *Program) NumOps() int { return p.nops }
+
+// Expand returns rank r's op stream with every loop unrolled: the ops in the
+// order the builder received them.
+func (p *Program) Expand(r int) []Op {
+	rp := &p.ranks[r]
+	var out []Op
+	for _, l := range rp.loops {
+		body := rp.ops[l.start : l.start+l.len]
+		for i := int32(0); i < l.n; i++ {
+			out = append(out, body...)
+		}
 	}
-	return n
+	return out
 }
+
+// maxPeriod is the longest loop body the Builder detects.
+const maxPeriod = 8
 
 // Builder incrementally constructs a Program. Generators call Send, Recv and
 // Compute with explicit rank arguments; ops are appended to the given rank's
 // sequential program. When Verify is false, payload arguments are dropped,
 // keeping the hot path allocation-light.
+//
+// The Builder folds repeats as ops arrive. When a rank's last k ops
+// (k <= maxPeriod, the smallest such k) repeat the k ops before them, the
+// two copies become a loop of two iterations, and the loop keeps growing while each new op
+// equals the next op of its body. An op that does not closes the loop: the
+// partial iteration before it is stored again as literal ops. Every op that
+// carries a payload has its own PayStart, so it never equals another op and
+// is never folded.
 type Builder struct {
 	prog   Program
 	verify bool
+	// pos holds, per rank, the body position of the op that extends the
+	// rank's open last loop, or -1 when its last loop is closed.
+	pos []int32
 }
 
 // NewBuilder returns a Builder for p ranks. If verify is true, payload
 // metadata passed to Send is recorded for later replay by a Tracker.
 func NewBuilder(p int, verify bool) *Builder {
-	b := &Builder{verify: verify}
-	b.prog.Ranks = make([][]Op, p)
-	return b
-}
-
-// RecycleBuilder returns a Builder for p ranks that reuses the backing
-// arrays of a previously built Program, so sweeps that build one schedule
-// after another do not reallocate per-rank op lists each time. The recycled
-// Program must no longer be in use: the new schedule overwrites it in place.
-// A nil prog is equivalent to NewBuilder.
-func RecycleBuilder(prog *Program, p int, verify bool) *Builder {
-	if prog == nil {
-		return NewBuilder(p, verify)
+	b := &Builder{verify: verify, pos: make([]int32, p)}
+	b.prog.ranks = make([]rankProg, p)
+	for r := range b.pos {
+		b.pos[r] = -1
 	}
-	b := &Builder{verify: verify}
-	ranks := prog.Ranks
-	if cap(ranks) < p {
-		grown := make([][]Op, p)
-		copy(grown, ranks)
-		ranks = grown
-	}
-	ranks = ranks[:p]
-	for r := range ranks {
-		ranks[r] = ranks[r][:0]
-	}
-	b.prog.Ranks = ranks
-	b.prog.Pay = prog.Pay[:0]
 	return b
 }
 
 // P returns the number of ranks of the program under construction.
-func (b *Builder) P() int { return len(b.prog.Ranks) }
+func (b *Builder) P() int { return len(b.prog.ranks) }
 
-// Reserve pre-allocates capacity for n additional ops on every rank,
-// avoiding append-growth copies when generators know their schedule sizes.
-func (b *Builder) Reserve(n int) {
-	for r, ops := range b.prog.Ranks {
-		if cap(ops)-len(ops) < n {
-			grown := make([]Op, len(ops), len(ops)+n)
-			copy(grown, ops)
-			b.prog.Ranks[r] = grown
+// emit appends op to rank's stream.
+func (b *Builder) emit(rank int, op Op) {
+	b.prog.nops++
+	rp := &b.prog.ranks[rank]
+	if j := b.pos[rank]; j >= 0 {
+		l := &rp.loops[len(rp.loops)-1]
+		if rp.ops[l.start+j] == op {
+			if j++; j == l.len {
+				l.n++
+				j = 0
+			}
+			b.pos[rank] = j
+			return
 		}
+		b.closeLoop(rank)
+	}
+	// Append op to the rank's trailing literal run, which ends at the end
+	// of the store, starting a run if the last loop repeats.
+	rp.ops = append(rp.ops, op)
+	end := int32(len(rp.ops))
+	last := len(rp.loops) - 1
+	if last < 0 || rp.loops[last].n != 1 {
+		rp.loops = append(rp.loops, loop{start: end - 1, len: 1, n: 1})
+		return
+	}
+	run := &rp.loops[last]
+	run.len++
+	// Fold the shortest period k whose last two copies end the run: drop
+	// the second copy from the store and open a loop over the first.
+	for k := int32(1); k <= maxPeriod && 2*k <= run.len; k++ {
+		i := int32(1)
+		for i <= k && rp.ops[end-i] == rp.ops[end-k-i] {
+			i++
+		}
+		if i <= k {
+			continue
+		}
+		rp.ops = rp.ops[:end-k]
+		body := loop{start: end - 2*k, len: k, n: 2}
+		if run.len -= 2 * k; run.len == 0 {
+			*run = body
+		} else {
+			rp.loops = append(rp.loops, body)
+		}
+		b.pos[rank] = 0
+		return
 	}
 }
 
@@ -146,7 +203,7 @@ func (b *Builder) Send(rank, dst int, bytes int64, pay ...PayUnit) {
 		op.PayLen = int16(len(pay))
 		b.prog.Pay = append(b.prog.Pay, pay...)
 	}
-	b.prog.Ranks[rank] = append(b.prog.Ranks[rank], op)
+	b.emit(rank, op)
 }
 
 // SendNB appends a non-blocking send of bytes from rank to dst.
@@ -157,13 +214,12 @@ func (b *Builder) SendNB(rank, dst int, bytes int64, pay ...PayUnit) {
 		op.PayLen = int16(len(pay))
 		b.prog.Pay = append(b.prog.Pay, pay...)
 	}
-	b.prog.Ranks[rank] = append(b.prog.Ranks[rank], op)
+	b.emit(rank, op)
 }
 
 // Recv appends a blocking receive of bytes on rank from src.
 func (b *Builder) Recv(rank, src int, bytes int64) {
-	b.prog.Ranks[rank] = append(b.prog.Ranks[rank],
-		Op{Kind: OpRecv, Peer: int32(src), Bytes: clampBytes(bytes), PayStart: -1})
+	b.emit(rank, Op{Kind: OpRecv, Peer: int32(src), Bytes: clampBytes(bytes), PayStart: -1})
 }
 
 // SendRecv appends a non-blocking send to dst followed by a blocking receive
@@ -180,19 +236,38 @@ func (b *Builder) SendRecv(rank, dst int, sendBytes int64, src int, recvBytes in
 func (b *Builder) Compute(rank int, bytes int64) {
 	const maxOpBytes = 1 << 31
 	for bytes > maxOpBytes {
-		b.prog.Ranks[rank] = append(b.prog.Ranks[rank],
-			Op{Kind: OpCompute, Bytes: maxOpBytes, PayStart: -1})
+		b.emit(rank, Op{Kind: OpCompute, Bytes: maxOpBytes, PayStart: -1})
 		bytes -= maxOpBytes
 	}
 	if bytes <= 0 {
 		return
 	}
-	b.prog.Ranks[rank] = append(b.prog.Ranks[rank],
-		Op{Kind: OpCompute, Bytes: clampBytes(bytes), PayStart: -1})
+	b.emit(rank, Op{Kind: OpCompute, Bytes: clampBytes(bytes), PayStart: -1})
+}
+
+// closeLoop closes rank's open loop. The ops of its partial last iteration
+// were counted in no iteration, so they are stored again as a literal run.
+func (b *Builder) closeLoop(rank int) {
+	j := b.pos[rank]
+	b.pos[rank] = -1
+	if j == 0 {
+		return
+	}
+	rp := &b.prog.ranks[rank]
+	start := rp.loops[len(rp.loops)-1].start
+	rp.ops = append(rp.ops, rp.ops[start:start+j]...)
+	rp.loops = append(rp.loops, loop{start: int32(len(rp.ops)) - j, len: j, n: 1})
 }
 
 // Build finalizes and returns the Program. The Builder must not be reused.
-func (b *Builder) Build() *Program { return &b.prog }
+func (b *Builder) Build() *Program {
+	for r, j := range b.pos {
+		if j > 0 {
+			b.closeLoop(r)
+		}
+	}
+	return &b.prog
+}
 
 func clampBytes(bytes int64) uint32 {
 	if bytes < 0 {
