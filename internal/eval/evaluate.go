@@ -173,12 +173,3 @@ func (e *Evaluation) MeanVsBest() float64 {
 	}
 	return s / float64(len(e.Results))
 }
-
-// MeanDefaultVsBest is the same normalization for the default strategy.
-func (e *Evaluation) MeanDefaultVsBest() float64 {
-	s := 0.0
-	for _, r := range e.Results {
-		s += r.DefaultT / r.BestT
-	}
-	return s / float64(len(e.Results))
-}

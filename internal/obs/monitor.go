@@ -211,9 +211,6 @@ func (m *RateMonitor) Stats() (n, events, transitions uint64) {
 	return m.n, m.events, m.transitions
 }
 
-// Thresholds returns the configured warn/breach rates.
-func (m *RateMonitor) Thresholds() (warn, breach float64) { return m.warn, m.breach }
-
 // BurnRate tracks an SLO over a count-based rolling window: the burn rate
 // is the window's bad fraction divided by the SLO's error budget (1 -
 // objective). Burn 1.0 means the budget is being spent exactly as fast as

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // CostModel supplies the timing semantics of the simulated network and CPUs.
@@ -91,14 +92,9 @@ type Engine struct {
 	queue  readyTree
 	// queued counts the ready ranks, the running one included.
 	queued int
-	pairs  map[uint64]*pairState
-	// Direct-mapped caches of the last send/recv pair per rank: collective
-	// schedules talk to the same peer many times in a row, making the map
-	// lookup the hot path otherwise.
-	sendPeer []int32
-	sendPair []*pairState
-	recvPeer []int32
-	recvPair []*pairState
+	// pairs holds the matching state of each (sender, receiver) pair of the
+	// program, indexed by the pair ids Build gave its ops.
+	pairs []pairState
 
 	prog  *Program
 	model CostModel
@@ -132,38 +128,6 @@ func (e *Engine) CollectStats(on bool) { e.collectStats = on }
 // disables tracing).
 func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
 
-func pairKey(src, dst int32) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
-
-func (e *Engine) sendPairOf(src, dst int32) *pairState {
-	if e.sendPeer[src] == dst {
-		return e.sendPair[src]
-	}
-	ps := e.pairOf(src, dst)
-	e.sendPeer[src] = dst
-	e.sendPair[src] = ps
-	return ps
-}
-
-func (e *Engine) recvPairOf(src, dst int32) *pairState {
-	if e.recvPeer[dst] == src {
-		return e.recvPair[dst]
-	}
-	ps := e.pairOf(src, dst)
-	e.recvPeer[dst] = src
-	e.recvPair[dst] = ps
-	return ps
-}
-
-func (e *Engine) pairOf(src, dst int32) *pairState {
-	k := pairKey(src, dst)
-	if ps, ok := e.pairs[k]; ok {
-		return ps
-	}
-	ps := &pairState{}
-	e.pairs[k] = ps
-	return ps
-}
-
 // ErrExceeded is returned by RunWithin when the makespan is known to exceed
 // the bound.
 var ErrExceeded = errors.New("sim: makespan exceeds bound")
@@ -192,41 +156,19 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 		e.cur = make([]cursor, p)
 		e.ls = make([]loopState, p)
 		e.status = make([]rankStatus, p)
-		e.sendPeer = make([]int32, p)
-		e.sendPair = make([]*pairState, p)
-		e.recvPeer = make([]int32, p)
-		e.recvPair = make([]*pairState, p)
 	}
 	e.clock = e.clock[:p]
 	e.cur = e.cur[:p]
 	e.ls = e.ls[:p]
 	e.status = e.status[:p]
-	e.sendPeer = e.sendPeer[:p]
-	e.sendPair = e.sendPair[:p]
-	e.recvPeer = e.recvPeer[:p]
-	e.recvPair = e.recvPair[:p]
-	for i := 0; i < p; i++ {
-		e.sendPeer[i] = -1
-		e.recvPeer[i] = -1
-	}
 	e.queue.reset(p)
 	e.queued = 0
-	// The pair map is pooled across runs: collective sweeps execute many
-	// programs back to back on one engine, and reallocating the map plus its
-	// inflight message records every run dominated the per-cell GC churn.
-	// Each retained pairState is reset to its logical zero (empty inflight
-	// queue, no parked receiver) so no message or receiver state can leak
-	// into the next run; the inflight backing arrays keep their capacity.
-	if e.pairs == nil {
-		e.pairs = make(map[uint64]*pairState, 64)
-	} else {
-		for _, ps := range e.pairs {
-			ps.inflight = ps.inflight[:0]
-			ps.head = 0
-			ps.waiting = false
-			ps.recvPost = 0
-			ps.recvBytes = 0
-		}
+	// Each of the program's pairs starts with an empty inflight queue and no
+	// parked receiver. The inflight backing arrays are kept across runs, so a
+	// sweep of many programs on one engine does not churn the GC.
+	e.pairs = slices.Grow(e.pairs[:0], prog.npairs)[:prog.npairs]
+	for i := range e.pairs {
+		e.pairs[i] = pairState{inflight: e.pairs[i].inflight[:0]}
 	}
 	e.prog = prog
 	e.model = model
@@ -367,7 +309,9 @@ func (e *Engine) opIndex(r int) int {
 // step executes the next op of rank r. It returns false when the rank
 // blocked (without advancing pc).
 func (e *Engine) step(r int) (bool, error) {
-	op := &e.prog.ranks[r].ops[e.cur[r].pc]
+	rp := &e.prog.ranks[r]
+	pc := e.cur[r].pc
+	op := &rp.ops[pc]
 	t0 := e.clock[r]
 	switch op.Kind {
 	case OpCompute:
@@ -387,7 +331,7 @@ func (e *Engine) step(r int) (bool, error) {
 				return false, fmt.Errorf("rank %d op %d: %w", r, e.opIndex(r), err)
 			}
 		}
-		ps := e.sendPairOf(int32(r), op.Peer)
+		ps := &e.pairs[rp.pair[pc]]
 		receiverParked := ps.waiting && ps.head >= len(ps.inflight)
 		if e.model.Eager(op.Bytes) {
 			sdone, arr := e.model.SendEager(int32(r), op.Peer, op.Bytes, e.clock[r])
@@ -462,7 +406,7 @@ func (e *Engine) step(r int) (bool, error) {
 		return false, nil
 
 	default: // OpRecv
-		ps := e.recvPairOf(op.Peer, int32(r))
+		ps := &e.pairs[rp.pair[pc]]
 		if ps.head >= len(ps.inflight) {
 			ps.waiting = true
 			ps.recvPost = e.clock[r]

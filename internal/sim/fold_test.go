@@ -109,3 +109,94 @@ func TestFoldRandomStreams(t *testing.T) {
 		}
 	}
 }
+
+func TestBuildNumbersPairs(t *testing.T) {
+	rng := NewRNG(11)
+	pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
+	// pair is the (sender, receiver) of a send or receive on rank r.
+	pair := func(r int, op Op) [2]int32 {
+		if op.Kind == OpRecv {
+			return [2]int32{op.Peer, int32(r)}
+		}
+		return [2]int32{int32(r), op.Peer}
+	}
+	folded := 0
+	for trial := 0; trial < 1000; trial++ {
+		verify := trial%2 == 1
+		p := 1 + pick(6)
+		b := NewBuilder(p, verify)
+		// Repeated bodies make the builder fold; in verify mode some sends
+		// carry a payload and so stay unfolded.
+		for chunk := pick(12); chunk >= 0; chunk-- {
+			rank, body := pick(p), make([]Op, 1+pick(4))
+			for i := range body {
+				body[i] = Op{Kind: OpKind(pick(4)), Peer: int32(pick(p)), Bytes: uint32(8 * (1 + pick(2)))}
+			}
+			for reps := 1 + pick(10); reps > 0; reps-- {
+				for _, op := range body {
+					switch op.Kind {
+					case OpSend:
+						b.Send(rank, int(op.Peer), int64(op.Bytes), PayUnit{Block: int32(rank), Mask: 1})
+					case OpSendNB:
+						b.SendNB(rank, int(op.Peer), int64(op.Bytes))
+					case OpRecv:
+						b.Recv(rank, int(op.Peer), int64(op.Bytes))
+					default:
+						b.Compute(rank, int64(op.Bytes))
+					}
+				}
+			}
+		}
+		prog := b.Build()
+
+		expanded := map[[2]int32]bool{}
+		for r := 0; r < p; r++ {
+			for _, op := range prog.Expand(r) {
+				if op.Kind != OpCompute {
+					expanded[pair(r, op)] = true
+				}
+			}
+		}
+		if prog.npairs != len(expanded) {
+			t.Fatalf("trial %d: npairs %d, want %d distinct pairs", trial, prog.npairs, len(expanded))
+		}
+		keyOf := make(map[int32][2]int32, prog.npairs)
+		idOf := map[[2]int32]int32{}
+		stored := 0
+		for r, rp := range prog.ranks {
+			stored += len(rp.ops)
+			if len(rp.pair) != len(rp.ops) {
+				t.Fatalf("trial %d rank %d: %d pair ids for %d stored ops", trial, r, len(rp.pair), len(rp.ops))
+			}
+			for i, op := range rp.ops {
+				id := rp.pair[i]
+				if op.Kind == OpCompute {
+					if id != -1 {
+						t.Fatalf("trial %d rank %d op %d: compute has pair id %d", trial, r, i, id)
+					}
+					continue
+				}
+				key := pair(r, op)
+				if id < 0 || int(id) >= prog.npairs {
+					t.Fatalf("trial %d rank %d op %d: pair id %d outside [0, %d)", trial, r, i, id, prog.npairs)
+				}
+				if prev, ok := idOf[key]; ok && prev != id {
+					t.Fatalf("trial %d: pair %v has ids %d and %d", trial, key, prev, id)
+				}
+				if k, ok := keyOf[id]; ok && k != key {
+					t.Fatalf("trial %d: pair id %d shared by %v and %v", trial, id, k, key)
+				}
+				keyOf[id], idOf[key] = key, id
+			}
+		}
+		if len(idOf) != prog.npairs {
+			t.Fatalf("trial %d: %d of %d pair ids used", trial, len(idOf), prog.npairs)
+		}
+		if stored < prog.NumOps() {
+			folded++
+		}
+	}
+	if folded == 0 {
+		t.Fatal("no trial folded a repeat")
+	}
+}

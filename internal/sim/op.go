@@ -66,15 +66,21 @@ type PayUnit struct {
 // schedules repeat the same few ops thousands of times, so the store holds
 // only the distinct bodies and the literal runs between them (a literal run
 // is a loop that runs once). Expand returns the stream unfolded.
+//
+// Build numbers the program's (sender, receiver) pairs densely, so the
+// engine keeps its per-pair matching state in a slice of npairs entries.
 type Program struct {
-	ranks []rankProg
-	Pay   []PayUnit
-	nops  int
+	ranks  []rankProg
+	Pay    []PayUnit
+	nops   int
+	npairs int
 }
 
-// rankProg is one rank's folded op stream.
+// rankProg is one rank's folded op stream. pair[i] is the id of the
+// (sender, receiver) pair of ops[i], or -1 for a compute op.
 type rankProg struct {
 	ops   []Op
+	pair  []int32
 	loops []loop
 }
 
@@ -266,7 +272,42 @@ func (b *Builder) Build() *Program {
 			b.closeLoop(r)
 		}
 	}
+	b.prog.numberPairs()
 	return &b.prog
+}
+
+// numberPairs gives each (sender, receiver) pair of the program a dense id,
+// in order of first appearance in the ranks' stores: a send to d on rank r
+// belongs to (r, d), a receive from s on rank r to (s, r). The ids of all
+// ranks share one allocation.
+func (p *Program) numberPairs() {
+	n := 0
+	for _, rp := range p.ranks {
+		n += len(rp.ops)
+	}
+	ids := make([]int32, n)
+	seen := make(map[[2]int32]int32)
+	for r := range p.ranks {
+		rp := &p.ranks[r]
+		rp.pair, ids = ids[:len(rp.ops):len(rp.ops)], ids[len(rp.ops):]
+		for i, op := range rp.ops {
+			key := [2]int32{int32(r), op.Peer}
+			switch op.Kind {
+			case OpCompute:
+				rp.pair[i] = -1
+				continue
+			case OpRecv:
+				key = [2]int32{op.Peer, int32(r)}
+			}
+			id, ok := seen[key]
+			if !ok {
+				id = int32(len(seen))
+				seen[key] = id
+			}
+			rp.pair[i] = id
+		}
+	}
+	p.npairs = len(seen)
 }
 
 func clampBytes(bytes int64) uint32 {
