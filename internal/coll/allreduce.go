@@ -171,101 +171,55 @@ func allreduceRingSeg(b *sim.Builder, topo netmodel.Topology, m int64, seg int64
 		return
 	}
 	chunks := chunkSizes(m, p)
-	// acc[c] tracking is per (rank, chunk): mask of contributions.
-	var acc [][]uint64
-	if b.Verify() {
-		acc = make([][]uint64, p)
-		for r := range acc {
-			acc[r] = make([]uint64, p)
-			for c := range acc[r] {
-				acc[r][c] = maskOf(r)
-			}
-		}
-	}
-	// segAt returns segment i of n bytes split into count pieces of at most
-	// s bytes; segCount the piece count (allocation-free segSizes).
-	segAt := func(n, s int64, i, count int) int64 {
-		if count == 1 {
-			return n
-		}
-		if i < count-1 {
-			return s
-		}
-		return n - s*int64(count-1)
-	}
-	segCount := func(n, s int64) int {
-		if n <= 0 || s <= 0 || s >= n {
-			return 1
-		}
-		return int((n + s - 1) / s)
-	}
-	xfer := func(r, chunk, recvChunk int, gather bool) {
-		dst := (r + 1) % p
-		src := (r - 1 + p) % p
-		var mask uint64
-		if b.Verify() {
-			mask = acc[r][chunk]
-		}
-		// The received chunk can differ in size from the sent one (sizes
-		// differ by up to one byte when p does not divide m), so segment
-		// the two directions independently.
-		ns := segCount(chunks[chunk], seg)
-		nr := segCount(chunks[recvChunk], seg)
-		steps := ns
-		if nr > steps {
-			steps = nr
-		}
-		for i := 0; i < steps; i++ {
-			if i < ns {
-				b.SendNB(r, dst, segAt(chunks[chunk], seg, i, ns), pay1(b, int32(chunk), mask)...)
-			}
-			if i < nr {
-				sz := segAt(chunks[recvChunk], seg, i, nr)
-				b.Recv(r, src, sz)
-				if !gather {
-					b.Compute(r, sz)
+	rem := int(m % int64(p))
+	full := sim.FullMask(p)
+	// xfer emits rank r's step: it sends chunk c, carrying contributions
+	// mask, to r+1 and receives chunk c-1 from r-1, reducing it unless
+	// gathering. The two chunks can differ in size (by one byte when p
+	// does not divide m), so each direction is segmented on its own, and
+	// the i-th send precedes the i-th receive.
+	xfer := func(r, c int, mask uint64, gather bool) {
+		dst, src := (r+1)%p, (r-1+p)%p
+		recvChunk := mod(c-1, p)
+		zipRuns(segRuns(chunks[c], seg), segRuns(chunks[recvChunk], seg), func(x, y int64, n int) {
+			for ; n > 0; n-- {
+				if x >= 0 {
+					b.SendNB(r, dst, x, pay1(b, int32(c), mask)...)
+				}
+				if y >= 0 {
+					b.Recv(r, src, y)
+					if !gather {
+						b.Compute(r, y)
+					}
 				}
 			}
-		}
+		})
 	}
-	// Reduce-scatter: at step s rank r sends chunk (r-s) and accumulates
-	// into chunk (r-1-s).
-	for s := 0; s < p-1; s++ {
-		var snap [][]uint64
-		if b.Verify() {
-			snap = make([][]uint64, p)
-			for r := range snap {
-				snap[r] = append([]uint64(nil), acc[r]...)
+	// Reduce-scatter: at step s rank r sends chunk (r-s), holding the
+	// contributions of ranks r-s..r, and accumulates into chunk (r-1-s).
+	// Allgather: rank r then owns the fully reduced chunk (r+1); at step s
+	// it forwards chunk (r+1-s) and receives chunk (r-s). Each run of steps
+	// over which both chunk sizes stay the same is one Repeat.
+	for r := 0; r < p; r++ {
+		for _, gather := range [2]bool{false, true} {
+			first := r
+			if gather {
+				first = r + 1
 			}
-		}
-		for r := 0; r < p; r++ {
-			xfer(r, (((r-s)%p)+p)%p, (((r-1-s)%p)+p)%p, false)
-		}
-		if b.Verify() {
-			for r := 0; r < p; r++ {
-				c := (((r - 1 - s) % p) + p) % p
-				src := (r - 1 + p) % p
-				acc[r][c] |= snap[src][c]
-			}
-		}
-	}
-	// Allgather: rank r now owns the fully reduced chunk (r+1) mod p.
-	for s := 0; s < p-1; s++ {
-		var snap [][]uint64
-		if b.Verify() {
-			snap = make([][]uint64, p)
-			for r := range snap {
-				snap[r] = append([]uint64(nil), acc[r]...)
-			}
-		}
-		for r := 0; r < p; r++ {
-			xfer(r, (((r+1-s)%p)+p)%p, (((r-s)%p)+p)%p, true)
-		}
-		if b.Verify() {
-			for r := 0; r < p; r++ {
-				c := (((r - s) % p) + p) % p
-				src := (r - 1 + p) % p
-				acc[r][c] |= snap[src][c]
+			for s := 0; s < p-1; {
+				c, s0 := mod(first-s, p), s
+				n := min(chunkRun(c, rem, p), chunkRun(mod(c-1, p), rem, p), p-1-s)
+				b.Repeat(r, n, func(i int) {
+					mask := full
+					if !gather && b.Verify() {
+						mask = 0
+						for j := 0; j <= s0+i; j++ {
+							mask |= maskOf(mod(r-j, p))
+						}
+					}
+					xfer(r, mod(c-i, p), mask, gather)
+				})
+				s += n
 			}
 		}
 	}

@@ -35,7 +35,7 @@ func BcastChain(b *sim.Builder, topo netmodel.Topology, m int64, prm Params) {
 	if nchains > p-1 {
 		nchains = p - 1
 	}
-	segs := segSizes(m, prm.Seg)
+	segs := segRuns(m, prm.Seg)
 
 	// Contiguous chain split of ranks 1..p-1 (block placement keeps chain
 	// neighbours on the same node where possible).
@@ -64,19 +64,20 @@ func BcastChain(b *sim.Builder, topo netmodel.Topology, m int64, prm Params) {
 		start += length
 	}
 
-	for s, sz := range segs {
-		blk := int32(s)
-		// Root injects segment s into every chain.
+	// Root injects each segment into every chain.
+	repeatSegs(b, Root, segs, func(sz int64, blk int32) {
 		for _, h := range heads {
 			b.Send(Root, h, sz, pay1(b, blk, 1)...)
 		}
-		// Chain members receive and forward.
-		for r := 1; r < p; r++ {
+	})
+	// Chain members receive and forward each segment.
+	for r := 1; r < p; r++ {
+		repeatSegs(b, r, segs, func(sz int64, blk int32) {
 			b.Recv(r, prev[r], sz)
 			if next[r] >= 0 {
 				b.Send(r, next[r], sz, pay1(b, blk, 1)...)
 			}
-		}
+		})
 	}
 }
 
@@ -93,17 +94,16 @@ func bcastTree(b *sim.Builder, t tree, m int64, seg int64) {
 	if p <= 1 {
 		return
 	}
-	segs := segSizes(m, seg)
-	for s, sz := range segs {
-		blk := int32(s)
-		for r := 0; r < p; r++ {
+	segs := segRuns(m, seg)
+	for r := 0; r < p; r++ {
+		repeatSegs(b, r, segs, func(sz int64, blk int32) {
 			if t.parent[r] >= 0 {
 				b.Recv(r, t.parent[r], sz)
 			}
 			for _, c := range t.children[r] {
 				b.Send(r, c, sz, pay1(b, blk, 1)...)
 			}
-		}
+		})
 	}
 }
 
@@ -145,8 +145,8 @@ func BcastSplitBinary(b *sim.Builder, topo netmodel.Topology, m int64, prm Param
 	mA := (m + 1) / 2
 	mB := m - mA
 	// Halves as verification blocks: block 0 = first half, 1 = second.
-	segsA := segSizes(mA, prm.Seg)
-	segsB := segSizes(mB, prm.Seg)
+	segsA := segRuns(mA, prm.Seg)
+	segsB := segRuns(mB, prm.Seg)
 
 	// Subtree membership: ranks under child 1 get half A, under child 2
 	// half B.
@@ -165,29 +165,27 @@ func BcastSplitBinary(b *sim.Builder, topo netmodel.Topology, m int64, prm Param
 
 	// Phase 1: pipeline half A down subtree 1 and half B down subtree 2.
 	// Interleave the two pipelines segment by segment at the root.
-	maxSegs := len(segsA)
-	if len(segsB) > maxSegs {
-		maxSegs = len(segsB)
-	}
-	for s := 0; s < maxSegs; s++ {
-		if s < len(segsA) {
-			b.Send(Root, 1, segsA[s], pay1(b, 0, 1)...)
-		}
-		if s < len(segsB) && p > 2 {
-			b.Send(Root, 2, segsB[s], pay1(b, 1, 1)...)
-		}
-	}
+	zipRuns(segsA, segsB, func(x, y int64, n int) {
+		b.Repeat(Root, n, func(int) {
+			if x >= 0 {
+				b.Send(Root, 1, x, pay1(b, 0, 1)...)
+			}
+			if y >= 0 {
+				b.Send(Root, 2, y, pay1(b, 1, 1)...)
+			}
+		})
+	})
 	for r := 1; r < p; r++ {
 		segs, blk := segsA, int32(0)
 		if side[r] == 2 {
 			segs, blk = segsB, int32(1)
 		}
-		for _, sz := range segs {
+		repeatSegs(b, r, segs, func(sz int64, _ int32) {
 			b.Recv(r, t.parent[r], sz)
 			for _, c := range t.children[r] {
 				b.Send(r, c, sz, pay1(b, blk, 1)...)
 			}
-		}
+		})
 	}
 
 	// Phase 2: pair ranks across the two subtrees to exchange halves.
@@ -354,14 +352,25 @@ func BcastScatterRingAllgather(b *sim.Builder, topo netmodel.Topology, m int64, 
 	chunks := chunkSizes(m, p)
 	scatterBinomial(b, p, chunks)
 	// Ring allgather: at step s, rank r sends chunk (r-s mod p) to r+1 and
-	// receives chunk (r-1-s mod p) from r-1.
-	for s := 0; s < p-1; s++ {
-		for r := 0; r < p; r++ {
-			sendChunk := ((r-s)%p + p) % p
-			recvChunk := ((r-1-s)%p + p) % p
-			b.SendRecv(r, (r+1)%p, chunks[sendChunk], (r-1+p)%p, chunks[recvChunk],
-				pay1(b, int32(sendChunk), 1)...)
+	// receives chunk (r-1-s mod p) from r-1, the chunk it sends at step
+	// s+1. So after sending its own chunk a rank receives and forwards
+	// chunks r-1, r-2, ..., r-p+2, each run of equal sizes as one Repeat,
+	// and last receives chunk r+1 (mod p), its successor's.
+	rem := int(m % int64(p))
+	for r := 0; r < p; r++ {
+		dst, src := (r+1)%p, (r-1+p)%p
+		b.SendNB(r, dst, chunks[r], pay1(b, int32(r), 1)...)
+		for k := 0; k < p-2; {
+			j := mod(r-1-k, p)
+			n := min(chunkRun(j, rem, p), p-2-k)
+			b.Repeat(r, n, func(i int) {
+				c := mod(j-i, p)
+				b.Recv(r, src, chunks[c])
+				b.SendNB(r, dst, chunks[c], pay1(b, int32(c), 1)...)
+			})
+			k += n
 		}
+		b.Recv(r, src, chunks[dst])
 	}
 }
 
@@ -386,35 +395,33 @@ func BcastDoubleTree(b *sim.Builder, topo netmodel.Topology, m int64, prm Params
 	b.Send(Root, mirror(Root), mB, pay1(b, 1, 1)...)
 	b.Recv(mirror(Root), Root, mB)
 
-	segsA := segSizes(mA, prm.Seg)
-	segsB := segSizes(mB, prm.Seg)
-	steps := len(segsA)
-	if len(segsB) > steps {
-		steps = len(segsB)
-	}
-	for s := 0; s < steps; s++ {
-		// Tree 1 moves segment s of half A; tree 2 moves segment s of
-		// half B. Per rank, tree-1 ops precede tree-2 ops within a step,
-		// giving a consistent order across ranks (both trees are DAGs).
-		for r := 0; r < p; r++ {
-			if s < len(segsA) {
-				if t1.parent[r] >= 0 {
-					b.Recv(r, t1.parent[r], segsA[s])
+	segsA := segRuns(mA, prm.Seg)
+	segsB := segRuns(mB, prm.Seg)
+	// At step s tree 1 moves segment s of half A and tree 2 segment s of
+	// half B. Per rank, tree-1 ops precede tree-2 ops within a step, giving
+	// a consistent order across ranks (both trees are DAGs).
+	for r := 0; r < p; r++ {
+		role := mirror(r)
+		zipRuns(segsA, segsB, func(x, y int64, n int) {
+			b.Repeat(r, n, func(int) {
+				if x >= 0 {
+					if t1.parent[r] >= 0 {
+						b.Recv(r, t1.parent[r], x)
+					}
+					for _, c := range t1.children[r] {
+						b.Send(r, c, x, pay1(b, 0, 1)...)
+					}
 				}
-				for _, c := range t1.children[r] {
-					b.Send(r, c, segsA[s], pay1(b, 0, 1)...)
+				if y >= 0 {
+					if t1.parent[role] >= 0 {
+						b.Recv(r, mirror(t1.parent[role]), y)
+					}
+					for _, c := range t1.children[role] {
+						b.Send(r, mirror(c), y, pay1(b, 1, 1)...)
+					}
 				}
-			}
-			if s < len(segsB) {
-				role := mirror(r)
-				if t1.parent[role] >= 0 {
-					b.Recv(r, mirror(t1.parent[role]), segsB[s])
-				}
-				for _, c := range t1.children[role] {
-					b.Send(r, mirror(c), segsB[s], pay1(b, 1, 1)...)
-				}
-			}
-		}
+			})
+		})
 	}
 }
 
@@ -433,39 +440,35 @@ func BcastHierarchical(b *sim.Builder, topo netmodel.Topology, m int64, prm Para
 	if radix < 2 {
 		radix = 2
 	}
-	segs := segSizes(m, prm.Seg)
+	segs := segRuns(m, prm.Seg)
 
 	// Inter-node phase over leader ranks (leader i = leaders[i]).
 	lt := knomialTree(len(leaders), radix)
-	for s, sz := range segs {
-		blk := int32(s)
-		for li, lr := range leaders {
+	for li, lr := range leaders {
+		repeatSegs(b, lr, segs, func(sz int64, blk int32) {
 			if lt.parent[li] >= 0 {
 				b.Recv(lr, leaders[lt.parent[li]], sz)
 			}
 			for _, c := range lt.children[li] {
 				b.Send(lr, leaders[c], sz, pay1(b, blk, 1)...)
 			}
-		}
+		})
 	}
 
 	// Intra-node phase: leader binomial-broadcasts within its node (the
 	// member lists make this correct under any rank placement).
 	members := nodeMembers(topo)
 	nt := knomialTree(topo.PPN, 2)
-	for s, sz := range segs {
-		blk := int32(s)
-		for node := 0; node < topo.Nodes; node++ {
-			ms := members[node]
-			for lr := 0; lr < len(ms); lr++ {
-				r := ms[lr]
+	for _, ms := range members {
+		for lr, r := range ms {
+			repeatSegs(b, r, segs, func(sz int64, blk int32) {
 				if nt.parent[lr] >= 0 {
 					b.Recv(r, ms[nt.parent[lr]], sz)
 				}
 				for _, c := range nt.children[lr] {
 					b.Send(r, ms[c], sz, pay1(b, blk, 1)...)
 				}
-			}
+			})
 		}
 	}
 }

@@ -46,24 +46,88 @@ type Generator func(b *sim.Builder, topo netmodel.Topology, m int64, prm Params)
 // fixed root).
 const Root = 0
 
-// segSizes splits m into segments of at most seg bytes. seg <= 0 or
-// seg >= m yields a single segment. m == 0 yields one empty segment so that
-// schedules still carry the synchronization structure.
-func segSizes(m, seg int64) []int64 {
+// run is n consecutive segments (or chunks) of size bytes each.
+type run struct {
+	size int64
+	n    int
+}
+
+// segRuns splits m into segments of at most seg bytes, returned as at most
+// two runs of equal sizes: the full segments, then a shorter tail (n == 0
+// when there is none). seg <= 0 or seg >= m yields a single segment.
+// m == 0 yields one empty segment so that schedules still carry the
+// synchronization structure.
+func segRuns(m, seg int64) [2]run {
 	if m <= 0 {
-		return []int64{0}
+		return [2]run{{0, 1}}
 	}
 	if seg <= 0 || seg >= m {
-		return []int64{m}
+		return [2]run{{m, 1}}
 	}
 	n := (m + seg - 1) / seg
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = seg
+	if tail := m - seg*(n-1); tail != seg {
+		return [2]run{{seg, int(n - 1)}, {tail, 1}}
 	}
-	out[n-1] = m - seg*(n-1)
-	return out
+	return [2]run{{seg, int(n)}}
 }
+
+// zipRuns walks the segments of a and b side by side, calling f once per
+// stretch of n positions over which both sizes stay the same; x (y) is -1
+// past the last segment of a (b).
+func zipRuns(a, b [2]run, f func(x, y int64, n int)) {
+	for {
+		if a[0].n == 0 {
+			a[0], a[1] = a[1], run{}
+		}
+		if b[0].n == 0 {
+			b[0], b[1] = b[1], run{}
+		}
+		n := max(a[0].n, b[0].n)
+		if n == 0 {
+			return
+		}
+		x, y := int64(-1), int64(-1)
+		if a[0].n > 0 {
+			x, n = a[0].size, min(n, a[0].n)
+		}
+		if b[0].n > 0 {
+			y, n = b[0].size, min(n, b[0].n)
+		}
+		f(x, y, n)
+		a[0].n = max(a[0].n-n, 0)
+		b[0].n = max(b[0].n-n, 0)
+	}
+}
+
+// repeatSegs emits on rank r one body per segment of segs, in order, each
+// run of equal segments as one Repeat; body gets the segment's size and
+// index.
+func repeatSegs(b *sim.Builder, r int, segs [2]run, body func(sz int64, blk int32)) {
+	base := 0
+	for _, sr := range segs {
+		b.Repeat(r, sr.n, func(i int) { body(sr.size, int32(base+i)) })
+		base += sr.n
+	}
+}
+
+// chunkRun returns for how many ring steps a rank's chunk keeps the size
+// of chunk j when the chunk index goes down by one (mod p) a step. The
+// chunks are chunkSizes(m, p) with rem = m mod p: those below rem are one
+// byte larger, so the size changes past chunk rem and past chunk 0. The
+// count may run past the ring's last step.
+func chunkRun(j, rem, p int) int {
+	switch {
+	case rem == 0:
+		return p
+	case j >= rem:
+		return j - rem + 1
+	default:
+		return j + 1
+	}
+}
+
+// mod returns a mod p in [0, p).
+func mod(a, p int) int { return (a%p + p) % p }
 
 // chunkSizes splits m into p nearly equal chunks (chunk i gets one extra
 // byte while i < m mod p); used by scatter/reduce-scatter based algorithms.

@@ -9,6 +9,17 @@ import (
 
 func topoOf(n, ppn int) netmodel.Topology { return netmodel.Topology{Nodes: n, PPN: ppn} }
 
+// segSizes lists the segments of segRuns(m, seg), one size each.
+func segSizes(m, seg int64) []int64 {
+	var out []int64
+	for _, r := range segRuns(m, seg) {
+		for i := 0; i < r.n; i++ {
+			out = append(out, r.size)
+		}
+	}
+	return out
+}
+
 func TestSegSizes(t *testing.T) {
 	cases := []struct {
 		m, seg int64

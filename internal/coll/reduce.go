@@ -56,7 +56,7 @@ func ReducePipelined(b *sim.Builder, topo netmodel.Topology, m int64, prm Params
 		return
 	}
 	t := knomialTree(p, 2)
-	segs := segSizes(m, prm.Seg)
+	segs := segRuns(m, prm.Seg)
 	// Each segment independently accumulates the sender's whole subtree,
 	// so every message of rank r carries r's subtree contribution mask.
 	subtree := make([]uint64, p)
@@ -66,8 +66,8 @@ func ReducePipelined(b *sim.Builder, topo netmodel.Topology, m int64, prm Params
 	for r := p - 1; r >= 1; r-- {
 		subtree[t.parent[r]] |= subtree[r]
 	}
-	for _, sz := range segs {
-		for r := p - 1; r >= 0; r-- {
+	for r := p - 1; r >= 0; r-- {
+		repeatSegs(b, r, segs, func(sz int64, _ int32) {
 			for i := len(t.children[r]) - 1; i >= 0; i-- {
 				b.Recv(r, t.children[r][i], sz)
 				b.Compute(r, sz)
@@ -75,6 +75,6 @@ func ReducePipelined(b *sim.Builder, topo netmodel.Topology, m int64, prm Params
 			if t.parent[r] >= 0 {
 				b.Send(r, t.parent[r], sz, pay1(b, 0, subtree[r])...)
 			}
-		}
+		})
 	}
 }

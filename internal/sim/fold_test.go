@@ -200,3 +200,144 @@ func TestBuildNumbersPairs(t *testing.T) {
 		t.Fatal("no trial folded a repeat")
 	}
 }
+
+// expandPairs returns the pair id of every op of rank r's expanded stream.
+func expandPairs(prog *Program, r int) []int32 {
+	rp := &prog.ranks[r]
+	var out []int32
+	for _, l := range rp.loops {
+		for i := int32(0); i < l.n; i++ {
+			out = append(out, rp.pair[l.start:l.start+l.len]...)
+		}
+	}
+	return out
+}
+
+// emitOp appends op to rank on b. A send carries a payload naming block
+// blk, so in verify mode each call records a distinct one.
+func emitOp(b *Builder, rank int, op Op, blk int) {
+	switch op.Kind {
+	case OpSend:
+		b.Send(rank, int(op.Peer), int64(op.Bytes), PayUnit{Block: int32(blk), Mask: 1})
+	case OpSendNB:
+		b.SendNB(rank, int(op.Peer), int64(op.Bytes))
+	case OpRecv:
+		b.Recv(rank, int(op.Peer), int64(op.Bytes))
+	default:
+		b.Compute(rank, int64(op.Bytes))
+	}
+}
+
+func TestRepeatEqualsUnrolledBody(t *testing.T) {
+	rng := NewRNG(23)
+	pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
+	randOps := func(p, n int) []Op {
+		ops := make([]Op, n)
+		for i := range ops {
+			ops[i] = Op{Kind: OpKind(pick(4)), Peer: int32(pick(p)), Bytes: uint32(8 * (1 + pick(2)))}
+		}
+		return ops
+	}
+	afterOpenLoop := 0
+	for trial := 0; trial < 2000; trial++ {
+		verify := trial%2 == 1
+		p := 1 + pick(5)
+		rep, unrolled := NewBuilder(p, verify), NewBuilder(p, verify)
+		for chunk := pick(10); chunk >= 0; chunk-- {
+			rank := pick(p)
+			if pick(2) == 0 {
+				// Plain ops, repeated so that the detector opens a loop,
+				// sometimes cut mid-iteration.
+				ops := randOps(p, 1+pick(3))
+				reps, cut := 1+pick(4), pick(len(ops)+1)
+				for i := 0; i < reps*len(ops)+cut; i++ {
+					emitOp(rep, rank, ops[i%len(ops)], i)
+					emitOp(unrolled, rank, ops[i%len(ops)], i)
+				}
+				continue
+			}
+			// A Repeat of n = 0..5 iterations of a body whose payloads name
+			// the iteration.
+			n, body := pick(6), randOps(p, 1+pick(4))
+			if !verify && n >= 2 && rep.pos[rank] >= 0 {
+				afterOpenLoop++ // Repeat must close the loop first
+			}
+			rep.Repeat(rank, n, func(i int) {
+				for _, op := range body {
+					emitOp(rep, rank, op, i)
+				}
+			})
+			for i := 0; i < n; i++ {
+				for _, op := range body {
+					emitOp(unrolled, rank, op, i)
+				}
+			}
+		}
+		got, want := rep.Build(), unrolled.Build()
+		if got.NumOps() != want.NumOps() || got.npairs != want.npairs {
+			t.Fatalf("trial %d: %d ops, %d pairs; unrolled %d ops, %d pairs",
+				trial, got.NumOps(), got.npairs, want.NumOps(), want.npairs)
+		}
+		if !slices.Equal(got.Pay, want.Pay) {
+			t.Fatalf("trial %d: payload tables differ", trial)
+		}
+		for r := 0; r < p; r++ {
+			if g, w := got.Expand(r), want.Expand(r); !slices.Equal(g, w) {
+				t.Fatalf("trial %d rank %d: expanded %v, unrolled %v", trial, r, g, w)
+			}
+			if g, w := expandPairs(got, r), expandPairs(want, r); !slices.Equal(g, w) {
+				t.Fatalf("trial %d rank %d: pair ids %v, unrolled %v", trial, r, g, w)
+			}
+		}
+	}
+	if afterOpenLoop == 0 {
+		t.Fatal("no Repeat followed an open detector loop")
+	}
+}
+
+func TestRepeatStoresBodyOnce(t *testing.T) {
+	b := NewBuilder(2, false)
+	b.Recv(0, 1, 8) // a literal op before the loop
+	b.Repeat(0, 1000, func(int) {
+		b.SendNB(0, 1, 64)
+		b.Recv(0, 1, 64)
+		b.Compute(0, 64)
+	})
+	b.Repeat(1, 0, func(int) { b.Recv(1, 0, 64) })
+	prog := b.Build()
+	if prog.NumOps() != 3001 {
+		t.Errorf("NumOps %d, want 3001", prog.NumOps())
+	}
+	if got := len(prog.ranks[0].ops); got != 4 {
+		t.Errorf("%d ops stored (loops %v), want 4", got, prog.ranks[0].loops)
+	}
+	if got := len(prog.ranks[1].ops); got != 0 {
+		t.Errorf("rank 1: %d ops stored after a Repeat of 0 iterations", got)
+	}
+}
+
+func TestRepeatPanicsOnAnotherRank(t *testing.T) {
+	for _, verify := range []bool{false, true} {
+		for _, c := range []struct {
+			name string
+			body func(b *Builder) func(int)
+		}{
+			{"op on another rank", func(b *Builder) func(int) {
+				return func(int) { b.Recv(1, 0, 8) }
+			}},
+			{"nested Repeat", func(b *Builder) func(int) {
+				return func(int) { b.Repeat(0, 2, func(int) { b.Recv(0, 1, 8) }) }
+			}},
+		} {
+			b := NewBuilder(2, verify)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("verify=%t, %s: no panic", verify, c.name)
+					}
+				}()
+				b.Repeat(0, 3, c.body(b))
+			}()
+		}
+	}
+}

@@ -119,25 +119,31 @@ const maxPeriod = 8
 // sequential program. When Verify is false, payload arguments are dropped,
 // keeping the hot path allocation-light.
 //
-// The Builder folds repeats as ops arrive. When a rank's last k ops
-// (k <= maxPeriod, the smallest such k) repeat the k ops before them, the
-// two copies become a loop of two iterations, and the loop keeps growing while each new op
-// equals the next op of its body. An op that does not closes the loop: the
-// partial iteration before it is stored again as literal ops. Every op that
-// carries a payload has its own PayStart, so it never equals another op and
-// is never folded.
+// Generators state their own loops through Repeat, which stores a body
+// once however many times it runs. Ops emitted outside a Repeat are folded
+// as they arrive: when a rank's last k ops (k <= maxPeriod, the smallest
+// such k) repeat the k ops before them, the two copies become a loop of two
+// iterations, and the loop keeps growing while each new op equals the next
+// op of its body. An op that does not closes the loop: the partial
+// iteration before it is stored again as literal ops. Every op that carries
+// a payload has its own PayStart, so it never equals another op and is
+// never folded.
 type Builder struct {
 	prog   Program
 	verify bool
 	// pos holds, per rank, the body position of the op that extends the
 	// rank's open last loop, or -1 when its last loop is closed.
 	pos []int32
+	// rep is the rank whose Repeat body is running, or -1; repLoop is set
+	// while that body's ops go literally into the store as one loop's body.
+	rep     int
+	repLoop bool
 }
 
 // NewBuilder returns a Builder for p ranks. If verify is true, payload
 // metadata passed to Send is recorded for later replay by a Tracker.
 func NewBuilder(p int, verify bool) *Builder {
-	b := &Builder{verify: verify, pos: make([]int32, p)}
+	b := &Builder{verify: verify, pos: make([]int32, p), rep: -1}
 	b.prog.ranks = make([]rankProg, p)
 	for r := range b.pos {
 		b.pos[r] = -1
@@ -150,8 +156,19 @@ func (b *Builder) P() int { return len(b.prog.ranks) }
 
 // emit appends op to rank's stream.
 func (b *Builder) emit(rank int, op Op) {
-	b.prog.nops++
 	rp := &b.prog.ranks[rank]
+	if b.rep >= 0 {
+		if rank != b.rep {
+			//mpicollvet:ignore panicguard schedule-builder invariant: a Repeat body describes one rank's loop, so an op for another rank is a generator bug
+			panic(fmt.Sprintf("sim: Repeat body on rank %d emits an op on rank %d", b.rep, rank))
+		}
+		if b.repLoop {
+			// The body runs once; Repeat stores it as one loop.
+			rp.ops = append(rp.ops, op)
+			return
+		}
+	}
+	b.prog.nops++
 	if j := b.pos[rank]; j >= 0 {
 		l := &rp.loops[len(rp.loops)-1]
 		if rp.ops[l.start+j] == op {
@@ -195,6 +212,44 @@ func (b *Builder) emit(rank int, op Op) {
 		b.pos[rank] = 0
 		return
 	}
+}
+
+// Repeat appends n iterations of the ops body emits on rank, which it calls
+// with the iteration index i. Outside verify mode body runs once, with
+// i = 0, and for n >= 2 Repeat closes the rank's open loop and stores the
+// body's ops once, as one loop of n iterations; so every iteration must
+// emit the same ops. In verify mode body runs n times, with i = 0..n-1, so
+// that payloads can name iteration i's blocks. Ops of a single iteration,
+// and all ops in verify mode, fold as they arrive. A body must emit only
+// on rank and must not call Repeat. n <= 0 appends nothing.
+func (b *Builder) Repeat(rank, n int, body func(i int)) {
+	if b.rep >= 0 {
+		//mpicollvet:ignore panicguard schedule-builder invariant: programs have one loop level, so a nested Repeat is a generator bug
+		panic(fmt.Sprintf("sim: Repeat on rank %d inside a Repeat body on rank %d", rank, b.rep))
+	}
+	if n <= 0 {
+		return
+	}
+	b.rep = rank
+	defer func() { b.rep = -1 }()
+	if b.verify || n == 1 {
+		for i := 0; i < n; i++ {
+			body(i)
+		}
+		return
+	}
+	b.closeLoop(rank)
+	rp := &b.prog.ranks[rank]
+	start := len(rp.ops)
+	b.repLoop = true
+	body(0)
+	b.repLoop = false
+	k := len(rp.ops) - start
+	if k == 0 {
+		return
+	}
+	b.prog.nops += n * k
+	rp.loops = append(rp.loops, loop{start: int32(start), len: int32(k), n: int32(n)})
 }
 
 // Verify reports whether payload metadata is being recorded.
@@ -256,7 +311,7 @@ func (b *Builder) Compute(rank int, bytes int64) {
 func (b *Builder) closeLoop(rank int) {
 	j := b.pos[rank]
 	b.pos[rank] = -1
-	if j == 0 {
+	if j <= 0 {
 		return
 	}
 	rp := &b.prog.ranks[rank]
@@ -267,10 +322,8 @@ func (b *Builder) closeLoop(rank int) {
 
 // Build finalizes and returns the Program. The Builder must not be reused.
 func (b *Builder) Build() *Program {
-	for r, j := range b.pos {
-		if j > 0 {
-			b.closeLoop(r)
-		}
+	for r := range b.pos {
+		b.closeLoop(r)
 	}
 	b.prog.numberPairs()
 	return &b.prog
