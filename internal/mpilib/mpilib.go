@@ -19,9 +19,10 @@
 //     simulated stand-in for mpitune factory tables), which makes its
 //     defaults near-optimal, as the paper observes. Each table entry is an
 //     exhaustive search over the portfolio, pruned by a makespan bound:
-//     configurations run in parallel, and a run stops as soon as it is
-//     certain to be slower than one already completed, which never changes
-//     the answer.
+//     configurations run in parallel, and a run stops as soon as a lower
+//     bound on its makespan (a rank's clock plus the cost model's floors
+//     for the ops it has left) shows it slower than one already completed,
+//     which never changes the answer.
 package mpilib
 
 import (

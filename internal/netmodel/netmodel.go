@@ -302,6 +302,35 @@ func (m *Model) PostOverhead(bytes uint32) float64 { return m.prm.OSend }
 // Compute implements sim.CostModel.
 func (m *Model) Compute(bytes uint32) float64 { return float64(bytes) * m.prm.Gamma }
 
+// MinCost implements sim.CostModel. Each floor follows from a branch of
+// the engine's step and of the send methods above. Noise scales only the
+// latency term and fault factors are at least 1, so no draw or fault
+// shortens any of these terms; and a transfer never ends before it starts.
+//   - Compute adds Gamma·b, exactly.
+//   - A receive completes at arrival + ORecv, and arrival is never before
+//     the receiver's clock or post time: an eager arrival is raised to it,
+//     and a rendezvous transfer is not ready before the receiver posted.
+//   - An eager send resumes at t + OSend + b·OByte: SendEager's senderDone,
+//     with no noise or fault term.
+//   - A non-blocking rendezvous send pays its PostOverhead, OSend.
+//   - A blocking rendezvous send resumes when its last byte has left, which
+//     is no earlier than the transfer's ready time, and so at least
+//     OSend + RendezvousL after the send was posted.
+func (m *Model) MinCost(kind sim.OpKind, bytes uint32) float64 {
+	switch {
+	case kind == sim.OpCompute:
+		return m.Compute(bytes)
+	case kind == sim.OpRecv:
+		return m.prm.ORecv
+	case m.Eager(bytes):
+		return m.prm.OSend + float64(bytes)*m.prm.OByte
+	case kind == sim.OpSendNB:
+		return m.prm.OSend
+	default: // blocking rendezvous send
+		return m.prm.OSend + m.prm.RendezvousL
+	}
+}
+
 var _ sim.CostModel = (*Model)(nil)
 
 func maxf(a, b float64) float64 {

@@ -10,7 +10,8 @@ import (
 // CostModel supplies the timing semantics of the simulated network and CPUs.
 // Implementations may be stateful per run (e.g. per-node NIC availability);
 // the Engine calls the Send methods in nondecreasing simulated-time order of
-// the posting events.
+// the posting events. MinCost is the one stateless method: RunWithin sums it
+// over a rank's remaining ops to bound the makespan from below.
 type CostModel interface {
 	// Eager reports whether a message of the given size uses the eager
 	// protocol (sender does not wait for the receiver).
@@ -29,6 +30,12 @@ type CostModel interface {
 	PostOverhead(bytes uint32) float64
 	// Compute is the local computation cost for an OpCompute of bytes.
 	Compute(bytes uint32) float64
+	// MinCost is a lower bound on what an op of the given kind and size
+	// adds to its own rank's clock, whatever the other ranks do: the time
+	// from the rank's clock when the op comes up (the post time, if it
+	// blocks) to its clock when the op completes. It must not depend on the
+	// model's per-run state.
+	MinCost(kind OpKind, bytes uint32) float64
 }
 
 // Observer receives data-flow callbacks during execution; used by Tracker to
@@ -101,6 +108,19 @@ type Engine struct {
 	obs   Observer
 	done  int
 
+	// Floors of a bounded run (RunWithin with a finite bound), set by
+	// floors: rank r's stored op pc has at floor[opBase[r]+pc] the floor
+	// from it to the end of its loop body, and its loop i has at
+	// loopFloors[loopBase[r]+i] the floor of one iteration and of the
+	// rank's later loops. curFloor[r] is that of rank r's current loop.
+	// The arrays are kept across runs.
+	bounded    bool
+	floor      []float64
+	loopFloors []loopFloor
+	curFloor   []loopFloor
+	opBase     []int32
+	loopBase   []int32
+
 	// Instrumentation, both off by default: per-run counters (reset by Run,
 	// surfaced as Result.Stats) and the timeline tracer.
 	collectStats bool
@@ -116,6 +136,10 @@ type cursor struct{ pc, end int32 }
 // loop, the start of the loop's body, and the iterations left after the
 // current one.
 type loopState struct{ loop, start, left int32 }
+
+// loopFloor holds a loop's floor per iteration and the floor of all of its
+// rank's later loops, each counted with its iterations.
+type loopFloor struct{ body, tail float64 }
 
 // NewEngine returns an empty Engine.
 func NewEngine() *Engine { return &Engine{} }
@@ -139,12 +163,15 @@ func (e *Engine) Run(prog *Program, model CostModel, start []float64, obs Observ
 }
 
 // RunWithin is Run without an observer that gives up early, returning
-// ErrExceeded, once the makespan is known to exceed bound. The check is
-// exact: clocks never decrease, so the time of every rank the scheduler
-// switches to, measured from the earliest start, is a lower bound on the
-// makespan. It is ErrExceeded only when the makespan is greater than bound;
-// a run that is not cut returns exactly what Run returns, which may still
-// exceed bound when the last events ran without a switch.
+// ErrExceeded, once the makespan is known to exceed bound. Two lower bounds
+// on the makespan decide the cut, both measured from the earliest start:
+// the time of every rank the scheduler switches to, since clocks never
+// decrease; and a rank's clock plus the CostModel.MinCost floors of the ops
+// it has left, checked before the first event and whenever a rank blocks.
+// A rank's floor bound never decreases either, so checking it only at
+// those points cuts later, never wrongly. It is ErrExceeded only
+// when the makespan is greater than bound; a run that is not cut returns
+// exactly what Run returns, which may still exceed bound.
 func (e *Engine) RunWithin(prog *Program, model CostModel, start []float64, bound float64) (Result, error) {
 	return e.run(prog, model, start, nil, bound)
 }
@@ -177,8 +204,15 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 	if e.collectStats {
 		e.stats = Stats{}
 	}
+	// An unbounded run (every Run) computes no floors and pays one branch
+	// per block and per loop entered.
+	e.bounded = !math.IsInf(bound, 1)
+	if e.bounded {
+		e.floors(prog, model)
+	}
 
 	minStart := 0.0
+	maxFloor := math.Inf(-1) // the largest rank's start plus all its floors
 	for r := 0; r < p; r++ {
 		t := 0.0
 		if start != nil {
@@ -196,9 +230,20 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 			e.status[r] = statusReady
 			e.queue.put(int32(r), timeBits(t))
 			e.queued++
+			if e.bounded {
+				maxFloor = max(maxFloor, e.lowerBound(r))
+			}
 		}
 	}
 	e.queue.build()
+	// A floor bound is a differently rounded sum than the clock it bounds,
+	// so it cuts only past a relative slack, far above the rounding error
+	// of either sum and far below any gap between two schedules' times. A
+	// run whose makespan equals bound is never cut.
+	limit := minStart + bound + 0x1p-28*(bound+math.Abs(minStart))
+	if maxFloor > limit {
+		return Result{}, ErrExceeded
+	}
 
 	events := 0
 	for {
@@ -235,6 +280,9 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 			if !advanced {
 				e.queued--
 				e.queue.set(top.r, absent)
+				if e.bounded && e.lowerBound(r) > limit {
+					return Result{}, ErrExceeded
+				}
 				break // blocked; woken later
 			}
 			tb := timeBits(e.clock[r])
@@ -292,6 +340,55 @@ func (e *Engine) enterLoop(r int, i int32) {
 	l := e.prog.ranks[r].loops[i]
 	e.ls[r] = loopState{loop: i, start: l.start, left: l.n - 1}
 	e.cur[r] = cursor{l.start, l.start + l.len}
+	if e.bounded {
+		e.curFloor[r] = e.loopFloors[int(e.loopBase[r])+int(i)]
+	}
+}
+
+// floors fills the engine's floor arrays for prog under model, in one pass
+// over the stored ops: O(stored ops), however many times the loops run.
+func (e *Engine) floors(prog *Program, model CostModel) {
+	p := len(prog.ranks)
+	e.opBase = slices.Grow(e.opBase[:0], p)[:p]
+	e.loopBase = slices.Grow(e.loopBase[:0], p)[:p]
+	e.curFloor = slices.Grow(e.curFloor[:0], p)[:p]
+	nops, nloops := 0, 0
+	for r := range prog.ranks {
+		e.opBase[r], e.loopBase[r] = int32(nops), int32(nloops)
+		nops += len(prog.ranks[r].ops)
+		nloops += len(prog.ranks[r].loops)
+	}
+	e.floor = slices.Grow(e.floor[:0], nops)[:nops]
+	e.loopFloors = slices.Grow(e.loopFloors[:0], nloops)[:nloops]
+	for r := range prog.ranks {
+		rp := &prog.ranks[r]
+		floor := e.floor[e.opBase[r]:]
+		lf := e.loopFloors[e.loopBase[r]:][:len(rp.loops)]
+		for i, l := range rp.loops {
+			sum := 0.0
+			for pc := l.start + l.len - 1; pc >= l.start; pc-- {
+				sum += model.MinCost(rp.ops[pc].Kind, rp.ops[pc].Bytes)
+				floor[pc] = sum
+			}
+			lf[i].body = sum
+		}
+		tail := 0.0
+		for i := len(lf) - 1; i >= 0; i-- {
+			lf[i].tail = tail
+			tail += float64(rp.loops[i].n) * lf[i].body
+		}
+	}
+}
+
+// lowerBound returns rank r's clock plus the floors of the ops it has left:
+// a lower bound on its finish time in a bounded run.
+func (e *Engine) lowerBound(r int) float64 {
+	lf := &e.curFloor[r]
+	lb := e.clock[r] + lf.tail + float64(e.ls[r].left)*lf.body
+	if c := e.cur[r]; c.pc < c.end {
+		lb += e.floor[int(e.opBase[r])+int(c.pc)]
+	}
+	return lb
 }
 
 // opIndex returns the position of rank r's next op in its expanded stream.

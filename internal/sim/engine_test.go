@@ -31,6 +31,20 @@ func (m *testModel) RecvOverhead(bytes uint32) float64 { return m.O }
 func (m *testModel) PostOverhead(bytes uint32) float64 { return m.O }
 func (m *testModel) Compute(bytes uint32) float64      { return float64(bytes) * m.gamma }
 
+// MinCost is exact for compute and eager sends; a receive pays at least its
+// overhead, a non-blocking rendezvous send its post overhead, and a
+// blocking one the handshake, overhead and wire time after it posts.
+func (m *testModel) MinCost(kind OpKind, bytes uint32) float64 {
+	switch {
+	case kind == OpCompute:
+		return m.Compute(bytes)
+	case kind == OpRecv, m.Eager(bytes), kind == OpSendNB:
+		return m.O
+	default:
+		return m.O + 2*m.L + float64(bytes)*m.G
+	}
+}
+
 func newTestModel() *testModel {
 	return &testModel{L: 1.0, G: 0.001, O: 0.1, eagerAt: 1 << 20, gamma: 0.0001}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"hash"
 	"math"
+	"slices"
 	"testing"
 
 	"mpicollpred/internal/machine"
@@ -20,10 +21,13 @@ import (
 // feeds its complete observable output into one SHA-256 per (library,
 // collective): the bits of every finish time, the event count, the Stats
 // block, the tracer's span sequence, and the RunWithin outcome at bounds
-// just below, at and above the makespan. The digests were recorded before
-// the scheduler queue was last replaced, so any change to event order —
-// and therefore to the order of the stateful cost model's calls — fails
-// here even when the makespans happen to agree.
+// below, just below, at and above the makespan. The digests were recorded
+// before the scheduler queue was last replaced, so any change to event
+// order — and therefore to the order of the stateful cost model's calls —
+// fails here even when the makespans happen to agree. Each RunWithin
+// outcome is also checked against RunWithin's contract: a cut run's
+// makespan exceeds the bound, and a run that is not cut returns what Run
+// returned.
 
 // goldenDigests pins the corpus. A deliberate change to simulator
 // semantics must re-record them; a scheduler refactor must not.
@@ -31,16 +35,16 @@ var goldenDigests = map[string]string{
 	"Intel MPI/allgather": "b2986af1739a664bc5a54634473c9417b63e500c335a27d1d541f79ce7e51bde",
 	"Intel MPI/allreduce": "eff229c9e9802aca4fb9a03033f884997f130ee930e49e06f8069f5615f9753b",
 	"Intel MPI/alltoall":  "03248e078528fbd0a0760fe226ac0db2ba3c98e3938cfd4c4051a2f9d35c9b40",
-	"Intel MPI/bcast":     "b619f6d9a9b8b6dea0b0b5a5857231fd28e58206e6481f95fd627fa120688e17",
-	"Intel MPI/gather":    "8cf1dadf1fb953538c4bac0b416320d49d5fd4ec81e3f06613e4256fef151015",
-	"Intel MPI/reduce":    "a9c0f45c746d6b16cde114d01faa31b8468ea4eae262b8a8c6a11f2fe4dc7d2f",
+	"Intel MPI/bcast":     "cd18f0e3a2c0aaf0fbab210e6b233b31bc4daa0cfe60a17220df1f8198fab77a",
+	"Intel MPI/gather":    "a462d286ae8eb72ea9599ccfc9e6bafa7dbd38801872aa0d6ad18dc42958b131",
+	"Intel MPI/reduce":    "3de7ed310ace93b9d220bfe40584838a275103f8f9933dca0f6f5b605fb94086",
 	"Intel MPI/scatter":   "70008ceae294370b5e786a3f590267ed22f1003ee6502491b0364f73b3daafcb",
 	"Open MPI/allgather":  "e004f0766b8a0a117448a4bf3a951e62c6f05debfabb23fe3848d1f201fc7bb4",
 	"Open MPI/allreduce":  "d9604317d77d78665abf3de807fc17caa8b0073dc0ad391e9f3a502ff3eab6c2",
 	"Open MPI/alltoall":   "f22580e4c079797e19e907c13757975f66b577e90be3aa668f3b99c6f9e7ecaf",
-	"Open MPI/bcast":      "62b18f50c92b91f3a8a493ccf4063fadc63f2c38a35765b2bc633c0a41d3b6c1",
-	"Open MPI/gather":     "8cf1dadf1fb953538c4bac0b416320d49d5fd4ec81e3f06613e4256fef151015",
-	"Open MPI/reduce":     "369164f2ef3872bda27ba7b4bf04bb40606eb560789ef1c362b526e059ecd37f",
+	"Open MPI/bcast":      "8a418196d291189a97a1d6e6f926774bb9492d5e63bba98e460635b2d2a9beb0",
+	"Open MPI/gather":     "a462d286ae8eb72ea9599ccfc9e6bafa7dbd38801872aa0d6ad18dc42958b131",
+	"Open MPI/reduce":     "4048f16aaa54849711a7028e9a570e32446a9445534843b8c0986230289d1836",
 	"Open MPI/scatter":    "70008ceae294370b5e786a3f590267ed22f1003ee6502491b0364f73b3daafcb",
 }
 
@@ -145,13 +149,20 @@ func goldenRun(t *testing.T, h *spanHasher, eng *sim.Engine, c mpilib.Config, to
 	h.u64(uint64(res.Events))
 	h.stats(res.Stats)
 	for _, frac := range []float64{0.25, 0.75, math.Nextafter(1, 0), 1, 2} {
-		got, err := eng.RunWithin(prog, netmodel.New(gm.prm, topo, seed, gm.noisy), start, res.Time*frac)
+		bound := res.Time * frac
+		got, err := eng.RunWithin(prog, netmodel.New(gm.prm, topo, seed, gm.noisy), start, bound)
 		switch {
 		case errors.Is(err, sim.ErrExceeded):
+			if res.Time <= bound {
+				t.Errorf("%s on %+v m=%d: RunWithin cut at bound %v, but the makespan is %v", c.Label(), topo, m, bound, res.Time)
+			}
 			h.u64(1)
 		case err != nil:
 			t.Fatalf("%s RunWithin: %v", c.Label(), err)
 		default:
+			if got.Time != res.Time || got.Events != res.Events || !slices.Equal(got.Finish, res.Finish) {
+				t.Errorf("%s on %+v m=%d: RunWithin at bound %v gave time %v after %d events, Run %v after %d", c.Label(), topo, m, bound, got.Time, got.Events, res.Time, res.Events)
+			}
 			h.u64(0)
 			h.f64(got.Time)
 			h.u64(uint64(got.Events))

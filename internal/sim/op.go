@@ -14,7 +14,10 @@
 // holds, and the final holdings must match the collective's postcondition.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // OpKind discriminates the operation types a rank program may contain.
 type OpKind uint8
@@ -329,38 +332,98 @@ func (b *Builder) Build() *Program {
 	return &b.prog
 }
 
-// numberPairs gives each (sender, receiver) pair of the program a dense id,
-// in order of first appearance in the ranks' stores: a send to d on rank r
-// belongs to (r, d), a receive from s on rank r to (s, r). The ids of all
-// ranks share one allocation.
+// numberPairs gives each (sender, receiver) pair of the program a dense id:
+// a send to d on rank r belongs to (r, d), a receive from s on rank r to
+// (s, r). It uses no map: two passes over the stored ops with a counting
+// sort between them. The sender pass numbers each rank's send pairs through
+// a slot per peer, in order of first appearance, and records them; the sort
+// groups the records by receiver; the receiver pass loads each rank's
+// records into the slots and reads its receives' ids from them. A receive
+// with no matching send gets a fresh id. Peers index the slots, so the
+// slots grow to the largest peer an op names, which may exceed the rank
+// count. The ids of all ranks share one allocation.
 func (p *Program) numberPairs() {
 	n := 0
 	for _, rp := range p.ranks {
 		n += len(rp.ops)
 	}
 	ids := make([]int32, n)
-	seen := make(map[[2]int32]int32)
+	var slot []int32
+	// fit grows the slots to hold peer q.
+	fit := func(q int32) {
+		for int(q) >= len(slot) {
+			slot = append(slot, -1)
+		}
+	}
+	fit(int32(len(p.ranks)) - 1)
+	var touched []int32
+	// release resets the slots the last rank set.
+	release := func() {
+		for _, q := range touched {
+			slot[q] = -1
+		}
+		touched = touched[:0]
+	}
+	type pairRec struct{ src, dst, id int32 }
+	sends := make([]pairRec, 0, n) // at most one per stored op
+	next := int32(0)
 	for r := range p.ranks {
 		rp := &p.ranks[r]
 		rp.pair, ids = ids[:len(rp.ops):len(rp.ops)], ids[len(rp.ops):]
 		for i, op := range rp.ops {
-			key := [2]int32{int32(r), op.Peer}
 			switch op.Kind {
-			case OpCompute:
-				rp.pair[i] = -1
-				continue
-			case OpRecv:
-				key = [2]int32{op.Peer, int32(r)}
+			case OpSend, OpSendNB:
+				fit(op.Peer)
+				if slot[op.Peer] < 0 {
+					slot[op.Peer] = next
+					touched = append(touched, op.Peer)
+					sends = append(sends, pairRec{int32(r), op.Peer, next})
+					next++
+				}
+				rp.pair[i] = slot[op.Peer]
+			default:
+				rp.pair[i] = -1 // compute, and receives until the last pass
 			}
-			id, ok := seen[key]
-			if !ok {
-				id = int32(len(seen))
-				seen[key] = id
-			}
-			rp.pair[i] = id
 		}
+		release()
 	}
-	p.npairs = len(seen)
+	// Counting sort of the send pairs by receiver: first[d] is where
+	// receiver d's records start in byDst.
+	peers := len(slot)
+	first := make([]int32, peers+1)
+	for _, s := range sends {
+		first[s.dst+1]++
+	}
+	for d := 1; d <= peers; d++ {
+		first[d] += first[d-1]
+	}
+	byDst := make([]pairRec, len(sends))
+	fill := slices.Clone(first[:peers])
+	for _, s := range sends {
+		byDst[fill[s.dst]] = s
+		fill[s.dst]++
+	}
+	for r := range p.ranks {
+		for _, s := range byDst[first[r]:first[r+1]] {
+			slot[s.src] = s.id
+			touched = append(touched, s.src)
+		}
+		rp := &p.ranks[r]
+		for i, op := range rp.ops {
+			if op.Kind != OpRecv {
+				continue
+			}
+			fit(op.Peer)
+			if slot[op.Peer] < 0 {
+				slot[op.Peer] = next
+				touched = append(touched, op.Peer)
+				next++
+			}
+			rp.pair[i] = slot[op.Peer]
+		}
+		release()
+	}
+	p.npairs = int(next)
 }
 
 func clampBytes(bytes int64) uint32 {
