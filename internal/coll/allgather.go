@@ -16,11 +16,11 @@ func AllgatherRing(b *sim.Builder, topo netmodel.Topology, m int64, _ Params) {
 	if p <= 1 {
 		return
 	}
-	for s := 0; s < p-1; s++ {
-		for r := 0; r < p; r++ {
-			blk := (((r - s) % p) + p) % p
-			b.SendRecv(r, (r+1)%p, m, (r-1+p)%p, m, pay1(b, int32(blk), 1)...)
-		}
+	// At step s rank r forwards block r-s.
+	for r := 0; r < p; r++ {
+		b.Repeat(r, p-1, func(s int) {
+			b.SendRecv(r, (r+1)%p, m, (r-1+p)%p, m, pay1(b, int32(mod(r-s, p)), 1)...)
+		})
 	}
 }
 

@@ -170,21 +170,43 @@ func allreduceRingSeg(b *sim.Builder, topo netmodel.Topology, m int64, seg int64
 	if p <= 1 {
 		return
 	}
+	ranks, acc := make([]int, p), make([]uint64, p)
+	for r := range ranks {
+		ranks[r], acc[r] = r, maskOf(r)
+	}
+	ringAllreduce(b, ranks, acc, m, seg, false)
+}
+
+// ringAllreduce runs the ring allreduce over the ring members ranks, member
+// i contributing acc[i]: a reduce-scatter ring and an allgather ring of
+// len(ranks)-1 steps each, on chunks of ~m/len(ranks) bytes, every chunk
+// transfer split into segments of seg bytes (seg <= 0: unsegmented).
+// Payloads name the chunk they carry, or block 0 when oneBlock is set, for
+// callers that track the vector as one block.
+func ringAllreduce(b *sim.Builder, ranks []int, acc []uint64, m, seg int64, oneBlock bool) {
+	p := len(ranks)
 	chunks := chunkSizes(m, p)
 	rem := int(m % int64(p))
-	full := sim.FullMask(p)
-	// xfer emits rank r's step: it sends chunk c, carrying contributions
-	// mask, to r+1 and receives chunk c-1 from r-1, reducing it unless
-	// gathering. The two chunks can differ in size (by one byte when p
-	// does not divide m), so each direction is segmented on its own, and
-	// the i-th send precedes the i-th receive.
-	xfer := func(r, c int, mask uint64, gather bool) {
-		dst, src := (r+1)%p, (r-1+p)%p
-		recvChunk := mod(c-1, p)
-		zipRuns(segRuns(chunks[c], seg), segRuns(chunks[recvChunk], seg), func(x, y int64, n int) {
-			for ; n > 0; n-- {
+	var full uint64
+	for _, a := range acc {
+		full |= a
+	}
+	// xfer emits member i's step: it sends chunk c, carrying contributions
+	// mask, to member i+1 and receives chunk c-1 from member i-1, reducing
+	// it unless gathering. The two chunks can differ in size (by one byte
+	// when p does not divide m), so each direction is segmented on its own,
+	// and the j-th send precedes the j-th receive; each stretch of segment
+	// pairs of equal sizes is one Repeat.
+	xfer := func(i, c int, mask uint64, gather bool) {
+		r, dst, src := ranks[i], ranks[mod(i+1, p)], ranks[mod(i-1, p)]
+		blk := int32(c)
+		if oneBlock {
+			blk = 0
+		}
+		zipRuns(segRuns(chunks[c], seg), segRuns(chunks[mod(c-1, p)], seg), func(x, y int64, n int) {
+			b.Repeat(r, n, func(int) {
 				if x >= 0 {
-					b.SendNB(r, dst, x, pay1(b, int32(c), mask)...)
+					b.SendNB(r, dst, x, pay1(b, blk, mask)...)
 				}
 				if y >= 0 {
 					b.Recv(r, src, y)
@@ -192,32 +214,32 @@ func allreduceRingSeg(b *sim.Builder, topo netmodel.Topology, m int64, seg int64
 						b.Compute(r, y)
 					}
 				}
-			}
+			})
 		})
 	}
-	// Reduce-scatter: at step s rank r sends chunk (r-s), holding the
-	// contributions of ranks r-s..r, and accumulates into chunk (r-1-s).
-	// Allgather: rank r then owns the fully reduced chunk (r+1); at step s
-	// it forwards chunk (r+1-s) and receives chunk (r-s). Each run of steps
-	// over which both chunk sizes stay the same is one Repeat.
-	for r := 0; r < p; r++ {
+	// Reduce-scatter: at step s member i sends chunk (i-s), holding the
+	// contributions of members i-s..i, and accumulates into chunk (i-1-s).
+	// Allgather: member i then owns the fully reduced chunk (i+1); at step
+	// s it forwards chunk (i+1-s) and receives chunk (i-s). Each run of
+	// steps over which both chunk sizes stay the same is one Repeat.
+	for i := 0; i < p; i++ {
 		for _, gather := range [2]bool{false, true} {
-			first := r
+			first := i
 			if gather {
-				first = r + 1
+				first = i + 1
 			}
 			for s := 0; s < p-1; {
 				c, s0 := mod(first-s, p), s
 				n := min(chunkRun(c, rem, p), chunkRun(mod(c-1, p), rem, p), p-1-s)
-				b.Repeat(r, n, func(i int) {
+				b.Repeat(ranks[i], n, func(k int) {
 					mask := full
 					if !gather && b.Verify() {
 						mask = 0
-						for j := 0; j <= s0+i; j++ {
-							mask |= maskOf(mod(r-j, p))
+						for j := 0; j <= s0+k; j++ {
+							mask |= acc[mod(i-j, p)]
 						}
 					}
-					xfer(r, mod(c-i, p), mask, gather)
+					xfer(i, mod(c-k, p), mask, gather)
 				})
 				s += n
 			}
@@ -381,13 +403,10 @@ func AllreduceAllgatherReduce(b *sim.Builder, topo netmodel.Topology, m int64, _
 		return
 	}
 	// Step s: rank r forwards the vector that originated at (r-s) mod p.
-	for s := 0; s < p-1; s++ {
-		for r := 0; r < p; r++ {
-			origin := (((r - s) % p) + p) % p
-			b.SendRecv(r, (r+1)%p, m, (r-1+p)%p, m, pay1(b, 0, maskOf(origin))...)
-		}
-	}
 	for r := 0; r < p; r++ {
+		b.Repeat(r, p-1, func(s int) {
+			b.SendRecv(r, (r+1)%p, m, (r-1+p)%p, m, pay1(b, 0, maskOf(mod(r-s, p)))...)
+		})
 		b.Compute(r, int64(p-1)*m)
 	}
 }
@@ -462,7 +481,7 @@ func AllreduceHierarchical(b *sim.Builder, topo netmodel.Topology, m int64, prm 
 	if nl > 1 {
 		switch prm.Fanout {
 		case 2: // ring over leaders
-			leaderRingAllreduce(b, leaders, m, nodeAcc)
+			ringAllreduce(b, leaders, nodeAcc, m, 0, true)
 		case 3: // recursive doubling with halving volumes (Rabenseifner-ish)
 			leaderRecDoubling(b, leaders, m, nodeAcc, true)
 		default:
@@ -551,61 +570,5 @@ func leaderRecDoubling(b *sim.Builder, leaders []int, m int64, nodeAcc []uint64,
 		b.Send(leaders[e+1], leaders[e], m, pay1(b, 0, acc[e+1])...)
 		b.Recv(leaders[e], leaders[e+1], m)
 		acc[e] |= acc[e+1]
-	}
-}
-
-// leaderRingAllreduce runs a ring allreduce over the leader ranks
-// (reduce-scatter + allgather on chunks of m/#leaders).
-func leaderRingAllreduce(b *sim.Builder, leaders []int, m int64, nodeAcc []uint64) {
-	nl := len(leaders)
-	chunks := chunkSizes(m, nl)
-	acc := make([][]uint64, nl)
-	for i := range acc {
-		acc[i] = make([]uint64, nl)
-		for c := range acc[i] {
-			acc[i][c] = nodeAcc[i]
-		}
-	}
-	for s := 0; s < nl-1; s++ {
-		snap := make([][]uint64, nl)
-		for i := range snap {
-			snap[i] = append([]uint64(nil), acc[i]...)
-		}
-		for i := 0; i < nl; i++ {
-			c := (((i - s) % nl) + nl) % nl
-			b.SendRecv(leaders[i], leaders[(i+1)%nl], chunks[c],
-				leaders[(i-1+nl)%nl], chunks[(((i-1-s)%nl)+nl)%nl],
-				pay1(b, 0, snap[i][c])...)
-			b.Compute(leaders[i], chunks[(((i-1-s)%nl)+nl)%nl])
-		}
-		for i := 0; i < nl; i++ {
-			c := (((i - 1 - s) % nl) + nl) % nl
-			acc[i][c] |= snap[(i-1+nl)%nl][c]
-		}
-	}
-	for s := 0; s < nl-1; s++ {
-		snap := make([][]uint64, nl)
-		for i := range snap {
-			snap[i] = append([]uint64(nil), acc[i]...)
-		}
-		for i := 0; i < nl; i++ {
-			c := (((i + 1 - s) % nl) + nl) % nl
-			b.SendRecv(leaders[i], leaders[(i+1)%nl], chunks[c],
-				leaders[(i-1+nl)%nl], chunks[(((i-s)%nl)+nl)%nl],
-				pay1(b, 0, snap[i][c])...)
-		}
-		for i := 0; i < nl; i++ {
-			c := (((i - s) % nl) + nl) % nl
-			acc[i][c] |= snap[(i-1+nl)%nl][c]
-		}
-	}
-	// Fold the chunk masks into the callers' per-node masks: every leader
-	// now holds the full contribution set.
-	for i := range nodeAcc {
-		m := ^uint64(0)
-		for _, cm := range acc[i] {
-			m &= cm
-		}
-		nodeAcc[i] = m
 	}
 }

@@ -206,27 +206,28 @@ func AlltoallHierarchical(b *sim.Builder, topo netmodel.Topology, m int64, _ Par
 	}
 
 	// Phase 1: gather to leader. Every non-leader rank sends, per remote
-	// node, the ppn blocks destined to that node, as one message.
+	// node, the ppn blocks destined to that node, as one message; its i-th
+	// message goes to the i-th node other than its own.
 	for r := 0; r < p; r++ {
 		lead := leaderOf[r]
 		if r == lead {
 			continue
 		}
-		for dn := 0; dn < nodes; dn++ {
-			if dn == int(topo.NodeOf(int32(r))) {
-				continue
-			}
+		home := int(topo.NodeOf(int32(r)))
+		b.Repeat(r, nodes-1, func(i int) {
 			var pay []sim.PayUnit
 			if b.Verify() {
+				dn := i
+				if dn >= home {
+					dn++
+				}
 				for _, d := range members[dn] {
 					pay = append(pay, sim.PayUnit{Block: a2aBlock(p, r, d), Mask: 1})
 				}
 			}
 			b.SendNB(r, lead, int64(ppn)*m, pay...)
-		}
-		for dn := 0; dn < nodes-1; dn++ {
-			b.Recv(lead, r, int64(ppn)*m)
-		}
+		})
+		b.Repeat(lead, nodes-1, func(int) { b.Recv(lead, r, int64(ppn)*m) })
 	}
 
 	// Phase 2: leaders exchange node aggregates pairwise.

@@ -45,11 +45,25 @@ func withProcs(t *testing.T, f func(t *testing.T)) {
 }
 
 func TestIntelDecisionEqualsExhaustiveArgmin(t *testing.T) {
-	machines := []machine.Machine{machine.Hydra(), machine.Jupiter(), machine.SuperMUCNG()}
-	topos := []netmodel.Topology{{Nodes: 2, PPN: 1}, {Nodes: 3, PPN: 4}, {Nodes: 5, PPN: 3}}
-	sizes := []int64{16, 8192, 256 << 10}
+	// slowNIC is Hydra with a NIC eight times slower. A single node moves
+	// every message over its memory bus and none over the NIC, so there
+	// its decisions must not change with GNic; on it, a rendezvous size
+	// such as 32 KiB (a binomial gather wins) makes a floor that charges
+	// an intra-node transfer to the NIC cut the winner.
+	slowNIC := machine.Hydra()
+	slowNIC.Name += " (slow NIC)"
+	slowNIC.RefNet.GNic *= 8
+	machines := []machine.Machine{machine.Hydra(), machine.Jupiter(), machine.SuperMUCNG(), slowNIC}
+	topos := []netmodel.Topology{{Nodes: 1, PPN: 8}, {Nodes: 2, PPN: 1}, {Nodes: 3, PPN: 4}, {Nodes: 5, PPN: 3}}
+	sizes := []int64{16, 8192, 32 << 10, 256 << 10}
+	var qs []Query
+	for _, topo := range topos {
+		for _, m := range sizes {
+			qs = append(qs, Query{topo, m})
+		}
+	}
 	if testing.Short() {
-		topos, sizes = topos[1:2], sizes[1:2]
+		qs = []Query{{topos[2], 8192}, {topos[0], 32 << 10}}
 	}
 	// One batch per (machine, collective): every topology and size.
 	type batch struct {
@@ -63,12 +77,9 @@ func TestIntelDecisionEqualsExhaustiveArgmin(t *testing.T) {
 	for _, mach := range machines {
 		for _, name := range lib.Collectives() {
 			set, _ := lib.Collective(name)
-			bt := batch{mach: mach, set: set}
-			for _, topo := range topos {
-				for _, m := range sizes {
-					bt.qs = append(bt.qs, Query{topo, m})
-					bt.want = append(bt.want, exhaustiveArgmin(set.Selectable(), mach.RefNet, topo, m))
-				}
+			bt := batch{mach: mach, set: set, qs: qs}
+			for _, q := range qs {
+				bt.want = append(bt.want, exhaustiveArgmin(set.Selectable(), mach.RefNet, q.Topo, q.M))
 			}
 			grid = append(grid, bt)
 		}

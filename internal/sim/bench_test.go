@@ -9,32 +9,34 @@ import (
 // large a Table II grid is practical, so regressions here matter as much as
 // correctness.
 
+// buildRing returns a p-rank ring of steps exchange steps, each rank's steps
+// stated as one Repeat.
 func buildRing(p, steps int) *Program {
 	b := NewBuilder(p, false)
-	for s := 0; s < steps; s++ {
-		for r := 0; r < p; r++ {
+	for r := 0; r < p; r++ {
+		b.Repeat(r, steps, func(int) {
 			b.SendRecv(r, (r+1)%p, 1024, (r-1+p)%p, 1024)
-		}
+		})
 	}
 	return b.Build()
 }
 
+// buildTree returns a binomial broadcast of segs segments from rank 0, each
+// rank's segments stated as one Repeat.
 func buildTree(p, segs int) *Program {
 	b := NewBuilder(p, false)
-	for s := 0; s < segs; s++ {
-		for r := 0; r < p; r++ {
+	for r := 0; r < p; r++ {
+		b.Repeat(r, segs, func(int) {
 			if r > 0 {
-				parent := r
 				// clear lowest set bit -> binomial parent
-				parent = r & (r - 1)
-				b.Recv(r, parent, 4096)
+				b.Recv(r, r&(r-1), 4096)
 			}
 			for mask := 1; mask < p; mask <<= 1 {
 				if r&(mask-1) == 0 && r&mask == 0 && r+mask < p {
 					b.Send(r, r+mask, 4096)
 				}
 			}
-		}
+		})
 	}
 	return b.Build()
 }
@@ -90,14 +92,20 @@ func BenchmarkEngineBinomialPipelinedStats(b *testing.B) {
 	}
 }
 
+// BenchmarkBuilderAppend times the builder's two ways of storing ops on 64
+// ranks: per rank, 63 distinct sends appended one by one as a literal run,
+// then 64 ring steps stated as one Repeat; and Build's pair numbering.
 func BenchmarkBuilderAppend(b *testing.B) {
+	const p = 64
 	for i := 0; i < b.N; i++ {
-		bd := NewBuilder(64, false)
-		for s := 0; s < 64; s++ {
-			for r := 0; r < 63; r++ {
-				bd.Send(r, r+1, 1024)
-				bd.Recv(r+1, r, 1024)
+		bd := NewBuilder(p, false)
+		for r := 0; r < p; r++ {
+			for d := 1; d < p; d++ {
+				bd.SendNB(r, (r+d)%p, 1024)
 			}
+			bd.Repeat(r, 64, func(int) {
+				bd.SendRecv(r, (r+1)%p, 1024, (r-1+p)%p, 1024)
+			})
 		}
 		if bd.Build().NumOps() == 0 {
 			b.Fatal("empty program")

@@ -60,15 +60,6 @@ type Result struct {
 	Stats *Stats
 }
 
-type rankStatus uint8
-
-const (
-	statusReady rankStatus = iota
-	statusBlockedRecv
-	statusBlockedSend
-	statusDone
-)
-
 type msgRec struct {
 	ts       float64 // post time (rendezvous) or arrival time (eager)
 	bytes    uint32
@@ -93,10 +84,9 @@ type Engine struct {
 	clock []float64
 	// cur is each rank's position in the body of its current loop; ls, the
 	// rank's place in its loop list, changes only when pc reaches end.
-	cur    []cursor
-	ls     []loopState
-	status []rankStatus
-	queue  readyTree
+	cur   []cursor
+	ls    []loopState
+	queue readyTree
 	// queued counts the ready ranks, the running one included.
 	queued int
 	// pairs holds the matching state of each (sender, receiver) pair of the
@@ -182,12 +172,10 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 		e.clock = make([]float64, p)
 		e.cur = make([]cursor, p)
 		e.ls = make([]loopState, p)
-		e.status = make([]rankStatus, p)
 	}
 	e.clock = e.clock[:p]
 	e.cur = e.cur[:p]
 	e.ls = e.ls[:p]
-	e.status = e.status[:p]
 	e.queue.reset(p)
 	e.queued = 0
 	// Each of the program's pairs starts with an empty inflight queue and no
@@ -223,11 +211,10 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 		}
 		e.clock[r] = t
 		if loops := prog.ranks[r].loops; len(loops) == 0 {
-			e.status[r] = statusDone
+			e.cur[r] = cursor{} // at its end, as a finished rank's
 			e.done++
 		} else {
 			e.enterLoop(r, 0)
-			e.status[r] = statusReady
 			e.queue.put(int32(r), timeBits(t))
 			e.queued++
 			if e.bounded {
@@ -263,7 +250,6 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 		r := int(top.r)
 		for {
 			if c := e.cur[r]; c.pc == c.end && !e.advance(r) {
-				e.status[r] = statusDone
 				e.done++
 				e.queued--
 				e.queue.set(top.r, absent)
@@ -496,7 +482,6 @@ func (e *Engine) step(r int) (bool, error) {
 			}
 			return true, nil
 		}
-		e.status[r] = statusBlockedSend
 		if e.collectStats {
 			e.stats.BlockedSends++
 		}
@@ -508,7 +493,6 @@ func (e *Engine) step(r int) (bool, error) {
 			ps.waiting = true
 			ps.recvPost = e.clock[r]
 			ps.recvBytes = op.Bytes
-			e.status[r] = statusBlockedRecv
 			if e.collectStats {
 				e.stats.BlockedRecvs++
 			}
@@ -530,7 +514,6 @@ func (e *Engine) step(r int) (bool, error) {
 				s := op.Peer
 				e.clock[s] = sdone
 				e.cur[s].pc++
-				e.status[s] = statusReady
 				e.queued++
 				e.queue.set(s, timeBits(sdone))
 				if e.collectStats {
@@ -571,7 +554,6 @@ func (e *Engine) step(r int) (bool, error) {
 func (e *Engine) wakeReceiver(src, dst int32, arrival, recvPost float64, op *Op, rendezvous bool) error {
 	e.clock[dst] = arrival + e.model.RecvOverhead(op.Bytes)
 	e.cur[dst].pc++
-	e.status[dst] = statusReady
 	e.queued++
 	e.queue.set(dst, timeBits(e.clock[dst]))
 	if e.collectStats {
@@ -593,12 +575,14 @@ func (e *Engine) wakeReceiver(src, dst int32, arrival, recvPost float64, op *Op,
 const maxListedBlocked = 8
 
 // deadlockError lists the blocked ranks in rank order, the first
-// maxListedBlocked of them in full and the rest as a count.
+// maxListedBlocked of them in full and the rest as a count. Once the ready
+// queue is empty, a rank whose cursor is at the end of its body has
+// finished, and every other rank is blocked at its op pc.
 func (e *Engine) deadlockError(prog *Program) error {
 	var blocked []string
 	more := 0
-	for r := range e.status {
-		if e.status[r] == statusDone {
+	for r, c := range e.cur {
+		if c.pc == c.end {
 			continue
 		}
 		if len(blocked) == maxListedBlocked {

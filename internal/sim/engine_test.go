@@ -470,6 +470,25 @@ func TestDeadlockListsBlockedRanksInOrder(t *testing.T) {
 	}
 }
 
+func TestDeadlockOmitsFinishedRanks(t *testing.T) {
+	// One engine runs two deadlocking programs. In the second, rank 0
+	// finishes, rank 1, blocked in the first, has no ops, and only rank 2
+	// is blocked.
+	eng := NewEngine()
+	b := NewBuilder(3, false)
+	b.Recv(1, 0, 10)
+	if _, err := eng.Run(b.Build(), newTestModel(), nil, nil); err == nil {
+		t.Fatal("expected deadlock")
+	}
+	b = NewBuilder(3, false)
+	b.Compute(0, 10)
+	b.Recv(2, 0, 10)
+	_, err := eng.Run(b.Build(), newTestModel(), nil, nil)
+	if want := "sim: deadlock; blocked ranks: [rank 2 pc 0: recv from 0 (10 B)]"; err == nil || err.Error() != want {
+		t.Errorf("deadlock error %v, want %q", err, want)
+	}
+}
+
 // postOrderModel wraps testModel and records the posting time of every
 // eager send, to verify the Engine honors the CostModel contract ("Send
 // methods are called in nondecreasing simulated-time order of the posting

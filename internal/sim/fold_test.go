@@ -5,21 +5,45 @@ import (
 	"testing"
 )
 
+// TestBuilderStoresLiterally checks that ops appended outside a Repeat are
+// stored one for one, as one literal run, even when they repeat, and that
+// in verify mode every send keeps its own payload.
+func TestBuilderStoresLiterally(t *testing.T) {
+	for _, verify := range []bool{false, true} {
+		b := NewBuilder(2, verify)
+		var want []Op
+		for i := 0; i < 50; i++ {
+			b.Send(0, 1, 64, PayUnit{Block: int32(i), Mask: 1})
+			b.Recv(0, 1, 64)
+			send := Op{Kind: OpSend, Peer: 1, Bytes: 64, PayStart: -1}
+			if verify {
+				send.PayStart, send.PayLen = int32(i), 1
+			}
+			want = append(want, send, Op{Kind: OpRecv, Peer: 1, Bytes: 64, PayStart: -1})
+		}
+		prog := b.Build()
+		if got := prog.Expand(0); !slices.Equal(got, want) {
+			t.Errorf("verify=%t: expanded %d ops differ from the %d appended", verify, len(got), len(want))
+		}
+		if prog.NumOps() != len(want) {
+			t.Errorf("verify=%t: NumOps %d, want %d", verify, prog.NumOps(), len(want))
+		}
+		rp := prog.ranks[0]
+		if len(rp.ops) != len(want) || !slices.Equal(rp.loops, []loop{{start: 0, len: int32(len(want)), n: 1}}) {
+			t.Errorf("verify=%t: %d ops stored in loops %v, want all %d in one literal run", verify, len(rp.ops), rp.loops, len(want))
+		}
+		if len(prog.ranks[1].loops) != 0 {
+			t.Errorf("verify=%t: rank 1 has loops %v and no ops", verify, prog.ranks[1].loops)
+		}
+	}
+}
+
 // appendOps feeds ops to rank 0 of a fresh one-rank builder through the
 // public calls and returns the built program.
 func appendOps(ops []Op) *Program {
 	b := NewBuilder(1, false)
 	for _, op := range ops {
-		switch op.Kind {
-		case OpSend:
-			b.Send(0, int(op.Peer), int64(op.Bytes))
-		case OpSendNB:
-			b.SendNB(0, int(op.Peer), int64(op.Bytes))
-		case OpRecv:
-			b.Recv(0, int(op.Peer), int64(op.Bytes))
-		default:
-			b.Compute(0, int64(op.Bytes))
-		}
+		emitOp(b, 0, op, 0)
 	}
 	return b.Build()
 }
@@ -35,28 +59,26 @@ func period(k, reps int) []Op {
 	return ops
 }
 
+// TestFoldExpandsToAppendedOps checks that periodic and aperiodic streams
+// appended outside a Repeat expand to exactly the ops appended and are
+// stored one for one: only Repeat folds.
 func TestFoldExpandsToAppendedOps(t *testing.T) {
 	recv := func(peer int32) Op { return Op{Kind: OpRecv, Peer: peer, Bytes: 64, PayStart: -1} }
 	cases := []struct {
-		name   string
-		ops    []Op
-		stored int // ops in the rank's store
+		name string
+		ops  []Op
 	}{
-		{"empty", nil, 0},
-		{"single", period(1, 1), 1},
-		{"period 1", period(1, 100), 1},
-		{"period 2", period(2, 100), 2},
-		{"period 3", period(3, 100), 3},
-		{"period 4", period(4, 100), 4},
-		{"period 5", period(5, 100), 5},
-		{"period 6", period(6, 100), 6},
-		{"period 7", period(7, 100), 7},
-		{"period 8", period(8, 100), 8},
-		{"period above the maximum", period(maxPeriod+1, 10), 10 * (maxPeriod + 1)},
-		{"partial last iteration", period(5, 20)[:98], 5 + 3},
-		{"mismatch mid-iteration", append(period(4, 10)[:38], recv(9), recv(9)), 4 + 2 + 1},
-		{"loop then new loop", append(period(3, 10), period(2, 10)...), 3 + 2},
-		{"prefix then loop", append([]Op{recv(5), recv(6), recv(7)}, period(2, 10)...), 3 + 2},
+		{"empty", nil},
+		{"single", period(1, 1)},
+		{"period 1", period(1, 100)},
+		{"period 2", period(2, 100)},
+		{"period 3", period(3, 100)},
+		{"period 8", period(8, 100)},
+		{"period 9", period(9, 10)},
+		{"partial last iteration", period(5, 20)[:98]},
+		{"mismatch mid-iteration", append(period(4, 10)[:38], recv(9), recv(9))},
+		{"loop then new loop", append(period(3, 10), period(2, 10)...)},
+		{"prefix then loop", append([]Op{recv(5), recv(6), recv(7)}, period(2, 10)...)},
 	}
 	for _, c := range cases {
 		prog := appendOps(c.ops)
@@ -66,15 +88,17 @@ func TestFoldExpandsToAppendedOps(t *testing.T) {
 		if prog.NumOps() != len(c.ops) {
 			t.Errorf("%s: NumOps %d, want %d", c.name, prog.NumOps(), len(c.ops))
 		}
-		if got := len(prog.ranks[0].ops); got != c.stored {
-			t.Errorf("%s: %d ops stored (loops %v), want %d", c.name, got, prog.ranks[0].loops, c.stored)
+		rp := prog.ranks[0]
+		if len(rp.ops) != len(c.ops) || len(rp.loops) > 1 {
+			t.Errorf("%s: %d ops stored (loops %v), want %d in at most one literal run", c.name, len(rp.ops), rp.loops, len(c.ops))
 		}
 	}
 }
 
+// TestFoldKeepsPayloadOps checks that in verify mode every payload send is
+// stored with its own payload, so the Tracker sees each one, and that the
+// receives between them are stored too.
 func TestFoldKeepsPayloadOps(t *testing.T) {
-	// In verify mode a send with a payload is never folded, so the Tracker
-	// sees every one; the receives between them still fold.
 	b := NewBuilder(2, true)
 	for i := 0; i < 50; i++ {
 		b.Send(0, 1, 64, PayUnit{Block: 0, Mask: 1})
@@ -84,8 +108,8 @@ func TestFoldKeepsPayloadOps(t *testing.T) {
 	if got := len(prog.ranks[0].ops); got != 50 {
 		t.Errorf("%d payload sends stored, want all 50", got)
 	}
-	if got := len(prog.ranks[1].ops); got != 1 {
-		t.Errorf("%d receives stored, want 1", got)
+	if got := len(prog.ranks[1].ops); got != 50 {
+		t.Errorf("%d receives stored, want all 50", got)
 	}
 	for i, op := range prog.Expand(0) {
 		if op.PayStart != int32(i) || op.PayLen != 1 {
@@ -94,19 +118,77 @@ func TestFoldKeepsPayloadOps(t *testing.T) {
 	}
 }
 
-func TestFoldRandomStreams(t *testing.T) {
-	rng := NewRNG(7)
-	for trial := 0; trial < 2000; trial++ {
-		alpha := 1 + int(rng.Uint64()%4)
-		n := int(rng.Uint64() % 64)
-		ops := make([]Op, n)
-		for i := range ops {
-			ops[i] = Op{Kind: OpRecv, Peer: int32(rng.Uint64() % uint64(alpha)), Bytes: 8, PayStart: -1}
+// emitOp appends op to rank on b. A send carries a payload naming block
+// blk, so in verify mode each call records a distinct one.
+func emitOp(b *Builder, rank int, op Op, blk int) {
+	switch op.Kind {
+	case OpSend:
+		b.Send(rank, int(op.Peer), int64(op.Bytes), PayUnit{Block: int32(blk), Mask: 1})
+	case OpSendNB:
+		b.SendNB(rank, int(op.Peer), int64(op.Bytes))
+	case OpRecv:
+		b.Recv(rank, int(op.Peer), int64(op.Bytes))
+	default:
+		b.Compute(rank, int64(op.Bytes))
+	}
+}
+
+// randChunk is one random stretch of a rank's stream: n iterations of a
+// body that emits the ops pre, then in iterations of the ops inner, then
+// the ops post.
+type randChunk struct {
+	rank, n, in      int
+	pre, inner, post []Op
+}
+
+// newRandChunk draws a chunk over p ranks with up to maxN iterations;
+// iterations and inner iterations may be 0 or 1.
+func newRandChunk(pick func(int) int, p, maxN int) randChunk {
+	ops := func(n int) []Op {
+		out := make([]Op, n)
+		for i := range out {
+			out[i] = Op{Kind: OpKind(pick(4)), Peer: int32(pick(p)), Bytes: uint32(8 * (1 + pick(2)))}
 		}
-		prog := appendOps(ops)
-		if got := prog.Expand(0); !slices.Equal(got, ops) {
-			t.Fatalf("trial %d: expanded %v, appended %v (loops %v)", trial, got, ops, prog.ranks[0].loops)
+		return out
+	}
+	c := randChunk{rank: pick(p), n: pick(maxN + 1), pre: ops(pick(3)), post: ops(1 + pick(2))}
+	if pick(2) == 0 {
+		c.in, c.inner = pick(4), ops(1+pick(2))
+	}
+	return c
+}
+
+// iteration emits iteration i of c on b, its inner ops through emitInner.
+// A send in the body names block i; one in the inner loop, i*8 + j.
+func (c randChunk) iteration(b *Builder, i int, emitInner func(n int, body func(j int))) {
+	for _, op := range c.pre {
+		emitOp(b, c.rank, op, i)
+	}
+	emitInner(c.in, func(j int) {
+		for _, op := range c.inner {
+			emitOp(b, c.rank, op, i*8+j)
 		}
+	})
+	for _, op := range c.post {
+		emitOp(b, c.rank, op, i)
+	}
+}
+
+// repeat emits c on b through Repeat, the inner loop through a nested one.
+func (c randChunk) repeat(b *Builder) {
+	b.Repeat(c.rank, c.n, func(i int) {
+		c.iteration(b, i, func(n int, body func(int)) { b.Repeat(c.rank, n, body) })
+	})
+}
+
+// unroll emits c on b op by op.
+func (c randChunk) unroll(b *Builder) {
+	for i := 0; i < c.n; i++ {
+		c.iteration(b, i, func(n int, body func(int)) {
+			for j := 0; j < n; j++ {
+				body(j)
+			}
+		})
 	}
 }
 
@@ -120,32 +202,19 @@ func TestBuildNumbersPairs(t *testing.T) {
 		}
 		return [2]int32{int32(r), op.Peer}
 	}
-	folded := 0
+	folded, nested := 0, 0
 	for trial := 0; trial < 1000; trial++ {
 		verify := trial%2 == 1
 		p := 1 + pick(6)
 		b := NewBuilder(p, verify)
-		// Repeated bodies make the builder fold; in verify mode some sends
-		// carry a payload and so stay unfolded.
+		// Repeats, some with a nested Repeat, make the builder fold; in
+		// verify mode they unroll, and some sends carry a payload.
 		for chunk := pick(12); chunk >= 0; chunk-- {
-			rank, body := pick(p), make([]Op, 1+pick(4))
-			for i := range body {
-				body[i] = Op{Kind: OpKind(pick(4)), Peer: int32(pick(p)), Bytes: uint32(8 * (1 + pick(2)))}
+			c := newRandChunk(pick, p, 10)
+			if !verify && c.n >= 2 && c.in >= 2 {
+				nested++
 			}
-			for reps := 1 + pick(10); reps > 0; reps-- {
-				for _, op := range body {
-					switch op.Kind {
-					case OpSend:
-						b.Send(rank, int(op.Peer), int64(op.Bytes), PayUnit{Block: int32(rank), Mask: 1})
-					case OpSendNB:
-						b.SendNB(rank, int(op.Peer), int64(op.Bytes))
-					case OpRecv:
-						b.Recv(rank, int(op.Peer), int64(op.Bytes))
-					default:
-						b.Compute(rank, int64(op.Bytes))
-					}
-				}
-			}
+			c.repeat(b)
 		}
 		prog := b.Build()
 
@@ -196,8 +265,8 @@ func TestBuildNumbersPairs(t *testing.T) {
 			folded++
 		}
 	}
-	if folded == 0 {
-		t.Fatal("no trial folded a repeat")
+	if folded == 0 || nested == 0 {
+		t.Fatalf("%d trials folded a Repeat, %d nested Repeats ran inside a stored loop", folded, nested)
 	}
 }
 
@@ -213,65 +282,29 @@ func expandPairs(prog *Program, r int) []int32 {
 	return out
 }
 
-// emitOp appends op to rank on b. A send carries a payload naming block
-// blk, so in verify mode each call records a distinct one.
-func emitOp(b *Builder, rank int, op Op, blk int) {
-	switch op.Kind {
-	case OpSend:
-		b.Send(rank, int(op.Peer), int64(op.Bytes), PayUnit{Block: int32(blk), Mask: 1})
-	case OpSendNB:
-		b.SendNB(rank, int(op.Peer), int64(op.Bytes))
-	case OpRecv:
-		b.Recv(rank, int(op.Peer), int64(op.Bytes))
-	default:
-		b.Compute(rank, int64(op.Bytes))
-	}
-}
-
 func TestRepeatEqualsUnrolledBody(t *testing.T) {
 	rng := NewRNG(23)
 	pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
-	randOps := func(p, n int) []Op {
-		ops := make([]Op, n)
-		for i := range ops {
-			ops[i] = Op{Kind: OpKind(pick(4)), Peer: int32(pick(p)), Bytes: uint32(8 * (1 + pick(2)))}
-		}
-		return ops
-	}
-	afterOpenLoop := 0
+	// Nested Repeats run inside a loop body being stored, and inside a
+	// body that runs once.
+	inLoop, inOnce := 0, 0
 	for trial := 0; trial < 2000; trial++ {
 		verify := trial%2 == 1
 		p := 1 + pick(5)
 		rep, unrolled := NewBuilder(p, verify), NewBuilder(p, verify)
 		for chunk := pick(10); chunk >= 0; chunk-- {
-			rank := pick(p)
-			if pick(2) == 0 {
-				// Plain ops, repeated so that the detector opens a loop,
-				// sometimes cut mid-iteration.
-				ops := randOps(p, 1+pick(3))
-				reps, cut := 1+pick(4), pick(len(ops)+1)
-				for i := 0; i < reps*len(ops)+cut; i++ {
-					emitOp(rep, rank, ops[i%len(ops)], i)
-					emitOp(unrolled, rank, ops[i%len(ops)], i)
-				}
-				continue
-			}
-			// A Repeat of n = 0..5 iterations of a body whose payloads name
-			// the iteration.
-			n, body := pick(6), randOps(p, 1+pick(4))
-			if !verify && n >= 2 && rep.pos[rank] >= 0 {
-				afterOpenLoop++ // Repeat must close the loop first
-			}
-			rep.Repeat(rank, n, func(i int) {
-				for _, op := range body {
-					emitOp(rep, rank, op, i)
-				}
-			})
-			for i := 0; i < n; i++ {
-				for _, op := range body {
-					emitOp(unrolled, rank, op, i)
+			c := newRandChunk(pick, p, 5)
+			if !verify && c.in >= 2 {
+				switch c.n {
+				case 1:
+					inOnce++
+				case 0:
+				default:
+					inLoop++
 				}
 			}
+			c.repeat(rep)
+			c.unroll(unrolled)
 		}
 		got, want := rep.Build(), unrolled.Build()
 		if got.NumOps() != want.NumOps() || got.npairs != want.npairs {
@@ -290,8 +323,8 @@ func TestRepeatEqualsUnrolledBody(t *testing.T) {
 			}
 		}
 	}
-	if afterOpenLoop == 0 {
-		t.Fatal("no Repeat followed an open detector loop")
+	if inLoop == 0 || inOnce == 0 {
+		t.Fatalf("%d nested Repeats ran inside a stored loop, %d inside a body run once", inLoop, inOnce)
 	}
 }
 
@@ -300,16 +333,18 @@ func TestRepeatStoresBodyOnce(t *testing.T) {
 	b.Recv(0, 1, 8) // a literal op before the loop
 	b.Repeat(0, 1000, func(int) {
 		b.SendNB(0, 1, 64)
-		b.Recv(0, 1, 64)
+		// A nested Repeat unrolls into the body.
+		b.Repeat(0, 2, func(int) { b.Recv(0, 1, 64) })
 		b.Compute(0, 64)
 	})
 	b.Repeat(1, 0, func(int) { b.Recv(1, 0, 64) })
 	prog := b.Build()
-	if prog.NumOps() != 3001 {
-		t.Errorf("NumOps %d, want 3001", prog.NumOps())
+	if prog.NumOps() != 4001 {
+		t.Errorf("NumOps %d, want 4001", prog.NumOps())
 	}
-	if got := len(prog.ranks[0].ops); got != 4 {
-		t.Errorf("%d ops stored (loops %v), want 4", got, prog.ranks[0].loops)
+	want := []loop{{start: 0, len: 1, n: 1}, {start: 1, len: 4, n: 1000}}
+	if rp := prog.ranks[0]; len(rp.ops) != 5 || !slices.Equal(rp.loops, want) {
+		t.Errorf("%d ops stored in loops %v, want 5 in %v", len(rp.ops), rp.loops, want)
 	}
 	if got := len(prog.ranks[1].ops); got != 0 {
 		t.Errorf("rank 1: %d ops stored after a Repeat of 0 iterations", got)
@@ -325,8 +360,8 @@ func TestRepeatPanicsOnAnotherRank(t *testing.T) {
 			{"op on another rank", func(b *Builder) func(int) {
 				return func(int) { b.Recv(1, 0, 8) }
 			}},
-			{"nested Repeat", func(b *Builder) func(int) {
-				return func(int) { b.Repeat(0, 2, func(int) { b.Recv(0, 1, 8) }) }
+			{"nested Repeat on another rank", func(b *Builder) func(int) {
+				return func(int) { b.Repeat(1, 2, func(int) { b.Recv(1, 0, 8) }) }
 			}},
 		} {
 			b := NewBuilder(2, verify)

@@ -66,9 +66,10 @@ type PayUnit struct {
 //
 // A rank's stream is stored folded: a list of loops, each running a body of
 // ops from the rank's store a number of times. Segmented and multi-step
-// schedules repeat the same few ops thousands of times, so the store holds
-// only the distinct bodies and the literal runs between them (a literal run
-// is a loop that runs once). Expand returns the stream unfolded.
+// schedules repeat the same few ops thousands of times, and their
+// generators state those loops through Builder.Repeat, so the store holds
+// only the loop bodies and the literal runs between them (a literal run is
+// a loop that runs once). Expand returns the stream unfolded.
 //
 // Build numbers the program's (sender, receiver) pairs densely, so the
 // engine keeps its per-pair matching state in a slice of npairs entries.
@@ -114,31 +115,20 @@ func (p *Program) Expand(r int) []Op {
 	return out
 }
 
-// maxPeriod is the longest loop body the Builder detects.
-const maxPeriod = 8
-
 // Builder incrementally constructs a Program. Generators call Send, Recv and
 // Compute with explicit rank arguments; ops are appended to the given rank's
 // sequential program. When Verify is false, payload arguments are dropped,
 // keeping the hot path allocation-light.
 //
-// Generators state their own loops through Repeat, which stores a body
-// once however many times it runs. Ops emitted outside a Repeat are folded
-// as they arrive: when a rank's last k ops (k <= maxPeriod, the smallest
-// such k) repeat the k ops before them, the two copies become a loop of two
-// iterations, and the loop keeps growing while each new op equals the next
-// op of its body. An op that does not closes the loop: the partial
-// iteration before it is stored again as literal ops. Every op that carries
-// a payload has its own PayStart, so it never equals another op and is
-// never folded.
+// Ops are stored as they arrive, each extending its rank's trailing literal
+// run. Generators state their loops through Repeat, which stores a body once
+// however many times it runs; that is the only way a program gets a loop.
 type Builder struct {
 	prog   Program
 	verify bool
-	// pos holds, per rank, the body position of the op that extends the
-	// rank's open last loop, or -1 when its last loop is closed.
-	pos []int32
-	// rep is the rank whose Repeat body is running, or -1; repLoop is set
-	// while that body's ops go literally into the store as one loop's body.
+	// rep is the rank whose outermost Repeat body is running, or -1;
+	// repLoop is set while that body's ops go into the store as one loop's
+	// body.
 	rep     int
 	repLoop bool
 }
@@ -146,11 +136,8 @@ type Builder struct {
 // NewBuilder returns a Builder for p ranks. If verify is true, payload
 // metadata passed to Send is recorded for later replay by a Tracker.
 func NewBuilder(p int, verify bool) *Builder {
-	b := &Builder{verify: verify, pos: make([]int32, p), rep: -1}
+	b := &Builder{verify: verify, rep: -1}
 	b.prog.ranks = make([]rankProg, p)
-	for r := range b.pos {
-		b.pos[r] = -1
-	}
 	return b
 }
 
@@ -172,76 +159,40 @@ func (b *Builder) emit(rank int, op Op) {
 		}
 	}
 	b.prog.nops++
-	if j := b.pos[rank]; j >= 0 {
-		l := &rp.loops[len(rp.loops)-1]
-		if rp.ops[l.start+j] == op {
-			if j++; j == l.len {
-				l.n++
-				j = 0
-			}
-			b.pos[rank] = j
-			return
-		}
-		b.closeLoop(rank)
-	}
-	// Append op to the rank's trailing literal run, which ends at the end
-	// of the store, starting a run if the last loop repeats.
 	rp.ops = append(rp.ops, op)
-	end := int32(len(rp.ops))
-	last := len(rp.loops) - 1
-	if last < 0 || rp.loops[last].n != 1 {
-		rp.loops = append(rp.loops, loop{start: end - 1, len: 1, n: 1})
+	// A loop that runs once is the trailing literal run: it ends at the end
+	// of the store.
+	if last := len(rp.loops) - 1; last >= 0 && rp.loops[last].n == 1 {
+		rp.loops[last].len++
 		return
 	}
-	run := &rp.loops[last]
-	run.len++
-	// Fold the shortest period k whose last two copies end the run: drop
-	// the second copy from the store and open a loop over the first.
-	for k := int32(1); k <= maxPeriod && 2*k <= run.len; k++ {
-		i := int32(1)
-		for i <= k && rp.ops[end-i] == rp.ops[end-k-i] {
-			i++
-		}
-		if i <= k {
-			continue
-		}
-		rp.ops = rp.ops[:end-k]
-		body := loop{start: end - 2*k, len: k, n: 2}
-		if run.len -= 2 * k; run.len == 0 {
-			*run = body
-		} else {
-			rp.loops = append(rp.loops, body)
-		}
-		b.pos[rank] = 0
-		return
-	}
+	rp.loops = append(rp.loops, loop{start: int32(len(rp.ops)) - 1, len: 1, n: 1})
 }
 
 // Repeat appends n iterations of the ops body emits on rank, which it calls
-// with the iteration index i. Outside verify mode body runs once, with
-// i = 0, and for n >= 2 Repeat closes the rank's open loop and stores the
-// body's ops once, as one loop of n iterations; so every iteration must
-// emit the same ops. In verify mode body runs n times, with i = 0..n-1, so
-// that payloads can name iteration i's blocks. Ops of a single iteration,
-// and all ops in verify mode, fold as they arrive. A body must emit only
-// on rank and must not call Repeat. n <= 0 appends nothing.
+// with the iteration index i. Outside verify mode, for n >= 2, body runs
+// once, with i = 0, and Repeat stores its ops once, as one loop of n
+// iterations; so every iteration must emit the same ops. In verify mode,
+// and for n = 1, body runs n times, with i = 0..n-1, so that payloads can
+// name iteration i's blocks, and its ops are appended as literal ops. A
+// body must emit only on rank. A Repeat inside a body whose ops are being
+// stored as one loop runs its own body n times into that loop's body, so
+// programs keep one loop level; inside any other body it is a Repeat like
+// any other. n <= 0 appends nothing.
 func (b *Builder) Repeat(rank, n int, body func(i int)) {
-	if b.rep >= 0 {
-		//mpicollvet:ignore panicguard schedule-builder invariant: programs have one loop level, so a nested Repeat is a generator bug
-		panic(fmt.Sprintf("sim: Repeat on rank %d inside a Repeat body on rank %d", rank, b.rep))
-	}
 	if n <= 0 {
 		return
 	}
-	b.rep = rank
-	defer func() { b.rep = -1 }()
-	if b.verify || n == 1 {
+	if b.rep < 0 {
+		b.rep = rank
+		defer func() { b.rep = -1 }()
+	}
+	if b.verify || n == 1 || b.repLoop {
 		for i := 0; i < n; i++ {
 			body(i)
 		}
 		return
 	}
-	b.closeLoop(rank)
 	rp := &b.prog.ranks[rank]
 	start := len(rp.ops)
 	b.repLoop = true
@@ -309,25 +260,8 @@ func (b *Builder) Compute(rank int, bytes int64) {
 	b.emit(rank, Op{Kind: OpCompute, Bytes: clampBytes(bytes), PayStart: -1})
 }
 
-// closeLoop closes rank's open loop. The ops of its partial last iteration
-// were counted in no iteration, so they are stored again as a literal run.
-func (b *Builder) closeLoop(rank int) {
-	j := b.pos[rank]
-	b.pos[rank] = -1
-	if j <= 0 {
-		return
-	}
-	rp := &b.prog.ranks[rank]
-	start := rp.loops[len(rp.loops)-1].start
-	rp.ops = append(rp.ops, rp.ops[start:start+j]...)
-	rp.loops = append(rp.loops, loop{start: int32(len(rp.ops)) - j, len: j, n: 1})
-}
-
 // Build finalizes and returns the Program. The Builder must not be reused.
 func (b *Builder) Build() *Program {
-	for r := range b.pos {
-		b.closeLoop(r)
-	}
 	b.prog.numberPairs()
 	return &b.prog
 }
