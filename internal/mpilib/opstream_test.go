@@ -18,30 +18,34 @@ import (
 // change to how programs are stored must not move them; only a change to a
 // schedule may.
 var opStreamDigests = map[string]string{
-	"Intel MPI/allgather": "b0b5a2d15834449c7e2c6a92bfa91fa0b80ee3d2ae7e7243069f9c7f963d7305",
-	"Intel MPI/allreduce": "64421f31bb2081bd7979ebde8945387af738a365e9edad7d69c3b3effd95c95b",
-	"Intel MPI/alltoall":  "66052cd61972715004c5cdc46487b7ebba036ff1ae50ec16b9d7b1f34b66e0be",
-	"Intel MPI/bcast":     "7bf6d8f84780b7d74fc84bf6b4d895fc914b2a30f39da8a968adf4474fa784fc",
-	"Intel MPI/gather":    "e1a7cdb00619f0fc259bc96fcc26c3b715964aa8b48a6826001d5441784ec664",
-	"Intel MPI/reduce":    "ea8eba099fa938667347c297db95efa752dac7b4ea3207c1db31cd7722b86127",
-	"Intel MPI/scatter":   "6637cc0af98c01ac740d338b8414521a189fb217fb782b26ee1f5a6a35df5601",
-	"Open MPI/allgather":  "089d95aa9d646881b9ca8122a3330e5ddc953a070034ba2553fffe4edfc2f93b",
-	"Open MPI/allreduce":  "5b9a8efad7ffdc8e2dd3b31e0fc2a02c0de7d69c1dc86696e6d4992922a82e67",
-	"Open MPI/alltoall":   "8568a36ea03403c3fd7a327c5657128537bbf1f8c66fb96524361a6a687582db",
-	"Open MPI/bcast":      "273c6e74ff2d3d5412a721b348232d3ae4aee783cc356b571a38d84f2f62415a",
-	"Open MPI/gather":     "e1a7cdb00619f0fc259bc96fcc26c3b715964aa8b48a6826001d5441784ec664",
-	"Open MPI/reduce":     "7669bf18f960ba9fb91e7ed418643f70ef180dab49e173f826779b782b5eacc3",
-	"Open MPI/scatter":    "6637cc0af98c01ac740d338b8414521a189fb217fb782b26ee1f5a6a35df5601",
+	"Intel MPI/allgather": "546ce368062d5bdab8ad34866a3f62b9809bd6e31dce43b69c5f6400d0ccc249",
+	"Intel MPI/allreduce": "81019be0d0556de566435eaf0b9fffc05d478fa8510df585d1171f1473da33a7",
+	"Intel MPI/alltoall":  "fb326ee637b4a82c21a9b69ca6e350e60b599a7728b038f3dbb7c20886bc3a3f",
+	"Intel MPI/bcast":     "0321c3189399999b7f67768a2bd05e6c5d03f1d9bd4f1ed853d9c6bafe9967b3",
+	"Intel MPI/gather":    "d4e4c5845f981dc82676877ecfa6fa9ab617d274ec8461bafb78fa4e4403a845",
+	"Intel MPI/reduce":    "95a5917aec00d9916557a593e37fbed36cbcb60628d4590af2ba672d250efa25",
+	"Intel MPI/scatter":   "4fc168734534d72bc485072939a8cecba1998ddfe8880867ef86bb449a9f6647",
+	"Open MPI/allgather":  "3f21545bfb75d5338d330ae38def3e73c27aba2fb0995d78be04ed08a5a82d32",
+	"Open MPI/allreduce":  "82382869080065c7ed4524ae76b55dd94c8273f83cd07e0cd0efe6b385442a28",
+	"Open MPI/alltoall":   "aa9173dcdcd6dd72f214eac3a29fc94f03d7bb505f876cb0f9e94107eb386e3f",
+	"Open MPI/bcast":      "7991addaf57dfd11a320e8e7f8f41fa31381227af76559ef173f58418b0e7671",
+	"Open MPI/gather":     "d4e4c5845f981dc82676877ecfa6fa9ab617d274ec8461bafb78fa4e4403a845",
+	"Open MPI/reduce":     "5fc159d7d616d4dc122d77ebf9bcf92740e7edc1f241d450a154e22a82fb0ba2",
+	"Open MPI/scatter":    "4fc168734534d72bc485072939a8cecba1998ddfe8880867ef86bb449a9f6647",
 }
 
 // opStreamTopos covers p = 1, p = 3, ppn > 1 under block and cyclic
-// placement, and p = 16.
+// placement, and p = 16. p = 7 folds three extra ranks into a doubling group
+// of four and splits six chain members unevenly; seven cyclic node leaders
+// fold three as well.
 var opStreamTopos = []netmodel.Topology{
 	{Nodes: 1, PPN: 1},
 	{Nodes: 3, PPN: 1},
 	{Nodes: 2, PPN: 3},
 	{Nodes: 3, PPN: 2, Cyclic: true},
 	{Nodes: 4, PPN: 4},
+	{Nodes: 7, PPN: 1},
+	{Nodes: 7, PPN: 2, Cyclic: true},
 }
 
 // opStreamSizes: empty, one byte, a size that is no multiple of any
