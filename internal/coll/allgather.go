@@ -1,6 +1,9 @@
 package coll
 
 import (
+	"math/bits"
+	"slices"
+
 	"mpicollpred/internal/netmodel"
 	"mpicollpred/internal/sim"
 )
@@ -32,80 +35,58 @@ func AllgatherRecursiveDoubling(b *sim.Builder, topo netmodel.Topology, m int64,
 	if p <= 1 {
 		return
 	}
-	p2 := 1
-	for p2*2 <= p {
-		p2 *= 2
+	sizes := make([]int64, p)
+	for r := range sizes {
+		sizes[r] = m
 	}
-	extras := p - p2
+	rdAllgather(b, sizes, int64(p)*m)
+}
 
-	// cnt[r] counts the blocks rank r holds. Partners' holdings are
-	// disjoint, so an exchange sums them. The block sets themselves are kept
-	// only to annotate payloads in verify mode.
-	cnt := make([]int64, p)
-	for r := range cnt {
-		cnt[r] = 1
+// rdAllgather is the recursive-doubling allgather over ranks 0..p-1, p =
+// len(sizes), rank r starting with block r of sizes[r] bytes (mask 1) and
+// every rank ending with all total bytes. The last p-p2 ranks (p2 the
+// largest power of two <= p) first hand their block to rank r-p2; ranks
+// [0, p2) then double their holdings each round; last, the extras receive
+// the whole result from their partner.
+func rdAllgather(b *sim.Builder, sizes []int64, total int64) {
+	p := len(sizes)
+	p2 := 1 << (bits.Len(uint(p)) - 1)
+	// bytes[r] is what rank r holds. Partners' holdings are disjoint, so an
+	// exchange sums them. held[r], the payload naming those blocks, is kept
+	// in verify mode only.
+	bytes := slices.Clone(sizes)
+	held := make([][]sim.PayUnit, p)
+	for r := range held {
+		held[r] = pay1(b, int32(r), 1)
 	}
-	var held [][]int
-	if b.Verify() {
-		held = make([][]int, p)
-		for r := range held {
-			held[r] = []int{r}
-		}
+	for src := p2; src < p; src++ {
+		dst := src - p2
+		b.Send(src, dst, bytes[src], held[src]...)
+		b.Recv(dst, src, bytes[src])
+		bytes[dst] += bytes[src]
+		held[dst] = append(held[dst], held[src]...)
 	}
-	payFor := func(r int) []sim.PayUnit {
-		if held == nil {
-			return nil
-		}
-		pay := make([]sim.PayUnit, 0, len(held[r]))
-		for _, c := range held[r] {
-			pay = append(pay, sim.PayUnit{Block: int32(c), Mask: 1})
-		}
-		return pay
-	}
-	// Pre-phase: extras hand their block to their partner in [0, p2).
-	for e := 0; e < extras; e++ {
-		src, dst := p2+e, e
-		b.Send(src, dst, m, payFor(src)...)
-		b.Recv(dst, src, m)
-		cnt[dst]++
-		if held != nil {
-			held[dst] = append(held[dst], src)
-		}
-	}
-	// Doubling over [0, p2), each round reading a snapshot of the holdings.
-	sendCnt := make([]int64, p2)
-	pays := make([][]sim.PayUnit, p2)
+	// Exchanges within a round are concurrent, so each round reads a
+	// snapshot of the holdings.
+	snap := make([]int64, p2)
 	for dist := 1; dist < p2; dist *= 2 {
-		copy(sendCnt, cnt)
+		copy(snap, bytes)
 		for r := 0; r < p2; r++ {
-			pays[r] = payFor(r)
+			q := r ^ dist
+			b.SendRecv(r, q, snap[r], q, snap[q], held[r]...)
+			bytes[r] = snap[r] + snap[q]
 		}
-		for r := 0; r < p2; r++ {
-			partner := r ^ dist
-			b.SendRecv(r, partner, sendCnt[r]*m, partner, sendCnt[partner]*m, pays[r]...)
-			cnt[r] = sendCnt[r] + sendCnt[partner]
-		}
-		if held != nil {
-			newHeld := make([][]int, p2)
-			for r := 0; r < p2; r++ {
-				newHeld[r] = append(append([]int{}, held[r]...), held[r^dist]...)
+		if b.Verify() {
+			next := make([][]sim.PayUnit, p2)
+			for r := range next {
+				next[r] = append(slices.Clip(held[r]), held[r^dist]...)
 			}
-			copy(held, newHeld)
+			copy(held, next)
 		}
 	}
-	// Post-phase: partners return the full result to the extras.
-	if extras > 0 {
-		var fullPay []sim.PayUnit
-		if b.Verify() {
-			fullPay = make([]sim.PayUnit, p)
-			for i := range fullPay {
-				fullPay[i] = sim.PayUnit{Block: int32(i), Mask: 1}
-			}
-		}
-		for e := 0; e < extras; e++ {
-			b.Send(e, p2+e, int64(p)*m, fullPay...)
-			b.Recv(p2+e, e, int64(p)*m)
-		}
+	for dst := p2; dst < p; dst++ {
+		b.Send(dst-p2, dst, total, payAll(b, p, 1)...)
+		b.Recv(dst, dst-p2, total)
 	}
 }
 

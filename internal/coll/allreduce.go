@@ -1,6 +1,8 @@
 package coll
 
 import (
+	"math/bits"
+
 	"mpicollpred/internal/netmodel"
 	"mpicollpred/internal/sim"
 )
@@ -39,51 +41,7 @@ func AllreduceLinear(b *sim.Builder, topo netmodel.Topology, m int64, _ Params) 
 // send up the tree with the parent reducing as contributions arrive, then
 // the result is broadcast back down the same tree. No parameters.
 func AllreduceNonoverlapping(b *sim.Builder, topo netmodel.Topology, m int64, _ Params) {
-	p := topo.P()
-	if p <= 1 {
-		return
-	}
-	t := knomialTree(p, 2)
-	reduceTree(b, t, m)
-	full := sim.FullMask(p)
-	for r := 0; r < p; r++ {
-		if t.parent[r] >= 0 {
-			b.Recv(r, t.parent[r], m)
-		}
-		for _, c := range t.children[r] {
-			b.Send(r, c, m, pay1(b, 0, full)...)
-		}
-	}
-}
-
-// reduceTree emits a tree reduction to the root: each rank receives its
-// children's partial results (deepest subtree first), reducing after each,
-// then forwards its accumulated partial to its parent. The contribution
-// masks accumulate subtree by subtree.
-func reduceTree(b *sim.Builder, t tree, m int64) {
-	p := len(t.parent)
-	// Accumulated contribution mask per rank (verification only, but cheap
-	// enough to always compute for p <= 64; irrelevant above).
-	acc := make([]uint64, p)
-	for r := range acc {
-		acc[r] = maskOf(r)
-	}
-	// Post-order: children must have finished their subtree before they
-	// send. Since children have larger ranks in knomial trees, iterating
-	// ranks in descending order sequences the sends correctly.
-	for r := p - 1; r >= 0; r-- {
-		// Receive from children in reverse child order (smallest subtree
-		// first: they finish soonest).
-		for i := len(t.children[r]) - 1; i >= 0; i-- {
-			c := t.children[r][i]
-			b.Recv(r, c, m)
-			b.Compute(r, m)
-			acc[r] |= acc[c]
-		}
-		if t.parent[r] >= 0 {
-			b.Send(r, t.parent[r], m, pay1(b, 0, acc[r])...)
-		}
-	}
+	AllreduceKnomial(b, topo, m, Params{Fanout: 2})
 }
 
 // AllreduceRecursiveDoubling is the classic recursive-doubling allreduce
@@ -91,64 +49,8 @@ func reduceTree(b *sim.Builder, t tree, m int64) {
 // ranks pair up; even partners retire during the doubling and are refreshed
 // at the end). No parameters.
 func AllreduceRecursiveDoubling(b *sim.Builder, topo netmodel.Topology, m int64, _ Params) {
-	p := topo.P()
-	if p <= 1 {
-		return
-	}
-	p2 := 1
-	for p2*2 <= p {
-		p2 *= 2
-	}
-	rem := p - p2
-	full := sim.FullMask(p)
-
-	acc := make([]uint64, p)
-	for r := range acc {
-		acc[r] = maskOf(r)
-	}
-	// vrank[r]: position in the doubling group, or -1 for retired ranks.
-	vrank := make([]int, p)
-	group := make([]int, p2) // group position -> rank
-	for r := 0; r < p; r++ {
-		switch {
-		case r < 2*rem && r%2 == 0:
-			vrank[r] = -1
-		case r < 2*rem:
-			vrank[r] = r / 2
-		default:
-			vrank[r] = r - rem
-		}
-		if vrank[r] >= 0 {
-			group[vrank[r]] = r
-		}
-	}
-
-	// Pre-phase: even ranks of the first 2*rem hand their vector to the
-	// odd neighbour.
-	for e := 0; e < 2*rem; e += 2 {
-		b.Send(e, e+1, m, pay1(b, 0, acc[e])...)
-		b.Recv(e+1, e, m)
-		b.Compute(e+1, m)
-		acc[e+1] |= acc[e]
-	}
-
-	// Doubling over the p2 group members.
-	for dist := 1; dist < p2; dist *= 2 {
-		snap := append([]uint64(nil), acc...)
-		for v := 0; v < p2; v++ {
-			r := group[v]
-			partner := group[v^dist]
-			b.SendRecv(r, partner, m, partner, m, pay1(b, 0, snap[r])...)
-			b.Compute(r, m)
-			acc[r] |= snap[partner]
-		}
-	}
-
-	// Post-phase: odd partners return the final result.
-	for e := 0; e < 2*rem; e += 2 {
-		b.Send(e+1, e, m, pay1(b, 0, full)...)
-		b.Recv(e, e+1, m)
-	}
+	ranks := allRanks(topo.P())
+	recDoubling(b, ranks, m, ownMasks(ranks), false)
 }
 
 // AllreduceRing is the bandwidth-optimal ring allreduce: a p-1 step
@@ -170,11 +72,8 @@ func allreduceRingSeg(b *sim.Builder, topo netmodel.Topology, m int64, seg int64
 	if p <= 1 {
 		return
 	}
-	ranks, acc := make([]int, p), make([]uint64, p)
-	for r := range ranks {
-		ranks[r], acc[r] = r, maskOf(r)
-	}
-	ringAllreduce(b, ranks, acc, m, seg, false)
+	ranks := allRanks(p)
+	ringAllreduce(b, ranks, ownMasks(ranks), m, seg, false)
 }
 
 // ringAllreduce runs the ring allreduce over the ring members ranks, member
@@ -255,33 +154,12 @@ func AllreduceRabenseifner(b *sim.Builder, topo netmodel.Topology, m int64, _ Pa
 	if p <= 1 {
 		return
 	}
-	p2 := 1
-	for p2*2 <= p {
-		p2 *= 2
-	}
+	p2, group := foldGroup(p)
 	rem := p - p2
 	full := sim.FullMask(p)
 
 	// Pre-phase as in recursive doubling: fold the extras in.
-	acc := make([]uint64, p) // per-rank mask covering its *entire* vector
-	for r := range acc {
-		acc[r] = maskOf(r)
-	}
-	vrank := make([]int, p)
-	group := make([]int, p2)
-	for r := 0; r < p; r++ {
-		switch {
-		case r < 2*rem && r%2 == 0:
-			vrank[r] = -1
-		case r < 2*rem:
-			vrank[r] = r / 2
-		default:
-			vrank[r] = r - rem
-		}
-		if vrank[r] >= 0 {
-			group[vrank[r]] = r
-		}
-	}
+	acc := ownMasks(allRanks(p)) // per-rank mask covering its *entire* vector
 	for e := 0; e < 2*rem; e += 2 {
 		// The pre-phase moves the full vector, i.e. every one of the p2
 		// chunk blocks the later phases operate on.
@@ -415,24 +293,9 @@ func AllreduceAllgatherReduce(b *sim.Builder, topo netmodel.Topology, m int64, _
 // Fanout (radix).
 func AllreduceKnomial(b *sim.Builder, topo netmodel.Topology, m int64, prm Params) {
 	p := topo.P()
-	if p <= 1 {
-		return
-	}
-	radix := prm.Fanout
-	if radix < 2 {
-		radix = 2
-	}
-	t := knomialTree(p, radix)
-	reduceTree(b, t, m)
-	full := sim.FullMask(p)
-	for r := 0; r < p; r++ {
-		if t.parent[r] >= 0 {
-			b.Recv(r, t.parent[r], m)
-		}
-		for _, c := range t.children[r] {
-			b.Send(r, c, m, pay1(b, 0, full)...)
-		}
-	}
+	ranks, t, one := allRanks(p), knomialTree(p, prm.Fanout), segRuns(m, 0)
+	reduceTree(b, ranks, t, one, ownMasks(ranks))
+	bcastTree(b, ranks, t, one, sim.FullMask(p))
 }
 
 // AllreduceHierarchical is the topology-aware two-level allreduce: each node
@@ -442,95 +305,64 @@ func AllreduceKnomial(b *sim.Builder, topo netmodel.Topology, m int64, prm Param
 // their nodes. It shines when ppn is large because only one process per
 // node touches the network.
 func AllreduceHierarchical(b *sim.Builder, topo netmodel.Topology, m int64, prm Params) {
-	p := topo.P()
-	if p <= 1 {
-		return
-	}
-	full := sim.FullMask(p)
-	ppn := topo.PPN
-
-	// Intra-node reduce to leader over a binomial tree per node (member
-	// lists keep the schedule correct under any rank placement).
+	// The member lists keep the intra-node phases correct under any rank
+	// placement.
 	members := nodeMembers(topo)
-	nt := knomialTree(ppn, 2)
-	nodeAcc := make([]uint64, topo.Nodes)
-	acc := make([]uint64, p)
-	for r := range acc {
-		acc[r] = maskOf(r)
+	nt, one := knomialTree(topo.PPN, 2), segRuns(m, 0)
+	leaders := make([]int, len(members))
+	nodeAcc := make([]uint64, len(members))
+	for n, ms := range members {
+		acc := ownMasks(ms)
+		reduceTree(b, ms, nt, one, acc)
+		leaders[n], nodeAcc[n] = ms[0], acc[0]
 	}
-	for node := 0; node < topo.Nodes; node++ {
-		ms := members[node]
-		for lr := len(ms) - 1; lr >= 0; lr-- {
-			r := ms[lr]
-			for i := len(nt.children[lr]) - 1; i >= 0; i-- {
-				c := ms[nt.children[lr][i]]
-				b.Recv(r, c, m)
-				b.Compute(r, m)
-				acc[r] |= acc[c]
-			}
-			if nt.parent[lr] >= 0 {
-				b.Send(r, ms[nt.parent[lr]], m, pay1(b, 0, acc[r])...)
-			}
-		}
-		nodeAcc[node] = acc[ms[0]]
-	}
-
-	// Inter-node allreduce over the leaders.
-	leaders, _ := leadersOf(topo)
-	nl := len(leaders)
-	if nl > 1 {
+	if len(leaders) > 1 {
 		switch prm.Fanout {
 		case 2: // ring over leaders
 			ringAllreduce(b, leaders, nodeAcc, m, 0, true)
 		case 3: // recursive doubling with halving volumes (Rabenseifner-ish)
-			leaderRecDoubling(b, leaders, m, nodeAcc, true)
+			recDoubling(b, leaders, m, nodeAcc, true)
 		default:
-			leaderRecDoubling(b, leaders, m, nodeAcc, false)
+			recDoubling(b, leaders, m, nodeAcc, false)
 		}
 	}
-
-	// Intra-node broadcast from the leaders.
-	for node := 0; node < topo.Nodes; node++ {
-		ms := members[node]
-		for lr := 0; lr < len(ms); lr++ {
-			r := ms[lr]
-			if nt.parent[lr] >= 0 {
-				b.Recv(r, ms[nt.parent[lr]], m)
-			}
-			for _, c := range nt.children[lr] {
-				b.Send(r, ms[c], m, pay1(b, 0, full)...)
-			}
-		}
+	full := sim.FullMask(topo.P())
+	for _, ms := range members {
+		bcastTree(b, ms, nt, one, full)
 	}
 }
 
-// leaderRecDoubling runs a recursive-doubling allreduce over the leader
-// ranks (with the non-power-of-two pre/post phase). When halving is true,
-// exchanged volumes follow the reduce-scatter/allgather pattern (half, then
-// quarter, ...), modelling a Rabenseifner-style leader exchange; payload
-// tracking still treats the vector as one block, which remains sound
-// because contribution sets are identical across the vector.
-func leaderRecDoubling(b *sim.Builder, leaders []int, m int64, nodeAcc []uint64, halving bool) {
-	nl := len(leaders)
-	p2 := 1
-	for p2*2 <= nl {
-		p2 *= 2
+// foldGroup returns the largest power of two p2 <= n and the doubling group
+// of n members: the first 2*(n-p2) members pair up, each even one folding
+// into its odd neighbour and sitting the doubling out; group lists, in
+// order, the p2 members that stay.
+func foldGroup(n int) (p2 int, group []int) {
+	p2 = 1 << (bits.Len(uint(n)) - 1)
+	group = make([]int, 0, p2)
+	for i := 0; i < n; i++ {
+		if i >= 2*(n-p2) || i%2 == 1 {
+			group = append(group, i)
+		}
 	}
-	rem := nl - p2
-	vleader := make([]int, 0, p2)
-	acc := nodeAcc
+	return p2, group
+}
+
+// recDoubling runs a recursive-doubling allreduce over the member list
+// ranks, member i contributing acc[i], with foldGroup's non-power-of-two
+// pre/post phase. When halving is true, exchanged volumes follow the
+// reduce-scatter/allgather pattern (half, then quarter, ...), modelling a
+// Rabenseifner-style leader exchange; payload tracking still treats the
+// vector as one block, which remains sound because contribution sets are
+// identical across the vector.
+func recDoubling(b *sim.Builder, ranks []int, m int64, acc []uint64, halving bool) {
+	p2, group := foldGroup(len(ranks))
+	rem := len(ranks) - p2
 
 	for e := 0; e < 2*rem; e += 2 {
-		b.Send(leaders[e], leaders[e+1], m, pay1(b, 0, acc[e])...)
-		b.Recv(leaders[e+1], leaders[e], m)
-		b.Compute(leaders[e+1], m)
+		b.Send(ranks[e], ranks[e+1], m, pay1(b, 0, acc[e])...)
+		b.Recv(ranks[e+1], ranks[e], m)
+		b.Compute(ranks[e+1], m)
 		acc[e+1] |= acc[e]
-	}
-	for i := 0; i < nl; i++ {
-		if i < 2*rem && i%2 == 0 {
-			continue
-		}
-		vleader = append(vleader, i)
 	}
 
 	vol := m
@@ -543,10 +375,10 @@ func leaderRecDoubling(b *sim.Builder, leaders []int, m int64, nodeAcc []uint64,
 		}
 		snap := append([]uint64(nil), acc...)
 		for v := 0; v < p2; v++ {
-			li := vleader[v]
-			wi := vleader[v^dist]
-			b.SendRecv(leaders[li], leaders[wi], vol, leaders[wi], vol, pay1(b, 0, snap[li])...)
-			b.Compute(leaders[li], vol)
+			li := group[v]
+			wi := group[v^dist]
+			b.SendRecv(ranks[li], ranks[wi], vol, ranks[wi], vol, pay1(b, 0, snap[li])...)
+			b.Compute(ranks[li], vol)
 			acc[li] |= snap[wi]
 		}
 	}
@@ -559,16 +391,16 @@ func leaderRecDoubling(b *sim.Builder, leaders []int, m int64, nodeAcc []uint64,
 			}
 			snap := append([]uint64(nil), acc...)
 			for v := 0; v < p2; v++ {
-				li := vleader[v]
-				wi := vleader[v^dist]
-				b.SendRecv(leaders[li], leaders[wi], vol, leaders[wi], vol, pay1(b, 0, snap[li])...)
+				li := group[v]
+				wi := group[v^dist]
+				b.SendRecv(ranks[li], ranks[wi], vol, ranks[wi], vol, pay1(b, 0, snap[li])...)
 				acc[li] |= snap[wi]
 			}
 		}
 	}
 	for e := 0; e < 2*rem; e += 2 {
-		b.Send(leaders[e+1], leaders[e], m, pay1(b, 0, acc[e+1])...)
-		b.Recv(leaders[e], leaders[e+1], m)
+		b.Send(ranks[e+1], ranks[e], m, pay1(b, 0, acc[e+1])...)
+		b.Recv(ranks[e], ranks[e+1], m)
 		acc[e] |= acc[e+1]
 	}
 }

@@ -28,57 +28,27 @@ func BcastChain(b *sim.Builder, topo netmodel.Topology, m int64, prm Params) {
 	if p <= 1 {
 		return
 	}
-	nchains := prm.Fanout
-	if nchains < 1 {
-		nchains = 1
-	}
-	if nchains > p-1 {
-		nchains = p - 1
-	}
-	segs := segRuns(m, prm.Seg)
-
-	// Contiguous chain split of ranks 1..p-1 (block placement keeps chain
-	// neighbours on the same node where possible).
-	members := p - 1
-	base := members / nchains
-	rem := members % nchains
+	nchains := min(max(prm.Fanout, 1), p-1)
+	// The chains form a tree: the root's children are the chain heads, every
+	// other member's only child its successor. Contiguous chains of ranks
+	// 1..p-1 keep chain neighbours on the same node under block placement.
+	ranks := allRanks(p)
+	t := tree{parent: make([]int, p), children: make([][]int, p)}
+	t.parent[Root] = -1
 	start := 1
-	heads := make([]int, nchains)
-	next := make([]int, p) // successor in chain; -1 for tail
-	prev := make([]int, p) // predecessor; Root for heads
-	for i := range next {
-		next[i] = -1
-		prev[i] = -1
-	}
 	for c := 0; c < nchains; c++ {
-		length := base
-		if c < rem {
+		length := (p - 1) / nchains
+		if c < (p-1)%nchains {
 			length++
 		}
-		heads[c] = start
-		prev[start] = Root
-		for i := 0; i < length-1; i++ {
-			next[start+i] = start + i + 1
-			prev[start+i+1] = start + i
+		t.parent[start] = Root
+		t.children[Root] = append(t.children[Root], start)
+		for r := start + 1; r < start+length; r++ {
+			t.parent[r], t.children[r-1] = r-1, ranks[r:r+1]
 		}
 		start += length
 	}
-
-	// Root injects each segment into every chain.
-	repeatSegs(b, Root, segs, func(sz int64, blk int32) {
-		for _, h := range heads {
-			b.Send(Root, h, sz, pay1(b, blk, 1)...)
-		}
-	})
-	// Chain members receive and forward each segment.
-	for r := 1; r < p; r++ {
-		repeatSegs(b, r, segs, func(sz int64, blk int32) {
-			b.Recv(r, prev[r], sz)
-			if next[r] >= 0 {
-				b.Send(r, next[r], sz, pay1(b, blk, 1)...)
-			}
-		})
-	}
+	bcastTree(b, ranks, t, segRuns(m, prm.Seg), 1)
 }
 
 // BcastPipeline is the single-chain pipelined broadcast. Parameter: Seg.
@@ -86,45 +56,22 @@ func BcastPipeline(b *sim.Builder, topo netmodel.Topology, m int64, prm Params) 
 	BcastChain(b, topo, m, Params{Seg: prm.Seg, Fanout: 1})
 }
 
-// bcastTree emits a segmented pipelined broadcast down the given tree:
-// for each segment, every rank receives it from its parent and forwards it
-// to its children (largest subtree first).
-func bcastTree(b *sim.Builder, t tree, m int64, seg int64) {
-	p := len(t.parent)
-	if p <= 1 {
-		return
-	}
-	segs := segRuns(m, seg)
-	for r := 0; r < p; r++ {
-		repeatSegs(b, r, segs, func(sz int64, blk int32) {
-			if t.parent[r] >= 0 {
-				b.Recv(r, t.parent[r], sz)
-			}
-			for _, c := range t.children[r] {
-				b.Send(r, c, sz, pay1(b, blk, 1)...)
-			}
-		})
-	}
-}
-
 // BcastBinomial is the segmented binomial-tree broadcast. Parameter: Seg.
 func BcastBinomial(b *sim.Builder, topo netmodel.Topology, m int64, prm Params) {
-	bcastTree(b, knomialTree(topo.P(), 2), m, prm.Seg)
+	BcastKnomial(b, topo, m, Params{Seg: prm.Seg, Fanout: 2})
 }
 
 // BcastKnomial is the k-nomial-tree broadcast. Parameters: Fanout (radix,
 // >= 2) and Seg.
 func BcastKnomial(b *sim.Builder, topo netmodel.Topology, m int64, prm Params) {
-	radix := prm.Fanout
-	if radix < 2 {
-		radix = 2
-	}
-	bcastTree(b, knomialTree(topo.P(), radix), m, prm.Seg)
+	p := topo.P()
+	bcastTree(b, allRanks(p), knomialTree(p, prm.Fanout), segRuns(m, prm.Seg), 1)
 }
 
 // BcastBinary is the segmented binary-tree broadcast. Parameter: Seg.
 func BcastBinary(b *sim.Builder, topo netmodel.Topology, m int64, prm Params) {
-	bcastTree(b, binaryTree(topo.P()), m, prm.Seg)
+	p := topo.P()
+	bcastTree(b, allRanks(p), binaryTree(p), segRuns(m, prm.Seg), 1)
 }
 
 // BcastSplitBinary is the split binary-tree broadcast: the message is split
@@ -136,12 +83,12 @@ func BcastSplitBinary(b *sim.Builder, topo netmodel.Topology, m int64, prm Param
 	if p <= 1 {
 		return
 	}
-	t := binaryTree(p)
 	if p == 2 {
 		// Degenerate: plain pipelined send.
-		bcastTree(b, t, m, prm.Seg)
+		BcastBinary(b, topo, m, prm)
 		return
 	}
+	t := binaryTree(p)
 	mA := (m + 1) / 2
 	mB := m - mA
 	// Halves as verification blocks: block 0 = first half, 1 = second.
@@ -257,88 +204,7 @@ func BcastScatterAllgather(b *sim.Builder, topo netmodel.Topology, m int64, _ Pa
 	}
 	chunks := chunkSizes(m, p)
 	scatterBinomial(b, p, chunks)
-
-	// Non-power-of-two handling: the last p-p2 ranks ("extras") hand their
-	// chunk to a partner in [0, p2), then receive the full result.
-	p2 := 1
-	for p2*2 <= p {
-		p2 *= 2
-	}
-	extras := p - p2
-
-	// bytes[r] is what rank r holds. Partners' holdings are disjoint, so an
-	// exchange sums them. The chunk sets themselves are kept only to
-	// annotate payloads in verify mode.
-	bytes := append([]int64(nil), chunks...)
-	var held [][]int
-	if b.Verify() {
-		held = make([][]int, p)
-		for r := range held {
-			held[r] = []int{r}
-		}
-	}
-	payFor := func(r int) []sim.PayUnit {
-		if held == nil {
-			return nil
-		}
-		pay := make([]sim.PayUnit, 0, len(held[r]))
-		for _, c := range held[r] {
-			pay = append(pay, sim.PayUnit{Block: int32(c), Mask: 1})
-		}
-		return pay
-	}
-
-	for e := 0; e < extras; e++ {
-		src, dst := p2+e, e
-		b.Send(src, dst, bytes[src], payFor(src)...)
-		b.Recv(dst, src, bytes[src])
-		bytes[dst] += bytes[src]
-		if held != nil {
-			held[dst] = append(held[dst], held[src]...)
-		}
-	}
-
-	// Recursive doubling over ranks [0, p2). Exchanges within a round are
-	// concurrent, so each round reads a snapshot of the holdings.
-	sendBytes := make([]int64, p2)
-	sendPay := make([][]sim.PayUnit, p2)
-	for dist := 1; dist < p2; dist *= 2 {
-		copy(sendBytes, bytes)
-		for r := 0; r < p2; r++ {
-			sendPay[r] = payFor(r)
-		}
-		for r := 0; r < p2; r++ {
-			partner := r ^ dist
-			b.SendRecv(r, partner, sendBytes[r], partner, sendBytes[partner], sendPay[r]...)
-			bytes[r] = sendBytes[r] + sendBytes[partner]
-		}
-		if held != nil {
-			newHeld := make([][]int, p2)
-			for r := 0; r < p2; r++ {
-				newHeld[r] = append(append([]int{}, held[r]...), held[r^dist]...)
-			}
-			copy(held, newHeld)
-		}
-	}
-
-	// Extras receive the fully assembled message from their partner.
-	if extras > 0 {
-		fullPay := func() []sim.PayUnit {
-			if !b.Verify() {
-				return nil
-			}
-			pay := make([]sim.PayUnit, p)
-			for i := range pay {
-				pay[i] = sim.PayUnit{Block: int32(i), Mask: 1}
-			}
-			return pay
-		}
-		for e := 0; e < extras; e++ {
-			src, dst := e, p2+e
-			b.Send(src, dst, m, fullPay()...)
-			b.Recv(dst, src, m)
-		}
-	}
+	rdAllgather(b, chunks, m)
 }
 
 // BcastScatterRingAllgather is the "scatter + ring allgather" broadcast:
@@ -431,44 +297,13 @@ func BcastDoubleTree(b *sim.Builder, topo netmodel.Topology, m int64, prm Params
 // the node's ranks). Parameter: Seg segments both levels; Fanout sets the
 // inter-node radix (0/2 = binomial).
 func BcastHierarchical(b *sim.Builder, topo netmodel.Topology, m int64, prm Params) {
-	p := topo.P()
-	if p <= 1 {
-		return
-	}
-	leaders, _ := leadersOf(topo)
-	radix := prm.Fanout
-	if radix < 2 {
-		radix = 2
-	}
 	segs := segRuns(m, prm.Seg)
-
-	// Inter-node phase over leader ranks (leader i = leaders[i]).
-	lt := knomialTree(len(leaders), radix)
-	for li, lr := range leaders {
-		repeatSegs(b, lr, segs, func(sz int64, blk int32) {
-			if lt.parent[li] >= 0 {
-				b.Recv(lr, leaders[lt.parent[li]], sz)
-			}
-			for _, c := range lt.children[li] {
-				b.Send(lr, leaders[c], sz, pay1(b, blk, 1)...)
-			}
-		})
-	}
-
-	// Intra-node phase: leader binomial-broadcasts within its node (the
-	// member lists make this correct under any rank placement).
-	members := nodeMembers(topo)
+	leaders, _ := leadersOf(topo)
+	bcastTree(b, leaders, knomialTree(len(leaders), prm.Fanout), segs, 1)
+	// The member lists make the intra-node phase correct under any rank
+	// placement.
 	nt := knomialTree(topo.PPN, 2)
-	for _, ms := range members {
-		for lr, r := range ms {
-			repeatSegs(b, r, segs, func(sz int64, blk int32) {
-				if nt.parent[lr] >= 0 {
-					b.Recv(r, ms[nt.parent[lr]], sz)
-				}
-				for _, c := range nt.children[lr] {
-					b.Send(r, ms[c], sz, pay1(b, blk, 1)...)
-				}
-			})
-		}
+	for _, ms := range nodeMembers(topo) {
+		bcastTree(b, ms, nt, segs, 1)
 	}
 }

@@ -233,6 +233,65 @@ func (t tree) subtreeSize() []int {
 	return size
 }
 
+// bcastTree emits a segmented pipelined broadcast down tree t over the
+// member list ranks, tree node i being rank ranks[i]: for each segment of
+// segs, every member receives it from its parent and forwards it to its
+// children in order, granting mask on the segment's block.
+func bcastTree(b *sim.Builder, ranks []int, t tree, segs [2]run, mask uint64) {
+	for i, r := range ranks {
+		repeatSegs(b, r, segs, func(sz int64, blk int32) {
+			if t.parent[i] >= 0 {
+				b.Recv(r, ranks[t.parent[i]], sz)
+			}
+			for _, c := range t.children[i] {
+				b.Send(r, ranks[c], sz, pay1(b, blk, mask)...)
+			}
+		})
+	}
+}
+
+// reduceTree emits the same walk upward: for each segment of segs, every
+// member receives its children's partial results in reverse child order
+// (smallest subtree first: they finish soonest), reducing after each, then
+// sends its partial to its parent. acc[i] is member i's contribution mask;
+// it becomes the mask of i's subtree, which every segment i sends carries
+// as block 0. Parents must precede their children in ranks, as in k-nomial
+// trees.
+func reduceTree(b *sim.Builder, ranks []int, t tree, segs [2]run, acc []uint64) {
+	for i := len(ranks) - 1; i >= 1; i-- {
+		acc[t.parent[i]] |= acc[i]
+	}
+	for i, r := range ranks {
+		repeatSegs(b, r, segs, func(sz int64, _ int32) {
+			for j := len(t.children[i]) - 1; j >= 0; j-- {
+				b.Recv(r, ranks[t.children[i][j]], sz)
+				b.Compute(r, sz)
+			}
+			if t.parent[i] >= 0 {
+				b.Send(r, ranks[t.parent[i]], sz, pay1(b, 0, acc[i])...)
+			}
+		})
+	}
+}
+
+// allRanks returns the member list 0..p-1: a walk over every rank.
+func allRanks(p int) []int {
+	ranks := make([]int, p)
+	for r := range ranks {
+		ranks[r] = r
+	}
+	return ranks
+}
+
+// ownMasks returns each member's own contribution mask.
+func ownMasks(ranks []int) []uint64 {
+	acc := make([]uint64, len(ranks))
+	for i, r := range ranks {
+		acc[i] = maskOf(r)
+	}
+	return acc
+}
+
 // nodeMembers returns, per node, the sorted ranks it hosts — valid for any
 // placement (block or cyclic).
 func nodeMembers(topo netmodel.Topology) [][]int {

@@ -27,54 +27,21 @@ func ReduceLinear(b *sim.Builder, topo netmodel.Topology, m int64, _ Params) {
 
 // ReduceBinomial reduces over a binomial tree. No parameters.
 func ReduceBinomial(b *sim.Builder, topo netmodel.Topology, m int64, _ Params) {
-	p := topo.P()
-	if p <= 1 {
-		return
-	}
-	reduceTree(b, knomialTree(p, 2), m)
+	ReducePipelined(b, topo, m, Params{})
 }
 
 // ReduceKnomial reduces over a k-nomial tree. Parameter: Fanout (radix).
 func ReduceKnomial(b *sim.Builder, topo netmodel.Topology, m int64, prm Params) {
-	p := topo.P()
-	if p <= 1 {
-		return
-	}
-	radix := prm.Fanout
-	if radix < 2 {
-		radix = 2
-	}
-	reduceTree(b, knomialTree(p, radix), m)
+	ranks := allRanks(topo.P())
+	reduceTree(b, ranks, knomialTree(len(ranks), prm.Fanout), segRuns(m, 0), ownMasks(ranks))
 }
 
 // ReducePipelined is the segmented binomial reduce: segments flow up the
 // tree in a pipeline, with the partial reduction computed per segment —
-// the large-message workhorse. Parameter: Seg.
+// the large-message workhorse. Each segment independently accumulates the
+// sender's whole subtree, so every message carries its subtree's mask.
+// Parameter: Seg.
 func ReducePipelined(b *sim.Builder, topo netmodel.Topology, m int64, prm Params) {
-	p := topo.P()
-	if p <= 1 {
-		return
-	}
-	t := knomialTree(p, 2)
-	segs := segRuns(m, prm.Seg)
-	// Each segment independently accumulates the sender's whole subtree,
-	// so every message of rank r carries r's subtree contribution mask.
-	subtree := make([]uint64, p)
-	for r := range subtree {
-		subtree[r] = maskOf(r)
-	}
-	for r := p - 1; r >= 1; r-- {
-		subtree[t.parent[r]] |= subtree[r]
-	}
-	for r := p - 1; r >= 0; r-- {
-		repeatSegs(b, r, segs, func(sz int64, _ int32) {
-			for i := len(t.children[r]) - 1; i >= 0; i-- {
-				b.Recv(r, t.children[r][i], sz)
-				b.Compute(r, sz)
-			}
-			if t.parent[r] >= 0 {
-				b.Send(r, t.parent[r], sz, pay1(b, 0, subtree[r])...)
-			}
-		})
-	}
+	ranks := allRanks(topo.P())
+	reduceTree(b, ranks, knomialTree(len(ranks), 2), segRuns(m, prm.Seg), ownMasks(ranks))
 }

@@ -33,3 +33,30 @@ func BenchmarkBuildSegmented(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBuildPortfolios builds every broadcast and allreduce
+// configuration of both libraries at three mid-size topologies (16x16,
+// 35x8 and 36x32 ranks) with 1 MiB, verify off: the schedule-build layer
+// the dataset sweeps and the Intel default decision pay for every new
+// instance. One op is the whole set.
+func BenchmarkBuildPortfolios(b *testing.B) {
+	var cfgs []Config
+	for _, lib := range Libraries() {
+		for _, coll := range []string{Bcast, Allreduce} {
+			set, err := lib.Collective(coll)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfgs = append(cfgs, set.Configs...)
+		}
+	}
+	topos := []netmodel.Topology{{Nodes: 16, PPN: 16}, {Nodes: 35, PPN: 8}, {Nodes: 36, PPN: 32}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, topo := range topos {
+			for _, c := range cfgs {
+				BuildProgram(c, topo, 1<<20, false)
+			}
+		}
+	}
+}

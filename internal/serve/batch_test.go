@@ -5,15 +5,25 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
 
-// batchServer builds a server with an explicit batch worker count.
+// setProcs sets GOMAXPROCS, and so the goroutines one batch fans out on,
+// to n until the test ends.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// batchServer builds a server answering batches on workers goroutines.
 func batchServer(t *testing.T, workers int, models ...*Model) *Server {
 	t.Helper()
-	s, err := New(Options{CacheSize: 4096, CacheShards: 4, BatchWorkers: workers})
+	setProcs(t, workers)
+	s, err := New(Options{CacheSize: 4096, CacheShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -476,7 +476,8 @@ func TestBatchIsScheduleIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Options{CacheSize: 1024, CacheShards: 4, BatchWorkers: workers, Audit: lg})
+		setProcs(t, workers)
+		s, err := New(Options{CacheSize: 1024, CacheShards: 4, Audit: lg})
 		if err != nil {
 			t.Fatal(err)
 		}

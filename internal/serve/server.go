@@ -56,10 +56,6 @@ type Options struct {
 	CacheSize int
 	// CacheShards is the shard count (default 16).
 	CacheShards int
-	// BatchWorkers caps the per-request concurrency of /v1/batch (default
-	// GOMAXPROCS; 1 answers batches serially). One batch never spawns more
-	// goroutines than this, however many instances it carries.
-	BatchWorkers int
 	// Log receives request-path errors; nil discards them.
 	Log *obs.Logger
 	// Metrics is the registry the server reports into (default obs.Default).
@@ -80,23 +76,22 @@ type Options struct {
 
 // Server answers tuning queries from a registry of loaded models.
 type Server struct {
-	reg          *Registry
-	cache        *SelectionCache
-	pathsMu      sync.Mutex
-	paths        []string
-	log          *obs.Logger
-	metrics      *obs.Registry
-	auditLog     *audit.Logger
-	ring         *obs.SpanRing // nil when tracing is off
-	tel          *Telemetry
-	reqSeq       atomic.Uint64
-	mux          *http.ServeMux
-	httpSrv      *http.Server
-	middleware   func(http.Handler) http.Handler
-	batchWorkers int
-	draining     atomic.Bool
-	retrainMu    sync.Mutex
-	retrainFn    func() any
+	reg        *Registry
+	cache      *SelectionCache
+	pathsMu    sync.Mutex
+	paths      []string
+	log        *obs.Logger
+	metrics    *obs.Registry
+	auditLog   *audit.Logger
+	ring       *obs.SpanRing // nil when tracing is off
+	tel        *Telemetry
+	reqSeq     atomic.Uint64
+	mux        *http.ServeMux
+	httpSrv    *http.Server
+	middleware func(http.Handler) http.Handler
+	draining   atomic.Bool
+	retrainMu  sync.Mutex
+	retrainFn  func() any
 }
 
 // maxBodyBytes bounds request bodies; the largest legitimate payload is a
@@ -115,23 +110,16 @@ func New(opts Options) (*Server, error) {
 	if opts.Metrics == nil {
 		opts.Metrics = obs.Default
 	}
-	if opts.BatchWorkers == 0 {
-		opts.BatchWorkers = runtime.GOMAXPROCS(0)
-	}
-	if opts.BatchWorkers < 1 {
-		opts.BatchWorkers = 1
-	}
 	s := &Server{
-		reg:          NewRegistry(),
-		cache:        NewSelectionCache(opts.CacheSize, opts.CacheShards),
-		paths:        append([]string(nil), opts.SnapshotPaths...),
-		log:          opts.Log,
-		metrics:      opts.Metrics,
-		auditLog:     opts.Audit,
-		ring:         obs.NewSpanRing(opts.TraceRing),
-		tel:          newTelemetry(opts.LatencySLO),
-		middleware:   opts.Middleware,
-		batchWorkers: opts.BatchWorkers,
+		reg:        NewRegistry(),
+		cache:      NewSelectionCache(opts.CacheSize, opts.CacheShards),
+		paths:      append([]string(nil), opts.SnapshotPaths...),
+		log:        opts.Log,
+		metrics:    opts.Metrics,
+		auditLog:   opts.Audit,
+		ring:       obs.NewSpanRing(opts.TraceRing),
+		tel:        newTelemetry(opts.LatencySLO),
+		middleware: opts.Middleware,
 	}
 	if len(s.paths) > 0 {
 		if err := s.reg.Load(s.paths); err != nil {
@@ -610,8 +598,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	resp := BatchResponse{Model: m.Name, Coll: m.Sel.Coll, Results: make([]BatchResult, len(req.Instances))}
 	s.metrics.Counter("serve_batch_instances_total", nil).Add(int64(len(req.Instances)))
 
-	// Answer each distinct valid instance once, on up to batchWorkers
-	// goroutines. par.Run commits in instance order: a repeat copies the
+	// Answer each distinct valid instance once, on up to GOMAXPROCS
+	// goroutines, however many instances the batch carries. par.Run commits in instance order: a repeat copies the
 	// decision of its first occurrence as a cache hit, and every valid
 	// entry is observed there, under the batch's request id (entries get no
 	// spans of their own — a 10000-instance batch would drown the trace
@@ -639,7 +627,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 		latency time.Duration
 	}
 	// Neither the selection nor the commit can fail.
-	_ = par.Run(len(req.Instances), s.batchWorkers, nil,
+	_ = par.Run(len(req.Instances), runtime.GOMAXPROCS(0), nil,
 		func(_, i int) (answer, error) {
 			if first[i] != i {
 				return answer{}, nil

@@ -264,6 +264,9 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 				e.stats.PeakHeapDepth = e.queued - 1
 			}
 			if !advanced {
+				if e.collectStats {
+					e.countBlocked(r)
+				}
 				e.queued--
 				e.queue.set(top.r, absent)
 				if e.bounded && e.lowerBound(r) > limit {
@@ -286,6 +289,7 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 	res := Result{Finish: append([]float64(nil), e.clock...), Events: events}
 	if e.collectStats {
 		s := e.stats
+		s.countOps(prog, model)
 		res.Stats = &s
 	}
 	maxT := 0.0
@@ -296,6 +300,16 @@ func (e *Engine) run(prog *Program, model CostModel, start []float64, obs Observ
 	}
 	res.Time = maxT - minStart
 	return res, nil
+}
+
+// countBlocked counts the op rank r blocked on: a blocking rendezvous send
+// waiting for its receiver, or a receive waiting for its message.
+func (e *Engine) countBlocked(r int) {
+	if e.prog.ranks[r].ops[e.cur[r].pc].Kind == OpRecv {
+		e.stats.BlockedRecvs++
+	} else {
+		e.stats.BlockedSends++
+	}
 }
 
 // advance moves rank r, whose cursor is at the end of a loop body, to the
@@ -400,9 +414,6 @@ func (e *Engine) step(r int) (bool, error) {
 	case OpCompute:
 		e.clock[r] += e.model.Compute(op.Bytes)
 		e.cur[r].pc++
-		if e.collectStats {
-			e.stats.Computes++
-		}
 		if e.tracer != nil {
 			e.tracer.OpSpan(int32(r), OpCompute, -1, op.Bytes, t0, e.clock[r], false)
 		}
@@ -432,10 +443,6 @@ func (e *Engine) step(r int) (bool, error) {
 			}
 			e.clock[r] = sdone
 			e.cur[r].pc++
-			if e.collectStats {
-				e.stats.Sends++
-				e.stats.EagerSends++
-			}
 			if e.tracer != nil {
 				e.tracer.OpSpan(int32(r), op.Kind, op.Peer, op.Bytes, t0, e.clock[r], false)
 			}
@@ -457,10 +464,6 @@ func (e *Engine) step(r int) (bool, error) {
 				e.clock[r] = sdone
 			}
 			e.cur[r].pc++
-			if e.collectStats {
-				e.stats.Sends++
-				e.stats.RendezvousSends++
-			}
 			if e.tracer != nil {
 				e.tracer.OpSpan(int32(r), op.Kind, op.Peer, op.Bytes, t0, e.clock[r], true)
 			}
@@ -473,17 +476,10 @@ func (e *Engine) step(r int) (bool, error) {
 		if nb {
 			e.clock[r] += e.model.PostOverhead(op.Bytes)
 			e.cur[r].pc++
-			if e.collectStats {
-				e.stats.Sends++
-				e.stats.RendezvousSends++
-			}
 			if e.tracer != nil {
 				e.tracer.OpSpan(int32(r), op.Kind, op.Peer, op.Bytes, t0, e.clock[r], true)
 			}
 			return true, nil
-		}
-		if e.collectStats {
-			e.stats.BlockedSends++
 		}
 		return false, nil
 
@@ -493,9 +489,6 @@ func (e *Engine) step(r int) (bool, error) {
 			ps.waiting = true
 			ps.recvPost = e.clock[r]
 			ps.recvBytes = op.Bytes
-			if e.collectStats {
-				e.stats.BlockedRecvs++
-			}
 			return false, nil
 		}
 		rec := &ps.inflight[ps.head]
@@ -516,10 +509,6 @@ func (e *Engine) step(r int) (bool, error) {
 				e.cur[s].pc++
 				e.queued++
 				e.queue.set(s, timeBits(sdone))
-				if e.collectStats {
-					e.stats.Sends++
-					e.stats.RendezvousSends++
-				}
 				if e.tracer != nil {
 					e.tracer.OpSpan(s, OpSend, int32(r), rec.bytes, rec.ts, sdone, true)
 				}
@@ -536,10 +525,6 @@ func (e *Engine) step(r int) (bool, error) {
 			ps.head = 0
 		}
 		e.cur[r].pc++
-		if e.collectStats {
-			e.stats.Recvs++
-			e.stats.MessagesMatched++
-		}
 		if e.tracer != nil {
 			e.tracer.OpSpan(int32(r), OpRecv, op.Peer, op.Bytes, t0, e.clock[r], !rec.eager)
 		}
@@ -556,10 +541,6 @@ func (e *Engine) wakeReceiver(src, dst int32, arrival, recvPost float64, op *Op,
 	e.cur[dst].pc++
 	e.queued++
 	e.queue.set(dst, timeBits(e.clock[dst]))
-	if e.collectStats {
-		e.stats.Recvs++
-		e.stats.MessagesMatched++
-	}
 	if e.tracer != nil {
 		e.tracer.OpSpan(dst, OpRecv, src, op.Bytes, recvPost, e.clock[dst], rendezvous)
 	}

@@ -206,3 +206,59 @@ func TestGoldenEngineDigests(t *testing.T) {
 		t.Errorf("corpus has %d groups, %d pinned", len(got), len(goldenDigests))
 	}
 }
+
+// spanCounts tallies a run's tracer spans as Stats partitions its ops.
+type spanCounts struct{ sim.Stats }
+
+func (c *spanCounts) OpSpan(_ int32, kind sim.OpKind, _ int32, _ uint32, _, _ float64, rendezvous bool) {
+	switch {
+	case kind == sim.OpCompute:
+		c.Computes++
+	case kind == sim.OpRecv:
+		c.Recvs++
+		c.MessagesMatched++
+	case rendezvous:
+		c.Sends++
+		c.RendezvousSends++
+	default:
+		c.Sends++
+		c.EagerSends++
+	}
+}
+
+// TestStatsEqualSpanCounts runs the golden corpus (all starts at zero) and
+// checks that the counters Stats takes from the program equal the counts,
+// per kind and per protocol, of the spans the engine reports as it
+// executes each op.
+func TestStatsEqualSpanCounts(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.CollectStats(true)
+	for _, lib := range mpilib.Libraries() {
+		for _, collName := range lib.Collectives() {
+			set, err := lib.Collective(collName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range set.Configs {
+				for _, topo := range goldenTopos {
+					for _, m := range goldenSizes {
+						for mi, gm := range goldenModels {
+							seed := sim.Seed(uint64(c.ID), uint64(topo.P()), uint64(m), uint64(mi))
+							spans := &spanCounts{}
+							eng.SetTracer(spans)
+							res, err := eng.Run(mpilib.BuildProgram(c, topo, m, false), netmodel.New(gm.prm, topo, seed, gm.noisy), nil, nil)
+							if err != nil {
+								t.Fatalf("%s on %+v m=%d: %v", c.Label(), topo, m, err)
+							}
+							got := *res.Stats
+							got.BlockedSends, got.BlockedRecvs, got.PeakHeapDepth = 0, 0, 0
+							if got != spans.Stats {
+								t.Errorf("%s %s on %+v m=%d model %d: stats %+v, spans %+v", lib.Name, c.Label(), topo, m, mi, got, spans.Stats)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -5,7 +5,9 @@ package sim
 // over one Run.
 type Stats struct {
 	// Sends, Recvs and Computes partition the executed operations by kind
-	// (a blocked op that resumes later is counted once).
+	// (a blocked op that resumes later is counted once). A completed run
+	// executes every op of its program once, so these counters, the
+	// protocol split and MessagesMatched are counted from the program.
 	Sends    int
 	Recvs    int
 	Computes int
@@ -24,6 +26,32 @@ type Stats struct {
 	// operation. The name dates from the heap the ready queue replaced;
 	// the values are the heap depths it reported.
 	PeakHeapDepth int
+}
+
+// countOps sets the counters that follow from prog alone, in one pass over
+// its stored ops: each op counts once per iteration of its loop, a send's
+// protocol is model's, and every receive is matched.
+func (s *Stats) countOps(prog *Program, model CostModel) {
+	for _, rp := range prog.ranks {
+		for _, l := range rp.loops {
+			n := int(l.n)
+			for _, op := range rp.ops[l.start : l.start+l.len] {
+				switch {
+				case op.Kind == OpCompute:
+					s.Computes += n
+				case op.Kind == OpRecv:
+					s.Recvs += n
+				case model.Eager(op.Bytes):
+					s.Sends += n
+					s.EagerSends += n
+				default:
+					s.Sends += n
+					s.RendezvousSends += n
+				}
+			}
+		}
+	}
+	s.MessagesMatched = s.Recvs
 }
 
 // Tracer receives per-rank timeline spans during execution; used by the

@@ -8,8 +8,8 @@ import (
 )
 
 // storedOps pins, per (library, collective), the ops the builder stores
-// (verify off) for every configuration on TestOpStreamsPinned's grid: the
-// golden topologies and storedOpSizes. TestOpStreamsPinned hashes only the
+// (verify off) for every configuration on the golden topologies and
+// storedOpSizes. TestOpStreamsPinned hashes only the
 // expanded streams, so a generator that stops stating a loop through
 // Repeat, and has its body stored once per iteration, passes it but fails
 // here. A generator that states a loop it did not before lowers its count;
