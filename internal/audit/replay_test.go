@@ -1,6 +1,10 @@
 package audit
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -92,5 +96,70 @@ func TestReplayRejectsUnknownWorld(t *testing.T) {
 	r.Machine = "NoSuchMachine"
 	if _, err := Replay([]Record{r}, ReplayOptions{Reps: 1}); err == nil {
 		t.Fatal("want error for unknown machine")
+	}
+}
+
+// replayPinFixture is a log over four (machine, library, collective)
+// triples: both libraries, Hydra, Jupiter and SuperMUC-NG, several
+// configurations and message sizes per triple, repeated decisions, and one
+// fallback.
+func replayPinFixture() []Record {
+	type world struct{ model, mach, lib, coll, dataset string }
+	worlds := []world{
+		{"d1-gam", "Hydra", "Open MPI", "bcast", "d1"},
+		{"d4-knn", "Jupiter", "Open MPI", "allreduce", "d4"},
+		{"d6-xgboost", "Hydra", "Intel MPI", "alltoall", "d6"},
+		{"d8-rf", "SuperMUC-NG", "Open MPI", "bcast", "d8"},
+		{"d5-gam", "Hydra", "Intel MPI", "allreduce", "d5"},
+	}
+	var recs []Record
+	for wi, w := range worlds {
+		for i := 0; i < 14; i++ {
+			r := mkRecord(fmt.Sprintf("%s-%d", w.model, i), 2+i%3, 2+2*(i%2), int64(64)<<uint(2*(i%5)), 1e-5*float64(1+i+wi))
+			r.Model, r.Machine, r.Lib, r.Coll, r.Dataset = w.model, w.mach, w.lib, w.coll, w.dataset
+			r.ConfigID = 1 + (i+wi)%4
+			r.Label = fmt.Sprintf("config %d", r.ConfigID)
+			if i%7 == 6 {
+				// A repeat of the previous decision.
+				r = recs[len(recs)-1]
+				r.RequestID += "-again"
+			}
+			r.V = SchemaVersion
+			r.TimeUnixUs = int64(len(recs) + 1)
+			recs = append(recs, r)
+		}
+	}
+	fb := mkFallback("fallback", 1<<40, "extrapolation")
+	fb.V = SchemaVersion
+	fb.TimeUnixUs = int64(len(recs) + 1)
+	return append(recs, fb)
+}
+
+// TestReplayReportPinned pins the rendered replay of a mixed log, and the
+// exact bits of every observed time, which the rendering rounds. Replay's
+// seeds, repetition counts and budgets all show in the observed times, so a
+// change to how served decisions are re-measured moves these digests.
+func TestReplayReportPinned(t *testing.T) {
+	rep, err := Replay(replayPinFixture(), ReplayOptions{Reps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Skipped != 1 || len(rep.Models) != 5 {
+		t.Fatalf("skipped=%d models=%d, want 1 and 5", rep.Skipped, len(rep.Models))
+	}
+	const (
+		wantRender   = "334e49d0ee9738b5da7c4bc80eb1fde36f3210a8d4d941a771067286a5403626"
+		wantObserved = "26680acae8946887be4081cedfb2cf6e260b1736bee5b7d0ffb13c22aa8cb474"
+	)
+	sum := sha256.Sum256([]byte(rep.Render()))
+	if got := hex.EncodeToString(sum[:]); got != wantRender {
+		t.Errorf("replay report digest %s, want %s\n%s", got, wantRender, rep.Render())
+	}
+	h := sha256.New()
+	for _, row := range rep.Rows {
+		fmt.Fprintf(h, "%016x\n", math.Float64bits(row.Observed))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantObserved {
+		t.Errorf("observed-time digest %s, want %s", got, wantObserved)
 	}
 }
