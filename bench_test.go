@@ -197,7 +197,7 @@ func BenchmarkBudgetMeasurement(b *testing.B) {
 	runner := bench.NewRunner(bench.DefaultOptions(m.mach.Name))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		meas, err := runner.MeasureCapped(cfg, m.mach.Net, topo, 4096, uint64(i), 10)
+		meas, err := runner.Measure(cfg, m.mach.Net, topo, 4096, uint64(i), 10)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,8 +6,6 @@ import (
 	"sort"
 
 	"mpicollpred/internal/bench"
-	"mpicollpred/internal/machine"
-	"mpicollpred/internal/mpilib"
 	"mpicollpred/internal/sim"
 	"mpicollpred/internal/tablefmt"
 )
@@ -138,57 +136,14 @@ func Replay(recs []Record, opts ReplayOptions) (*ReplayReport, error) {
 		uniques = sampled
 	}
 
-	// Resolve each (machine, lib, coll) world once.
-	type world struct {
-		mach   machine.Machine
-		set    *mpilib.CollectiveSet
-		runner *bench.Runner
-	}
-	worlds := map[[3]string]*world{}
-	resolve := func(k replayKey) (*world, error) {
-		wk := [3]string{k.mach, k.lib, k.coll}
-		if w := worlds[wk]; w != nil {
-			return w, nil
-		}
-		mach, err := machine.ByName(k.mach)
-		if err != nil {
-			return nil, fmt.Errorf("audit: replay machine: %w", err)
-		}
-		lib, err := mpilib.ByName(k.lib)
-		if err != nil {
-			return nil, fmt.Errorf("audit: replay library: %w", err)
-		}
-		set, err := lib.Collective(k.coll)
-		if err != nil {
-			return nil, fmt.Errorf("audit: replay collective: %w", err)
-		}
-		o := bench.DefaultOptions(mach.Name)
-		o.MaxReps = opts.Reps
-		w := &world{mach: mach, set: set, runner: bench.NewRunner(o)}
-		worlds[wk] = w
-		return w, nil
-	}
-
+	m := bench.NewMeasurer(opts.Reps, nil)
 	for _, u := range uniques {
 		k := u.key
-		w, err := resolve(k)
-		if err != nil {
-			return nil, err
-		}
-		cfg, err := w.set.Config(k.configID)
-		if err != nil {
-			return nil, fmt.Errorf("audit: replay config %d for %s: %w", k.configID, k.model, err)
-		}
-		topo, err := w.mach.Topo(k.nodes, k.ppn)
-		if err != nil {
-			return nil, fmt.Errorf("audit: replay topology %dx%d: %w", k.nodes, k.ppn, err)
-		}
 		seed := sim.Seed(replaySeedSalt, uint64(k.configID), uint64(k.nodes), uint64(k.ppn), uint64(k.msize))
-		meas, err := w.runner.MeasureCapped(cfg, w.mach.Net, topo, k.msize, seed, opts.Reps)
+		observed, err := m.Measure(k.mach, k.lib, k.coll, k.configID, k.nodes, k.ppn, k.msize, seed)
 		if err != nil {
 			return nil, fmt.Errorf("audit: replaying %s %dx%d m=%d: %w", k.model, k.nodes, k.ppn, k.msize, err)
 		}
-		observed := meas.Median()
 		predicted := math.Float64frombits(k.predictedBits)
 		rep.Rows = append(rep.Rows, ReplayRow{
 			Model: k.model, Nodes: k.nodes, PPN: k.ppn, Msize: k.msize, Label: u.label,

@@ -31,7 +31,8 @@ type Options struct {
 	// window-based scheme achieves microsecond-level residuals).
 	SyncJitter float64
 	// Metrics, when non-nil, receives per-measurement accounting
-	// (repetitions, consumed budget, exhaustion events).
+	// (repetitions, consumed budget, exhaustion events). Sweep books it at
+	// commit time; a Runner on its own books nothing.
 	Metrics *Metrics
 	// Faults, when non-nil, perturbs measurements: network faults are
 	// installed into the simulated fabric and clock-outlier faults inflate
@@ -95,9 +96,11 @@ func (m Measurement) Reps() int { return len(m.Times) }
 // textbook median for both odd and even repetition counts. A measurement
 // with zero repetitions has no quantiles: the result is NaN (as for every
 // other summary statistic of an empty Measurement), never a fake 0 that a
-// selector could mistake for an infinitely fast configuration.
+// selector could mistake for an infinitely fast configuration. Times is
+// left in measurement order.
 func (m Measurement) Quantile(q float64) float64 {
-	s := sortedCopy(m.Times)
+	s := append([]float64(nil), m.Times...)
+	sort.Float64s(s)
 	if len(s) == 0 {
 		return math.NaN()
 	}
@@ -117,75 +120,8 @@ func (m Measurement) Quantile(q float64) float64 {
 	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
-// sortedCopy returns the values in ascending order, leaving v as it is.
-func sortedCopy(v []float64) []float64 {
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	return s
-}
-
 // Median returns the median repetition time, the paper's summary statistic.
 func (m Measurement) Median() float64 { return m.Quantile(0.5) }
-
-// P10 returns the 10th-percentile repetition time.
-func (m Measurement) P10() float64 { return m.Quantile(0.10) }
-
-// P90 returns the 90th-percentile repetition time.
-func (m Measurement) P90() float64 { return m.Quantile(0.90) }
-
-// Mean returns the arithmetic mean repetition time (NaN for zero reps).
-func (m Measurement) Mean() float64 {
-	if len(m.Times) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, t := range m.Times {
-		sum += t
-	}
-	return sum / float64(len(m.Times))
-}
-
-// Min returns the fastest repetition (NaN for zero reps).
-func (m Measurement) Min() float64 {
-	if len(m.Times) == 0 {
-		return math.NaN()
-	}
-	min := m.Times[0]
-	for _, t := range m.Times[1:] {
-		if t < min {
-			min = t
-		}
-	}
-	return min
-}
-
-// WinsorizedMean returns the mean after clamping the repetition times into
-// [Quantile(frac), Quantile(1-frac)] — an outlier-robust location estimate
-// that, unlike a trimmed mean, keeps the sample count. frac outside [0, 0.5)
-// is clamped; zero reps yield NaN.
-func (m Measurement) WinsorizedMean(frac float64) float64 {
-	s := sortedCopy(m.Times)
-	if len(s) == 0 {
-		return math.NaN()
-	}
-	if frac < 0 {
-		frac = 0
-	}
-	if frac >= 0.5 {
-		frac = 0.5 - 1e-9
-	}
-	lo, hi := m.Quantile(frac), m.Quantile(1-frac)
-	sum := 0.0
-	for _, t := range s {
-		if t < lo {
-			t = lo
-		} else if t > hi {
-			t = hi
-		}
-		sum += t
-	}
-	return sum / float64(len(s))
-}
 
 // MAD returns the median absolute deviation from the median — the robust
 // spread estimate behind outlier flagging. Multiply by 1.4826 to estimate a
@@ -228,15 +164,6 @@ func (m Measurement) outlierIndices(k float64) []int {
 	return out
 }
 
-// Outliers returns how many repetitions deviate from the median by more than
-// k normalized MADs (k <= 0 selects DefaultOutlierK).
-func (m Measurement) Outliers(k float64) int {
-	if k <= 0 {
-		k = DefaultOutlierK
-	}
-	return len(m.outlierIndices(k))
-}
-
 // Runner executes measurements. It is not safe for concurrent use; create
 // one Runner per goroutine.
 type Runner struct {
@@ -254,17 +181,13 @@ func NewRunner(opts Options) *Runner {
 }
 
 // Measure benchmarks configuration cfg for the instance (topo, m) on the
-// network prm. seed keys all noise deterministically; distinct repetitions
-// derive distinct noise streams from it.
-func (r *Runner) Measure(cfg mpilib.Config, prm netmodel.Params, topo netmodel.Topology, m int64, seed uint64) (Measurement, error) {
-	return r.MeasureCapped(cfg, prm, topo, m, seed, r.opts.MaxReps)
-}
-
-// MeasureCapped is Measure with the repetition count further capped at
-// maxReps (used by the dataset generator, which spends fewer repetitions on
-// expensive large-message instances, exactly what the ReproMPI time budget
-// achieves on real hardware).
-func (r *Runner) MeasureCapped(cfg mpilib.Config, prm netmodel.Params, topo netmodel.Topology, m int64, seed uint64, maxReps int) (Measurement, error) {
+// network prm for at most maxReps repetitions, further capped at
+// Options.MaxReps and stopped early by the time budget. seed keys all noise
+// deterministically; distinct repetitions derive distinct noise streams
+// from it. The dataset generator passes fewer repetitions for expensive
+// large-message instances, exactly what the ReproMPI time budget achieves
+// on real hardware.
+func (r *Runner) Measure(cfg mpilib.Config, prm netmodel.Params, topo netmodel.Topology, m int64, seed uint64, maxReps int) (Measurement, error) {
 	if maxReps > r.opts.MaxReps {
 		maxReps = r.opts.MaxReps
 	}
@@ -300,7 +223,6 @@ func (r *Runner) MeasureCapped(cfg mpilib.Config, prm netmodel.Params, topo netm
 			return Measurement{}, fmt.Errorf("bench %s topo=%dx%d m=%d: %w", cfg.Label(), topo.Nodes, topo.PPN, m, err)
 		}
 	}
-	r.opts.Metrics.record(meas)
 	return meas, nil
 }
 

@@ -11,6 +11,9 @@ import (
 	"mpicollpred/internal/obs"
 )
 
+// noCap leaves Options.MaxReps as a measurement's only repetition cap.
+const noCap = 1 << 30
+
 func testSetup(t *testing.T) (mpilib.Config, netmodel.Params, netmodel.Topology) {
 	t.Helper()
 	mach := machine.Hydra()
@@ -28,18 +31,19 @@ func testSetup(t *testing.T) (mpilib.Config, netmodel.Params, netmodel.Topology)
 func TestMeasureRepCap(t *testing.T) {
 	cfg, net, topo := testSetup(t)
 	r := NewRunner(Options{MaxReps: 7, MaxTime: 100, SyncJitter: 1e-7})
-	m, err := r.Measure(cfg, net, topo, 1024, 42)
+	m, err := r.Measure(cfg, net, topo, 1024, 42, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Reps() != 7 {
 		t.Errorf("reps = %d, want 7", m.Reps())
 	}
-	if m.Median() <= 0 || m.Min() <= 0 || m.Mean() <= 0 {
+	min, max := m.Quantile(0), m.Quantile(1)
+	if min <= 0 {
 		t.Error("non-positive statistics")
 	}
-	if m.Min() > m.Median() || m.Median() > m.Mean()*3 {
-		t.Errorf("implausible stats: min=%v median=%v mean=%v", m.Min(), m.Median(), m.Mean())
+	if min > m.Median() || max > m.Median()*3 {
+		t.Errorf("implausible stats: min=%v median=%v max=%v", min, m.Median(), max)
 	}
 }
 
@@ -47,13 +51,13 @@ func TestMeasureTimeBudgetStopsEarly(t *testing.T) {
 	cfg, net, topo := testSetup(t)
 	// First find the typical single-rep time, then set a budget of ~3 reps.
 	r := NewRunner(Options{MaxReps: 1, MaxTime: 0, SyncJitter: 1e-7})
-	one, err := r.Measure(cfg, net, topo, 1<<20, 42)
+	one, err := r.Measure(cfg, net, topo, 1<<20, 42, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := 3 * one.Times[0]
 	r = NewRunner(Options{MaxReps: 500, MaxTime: budget, SyncJitter: 1e-7})
-	m, err := r.Measure(cfg, net, topo, 1<<20, 42)
+	m, err := r.Measure(cfg, net, topo, 1<<20, 42, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +76,11 @@ func TestMeasureDeterministic(t *testing.T) {
 	cfg, net, topo := testSetup(t)
 	r1 := NewRunner(Options{MaxReps: 5, SyncJitter: 1e-7})
 	r2 := NewRunner(Options{MaxReps: 5, SyncJitter: 1e-7})
-	a, err := r1.Measure(cfg, net, topo, 4096, 7)
+	a, err := r1.Measure(cfg, net, topo, 4096, 7, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r2.Measure(cfg, net, topo, 4096, 7)
+	b, err := r2.Measure(cfg, net, topo, 4096, 7, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +89,7 @@ func TestMeasureDeterministic(t *testing.T) {
 			t.Fatalf("rep %d differs: %v vs %v", i, a.Times[i], b.Times[i])
 		}
 	}
-	c, err := r1.Measure(cfg, net, topo, 4096, 8)
+	c, err := r1.Measure(cfg, net, topo, 4096, 8, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +101,7 @@ func TestMeasureDeterministic(t *testing.T) {
 func TestRepsVaryUnderNoise(t *testing.T) {
 	cfg, net, topo := testSetup(t)
 	r := NewRunner(Options{MaxReps: 8, SyncJitter: 1e-7})
-	m, err := r.Measure(cfg, net, topo, 65536, 13)
+	m, err := r.Measure(cfg, net, topo, 65536, 13, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +118,7 @@ func TestRepsVaryUnderNoise(t *testing.T) {
 	if m.Times[0] <= 0 {
 		t.Fatal("bad time")
 	}
-	spread := (m.Mean() - m.Min()) / m.Mean()
+	spread := (m.Median() - m.Quantile(0)) / m.Median()
 	if spread < 0 || spread > 0.8 {
 		t.Errorf("noise spread %.2f implausible", spread)
 	}
@@ -168,14 +172,11 @@ func TestZeroRepStatsAreNaN(t *testing.T) {
 	// be NaN, never a fake 0 that downstream code could read as "free".
 	var m Measurement
 	for name, v := range map[string]float64{
-		"Median":         m.Median(),
-		"Mean":           m.Mean(),
-		"Min":            m.Min(),
-		"Quantile(0.5)":  m.Quantile(0.5),
-		"P10":            m.P10(),
-		"P90":            m.P90(),
-		"WinsorizedMean": m.WinsorizedMean(0.1),
-		"MAD":            m.MAD(),
+		"Median":        m.Median(),
+		"Quantile(0)":   m.Quantile(0),
+		"Quantile(0.5)": m.Quantile(0.5),
+		"Quantile(1)":   m.Quantile(1),
+		"MAD":           m.MAD(),
 	} {
 		if !math.IsNaN(v) {
 			t.Errorf("empty Measurement.%s = %v, want NaN", name, v)
@@ -189,7 +190,7 @@ func TestTinyBudgetStillRunsOneRep(t *testing.T) {
 	// zero-rep measurement whose statistics are NaN.
 	cfg, net, topo := testSetup(t)
 	r := NewRunner(Options{MaxReps: 500, MaxTime: 1e-12, SyncJitter: 1e-7})
-	m, err := r.Measure(cfg, net, topo, 1<<20, 42)
+	m, err := r.Measure(cfg, net, topo, 1<<20, 42, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +207,8 @@ func TestTinyBudgetStillRunsOneRep(t *testing.T) {
 
 func TestQuantilesInterpolate(t *testing.T) {
 	m := Measurement{Times: []float64{10, 1, 9, 2, 8, 3, 7, 4, 6, 5}}
-	if m.P10() != 1.9 || m.P90() != 9.1 {
-		t.Errorf("interpolated percentiles: p10=%v p90=%v", m.P10(), m.P90())
+	if p10, p90 := m.Quantile(0.1), m.Quantile(0.9); p10 != 1.9 || p90 != 9.1 {
+		t.Errorf("interpolated percentiles: p10=%v p90=%v", p10, p90)
 	}
 	if m.Quantile(0) != 1 || m.Quantile(1) != 10 {
 		t.Errorf("extremes: %v, %v", m.Quantile(0), m.Quantile(1))
@@ -228,7 +229,7 @@ func TestMeasureMarksExhausted(t *testing.T) {
 	cfg, net, topo := testSetup(t)
 	// A one-rep budget: find the single-rep cost, then undercut it.
 	r := NewRunner(Options{MaxReps: 1, MaxTime: 0, SyncJitter: 1e-7})
-	one, err := r.Measure(cfg, net, topo, 1<<20, 42)
+	one, err := r.Measure(cfg, net, topo, 1<<20, 42, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestMeasureMarksExhausted(t *testing.T) {
 		t.Error("rep-capped measurement must not count as budget-exhausted")
 	}
 	r = NewRunner(Options{MaxReps: 500, MaxTime: one.Times[0] / 2, SyncJitter: 1e-7})
-	m, err := r.Measure(cfg, net, topo, 1<<20, 42)
+	m, err := r.Measure(cfg, net, topo, 1<<20, 42, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,17 +250,24 @@ func TestMetricsRecorded(t *testing.T) {
 	cfg, net, topo := testSetup(t)
 	reg := obs.NewRegistry()
 	met := NewMetrics(reg, obs.Labels{"dataset": "test"})
-	r := NewRunner(Options{MaxReps: 4, MaxTime: 100, SyncJitter: 1e-7, Metrics: met})
-	m1, err := r.Measure(cfg, net, topo, 1024, 1)
-	if err != nil {
+	cells := []Cell{
+		{Cfg: cfg, Net: net, Topo: topo, Msize: 1024, Seed: 1, MaxReps: 4},
+		{Skip: true},
+		{Cfg: cfg, Net: net, Topo: topo, Msize: 4096, Seed: 2, MaxReps: 4},
+	}
+	var got []Measurement
+	opts := Options{MaxReps: 4, MaxTime: 100, SyncJitter: 1e-7, Metrics: met, Workers: 2}
+	if err := Sweep(cells, opts, nil, func(i int, m Measurement) error {
+		if !cells[i].Skip {
+			got = append(got, m)
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := r.Measure(cfg, net, topo, 4096, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1, m2 := got[0], got[1]
 	if got := met.Measurements.Value(); got != 2 {
-		t.Errorf("measurements counter = %d, want 2", got)
+		t.Errorf("measurements counter = %d, want 2 (skipped cells are not booked)", got)
 	}
 	if got, want := met.Reps.Value(), int64(m1.Reps()+m2.Reps()); got != want {
 		t.Errorf("reps counter = %d, want %d", got, want)
@@ -273,40 +281,37 @@ func TestMetricsRecorded(t *testing.T) {
 	if got, want := met.RepSeconds.Count(), uint64(m1.Reps()+m2.Reps()); got != want {
 		t.Errorf("rep histogram count = %d, want %d", got, want)
 	}
+	// A Runner books nothing, even when its options carry a sink.
+	r := NewRunner(opts)
+	if _, err := r.Measure(cfg, net, topo, 1024, 3, noCap); err != nil {
+		t.Fatal(err)
+	}
+	if got := met.Measurements.Value(); got != 2 {
+		t.Errorf("a bare Runner booked a measurement: counter = %d, want 2", got)
+	}
 	// A nil Metrics field must be a no-op, not a panic.
-	r2 := NewRunner(Options{MaxReps: 2, SyncJitter: 1e-7})
-	if _, err := r2.Measure(cfg, net, topo, 1024, 3); err != nil {
+	opts.Metrics = nil
+	if err := Sweep(cells[:1], opts, nil, func(int, Measurement) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestWinsorizedMeanAndMAD(t *testing.T) {
+func TestMADFlagsOutliers(t *testing.T) {
 	// One gross outlier among nine well-behaved reps.
 	m := Measurement{Times: []float64{1, 1.1, 0.9, 1.05, 0.95, 1, 1.02, 0.98, 100}}
-	if mean := m.Mean(); mean < 10 {
-		t.Fatalf("plain mean %v should be dominated by the outlier", mean)
-	}
-	wm := m.WinsorizedMean(0.2)
-	if wm < 0.8 || wm > 1.3 {
-		t.Errorf("winsorized mean %v should shrug off the outlier", wm)
+	if med := m.Median(); med < 0.9 || med > 1.1 {
+		t.Errorf("median %v should shrug off the outlier", med)
 	}
 	if mad := m.MAD(); mad <= 0 || mad > 0.2 {
 		t.Errorf("MAD = %v, want a small positive spread", mad)
 	}
-	if n := m.Outliers(5); n != 1 {
-		t.Errorf("Outliers = %d, want 1", n)
+	if idx := m.outlierIndices(DefaultOutlierK); len(idx) != 1 || idx[0] != 8 {
+		t.Errorf("outlier indices = %v, want [8]", idx)
 	}
 	// Identical reps: MAD 0, nothing flagged.
 	flat := Measurement{Times: []float64{2, 2, 2, 2}}
-	if n := flat.Outliers(5); n != 0 {
-		t.Errorf("flat measurement flagged %d outliers", n)
-	}
-	// Winsorizing fractions are clamped, not errors.
-	if v := m.WinsorizedMean(-1); math.IsNaN(v) {
-		t.Error("negative frac should clamp to 0")
-	}
-	if v := m.WinsorizedMean(0.9); math.IsNaN(v) {
-		t.Error("frac >= 0.5 should clamp below 0.5")
+	if idx := flat.outlierIndices(DefaultOutlierK); len(idx) != 0 {
+		t.Errorf("flat measurement flagged %v", idx)
 	}
 }
 
@@ -319,15 +324,15 @@ func TestFaultsPerturbDeterministically(t *testing.T) {
 	clean := NewRunner(Options{MaxReps: 3, SyncJitter: 1e-7})
 	faulty1 := NewRunner(Options{MaxReps: 3, SyncJitter: 1e-7, Faults: plan})
 	faulty2 := NewRunner(Options{MaxReps: 3, SyncJitter: 1e-7, Faults: plan})
-	c, err := clean.Measure(cfg, net, topo, 65536, 42)
+	c, err := clean.Measure(cfg, net, topo, 65536, 42, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f1, err := faulty1.Measure(cfg, net, topo, 65536, 42)
+	f1, err := faulty1.Measure(cfg, net, topo, 65536, 42, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := faulty2.Measure(cfg, net, topo, 65536, 42)
+	f2, err := faulty2.Measure(cfg, net, topo, 65536, 42, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +346,7 @@ func TestFaultsPerturbDeterministically(t *testing.T) {
 	}
 	// A nil plan must reproduce the fault-free measurement bit for bit.
 	nilPlan := NewRunner(Options{MaxReps: 3, SyncJitter: 1e-7, Faults: nil})
-	n, err := nilPlan.Measure(cfg, net, topo, 65536, 42)
+	n, err := nilPlan.Measure(cfg, net, topo, 65536, 42, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,11 +367,11 @@ func TestClockOutlierFaultInflatesStart(t *testing.T) {
 	}
 	clean := NewRunner(Options{MaxReps: 2, SyncJitter: 1e-7})
 	faulty := NewRunner(Options{MaxReps: 2, SyncJitter: 1e-7, Faults: plan})
-	c, err := clean.Measure(cfg, net, topo, 1024, 7)
+	c, err := clean.Measure(cfg, net, topo, 1024, 7, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := faulty.Measure(cfg, net, topo, 1024, 7)
+	f, err := faulty.Measure(cfg, net, topo, 1024, 7, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,33 +389,28 @@ func TestOutlierRetryRepairsMeasurement(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := NewRunner(Options{MaxReps: 12, SyncJitter: 1e-7, Faults: plan})
-	m1, err := raw.Measure(cfg, net, topo, 1024, 99)
+	m1, err := raw.Measure(cfg, net, topo, 1024, 99, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m1.Outliers(DefaultOutlierK) == 0 {
+	if len(m1.outlierIndices(DefaultOutlierK)) == 0 {
 		t.Skip("no outlier drawn for this seed; adjust test plan")
 	}
-	reg := obs.NewRegistry()
-	met := NewMetrics(reg, obs.Labels{"dataset": "retry-test"})
 	repaired := NewRunner(Options{MaxReps: 12, SyncJitter: 1e-7, Faults: plan,
-		OutlierRetries: 4, Metrics: met})
-	m2, err := repaired.Measure(cfg, net, topo, 1024, 99)
+		OutlierRetries: 4})
+	m2, err := repaired.Measure(cfg, net, topo, 1024, 99, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m2.Retried == 0 {
 		t.Fatal("expected at least one retried repetition")
 	}
-	if met.Retried.Value() != int64(m2.Retried) {
-		t.Errorf("metrics retried = %d, want %d", met.Retried.Value(), m2.Retried)
-	}
 	if m2.Quantile(0.9) > m1.Quantile(0.9) {
 		t.Errorf("retry made the tail worse: %v > %v", m2.Quantile(0.9), m1.Quantile(0.9))
 	}
 	// Without retries the measurement must be byte-identical to m1.
 	again := NewRunner(Options{MaxReps: 12, SyncJitter: 1e-7, Faults: plan})
-	m3, err := again.Measure(cfg, net, topo, 1024, 99)
+	m3, err := again.Measure(cfg, net, topo, 1024, 99, noCap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@ import "mpicollpred/internal/obs"
 // Metrics instance typically covers one dataset generation run; the shared
 // label set (dataset, machine, lib, coll) distinguishes runs in a snapshot.
 type Metrics struct {
-	// Measurements counts completed Measure/MeasureCapped calls.
+	// Measurements counts the measured (non-Skip) cells of a Sweep.
 	Measurements *obs.Counter
 	// Reps counts individual benchmark repetitions across all measurements.
 	Reps *obs.Counter
@@ -38,7 +38,7 @@ func NewMetrics(r *obs.Registry, labels obs.Labels) *Metrics {
 	}
 }
 
-// record books one finished measurement. Nil-safe: a Runner without metrics
+// record books one finished measurement. Nil-safe: a Sweep without metrics
 // pays only the nil check.
 func (m *Metrics) record(meas Measurement) {
 	if m == nil {

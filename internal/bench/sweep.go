@@ -55,13 +55,6 @@ func (o Options) workerCount() int {
 // before it have been committed; the first error in cell order is returned,
 // exactly as a serial loop would fail.
 func Sweep(cells []Cell, opts Options, stop func() bool, commit func(i int, meas Measurement) error) error {
-	metrics := opts.Metrics
-	// Workers never see the metrics sink: accounting happens at commit
-	// time, in cell order, so counter and histogram contents cannot depend
-	// on measurement completion order.
-	wopts := opts
-	wopts.Metrics = nil
-
 	workers := opts.workerCount()
 	runners := make([]*Runner, workers)
 	var poll func(i int) bool
@@ -75,13 +68,13 @@ func Sweep(cells []Cell, opts Options, stop func() bool, commit func(i int, meas
 				return Measurement{}, nil
 			}
 			if runners[w] == nil {
-				runners[w] = NewRunner(wopts)
+				runners[w] = NewRunner(opts)
 			}
-			return runners[w].MeasureCapped(c.Cfg, c.Net, c.Topo, c.Msize, c.Seed, c.MaxReps)
+			return runners[w].Measure(c.Cfg, c.Net, c.Topo, c.Msize, c.Seed, c.MaxReps)
 		},
 		func(i int, meas Measurement) error {
 			if !cells[i].Skip {
-				metrics.record(meas)
+				opts.Metrics.record(meas)
 			}
 			return commit(i, meas)
 		})

@@ -113,7 +113,7 @@ func TestSweepMatchesFreshEngineRuns(t *testing.T) {
 	got, _ := runSweep(t, cells, opts)
 	for i, c := range cells {
 		fresh, err := NewRunner(Options{MaxReps: 3, MaxTime: 100, SyncJitter: 1e-7}).
-			MeasureCapped(c.Cfg, c.Net, c.Topo, c.Msize, c.Seed, c.MaxReps)
+			Measure(c.Cfg, c.Net, c.Topo, c.Msize, c.Seed, c.MaxReps)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,6 +34,18 @@ type Sample struct {
 	Exhausted bool
 }
 
+// NewSample is the row of one measured cell: the median of its
+// repetitions, the paper's summary statistic, with the repetition count
+// and budget accounting of the measurement.
+func NewSample(c bench.Cell, meas bench.Measurement) Sample {
+	return Sample{
+		ConfigID: c.Cfg.ID, AlgID: c.Cfg.AlgID,
+		Nodes: c.Topo.Nodes, PPN: c.Topo.PPN, Msize: c.Msize,
+		Time: meas.Median(), Reps: meas.Reps(),
+		Consumed: meas.Consumed, Exhausted: meas.Exhausted,
+	}
+}
+
 // Spec describes one dataset of Table II.
 type Spec struct {
 	Name    string // d1..d8
@@ -148,19 +160,7 @@ func SpecByName(name string, scale Scale) (Spec, error) {
 
 // Resolve returns the spec's machine profile and collective set.
 func (s Spec) Resolve() (machine.Machine, *mpilib.CollectiveSet, error) {
-	mach, err := machine.ByName(s.Machine)
-	if err != nil {
-		return machine.Machine{}, nil, err
-	}
-	lib, err := mpilib.ByName(s.Lib)
-	if err != nil {
-		return machine.Machine{}, nil, err
-	}
-	set, err := lib.Collective(s.Coll)
-	if err != nil {
-		return machine.Machine{}, nil, err
-	}
-	return mach, set, nil
+	return mpilib.Resolve(s.Machine, s.Lib, s.Coll)
 }
 
 // Generate measures the full dataset. opts controls the per-configuration
@@ -217,13 +217,8 @@ func generate(spec Spec, opts bench.Options, progress func(done, total int), ctl
 
 	// One grid cell: either a fresh measurement (described by cells[i]) or a
 	// sample replayed from an interrupted run (replays[i], with Skip set).
-	type cellMeta struct {
-		cfgID, algID, n, ppn int
-		m                    int64
-	}
 	var (
 		cells   []bench.Cell
-		metas   []cellMeta
 		replays []Sample
 	)
 	for _, n := range spec.Nodes {
@@ -235,7 +230,6 @@ func generate(spec Spec, opts bench.Options, progress func(done, total int), ctl
 			for _, m := range spec.Msizes {
 				reps := adaptReps(opts.MaxReps, spec.Coll, topo.P(), m)
 				for _, cfg := range set.Configs {
-					metas = append(metas, cellMeta{cfg.ID, cfg.AlgID, n, ppn, m})
 					if s, ok := ctl.recorded[sampleKey{cfg.ID, n, ppn, m}]; ok {
 						cells = append(cells, bench.Cell{Skip: true})
 						replays = append(replays, s)
@@ -264,13 +258,7 @@ func generate(spec Spec, opts bench.Options, progress func(done, total int), ctl
 				*ctl.reused++
 			}
 		} else {
-			mm := metas[i]
-			s = Sample{
-				ConfigID: mm.cfgID, AlgID: mm.algID,
-				Nodes: mm.n, PPN: mm.ppn, Msize: mm.m,
-				Time: meas.Median(), Reps: meas.Reps(),
-				Consumed: meas.Consumed, Exhausted: meas.Exhausted,
-			}
+			s = NewSample(cells[i], meas)
 			if ctl.record != nil {
 				if err := ctl.record(s); err != nil {
 					cbErr = fmt.Errorf("dataset %s: journal: %w", spec.Name, err)

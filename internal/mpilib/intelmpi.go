@@ -216,3 +216,22 @@ func ByName(name string) (*Library, error) {
 	}
 	return nil, fmt.Errorf("mpilib: unknown library %q", name)
 }
+
+// Resolve maps a machine, library and collective name to the machine
+// profile and the library's portfolio for that collective. It is the one
+// place the pipeline turns these names into something it can measure.
+func Resolve(machName, libName, coll string) (machine.Machine, *CollectiveSet, error) {
+	mach, err := machine.ByName(machName)
+	if err != nil {
+		return machine.Machine{}, nil, err
+	}
+	lib, err := ByName(libName)
+	if err != nil {
+		return machine.Machine{}, nil, err
+	}
+	set, err := lib.Collective(coll)
+	if err != nil {
+		return machine.Machine{}, nil, err
+	}
+	return mach, set, nil
+}

@@ -14,17 +14,8 @@ import (
 	"mpicollpred/internal/audit"
 	"mpicollpred/internal/bench"
 	"mpicollpred/internal/fault"
-	"mpicollpred/internal/machine"
-	"mpicollpred/internal/mpilib"
 	"mpicollpred/internal/sim"
 )
-
-// obsWorld is one resolved (machine, lib, collective) measurement context.
-type obsWorld struct {
-	mach   machine.Machine
-	set    *mpilib.CollectiveSet
-	runner *bench.Runner
-}
 
 // obsKey identifies one measurement; served predictions do not enter it —
 // the observed runtime depends only on what ran where.
@@ -45,7 +36,7 @@ const observerMemoCap = 4096
 type observer struct {
 	reps   int
 	plan   *fault.Plan // nil = faithful machine, non-nil = drifted machine
-	worlds map[[3]string]*obsWorld
+	meas   *bench.Measurer
 	memo   map[obsKey]float64
 	resets uint64
 }
@@ -54,41 +45,18 @@ func newObserver(reps int, plan *fault.Plan) *observer {
 	if reps <= 0 {
 		reps = 2
 	}
-	return &observer{reps: reps, plan: plan,
-		worlds: map[[3]string]*obsWorld{}, memo: map[obsKey]float64{}}
+	o := &observer{reps: reps}
+	o.setPlan(plan)
+	return o
 }
 
 // setPlan swaps the fault plan mid-run (the scenario's machine shift). The
-// memo and resolved runners measure the old machine, so both are dropped.
+// memo and the measurer's runners measure the old machine, so both are
+// dropped.
 func (o *observer) setPlan(plan *fault.Plan) {
 	o.plan = plan
-	o.worlds = map[[3]string]*obsWorld{}
+	o.meas = bench.NewMeasurer(o.reps, plan)
 	o.memo = map[obsKey]float64{}
-}
-
-func (o *observer) world(mach, lib, coll string) (*obsWorld, error) {
-	wk := [3]string{mach, lib, coll}
-	if w := o.worlds[wk]; w != nil {
-		return w, nil
-	}
-	m, err := machine.ByName(mach)
-	if err != nil {
-		return nil, fmt.Errorf("retrain: observe machine: %w", err)
-	}
-	l, err := mpilib.ByName(lib)
-	if err != nil {
-		return nil, fmt.Errorf("retrain: observe library: %w", err)
-	}
-	set, err := l.Collective(coll)
-	if err != nil {
-		return nil, fmt.Errorf("retrain: observe collective: %w", err)
-	}
-	bo := bench.DefaultOptions(m.Name)
-	bo.MaxReps = o.reps
-	bo.Faults = o.plan
-	w := &obsWorld{mach: m, set: set, runner: bench.NewRunner(bo)}
-	o.worlds[wk] = w
-	return w, nil
 }
 
 // observe re-measures one audited decision and returns the observed
@@ -99,26 +67,13 @@ func (o *observer) observe(rec audit.Record) (float64, error) {
 	if t, ok := o.memo[k]; ok {
 		return t, nil
 	}
-	w, err := o.world(rec.Machine, rec.Lib, rec.Coll)
-	if err != nil {
-		return 0, err
-	}
-	cfg, err := w.set.Config(rec.ConfigID)
-	if err != nil {
-		return 0, fmt.Errorf("retrain: observe config %d: %w", rec.ConfigID, err)
-	}
-	topo, err := w.mach.Topo(rec.Nodes, rec.PPN)
-	if err != nil {
-		return 0, fmt.Errorf("retrain: observe topology %dx%d: %w", rec.Nodes, rec.PPN, err)
-	}
 	seed := sim.DomainSeed(sim.DomainRetrain,
 		uint64(rec.ConfigID), uint64(rec.Nodes), uint64(rec.PPN), uint64(rec.Msize))
-	meas, err := w.runner.MeasureCapped(cfg, w.mach.Net, topo, rec.Msize, seed, o.reps)
+	t, err := o.meas.Measure(rec.Machine, rec.Lib, rec.Coll, rec.ConfigID, rec.Nodes, rec.PPN, rec.Msize, seed)
 	if err != nil {
 		return 0, fmt.Errorf("retrain: observing %s %dx%d m=%d: %w",
 			rec.Model, rec.Nodes, rec.PPN, rec.Msize, err)
 	}
-	t := meas.Median()
 	if len(o.memo) >= observerMemoCap {
 		o.memo = map[obsKey]float64{}
 		o.resets++

@@ -191,18 +191,11 @@ func (rt *retrainer) cycle(model, basePath string, cells []cell, plan *fault.Pla
 	bo.Faults = plan
 	refit := map[int]bool{}
 	err = bench.Sweep(grid, bo, nil, func(i int, meas bench.Measurement) error {
-		cfg, c := grid[i].Cfg, cells[i%len(cells)]
-		s := dataset.Sample{
-			ConfigID: cfg.ID, AlgID: cfg.AlgID,
-			Nodes: c.nodes, PPN: c.ppn, Msize: c.msize,
-			Time: meas.Median(), Reps: meas.Reps(),
-			Consumed: meas.Consumed, Exhausted: meas.Exhausted,
-		}
-		if _, err := ds.Upsert(s); err != nil {
+		if _, err := ds.Upsert(dataset.NewSample(grid[i], meas)); err != nil {
 			return err
 		}
 		cand.Samples++
-		refit[cfg.ID] = true
+		refit[grid[i].Cfg.ID] = true
 		return nil
 	})
 	if err != nil {
