@@ -158,16 +158,12 @@ func AllreduceRabenseifner(b *sim.Builder, topo netmodel.Topology, m int64, _ Pa
 	rem := p - p2
 	full := sim.FullMask(p)
 
-	// Pre-phase as in recursive doubling: fold the extras in.
-	acc := ownMasks(allRanks(p)) // per-rank mask covering its *entire* vector
-	for e := 0; e < 2*rem; e += 2 {
-		// The pre-phase moves the full vector, i.e. every one of the p2
-		// chunk blocks the later phases operate on.
-		b.Send(e, e+1, m, payAll(b, p2, acc[e])...)
-		b.Recv(e+1, e, m)
-		b.Compute(e+1, m)
-		acc[e+1] |= acc[e]
-	}
+	// Pre-phase as in recursive doubling: fold the extras in. It moves the
+	// full vector, i.e. every one of the p2 chunk blocks the later phases
+	// operate on.
+	ranks := allRanks(p)
+	acc := ownMasks(ranks) // per-rank mask covering its *entire* vector
+	foldIn(b, ranks, rem, m, acc, p2)
 
 	// Recursive halving reduce-scatter over p2 chunks. Chunk masks are
 	// tracked per group member. lo/hi delimit each member's current range.
@@ -265,10 +261,7 @@ func AllreduceRabenseifner(b *sim.Builder, topo netmodel.Topology, m int64, _ Pa
 	}
 
 	// Post-phase: odd partners return the final vector to the extras.
-	for e := 0; e < 2*rem; e += 2 {
-		b.Send(e+1, e, m, payAll(b, p2, full)...)
-		b.Recv(e, e+1, m)
-	}
+	foldOut(b, ranks, rem, m, full, p2)
 }
 
 // AllreduceAllgatherReduce gathers every rank's vector to every rank via a
@@ -347,6 +340,27 @@ func foldGroup(n int) (p2 int, group []int) {
 	return p2, group
 }
 
+// foldIn is the pre-phase of foldGroup's fold: the even member of each of
+// the first rem pairs sends its whole vector, nblocks payload blocks, to
+// its odd neighbour, which reduces it in.
+func foldIn(b *sim.Builder, ranks []int, rem int, m int64, acc []uint64, nblocks int) {
+	for e := 0; e < 2*rem; e += 2 {
+		b.Send(ranks[e], ranks[e+1], m, payAll(b, nblocks, acc[e])...)
+		b.Recv(ranks[e+1], ranks[e], m)
+		b.Compute(ranks[e+1], m)
+		acc[e+1] |= acc[e]
+	}
+}
+
+// foldOut is the post-phase: the odd member of each of the first rem pairs
+// returns the result, mask full on nblocks blocks, to its even neighbour.
+func foldOut(b *sim.Builder, ranks []int, rem int, m int64, full uint64, nblocks int) {
+	for e := 0; e < 2*rem; e += 2 {
+		b.Send(ranks[e+1], ranks[e], m, payAll(b, nblocks, full)...)
+		b.Recv(ranks[e], ranks[e+1], m)
+	}
+}
+
 // recDoubling runs a recursive-doubling allreduce over the member list
 // ranks, member i contributing acc[i], with foldGroup's non-power-of-two
 // pre/post phase. When halving is true, exchanged volumes follow the
@@ -357,13 +371,7 @@ func foldGroup(n int) (p2 int, group []int) {
 func recDoubling(b *sim.Builder, ranks []int, m int64, acc []uint64, halving bool) {
 	p2, group := foldGroup(len(ranks))
 	rem := len(ranks) - p2
-
-	for e := 0; e < 2*rem; e += 2 {
-		b.Send(ranks[e], ranks[e+1], m, pay1(b, 0, acc[e])...)
-		b.Recv(ranks[e+1], ranks[e], m)
-		b.Compute(ranks[e+1], m)
-		acc[e+1] |= acc[e]
-	}
+	foldIn(b, ranks, rem, m, acc, 1)
 
 	vol := m
 	for dist := 1; dist < p2; dist *= 2 {
@@ -398,9 +406,6 @@ func recDoubling(b *sim.Builder, ranks []int, m int64, acc []uint64, halving boo
 			}
 		}
 	}
-	for e := 0; e < 2*rem; e += 2 {
-		b.Send(ranks[e+1], ranks[e], m, pay1(b, 0, acc[e+1])...)
-		b.Recv(ranks[e], ranks[e+1], m)
-		acc[e] |= acc[e+1]
-	}
+	// Every group member now holds the reduction over all members.
+	foldOut(b, ranks, rem, m, acc[group[0]], 1)
 }
