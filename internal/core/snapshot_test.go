@@ -166,3 +166,53 @@ func TestSnapshotPersistsQuarantine(t *testing.T) {
 		t.Fatal("restored selector picked the quarantined configuration")
 	}
 }
+
+// TestFailedSaveLeavesNoTmp saves onto a path that is a directory, so the
+// final rename fails: the save must report it, remove its tmp file, and
+// leave a snapshot saved earlier beside it readable and unchanged.
+func TestFailedSaveLeavesNoTmp(t *testing.T) {
+	ds, set := testDataset(t)
+	sel, err := Train(ds, set, "gam", []int{2, 4, 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := FingerprintFor(ds, "gam", []int{2, 4, 6})
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.snap")
+	if err := sel.SaveSnapshot(good, fp); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked := filepath.Join(dir, "blocked.snap")
+	if err := os.Mkdir(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(blocked, "keep"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := sel.SaveSnapshot(blocked, fp); err == nil {
+		t.Fatal("saving onto a directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "good.snap" && e.Name() != "blocked.snap" {
+			t.Errorf("failed save left %s behind", e.Name())
+		}
+	}
+	after, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Error("failed save changed the earlier snapshot")
+	}
+	if _, _, err := LoadSnapshot(good); err != nil {
+		t.Errorf("earlier snapshot no longer loads: %v", err)
+	}
+}
