@@ -275,11 +275,17 @@ func (b *Builder) Build() *Program {
 // records into the slots and reads its receives' ids from them. A receive
 // with no matching send gets a fresh id. Peers index the slots, so the
 // slots grow to the largest peer an op names, which may exceed the rank
-// count. The ids of all ranks share one allocation.
+// count. The ids of all ranks share one allocation, and the records are
+// reserved at one per stored send, a bound on the pairs they hold.
 func (p *Program) numberPairs() {
-	n := 0
+	n, nsend := 0, 0
 	for _, rp := range p.ranks {
 		n += len(rp.ops)
+		for _, op := range rp.ops {
+			if op.Kind == OpSend || op.Kind == OpSendNB {
+				nsend++
+			}
+		}
 	}
 	ids := make([]int32, n)
 	var slot []int32
@@ -299,7 +305,7 @@ func (p *Program) numberPairs() {
 		touched = touched[:0]
 	}
 	type pairRec struct{ src, dst, id int32 }
-	sends := make([]pairRec, 0, n) // at most one per stored op
+	sends := make([]pairRec, 0, nsend) // at most one per stored send
 	next := int32(0)
 	for r := range p.ranks {
 		rp := &p.ranks[r]
