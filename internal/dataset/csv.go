@@ -191,7 +191,11 @@ func (d *Dataset) WriteFile(path string) error {
 		os.Remove(tmp)
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return nil
 }
 
 // Save writes the dataset to dir/<name>-<scale>.csv (atomically; see
