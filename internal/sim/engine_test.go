@@ -605,3 +605,11 @@ func TestComputeSplitsHugeByteCounts(t *testing.T) {
 		t.Fatalf("split computes sum to %d, want %d", total, int64(5)<<30)
 	}
 }
+
+// timeFromBits inverts timeBits.
+func timeFromBits(b uint64) float64 {
+	if b&(1<<63) != 0 {
+		return math.Float64frombits(b &^ (1 << 63))
+	}
+	return math.Float64frombits(^b)
+}

@@ -17,14 +17,19 @@ type Stats struct {
 	// MessagesMatched counts completed (send, recv) matches; at the end of
 	// a run it equals the number of delivered messages.
 	MessagesMatched int
-	// BlockedSends and BlockedRecvs count operations that had to park
-	// waiting for their partner (a measure of schedule slack).
+	// BlockedSends and BlockedRecvs count parks: operations whose partner
+	// had not yet reached them when the engine executed them. A rank runs
+	// its computes and eager-size receives ahead of the other ranks, so
+	// it often reaches a receive before the matching send has run even
+	// when the message arrives before the receive is posted in simulated
+	// time; such a receive parks and counts here. The counts therefore
+	// depend on the engine's execution order, not only on the schedule's
+	// slack, and moved when that order changed.
 	BlockedSends int
 	BlockedRecvs int
 	// PeakHeapDepth is the maximum number of ready ranks queued behind the
 	// running one (ready ranks minus one), sampled after each executed
-	// operation. The name dates from the heap the ready queue replaced;
-	// the values are the heap depths it reported.
+	// operation. The name dates from the heap the ready queue replaced.
 	PeakHeapDepth int
 }
 
