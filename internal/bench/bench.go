@@ -251,23 +251,22 @@ func (r *Runner) runRep(prog *sim.Program, model *netmodel.Model, repSeed uint64
 
 // retryOutliers re-measures repetitions flagged as outliers, spending at
 // most the Options.OutlierRetries budget. A flagged repetition is re-run
-// once under a fresh seed and its time replaced with the re-measurement —
-// the simulated analogue of ReproMPI discarding and repeating perturbed
-// runs. The extra simulated time is charged to Consumed so the budget
-// accounting stays honest.
+// once as a repetition of its own — a fresh seed and a repetition index
+// past Options.MaxReps, so the retry draws its own clock outliers too — and
+// its time replaced with the re-measurement: the simulated analogue of
+// ReproMPI discarding and repeating perturbed runs. The extra simulated
+// time is charged to Consumed so the budget accounting stays honest.
 func (r *Runner) retryOutliers(meas *Measurement, prog *sim.Program, model *netmodel.Model, seed uint64, inj *fault.Injector) error {
 	k := r.opts.OutlierK
 	if k <= 0 {
 		k = DefaultOutlierK
 	}
-	budget := r.opts.OutlierRetries
-	for _, idx := range meas.outlierIndices(k) {
-		if budget == 0 {
+	for i, idx := range meas.outlierIndices(k) {
+		if i == r.opts.OutlierRetries {
 			break
 		}
-		budget--
 		retrySeed := sim.Seed(seed, 0x5E7F, uint64(idx)+1)
-		t, err := r.runRep(prog, model, retrySeed, idx, inj)
+		t, err := r.runRep(prog, model, retrySeed, r.opts.MaxReps+i, inj)
 		if err != nil {
 			return err
 		}
