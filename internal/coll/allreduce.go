@@ -90,6 +90,60 @@ func ringAllreduce(b *sim.Builder, ranks []int, acc []uint64, m, seg int64, oneB
 	for _, a := range acc {
 		full |= a
 	}
+	// reduced returns the contributions member i's chunk holds after k
+	// reduce-scatter steps: those of members i-k..i.
+	reduced := func(i, k int) uint64 {
+		if !b.Verify() {
+			return full
+		}
+		var mask uint64
+		for j := 0; j <= k; j++ {
+			mask |= acc[mod(i-j, p)]
+		}
+		return mask
+	}
+	if seg <= 0 || seg >= chunks[0] {
+		// Every chunk goes in one message. Member i's k-th chunk is c_k =
+		// i-k (mod p). Its stream, read in the phase of the chunk it
+		// receives, is: send c_0; for k = 1..p-1, receive c_k, reduce it
+		// and send it on (the last send opens the allgather); for k =
+		// 0..p-3, receive the reduced c_k and send it on; receive c_{p-2}.
+		// Each run of chunks of one size is one Repeat, so a (receive,
+		// reduce, send) period spans the steps it runs over, across the
+		// two phases.
+		for i := 0; i < p; i++ {
+			r, dst, src := ranks[i], ranks[mod(i+1, p)], ranks[mod(i-1, p)]
+			send := func(k int, mask uint64) {
+				c := mod(i-k, p)
+				blk := int32(c)
+				if oneBlock {
+					blk = 0
+				}
+				b.SendNB(r, dst, chunks[c], pay1(b, blk, mask)...)
+			}
+			// each calls body for k = from..to-1, each run of chunks of
+			// one size as one Repeat.
+			each := func(from, to int, body func(k int)) {
+				for k := from; k < to; {
+					k0, n := k, min(chunkRun(mod(i-k, p), rem, p), to-k)
+					b.Repeat(r, n, func(j int) { body(k0 + j) })
+					k += n
+				}
+			}
+			send(0, reduced(i, 0))
+			each(1, p, func(k int) {
+				b.Recv(r, src, chunks[mod(i-k, p)])
+				b.Compute(r, chunks[mod(i-k, p)])
+				send(k, reduced(i, k))
+			})
+			each(0, p-2, func(k int) {
+				b.Recv(r, src, chunks[mod(i-k, p)])
+				send(k, full)
+			})
+			b.Recv(r, src, chunks[mod(i-(p-2), p)])
+		}
+		return
+	}
 	// xfer emits member i's step: it sends chunk c, carrying contributions
 	// mask, to member i+1 and receives chunk c-1 from member i-1, reducing
 	// it unless gathering. The two chunks can differ in size (by one byte
@@ -132,11 +186,8 @@ func ringAllreduce(b *sim.Builder, ranks []int, acc []uint64, m, seg int64, oneB
 				n := min(chunkRun(c, rem, p), chunkRun(mod(c-1, p), rem, p), p-1-s)
 				b.Repeat(ranks[i], n, func(k int) {
 					mask := full
-					if !gather && b.Verify() {
-						mask = 0
-						for j := 0; j <= s0+k; j++ {
-							mask |= acc[mod(i-j, p)]
-						}
+					if !gather {
+						mask = reduced(i, s0+k)
 					}
 					xfer(i, mod(c-k, p), mask, gather)
 				})
