@@ -171,12 +171,15 @@ func BenchmarkFig5AlgorithmMap(b *testing.B) {
 	m := microFor(b, "d1")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		choices, err := eval.AlgorithmMap(m.ds, m.set, []string{"knn", "gam", "xgboost"},
-			[]int{2, 4, 6}, []int{3, 5})
-		if err != nil {
-			b.Fatal(err)
+		var sels []*core.Selector
+		for _, learner := range []string{"knn", "gam", "xgboost"} {
+			sel, err := core.Train(m.ds, m.set, learner, []int{2, 4, 6})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sels = append(sels, sel)
 		}
-		if len(choices) == 0 {
+		if choices := eval.AlgorithmMap(m.ds, sels, []int{3, 5}); len(choices) == 0 {
 			b.Fatal("no choices")
 		}
 	}

@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"mpicollpred/internal/core"
-	"mpicollpred/internal/dataset"
 	"mpicollpred/internal/eval"
-	"mpicollpred/internal/mpilib"
 	"mpicollpred/internal/tablefmt"
 )
 
@@ -30,6 +28,10 @@ func runStrategies(c *expCtx) (string, error) {
 		{name: "direct classification (5-NN)", speedup: map[string]float64{}, vsBest: map[string]float64{}},
 	}
 	for _, dn := range []string{"d1", "d2"} {
+		paper, err := c.evaluation(dn, "xgboost", "full")
+		if err != nil {
+			return "", err
+		}
 		d, err := c.dataset(dn)
 		if err != nil {
 			return "", err
@@ -38,54 +40,25 @@ func runStrategies(c *expCtx) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		split, err := eval.SplitFor(d.Spec.Machine)
+		ratio, err := core.TrainRatio(d, mach, set, "xgboost", paper.TrainNodes)
 		if err != nil {
 			return "", err
 		}
-		paper, err := core.Train(d, set, "xgboost", split.Full)
+		clf, err := core.TrainClassifier(d, set, paper.TrainNodes, 5)
 		if err != nil {
 			return "", err
 		}
-		ratio, err := core.TrainRatio(d, mach, set, "xgboost", split.Full)
-		if err != nil {
-			return "", err
-		}
-		clf, err := core.TrainClassifier(d, set, split.Full, 5)
-		if err != nil {
-			return "", err
-		}
-		var test []dataset.Instance
-		var qs []mpilib.Query
-		for _, in := range d.Instances() {
-			for _, tn := range split.Test {
-				if in.Nodes == tn {
-					topo, err := mach.Topo(in.Nodes, in.PPN)
-					if err != nil {
-						return "", err
-					}
-					test = append(test, in)
-					qs = append(qs, mpilib.Query{Topo: topo, M: in.Msize})
-					break
-				}
+		evs := []*eval.Evaluation{paper}
+		for _, strat := range []core.Strategy{ratio, clf} {
+			ev, err := eval.Score(d, mach, set, strat, paper.TestNodes)
+			if err != nil {
+				return "", fmt.Errorf("strategy %s: %w", strat.Name(), err)
 			}
+			evs = append(evs, ev)
 		}
-		defaults := set.DecideAll(mach, qs)
-		for i, strat := range []core.Strategy{paper, ratio, clf} {
-			spSum, vbSum, n := 0.0, 0.0, 0
-			for j, in := range test {
-				pred := strat.Select(in.Nodes, in.PPN, in.Msize)
-				predT, ok := d.Lookup(pred.ConfigID, in.Nodes, in.PPN, in.Msize)
-				if !ok {
-					return "", fmt.Errorf("strategy %s selected unmeasured config %d", strat.Name(), pred.ConfigID)
-				}
-				defT, _ := d.Lookup(defaults[j], in.Nodes, in.PPN, in.Msize)
-				_, bestT, _ := d.Best(set, in.Nodes, in.PPN, in.Msize)
-				spSum += defT / predT
-				vbSum += predT / bestT
-				n++
-			}
-			rows[i].speedup[dn] = spSum / float64(n)
-			rows[i].vsBest[dn] = vbSum / float64(n)
+		for i, ev := range evs {
+			rows[i].speedup[dn] = ev.MeanSpeedup()
+			rows[i].vsBest[dn] = ev.MeanVsBest()
 		}
 	}
 	for _, r := range rows {
@@ -115,16 +88,12 @@ func runModelErr(c *expCtx) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	split, err := eval.SplitFor(d.Spec.Machine)
-	if err != nil {
-		return "", err
-	}
 	for _, learner := range append(c.learners, "rf", "linear") {
-		sel, err := core.Train(d, set, learner, split.Full)
+		e, err := c.evaluation("d1", learner, "full")
 		if err != nil {
 			return "", err
 		}
-		me, err := eval.ModelError(d, set, sel, split.Test)
+		me, err := eval.ModelError(d, set, e.Selector, e.TestNodes)
 		if err != nil {
 			return "", err
 		}
@@ -182,15 +151,11 @@ func runImportance(c *expCtx) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		split, err := eval.SplitFor(d.Spec.Machine)
+		e, err := c.evaluation(dn, "gam", "full")
 		if err != nil {
 			return "", err
 		}
-		sel, err := core.Train(d, set, "gam", split.Full)
-		if err != nil {
-			return "", err
-		}
-		imp, err := eval.PermutationImportance(d, set, sel, split.Test)
+		imp, err := eval.PermutationImportance(d, set, e.Selector, e.TestNodes)
 		if err != nil {
 			return "", err
 		}

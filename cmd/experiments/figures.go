@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"mpicollpred/internal/core"
 	"mpicollpred/internal/eval"
 	"mpicollpred/internal/tablefmt"
 )
@@ -132,19 +133,15 @@ func runFig5(c *expCtx) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	_, set, err := c.resolved(d)
-	if err != nil {
-		return "", err
+	var sels []*core.Selector
+	for _, learner := range c.learners {
+		e, err := c.evaluation("d1", learner, "full")
+		if err != nil {
+			return "", err
+		}
+		sels = append(sels, e.Selector)
 	}
-	split, err := eval.SplitFor(d.Spec.Machine)
-	if err != nil {
-		return "", err
-	}
-	testNodes := []int{7, 19, 35}
-	choices, err := eval.AlgorithmMap(d, set, c.learners, split.Full, testNodes)
-	if err != nil {
-		return "", err
-	}
+	choices := eval.AlgorithmMap(d, sels, []int{7, 19, 35})
 
 	// Index: learner -> (nodes, ppn) -> msize -> algid.
 	type colKey struct{ n, ppn int }

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mpicollpred/internal/bench"
 	"mpicollpred/internal/core"
@@ -202,26 +201,7 @@ func robustnessSplit(split eval.Split, grid []int) (train, test []int) {
 // robustnessInstances picks up to robustnessMaxInstances test instances,
 // deterministically stride-sampled from the sorted test grid.
 func robustnessInstances(d *dataset.Dataset, testNodes []int) []dataset.Instance {
-	inTest := map[int]bool{}
-	for _, n := range testNodes {
-		inTest[n] = true
-	}
-	var all []dataset.Instance
-	for _, in := range d.Instances() {
-		if inTest[in.Nodes] {
-			all = append(all, in)
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Nodes != b.Nodes {
-			return a.Nodes < b.Nodes
-		}
-		if a.PPN != b.PPN {
-			return a.PPN < b.PPN
-		}
-		return a.Msize < b.Msize
-	})
+	all := d.InstancesOn(testNodes)
 	if len(all) <= robustnessMaxInstances {
 		return all
 	}

@@ -39,7 +39,6 @@ func main() {
 		replay  = flag.Bool("replay", false, "re-measure unique decisions in the simulator (observed vs predicted)")
 		follow  = flag.Bool("follow", false, "tail the log, printing records as they are appended (Ctrl-C stops)")
 		reps    = flag.Int("reps", 2, "replay: simulated repetitions per measurement")
-		maxInst = flag.Int("max-instances", 64, "replay: cap on unique decisions measured")
 		out     = flag.String("out", "", "write the report here instead of stdout")
 	)
 	flag.Parse()
@@ -73,7 +72,7 @@ func main() {
 		report += audit.Drift(recs).Render()
 	}
 	if *replay {
-		rep, err := audit.Replay(recs, audit.ReplayOptions{Reps: *reps, MaxInstances: *maxInst})
+		rep, err := audit.Replay(recs, audit.ReplayOptions{Reps: *reps})
 		fail(err)
 		if report != "" {
 			report += "\n"

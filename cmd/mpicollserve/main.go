@@ -58,7 +58,6 @@ func main() {
 		models     = flag.String("models", "", "comma-separated model snapshot files to serve")
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
 		cacheSize  = flag.Int("cache-size", 65536, "selection cache capacity in entries (<= -1 disables)")
-		shards     = flag.Int("cache-shards", 16, "selection cache shard count")
 		auditPath  = flag.String("audit", "", "append-only JSONL selection audit log (empty disables auditing)")
 		auditMax   = flag.Int64("audit-max-bytes", audit.DefaultMaxBytes, "audit log rotation threshold in bytes")
 		traceRing  = flag.Int("trace-ring", 0, "recent request traces kept for /debug/traces (0 disables tracing)")
@@ -76,19 +75,12 @@ func main() {
 		retrainCache = flag.String("retrain-cache", "results/cache", "retrain: dataset cache directory")
 		retrainScale = flag.String("retrain-scale", "smoke", "retrain: dataset scale for observation and refit grids")
 		retrainSLog  = flag.String("retrain-status-log", "", "retrain: JSONL state-transition log (empty disables)")
-		retrainTol   = flag.Float64("retrain-tolerance", 0, "retrain: |relative error| above this is an error event (0 = default)")
-		retrainHyst  = flag.Int("retrain-hysteresis", 0, "retrain: consecutive breach observations that declare drift (0 = default)")
-		retrainWarm  = flag.Int("retrain-min-events", 0, "retrain: detector warm-up observation count (0 = default)")
 
-		router    = flag.Bool("router", false, "run as the fleet router fronting -replicas instead of a server")
-		replicas  = flag.String("replicas", "", "router: comma-separated replica base URLs")
-		probeInt  = flag.Duration("probe-interval", 250*time.Millisecond, "router: health-probe period")
-		probeTO   = flag.Duration("probe-timeout", time.Second, "router: health-probe timeout")
-		hedge     = flag.Duration("hedge-after", 25*time.Millisecond, "router: hedge /v1/select and /v1/predict after this delay (negative disables)")
-		brkThresh = flag.Int("breaker-threshold", 5, "router: consecutive failures that open a replica's breaker")
-		brkCool   = flag.Duration("breaker-cooldown", 2*time.Second, "router: breaker open -> half-open delay")
-		retries   = flag.Int("retries", 0, "router/loadgen: transient-failure retries (0 = default)")
-		retryBase = flag.Duration("retry-base", 0, "router/loadgen: retry backoff unit (0 = default)")
+		router   = flag.Bool("router", false, "run as the fleet router fronting -replicas instead of a server")
+		replicas = flag.String("replicas", "", "router: comma-separated replica base URLs")
+		probeInt = flag.Duration("probe-interval", 250*time.Millisecond, "router: health-probe period")
+		hedge    = flag.Duration("hedge-after", 25*time.Millisecond, "router: hedge /v1/select and /v1/predict after this delay (negative disables)")
+		retries  = flag.Int("retries", 0, "router/loadgen: transient-failure retries (0 = default)")
 
 		loadgen  = flag.Bool("loadgen", false, "run as a load-generation client instead of a server")
 		url      = flag.String("url", "http://127.0.0.1:8080", "loadgen: server base URL")
@@ -113,8 +105,7 @@ func main() {
 	if *loadgen {
 		runLoadgen(log, serve.LoadgenOptions{
 			URL: strings.TrimRight(*url, "/"), URLs: splitList(*urls), Model: *model,
-			Duration: *duration, Workers: *workers, Seed: *seed, Batch: *batch,
-			Retries: *retries, RetryBase: *retryBase,
+			Duration: *duration, Workers: *workers, Seed: *seed, Batch: *batch, Retries: *retries,
 			Nodes: parseIntPool(*nodesCSV, "-nodes"), PPNs: parseIntPool(*ppnsCSV, "-ppns"),
 			Msizes:  parseInt64Pool(*msizes, "-msizes"),
 			ShiftAt: *shiftAt, ShiftNodes: parseIntPool(*shiftN, "-shift-nodes"),
@@ -124,16 +115,12 @@ func main() {
 	}
 	if *router {
 		runRouter(log, fleet.Options{
-			Replicas:         splitList(*replicas),
-			ProbeInterval:    *probeInt,
-			ProbeTimeout:     *probeTO,
-			Retries:          *retries,
-			RetryBase:        *retryBase,
-			HedgeAfter:       *hedge,
-			BreakerThreshold: *brkThresh,
-			BreakerCooldown:  *brkCool,
-			Seed:             *seed,
-			Log:              log,
+			Replicas:      splitList(*replicas),
+			ProbeInterval: *probeInt,
+			Retries:       *retries,
+			HedgeAfter:    *hedge,
+			Seed:          *seed,
+			Log:           log,
 		}, *addr)
 		return
 	}
@@ -163,7 +150,6 @@ func main() {
 	srv, err := serve.New(serve.Options{
 		SnapshotPaths: paths,
 		CacheSize:     *cacheSize,
-		CacheShards:   *shards,
 		Log:           log,
 		Audit:         auditLog,
 		TraceRing:     *traceRing,
@@ -182,9 +168,6 @@ func main() {
 			auditPath: *auditPath, drift: *retrainDrift, router: *retrainRtr,
 			outDir: *retrainDir, cacheDir: *retrainCache, scale: *retrainScale,
 			statusLog: *retrainSLog,
-			detector: retrain.DetectorOptions{
-				Tolerance: *retrainTol, Hysteresis: *retrainHyst, MinEvents: uint64(*retrainWarm),
-			},
 		})
 	}
 
@@ -237,7 +220,6 @@ type retrainConfig struct {
 	auditPath, drift, router string
 	outDir, cacheDir, scale  string
 	statusLog                string
-	detector                 retrain.DetectorOptions
 }
 
 // startRetrain wires the online retraining loop to the serving process: the
@@ -252,7 +234,6 @@ func startRetrain(log *obs.Logger, srv *serve.Server, cfg retrainConfig) func() 
 		OutDir:    cfg.outDir,
 		CacheDir:  cfg.cacheDir,
 		Scale:     dataset.Scale(cfg.scale),
-		Detector:  cfg.detector,
 	}
 	if cfg.drift != "" {
 		plan, err := fault.Parse(cfg.drift)

@@ -88,7 +88,6 @@ func main() {
 		retrainLog   = flag.String("retrain-log", "", "offline retrain: finished audit log to ingest (required with -retrain-from)")
 		retrainOut   = flag.String("retrain-out", "results/retrain", "offline retrain: candidate snapshot output directory")
 		retrainDrift = flag.String("retrain-drift", "", "offline retrain: fault plan perturbing the re-measurements")
-		retrainCells = flag.Int("retrain-cells", 0, "offline retrain: cap on distinct instance cells swept (0 = default)")
 		benchout     = flag.String("benchout", "", "train serially and in parallel, verify bit-identity, write a speedup report here")
 		metrics      = flag.String("metrics", "", "write a metrics-registry snapshot to this file (.json for JSON)")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
@@ -141,7 +140,7 @@ func main() {
 
 	if *retrainFrom != "" {
 		runRetrainOnce(log, *retrainFrom, *retrainLog, *retrainOut, *retrainDrift,
-			*cache, dataset.Scale(*scale), *retrainCells)
+			*cache, dataset.Scale(*scale))
 		return
 	}
 
@@ -211,7 +210,7 @@ func main() {
 
 // runRetrainOnce is the -retrain-from path: one offline observe→refit pass
 // over a finished audit log, printing the candidate report as JSON.
-func runRetrainOnce(log *obs.Logger, snapPath, auditPath, outDir, driftSpec, cache string, scale dataset.Scale, maxCells int) {
+func runRetrainOnce(log *obs.Logger, snapPath, auditPath, outDir, driftSpec, cache string, scale dataset.Scale) {
 	var plan *fault.Plan
 	if driftSpec != "" {
 		p, err := fault.Parse(driftSpec)
@@ -222,7 +221,7 @@ func runRetrainOnce(log *obs.Logger, snapPath, auditPath, outDir, driftSpec, cac
 	fail(os.MkdirAll(outDir, 0o755))
 	rep, err := retrain.Once(retrain.OnceOptions{
 		SnapshotPath: snapPath, AuditPath: auditPath, OutDir: outDir,
-		CacheDir: cache, Scale: scale, Drift: plan, MaxCells: maxCells,
+		CacheDir: cache, Scale: scale, Drift: plan,
 	})
 	fail(err)
 	c := rep.Candidate

@@ -102,8 +102,8 @@ func Drift(recs []Record) *DriftReport {
 		}
 		half := len(st.preds) / 2
 		if half > 0 {
-			d.EarlyP50 = quantile(st.preds[:half], 0.5)
-			d.LateP50 = quantile(st.preds[half:], 0.5)
+			d.EarlyP50 = obs.Quantile(st.preds[:half], 0.5)
+			d.LateP50 = obs.Quantile(st.preds[half:], 0.5)
 			d.Shift = d.LateP50 / d.EarlyP50
 			shift := d.Shift
 			if shift < 1 && shift > 0 {

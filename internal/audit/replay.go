@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"mpicollpred/internal/bench"
+	"mpicollpred/internal/obs"
 	"mpicollpred/internal/sim"
 	"mpicollpred/internal/tablefmt"
 )
@@ -182,7 +183,7 @@ func Replay(recs []Record, opts ReplayOptions) (*ReplayReport, error) {
 		rep.Models = append(rep.Models, ReplayModelStats{
 			Model: name, Rows: len(rows),
 			MeanAbsRelErr:   mean,
-			MedianAbsRelErr: quantile(absErrs, 0.5),
+			MedianAbsRelErr: obs.Quantile(absErrs, 0.5),
 			WithinFactor2:   float64(within) / float64(len(rows)),
 		})
 	}

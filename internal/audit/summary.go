@@ -2,9 +2,9 @@ package audit
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
+	"mpicollpred/internal/obs"
 	"mpicollpred/internal/tablefmt"
 )
 
@@ -68,29 +68,6 @@ func (s *Summary) modelNames() []string {
 	return names
 }
 
-// quantile answers the q-quantile of (an unsorted copy of) vs, NaN when
-// empty.
-func quantile(vs []float64, q float64) float64 {
-	if len(vs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), vs...)
-	sort.Float64s(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	rank := q * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	frac := rank - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo] + frac*(s[lo+1]-s[lo])
-}
-
 // ratio renders a/b as a percentage, "-" when b is zero.
 func ratio(a, b int) string {
 	if b == 0 {
@@ -112,8 +89,8 @@ func (s *Summary) Render() string {
 		t.AddRow(m.Model, fmt.Sprintf("%d", m.Generation),
 			tablefmt.I(m.Requests), tablefmt.I(m.Cached), ratio(m.Cached, m.Requests),
 			tablefmt.I(m.Fallbacks), ratio(m.Fallbacks, m.Requests),
-			tablefmt.F(quantile(m.LatencyUs, 0.5), 0), tablefmt.F(quantile(m.LatencyUs, 0.99), 0),
-			tablefmt.G(quantile(m.Predicted, 0.5)))
+			tablefmt.F(obs.Quantile(m.LatencyUs, 0.5), 0), tablefmt.F(obs.Quantile(m.LatencyUs, 0.99), 0),
+			tablefmt.G(obs.Quantile(m.Predicted, 0.5)))
 	}
 	out := fmt.Sprintf("records: %d\n\n%s", s.Records, t.String())
 

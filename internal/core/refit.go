@@ -11,9 +11,9 @@
 package core
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mpicollpred/internal/dataset"
 	"mpicollpred/internal/ml"
@@ -47,42 +47,22 @@ func Refit(base *Selector, ds *dataset.Dataset, set *mpilib.CollectiveSet, confi
 
 	// Dedupe and order the refit set; every id must be in the selectable
 	// portfolio (excluded or unknown ids have no model to refit).
-	selectable := map[int]bool{}
+	selectable := map[int]mpilib.Config{}
 	for _, cfg := range set.Selectable() {
-		selectable[cfg.ID] = true
+		selectable[cfg.ID] = cfg
 	}
 	inSet := map[int]bool{}
 	for _, id := range configIDs {
-		if !selectable[id] {
+		if _, ok := selectable[id]; !ok {
 			return nil, fmt.Errorf("core: refit: configuration %d is not selectable", id)
 		}
 		inSet[id] = true
 	}
-	ids := make([]int, 0, len(inSet))
+	cfgs := make([]mpilib.Config, 0, len(inSet))
 	for id := range inSet {
-		ids = append(ids, id)
+		cfgs = append(cfgs, selectable[id])
 	}
-	sort.Ints(ids)
-
-	inTrain := map[int]bool{}
-	for _, n := range base.TrainNodes {
-		inTrain[n] = true
-	}
-	xs := map[int][][]float64{}
-	ys := map[int][]float64{}
-	for _, s := range ds.Samples {
-		if !inSet[s.ConfigID] || !inTrain[s.Nodes] {
-			continue
-		}
-		xs[s.ConfigID] = append(xs[s.ConfigID], Features(s.Nodes, s.PPN, s.Msize))
-		ys[s.ConfigID] = append(ys[s.ConfigID], s.Time)
-	}
-	for _, id := range ids {
-		if len(xs[id]) == 0 {
-			return nil, fmt.Errorf("core: refit: configuration %d has no training samples on nodes %v",
-				id, base.TrainNodes)
-		}
-	}
+	slices.SortFunc(cfgs, func(a, b mpilib.Config) int { return cmp.Compare(a.ID, b.ID) })
 
 	cand := &Selector{
 		Coll:              base.Coll,
@@ -120,38 +100,15 @@ func Refit(base *Selector, ds *dataset.Dataset, set *mpilib.CollectiveSet, confi
 		}
 	}
 
-	fitHist := obs.Default.Histogram("core_fit_seconds", obs.Labels{"learner": base.Learner})
-	err := fitAll(base.Learner, len(ids), workers, func(i int) ([][]float64, []float64) {
-		return xs[ids[i]], ys[ids[i]]
-	}, func(i int, res fitResult) error {
-		id := ids[i]
-		if res.err != nil {
-			if errors.Is(res.err, errLearnerPanic) {
-				cand.quarantine(id, "refit", res.err.Error())
-				return nil
-			}
-			return fmt.Errorf("core: refitting %s for config %d: %w", base.Learner, id, res.err)
-		}
-		cand.FitWall += res.wall
-		fitHist.Observe(res.wall)
-		cand.models[id] = res.m
-		cand.envelopes[id] = res.env
-		obs.Default.Counter("core_refit_total", obs.Labels{"learner": base.Learner}).Inc()
-		return nil
-	})
-	if err != nil {
+	if err := cand.fitConfigs(ds, cfgs, workers, "refit"); err != nil {
 		return nil, err
 	}
-
-	// The union envelope cannot be widened incrementally — a refit model's
-	// envelope may have shrunk — so rebuild it from the per-configuration
-	// envelopes. Min/max merging is order-independent; iterating in
-	// selectable order just keeps the loop deterministic by construction.
-	cand.envelope = Envelope{}
-	for _, cfg := range cand.configs {
-		if env, ok := cand.envelopes[cfg.ID]; ok {
-			cand.envelope.merge(env)
+	refit := 0
+	for _, cfg := range cfgs {
+		if _, ok := cand.models[cfg.ID]; ok {
+			refit++
 		}
 	}
+	obs.Default.Counter("core_refit_total", obs.Labels{"learner": base.Learner}).Add(int64(refit))
 	return cand, nil
 }

@@ -12,7 +12,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -116,65 +115,18 @@ func TrainWorkers(ds *dataset.Dataset, set *mpilib.CollectiveSet, learner string
 	if _, err := ml.New(learner); err != nil {
 		return nil, err
 	}
-	inTrain := map[int]bool{}
-	for _, n := range trainNodes {
-		inTrain[n] = true
-	}
 	sel := &Selector{
 		Coll:       ds.Spec.Coll,
 		Learner:    learner,
 		TrainNodes: append([]int(nil), trainNodes...),
 		models:     make(map[int]ml.Regressor),
 		envelopes:  make(map[int]Envelope),
+		selectHist: obs.Default.Histogram("core_select_seconds", obs.Labels{"learner": learner}),
 	}
 	sel.setConfigs(set.Selectable())
 
-	// Group training samples by configuration.
-	xs := map[int][][]float64{}
-	ys := map[int][]float64{}
-	for _, s := range ds.Samples {
-		if !inTrain[s.Nodes] {
-			continue
-		}
-		xs[s.ConfigID] = append(xs[s.ConfigID], Features(s.Nodes, s.PPN, s.Msize))
-		ys[s.ConfigID] = append(ys[s.ConfigID], s.Time)
-	}
-	// Pre-flight in configuration order, so the "no training samples" error
-	// names the same configuration a serial sweep would have stopped at.
-	for _, cfg := range sel.configs {
-		if len(xs[cfg.ID]) == 0 {
-			return nil, fmt.Errorf("core: configuration %d (%s) has no training samples on nodes %v",
-				cfg.ID, cfg.Label(), trainNodes)
-		}
-	}
-
-	fitHist := obs.Default.Histogram("core_fit_seconds", obs.Labels{"learner": learner})
-	sel.selectHist = obs.Default.Histogram("core_select_seconds", obs.Labels{"learner": learner})
-
-	// Deterministic assembly: commit in configuration order, single-threaded.
 	t0 := time.Now()
-	err := fitAll(learner, len(sel.configs), workers, func(i int) ([][]float64, []float64) {
-		id := sel.configs[i].ID
-		return xs[id], ys[id]
-	}, func(i int, res fitResult) error {
-		cfg := sel.configs[i]
-		if res.err != nil {
-			if errors.Is(res.err, errLearnerPanic) {
-				// One broken learner instance must not take down the whole
-				// tuning run: the configuration is quarantined (never
-				// selected) and training continues.
-				sel.quarantine(cfg.ID, "fit", res.err.Error())
-				return nil
-			}
-			return fmt.Errorf("core: fitting %s for config %d (%s): %w", learner, cfg.ID, cfg.Label(), res.err)
-		}
-		sel.FitWall += res.wall
-		fitHist.Observe(res.wall)
-		sel.models[cfg.ID] = res.m
-		sel.envelopes[cfg.ID] = res.env
-		sel.envelope.merge(res.env)
-		return nil
-	})
+	err := sel.fitConfigs(ds, sel.configs, workers, "fit")
 	obs.Default.Histogram("core_fit_parallel_seconds", obs.Labels{"learner": learner}).
 		Observe(time.Since(t0).Seconds())
 	if err != nil {

@@ -50,23 +50,15 @@ type RatioSelector struct {
 func TrainRatio(ds *dataset.Dataset, mach machine.Machine, set *mpilib.CollectiveSet,
 	learner string, trainNodes []int) (*RatioSelector, error) {
 
-	inTrain := map[int]bool{}
-	for _, n := range trainNodes {
-		inTrain[n] = true
-	}
 	// Default times per training instance.
-	var train []dataset.Instance
-	var qs []mpilib.Query
-	for _, in := range ds.Instances() {
-		if !inTrain[in.Nodes] {
-			continue
-		}
+	train := ds.InstancesOn(trainNodes)
+	qs := make([]mpilib.Query, len(train))
+	for i, in := range train {
 		topo, err := mach.Topo(in.Nodes, in.PPN)
 		if err != nil {
 			return nil, err
 		}
-		train = append(train, in)
-		qs = append(qs, mpilib.Query{Topo: topo, M: in.Msize})
+		qs[i] = mpilib.Query{Topo: topo, M: in.Msize}
 	}
 	defT := map[dataset.Instance]float64{}
 	for i, id := range set.DecideAll(mach, qs) {
@@ -82,9 +74,7 @@ func TrainRatio(ds *dataset.Dataset, mach machine.Machine, set *mpilib.Collectiv
 	xs := map[int][][]float64{}
 	ys := map[int][]float64{}
 	for _, s := range ds.Samples {
-		if !inTrain[s.Nodes] {
-			continue
-		}
+		// Only training instances have a default time.
 		d, ok := defT[dataset.Instance{Nodes: s.Nodes, PPN: s.PPN, Msize: s.Msize}]
 		if !ok {
 			continue
@@ -148,18 +138,11 @@ func TrainClassifier(ds *dataset.Dataset, set *mpilib.CollectiveSet, trainNodes 
 	if k < 1 {
 		k = 5
 	}
-	inTrain := map[int]bool{}
-	for _, n := range trainNodes {
-		inTrain[n] = true
-	}
 	sel := &ClassifierSelector{K: k, configs: map[int]mpilib.Config{}}
 	for _, cfg := range set.Selectable() {
 		sel.configs[cfg.ID] = cfg
 	}
-	for _, in := range ds.Instances() {
-		if !inTrain[in.Nodes] {
-			continue
-		}
+	for _, in := range ds.InstancesOn(trainNodes) {
 		id, _, ok := ds.Best(set, in.Nodes, in.PPN, in.Msize)
 		if !ok {
 			return nil, fmt.Errorf("core: no best for %+v", in)

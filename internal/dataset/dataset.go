@@ -5,8 +5,10 @@
 package dataset
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mpicollpred/internal/bench"
 	"mpicollpred/internal/machine"
@@ -338,6 +340,22 @@ func (d *Dataset) Instances() []Instance {
 			out = append(out, in)
 		}
 	}
+	return out
+}
+
+// InstancesOn returns the distinct cells whose node count is in nodes,
+// sorted by (nodes, ppn, msize): the test or training instances of a
+// node-count split, in one order for every caller.
+func (d *Dataset) InstancesOn(nodes []int) []Instance {
+	var out []Instance
+	for _, in := range d.Instances() {
+		if slices.Contains(nodes, in.Nodes) {
+			out = append(out, in)
+		}
+	}
+	slices.SortFunc(out, func(a, b Instance) int {
+		return cmp.Or(cmp.Compare(a.Nodes, b.Nodes), cmp.Compare(a.PPN, b.PPN), cmp.Compare(a.Msize, b.Msize))
+	})
 	return out
 }
 

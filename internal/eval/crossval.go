@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"mpicollpred/internal/core"
@@ -59,28 +58,11 @@ func CrossValidate(ds *dataset.Dataset, learner string, k int) ([]FoldResult, er
 		if err != nil {
 			return nil, fmt.Errorf("eval: fold %d: %w", fold, err)
 		}
-		heldSet := map[int]bool{}
-		for _, n := range held {
-			heldSet[n] = true
-		}
-		sum, cnt := 0.0, 0
-		for _, in := range ds.Instances() {
-			if !heldSet[in.Nodes] {
-				continue
-			}
-			for _, pr := range sel.PredictAll(in.Nodes, in.PPN, in.Msize) {
-				meas, ok := ds.Lookup(pr.ConfigID, in.Nodes, in.PPN, in.Msize)
-				if !ok {
-					continue
-				}
-				sum += math.Abs(pr.Predicted-meas) / meas
-				cnt++
-			}
-		}
-		if cnt == 0 {
+		me := modelErrors(ds, sel, ds.InstancesOn(held), nil)
+		if me.N == 0 {
 			return nil, fmt.Errorf("eval: fold %d has no measurable predictions", fold)
 		}
-		out = append(out, FoldResult{Fold: fold, HeldOut: held, MAPE: sum / float64(cnt), NumPreds: cnt})
+		out = append(out, FoldResult{Fold: fold, HeldOut: held, MAPE: me.MAPE, NumPreds: me.N})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("eval: cross-validation produced no folds")

@@ -135,10 +135,15 @@ func TestNormalizedRuntimeSeries(t *testing.T) {
 
 func TestAlgorithmMap(t *testing.T) {
 	ds, _, set := evalDataset(t, "d1")
-	choices, err := AlgorithmMap(ds, set, []string{"knn", "gam"}, []int{2, 4, 6}, []int{3, 5})
-	if err != nil {
-		t.Fatal(err)
+	var sels []*core.Selector
+	for _, learner := range []string{"knn", "gam"} {
+		sel, err := core.Train(ds, set, learner, []int{2, 4, 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sels = append(sels, sel)
 	}
+	choices := AlgorithmMap(ds, sels, []int{3, 5})
 	// 2 learners x 2 test nodes x 2 ppn x 4 msizes.
 	if len(choices) != 2*2*2*4 {
 		t.Fatalf("got %d choices", len(choices))

@@ -3,8 +3,6 @@ package eval
 import (
 	"fmt"
 	"math"
-	"sort"
-	"time"
 
 	"mpicollpred/internal/core"
 	"mpicollpred/internal/dataset"
@@ -25,7 +23,8 @@ type InstanceResult struct {
 	PredID    int
 	PredAlgID int
 	PredT     float64
-	// ModelT is the model's *predicted* time for the chosen configuration
+	// ModelT is the strategy's predicted value for the chosen
+	// configuration: the model's *predicted* time for a core.Selector
 	// (PredT is its measured time).
 	ModelT float64
 }
@@ -43,84 +42,77 @@ type Evaluation struct {
 	TestNodes  []int
 	Results    []InstanceResult
 	Selector   *core.Selector
-	// TrainWall and EvalWall are the wall-clock seconds spent training the
-	// selector and evaluating the test instances, respectively.
-	TrainWall float64
-	EvalWall  float64
 }
 
-// Evaluate trains a selector on trainNodes and evaluates it on every
-// dataset instance whose node count is in testNodes. mach and set must be
-// the resolved machine/collective pair of the dataset (pass the same set
-// across calls to reuse the memoized default-decision table).
+// Evaluate trains a selector on trainNodes and scores it on every dataset
+// instance whose node count is in testNodes. mach and set must be the
+// resolved machine/collective pair of the dataset (pass the same set across
+// calls to reuse the memoized default-decision table).
 func Evaluate(ds *dataset.Dataset, mach machine.Machine, set *mpilib.CollectiveSet,
 	learner string, trainNodes, testNodes []int) (*Evaluation, error) {
 
-	tTrain := time.Now()
 	sel, err := core.Train(ds, set, learner, trainNodes)
 	if err != nil {
 		return nil, err
 	}
-	ev := &Evaluation{
-		Dataset:    ds.Spec.Name,
-		Learner:    learner,
-		TrainNodes: append([]int(nil), trainNodes...),
-		TestNodes:  append([]int(nil), testNodes...),
-		Selector:   sel,
-		TrainWall:  time.Since(tTrain).Seconds(),
+	ev, err := Score(ds, mach, set, sel, testNodes)
+	if err != nil {
+		return nil, err
 	}
-	inTest := map[int]bool{}
-	for _, n := range testNodes {
-		inTest[n] = true
-	}
-
-	instances := ds.Instances()
-	sort.Slice(instances, func(i, j int) bool {
-		a, b := instances[i], instances[j]
-		if a.Nodes != b.Nodes {
-			return a.Nodes < b.Nodes
-		}
-		if a.PPN != b.PPN {
-			return a.PPN < b.PPN
-		}
-		return a.Msize < b.Msize
-	})
-
-	tEval := time.Now()
-	var test []dataset.Instance
-	var qs []mpilib.Query
-	for _, in := range instances {
-		if !inTest[in.Nodes] {
-			continue
-		}
-		topo, err := mach.Topo(in.Nodes, in.PPN)
-		if err != nil {
-			return nil, err
-		}
-		test = append(test, in)
-		qs = append(qs, mpilib.Query{Topo: topo, M: in.Msize})
-	}
-	defaults := set.DecideAll(mach, qs)
-	for i, in := range test {
-		res, err := evaluateInstance(ds, set, sel, in, defaults[i])
-		if err != nil {
-			return nil, err
-		}
-		ev.Results = append(ev.Results, res)
-	}
-	ev.EvalWall = time.Since(tEval).Seconds()
-	if len(ev.Results) == 0 {
-		return nil, fmt.Errorf("eval: no test instances for nodes %v in %s", testNodes, ds.Spec.Name)
-	}
+	ev.Learner = learner
+	ev.TrainNodes = append([]int(nil), trainNodes...)
+	ev.Selector = sel
 	obs.Default.Counter("eval_instances_total",
 		obs.Labels{"dataset": ev.Dataset, "learner": learner}).Add(int64(len(ev.Results)))
 	return ev, nil
 }
 
+// Score compares a trained strategy's choice with the library default and
+// the exhaustive best on every dataset instance whose node count is in
+// testNodes, in InstancesOn order. It fills Dataset, TestNodes and Results;
+// Evaluate adds the training fields.
+func Score(ds *dataset.Dataset, mach machine.Machine, set *mpilib.CollectiveSet,
+	strat core.Strategy, testNodes []int) (*Evaluation, error) {
+
+	test := ds.InstancesOn(testNodes)
+	if len(test) == 0 {
+		return nil, fmt.Errorf("eval: no test instances for nodes %v in %s", testNodes, ds.Spec.Name)
+	}
+	results, err := scoreInstances(ds, mach, set, strat, test)
+	if err != nil {
+		return nil, err
+	}
+	return &Evaluation{Dataset: ds.Spec.Name, TestNodes: append([]int(nil), testNodes...), Results: results}, nil
+}
+
+// scoreInstances scores strat on every instance of insts, in order, with
+// all default decisions taken in one DecideAll.
+func scoreInstances(ds *dataset.Dataset, mach machine.Machine, set *mpilib.CollectiveSet,
+	strat core.Strategy, insts []dataset.Instance) ([]InstanceResult, error) {
+
+	qs := make([]mpilib.Query, len(insts))
+	for i, in := range insts {
+		topo, err := mach.Topo(in.Nodes, in.PPN)
+		if err != nil {
+			return nil, err
+		}
+		qs[i] = mpilib.Query{Topo: topo, M: in.Msize}
+	}
+	results := make([]InstanceResult, len(insts))
+	for i, def := range set.DecideAll(mach, qs) {
+		res, err := evaluateInstance(ds, set, strat, insts[i], def)
+		if err != nil {
+			return nil, err
+		}
+		results[i] = res
+	}
+	return results, nil
+}
+
 // evaluateInstance scores one test instance whose default decision is
 // defaultID.
 func evaluateInstance(ds *dataset.Dataset, set *mpilib.CollectiveSet,
-	sel *core.Selector, in dataset.Instance, defaultID int) (InstanceResult, error) {
+	strat core.Strategy, in dataset.Instance, defaultID int) (InstanceResult, error) {
 
 	res := InstanceResult{Instance: in, DefaultID: defaultID}
 	var ok bool
@@ -134,7 +126,7 @@ func evaluateInstance(ds *dataset.Dataset, set *mpilib.CollectiveSet,
 		return res, fmt.Errorf("eval: default config %d unmeasured for %+v", res.DefaultID, in)
 	}
 
-	pred := sel.Select(in.Nodes, in.PPN, in.Msize)
+	pred := strat.Select(in.Nodes, in.PPN, in.Msize)
 	res.PredID = pred.ConfigID
 	res.PredAlgID = pred.AlgID
 	res.ModelT = pred.Predicted

@@ -24,32 +24,26 @@ type NormalizedSeries struct {
 }
 
 // NormalizedRuntime builds the panel series for one allocation using a
-// trained selector.
+// trained strategy.
 func NormalizedRuntime(ds *dataset.Dataset, mach machine.Machine, set *mpilib.CollectiveSet,
-	sel *core.Selector, nodes, ppn int) (NormalizedSeries, error) {
+	strat core.Strategy, nodes, ppn int) (NormalizedSeries, error) {
 
 	out := NormalizedSeries{Nodes: nodes, PPN: ppn}
 	msizes := append([]int64(nil), ds.Spec.Msizes...)
 	sort.Slice(msizes, func(i, j int) bool { return msizes[i] < msizes[j] })
-	topo, err := mach.Topo(nodes, ppn)
+	insts := make([]dataset.Instance, len(msizes))
+	for i, m := range msizes {
+		insts[i] = dataset.Instance{Nodes: nodes, PPN: ppn, Msize: m}
+	}
+	results, err := scoreInstances(ds, mach, set, strat, insts)
 	if err != nil {
 		return out, err
 	}
-	qs := make([]mpilib.Query, len(msizes))
-	for i, m := range msizes {
-		qs[i] = mpilib.Query{Topo: topo, M: m}
-	}
-	defaults := set.DecideAll(mach, qs)
-	for i, m := range msizes {
-		in := dataset.Instance{Nodes: nodes, PPN: ppn, Msize: m}
-		res, err := evaluateInstance(ds, set, sel, in, defaults[i])
-		if err != nil {
-			return out, err
-		}
-		out.Msizes = append(out.Msizes, m)
+	for _, r := range results {
+		out.Msizes = append(out.Msizes, r.Msize)
 		out.Best = append(out.Best, 1.0)
-		out.Default = append(out.Default, res.DefaultT/res.BestT)
-		out.Pred = append(out.Pred, res.PredT/res.BestT)
+		out.Default = append(out.Default, r.DefaultT/r.BestT)
+		out.Pred = append(out.Pred, r.PredT/r.BestT)
 	}
 	return out, nil
 }
@@ -64,29 +58,23 @@ type AlgChoice struct {
 	AlgID   int
 }
 
-// AlgorithmMap reproduces Fig. 5: for each learner, the predicted algorithm
-// id over the (config × msize) grid of the given test node counts.
-func AlgorithmMap(ds *dataset.Dataset, set *mpilib.CollectiveSet, learners []string,
-	trainNodes, testNodes []int) ([]AlgChoice, error) {
-
+// AlgorithmMap reproduces Fig. 5: for each trained selector, the predicted
+// algorithm id over the (config × msize) grid of the given test node counts.
+func AlgorithmMap(ds *dataset.Dataset, sels []*core.Selector, testNodes []int) []AlgChoice {
 	var out []AlgChoice
 	msizes := append([]int64(nil), ds.Spec.Msizes...)
 	sort.Slice(msizes, func(i, j int) bool { return msizes[i] < msizes[j] })
-	for _, learner := range learners {
-		sel, err := core.Train(ds, set, learner, trainNodes)
-		if err != nil {
-			return nil, err
-		}
+	for _, sel := range sels {
 		for _, n := range testNodes {
 			for _, ppn := range ds.Spec.PPNs {
 				for _, m := range msizes {
 					p := sel.Select(n, ppn, m)
-					out = append(out, AlgChoice{Learner: learner, Nodes: n, PPN: ppn, Msize: m, AlgID: p.AlgID})
+					out = append(out, AlgChoice{Learner: sel.Learner, Nodes: n, PPN: ppn, Msize: m, AlgID: p.AlgID})
 				}
 			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 // ChainSpeedupRow is one point of the paper's Fig. 2: the measured speedup

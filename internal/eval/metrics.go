@@ -26,17 +26,28 @@ type ModelErrors struct {
 // ModelError computes prediction-error metrics of a trained selector's
 // models over every (config, test instance) pair with a measurement.
 func ModelError(ds *dataset.Dataset, set *mpilib.CollectiveSet, sel *core.Selector, testNodes []int) (ModelErrors, error) {
-	inTest := map[int]bool{}
-	for _, n := range testNodes {
-		inTest[n] = true
+	me := modelErrors(ds, sel, ds.InstancesOn(testNodes), nil)
+	if me.N == 0 {
+		return me, fmt.Errorf("eval: no test measurements for nodes %v", testNodes)
 	}
+	return me, nil
+}
+
+// modelErrors is the one prediction-error pass: every configuration model of
+// sel against the measured times, over insts × PredictAllFeatures, skipping
+// unmeasured pairs. tamper, when non-nil, edits instance i's feature vector
+// before prediction (permutation importance). The sums accumulate in
+// instance order, then ranking order; with no measured pair the metrics
+// are zero.
+func modelErrors(ds *dataset.Dataset, sel *core.Selector, insts []dataset.Instance, tamper func(i int, f []float64)) ModelErrors {
 	var me ModelErrors
 	var sqSum float64
-	for _, in := range ds.Instances() {
-		if !inTest[in.Nodes] {
-			continue
+	for i, in := range insts {
+		f := core.Features(in.Nodes, in.PPN, in.Msize)
+		if tamper != nil {
+			tamper(i, f)
 		}
-		for _, pr := range sel.PredictAll(in.Nodes, in.PPN, in.Msize) {
+		for _, pr := range sel.PredictAllFeatures(f) {
 			meas, ok := ds.Lookup(pr.ConfigID, in.Nodes, in.PPN, in.Msize)
 			if !ok {
 				continue
@@ -48,13 +59,12 @@ func ModelError(ds *dataset.Dataset, set *mpilib.CollectiveSet, sel *core.Select
 			me.N++
 		}
 	}
-	if me.N == 0 {
-		return me, fmt.Errorf("eval: no test measurements for nodes %v", testNodes)
+	if me.N > 0 {
+		me.MAE /= float64(me.N)
+		me.RMSE = math.Sqrt(sqSum / float64(me.N))
+		me.MAPE /= float64(me.N)
 	}
-	me.MAE /= float64(me.N)
-	me.RMSE = math.Sqrt(sqSum / float64(me.N))
-	me.MAPE /= float64(me.N)
-	return me, nil
+	return me
 }
 
 // FeatureImportance reports permutation importance of one input feature for
@@ -75,53 +85,19 @@ func FeatureNames() []string { return []string{"log2(msize)", "nodes", "ppn", "l
 // PermutationImportance evaluates the models with each feature permuted by a
 // seeded shuffle across the test instances.
 func PermutationImportance(ds *dataset.Dataset, set *mpilib.CollectiveSet, sel *core.Selector, testNodes []int) ([]FeatureImportance, error) {
-	inTest := map[int]bool{}
-	for _, n := range testNodes {
-		inTest[n] = true
-	}
-	var insts []dataset.Instance
-	for _, in := range ds.Instances() {
-		if inTest[in.Nodes] {
-			insts = append(insts, in)
-		}
-	}
+	insts := ds.InstancesOn(testNodes)
 	if len(insts) < 2 {
 		return nil, fmt.Errorf("eval: not enough test instances")
 	}
-	sort.Slice(insts, func(i, j int) bool {
-		a, b := insts[i], insts[j]
-		if a.Nodes != b.Nodes {
-			return a.Nodes < b.Nodes
-		}
-		if a.PPN != b.PPN {
-			return a.PPN < b.PPN
-		}
-		return a.Msize < b.Msize
-	})
-
-	// quality computes the MAPE of every configuration model over the test
+	// quality is the MAPE of every configuration model over the test
 	// instances, with the feature vector optionally tampered before
 	// prediction.
 	quality := func(tamper func(i int, f []float64)) (float64, error) {
-		sum, n := 0.0, 0
-		for i, in := range insts {
-			f := core.Features(in.Nodes, in.PPN, in.Msize)
-			if tamper != nil {
-				tamper(i, f)
-			}
-			for _, pr := range sel.PredictAllFeatures(f) {
-				meas, ok := ds.Lookup(pr.ConfigID, in.Nodes, in.PPN, in.Msize)
-				if !ok {
-					continue
-				}
-				sum += math.Abs(pr.Predicted-meas) / meas
-				n++
-			}
-		}
-		if n == 0 {
+		me := modelErrors(ds, sel, insts, tamper)
+		if me.N == 0 {
 			return 0, fmt.Errorf("eval: no measured predictions")
 		}
-		return sum / float64(n), nil
+		return me.MAPE, nil
 	}
 
 	base, err := quality(nil)

@@ -91,9 +91,16 @@ func (w *QuantileWindow) Quantile(q float64) float64 {
 	w.mu.Lock()
 	s := append([]float64(nil), w.buf[:w.n]...)
 	w.mu.Unlock()
-	if len(s) == 0 {
+	return Quantile(s, q)
+}
+
+// Quantile returns the q-quantile of vs with linear interpolation between
+// order statistics, NaN when vs is empty. vs is not modified.
+func Quantile(vs []float64, q float64) float64 {
+	if len(vs) == 0 {
 		return math.NaN()
 	}
+	s := append([]float64(nil), vs...)
 	sort.Float64s(s)
 	if q <= 0 {
 		return s[0]
