@@ -84,16 +84,12 @@ func runModelErr(c *expCtx) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	_, set, err := c.resolved(d)
-	if err != nil {
-		return "", err
-	}
 	for _, learner := range append(c.learners, "rf", "linear") {
 		e, err := c.evaluation("d1", learner, "full")
 		if err != nil {
 			return "", err
 		}
-		me, err := eval.ModelError(d, set, e.Selector, e.TestNodes)
+		me, err := eval.ModelError(d, e.Selector, e.TestNodes)
 		if err != nil {
 			return "", err
 		}
@@ -147,15 +143,11 @@ func runImportance(c *expCtx) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		_, set, err := c.resolved(d)
-		if err != nil {
-			return "", err
-		}
 		e, err := c.evaluation(dn, "gam", "full")
 		if err != nil {
 			return "", err
 		}
-		imp, err := eval.PermutationImportance(d, set, e.Selector, e.TestNodes)
+		imp, err := eval.PermutationImportance(d, e.Selector, e.TestNodes)
 		if err != nil {
 			return "", err
 		}

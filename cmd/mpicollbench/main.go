@@ -111,8 +111,7 @@ func main() {
 	}
 	exitCode := 0
 	if *benchout != "" {
-		rep, err := par.SelfCheck(*benchout, "mpicollbench", 0,
-			benchLeg(*name, sc, plan, *retries, *outlierK))
+		rep, err := par.SelfCheck(*benchout, "mpicollbench", benchLeg(*name, sc, plan, *retries, *outlierK))
 		if err != nil {
 			log.Errorf("mpicollbench: %v", err)
 			exitCode = 1
@@ -184,7 +183,7 @@ func runOne(log *obs.Logger, name string, sc dataset.Scale, cache string,
 		}
 		log.Infof("%s: loaded %d samples from cache", name, len(d.Samples))
 	} else {
-		opts := genOptions(spec, sc, plan, retries, outlierK, 0)
+		opts := genOptions(spec, sc, plan, retries, outlierK)
 		fresh := 0
 		stop := func() bool {
 			if interrupted.Load() {
@@ -230,27 +229,25 @@ func runOne(log *obs.Logger, name string, sc dataset.Scale, cache string,
 	return 0
 }
 
-// genOptions is the generation setup shared by a run and a self-check leg;
-// workers <= 0 means GOMAXPROCS.
-func genOptions(spec dataset.Spec, sc dataset.Scale, plan *fault.Plan, retries int, outlierK float64, workers int) bench.Options {
+// genOptions is the generation setup shared by a run and a self-check leg.
+func genOptions(spec dataset.Spec, sc dataset.Scale, plan *fault.Plan, retries int, outlierK float64) bench.Options {
 	opts := dataset.DefaultGenOptions(spec, sc)
 	opts.Faults = plan
 	opts.OutlierRetries = retries
 	opts.OutlierK = outlierK
-	opts.Workers = workers
 	return opts
 }
 
-// benchLeg is the -benchout self-check's leg: generate the dataset on w
-// workers, with the CSV encoding as the output. Each leg gets its own
-// metrics registry so the check does not double-count the default one.
-func benchLeg(name string, sc dataset.Scale, plan *fault.Plan, retries int, outlierK float64) func(w int) ([]byte, any, error) {
-	return func(w int) ([]byte, any, error) {
+// benchLeg is the -benchout self-check's leg: generate the dataset, with the
+// CSV encoding as the output. Each leg gets its own metrics registry so the
+// check does not double-count the default one.
+func benchLeg(name string, sc dataset.Scale, plan *fault.Plan, retries int, outlierK float64) func() ([]byte, any, error) {
+	return func() ([]byte, any, error) {
 		spec, err := dataset.SpecByName(name, sc)
 		if err != nil {
 			return nil, nil, err
 		}
-		opts := genOptions(spec, sc, plan, retries, outlierK, w)
+		opts := genOptions(spec, sc, plan, retries, outlierK)
 		opts.Metrics = bench.NewMetrics(obs.NewRegistry(), obs.Labels{"dataset": name})
 		d, err := dataset.Generate(spec, opts, nil)
 		if err != nil {

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -164,7 +165,7 @@ func main() {
 		units := buildUnits(log, dsList, learnerList, *cache, dataset.Scale(*scale), *train)
 
 		if *benchout != "" {
-			rep, err := par.SelfCheck(*benchout, "mpicolltune", 0, benchLeg(units))
+			rep, err := par.SelfCheck(*benchout, "mpicolltune", benchLeg(units))
 			fail(err)
 			log.Infof("benchout: %v -> %s", rep, *benchout)
 			if !wantQuery && *save == "" {
@@ -179,7 +180,7 @@ func main() {
 			fail(os.MkdirAll(saveDir, 0o755))
 			savePath = ""
 		}
-		trainMatrix(log, units, saveDir, savePath)
+		fail(trainMatrix(units, saveTrained(log, units, saveDir, savePath)))
 
 		u := units[0]
 		sel = u.sel
@@ -261,13 +262,16 @@ func buildUnits(log *obs.Logger, dsList, learnerList []string, cache string, sca
 	return units
 }
 
-// trainMatrix fits every unit concurrently: one par.Run worker per unit,
-// each unit's Train fanning out over GOMAXPROCS fit workers of its own. Each
-// unit's snapshot is saved by its worker the moment its fits complete,
-// overlapping disk writes with the remaining training work; the first
-// failing unit in matrix order ends the run.
-func trainMatrix(log *obs.Logger, units []*unit, saveDir, savePath string) {
-	fail(par.Run(len(units), len(units), nil, func(_, i int) (*core.Selector, error) {
+// trainMatrix fits up to GOMAXPROCS units concurrently, each unit's Train
+// fanning out over GOMAXPROCS fit workers of its own. At GOMAXPROCS=1 the
+// units run strictly one after another: units in flight on one CPU would
+// time-slice, and every fit's wall time would count the other units' slices.
+// done(i, sel, took) runs on unit i's worker the moment its fits complete,
+// so work such as saving a snapshot overlaps the remaining training; the
+// first failing unit in matrix order ends the run. On success every unit's
+// sel is set.
+func trainMatrix(units []*unit, done func(i int, sel *core.Selector, took time.Duration) error) error {
+	return par.Run(len(units), runtime.GOMAXPROCS(0), nil, func(_, i int) (*core.Selector, error) {
 		u := units[i]
 		mach, set, err := u.ds.Spec.Resolve()
 		if err != nil {
@@ -279,66 +283,58 @@ func trainMatrix(log *obs.Logger, units []*unit, saveDir, savePath string) {
 			return nil, fmt.Errorf("%s: %w", u.name(), err)
 		}
 		sel.SetFallback(mach, set)
+		return sel, done(i, sel, time.Since(t0))
+	}, func(i int, sel *core.Selector) error {
+		units[i].sel = sel
+		return nil
+	})
+}
+
+// saveTrained is the run's trainMatrix hook: it logs the unit's training and
+// saves its snapshot to savePath, or under saveDir for a matrix.
+func saveTrained(log *obs.Logger, units []*unit, saveDir, savePath string) func(i int, sel *core.Selector, took time.Duration) error {
+	return func(i int, sel *core.Selector, took time.Duration) error {
+		u := units[i]
 		log.Infof("trained %s on %s (%d configurations, nodes %v) in %.3gs (fit wall %.3gs)",
-			u.learner, u.ds.Spec.Name, len(sel.Configs()), u.nodes, time.Since(t0).Seconds(), sel.FitWall)
+			u.learner, u.ds.Spec.Name, len(sel.Configs()), u.nodes, took.Seconds(), sel.FitWall)
 		path := savePath
 		if saveDir != "" {
 			path = filepath.Join(saveDir, u.name()+".snap")
 		}
-		if path != "" {
-			if err := sel.SaveSnapshot(path, u.fingerprint()); err != nil {
-				return nil, err
-			}
-			log.Infof("snapshot -> %s (%s)", path, u.fingerprint())
+		if path == "" {
+			return nil
 		}
-		return sel, nil
-	}, func(i int, sel *core.Selector) error {
-		units[i].sel = sel
+		if err := sel.SaveSnapshot(path, u.fingerprint()); err != nil {
+			return err
+		}
+		log.Infof("snapshot -> %s (%s)", path, u.fingerprint())
 		return nil
-	}))
+	}
 }
 
-// benchLeg is the -benchout self-check's leg: train the matrix with w fit
-// workers per unit, with one unit in flight at w = 1 and every unit
-// otherwise, as trainMatrix runs them. The output is the unit-ordered
-// snapshots.
-func benchLeg(units []*unit) func(w int) ([]byte, any, error) {
+// benchLeg is the -benchout self-check's leg: trainMatrix without the save,
+// with the unit-ordered snapshots as the output.
+func benchLeg(units []*unit) func() ([]byte, any, error) {
 	type fitDetail struct {
 		Selectors      int     `json:"selectors"`
 		ModelsFitted   int     `json:"models_fitted"`
 		FitWallSeconds float64 `json:"fit_wall_seconds"`
 	}
-	type trained struct {
-		snap    []byte
-		configs int
-		fitWall float64
-	}
-	return func(w int) ([]byte, any, error) {
-		inFlight := len(units)
-		if w == 1 {
-			inFlight = 1
-		}
-		var snaps bytes.Buffer
-		detail := fitDetail{Selectors: len(units)}
-		err := par.Run(len(units), inFlight, nil, func(_, i int) (trained, error) {
-			u := units[i]
-			_, set, err := u.ds.Spec.Resolve()
-			if err != nil {
-				return trained{}, err
-			}
-			sel, err := core.TrainWorkers(u.ds, set, u.learner, u.nodes, w)
-			if err != nil {
-				return trained{}, fmt.Errorf("%s: %w", u.name(), err)
-			}
-			snap, err := sel.Snapshot(u.fingerprint())
-			return trained{snap, len(sel.Configs()), sel.FitWall}, err
-		}, func(_ int, t trained) error {
-			snaps.Write(t.snap)
-			detail.ModelsFitted += t.configs
-			detail.FitWallSeconds += t.fitWall
-			return nil
+	return func() ([]byte, any, error) {
+		snaps := make([][]byte, len(units))
+		err := trainMatrix(units, func(i int, sel *core.Selector, _ time.Duration) (err error) {
+			snaps[i], err = sel.Snapshot(units[i].fingerprint())
+			return err
 		})
-		return snaps.Bytes(), detail, err
+		if err != nil {
+			return nil, nil, err
+		}
+		detail := fitDetail{Selectors: len(units)}
+		for _, u := range units {
+			detail.ModelsFitted += len(u.sel.Configs())
+			detail.FitWallSeconds += u.sel.FitWall
+		}
+		return bytes.Join(snaps, nil), detail, nil
 	}
 }
 

@@ -13,8 +13,8 @@
 // metrics-hygiene, and concurrency-contract invariants. The per-file checks
 // are backed by an interprocedural call graph with blocking/nondeterminism
 // effect propagation; see DESIGN.md §8 for the catalogue, the effect
-// lattice, and the suppression-comment syntax. Output is byte-identical at
-// any -workers setting.
+// lattice, and the suppression-comment syntax. Packages load and analyze on
+// GOMAXPROCS workers, and the output is byte-identical at any GOMAXPROCS.
 package main
 
 import (

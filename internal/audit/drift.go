@@ -9,11 +9,12 @@ import (
 	"mpicollpred/internal/tablefmt"
 )
 
-// Drift thresholds: the fallback-rate and envelope-violation EWMAs use the
-// serving defaults; the prediction-shift monitor compares the median served
-// prediction of the log's first and second half and flags multiplicative
-// shifts.
+// Drift thresholds: the fallback-rate and envelope-violation EWMAs (weight
+// DriftAlpha) are shared by the live server and the log replay, so both
+// agree; the prediction-shift monitor compares the median served prediction
+// of the log's first and second half and flags multiplicative shifts.
 const (
+	DriftAlpha          = 0.05
 	DriftFallbackWarn   = 0.10
 	DriftFallbackBreach = 0.30
 	DriftShiftWarn      = 1.5
@@ -68,8 +69,8 @@ func Drift(recs []Record) *DriftReport {
 		st := byModel[r.Model]
 		if st == nil {
 			st = &state{
-				fallback: obs.NewRateMonitor(0.05, DriftFallbackWarn, DriftFallbackBreach),
-				envelope: obs.NewRateMonitor(0.05, DriftFallbackWarn, DriftFallbackBreach),
+				fallback: obs.NewRateMonitor(DriftAlpha, DriftFallbackWarn, DriftFallbackBreach),
+				envelope: obs.NewRateMonitor(DriftAlpha, DriftFallbackWarn, DriftFallbackBreach),
 			}
 			byModel[r.Model] = st
 		}
@@ -135,7 +136,7 @@ func (r *DriftReport) Render() string {
 			tablefmt.G(d.EarlyP50), tablefmt.G(d.LateP50),
 			tablefmt.F(d.Shift, 2), d.ShiftLevel.String(), d.Level().String())
 	}
-	return t.String() + fmt.Sprintf("\nfallback thresholds: warn %.2f breach %.2f (EWMA alpha 0.05); "+
+	return t.String() + fmt.Sprintf("\nfallback thresholds: warn %.2f breach %.2f (EWMA alpha %g); "+
 		"shift thresholds: warn %.1fx breach %.1fx (either direction)\n",
-		DriftFallbackWarn, DriftFallbackBreach, DriftShiftWarn, DriftShiftBreach)
+		DriftFallbackWarn, DriftFallbackBreach, DriftAlpha, DriftShiftWarn, DriftShiftBreach)
 }

@@ -48,12 +48,6 @@ type Options struct {
 	// OutlierK is the MAD multiple beyond which a repetition counts as an
 	// outlier; <= 0 selects DefaultOutlierK.
 	OutlierK float64
-	// Workers caps the number of concurrent measurement workers a Sweep may
-	// use; <= 0 selects runtime.GOMAXPROCS(0). Every cell's noise stream is
-	// derived from content, results are committed in cell order, and metrics
-	// are recorded at commit time, so the worker count never changes any
-	// output — it is deliberately excluded from the resume-journal identity.
-	Workers int
 }
 
 // DefaultOutlierK is the outlier threshold in normalized-MAD units used when

@@ -9,6 +9,7 @@ import (
 	"mpicollpred/internal/mpilib"
 	"mpicollpred/internal/netmodel"
 	"mpicollpred/internal/obs"
+	"mpicollpred/internal/par"
 )
 
 // noCap leaves Options.MaxReps as a measurement's only repetition cap.
@@ -256,13 +257,17 @@ func TestMetricsRecorded(t *testing.T) {
 		{Cfg: cfg, Net: net, Topo: topo, Msize: 4096, Seed: 2, MaxReps: 4},
 	}
 	var got []Measurement
-	opts := Options{MaxReps: 4, MaxTime: 100, SyncJitter: 1e-7, Metrics: met, Workers: 2}
-	if err := Sweep(cells, opts, nil, func(i int, m Measurement) error {
-		if !cells[i].Skip {
-			got = append(got, m)
-		}
-		return nil
-	}); err != nil {
+	opts := Options{MaxReps: 4, MaxTime: 100, SyncJitter: 1e-7, Metrics: met}
+	var err error
+	par.AtProcs(2, func() {
+		err = Sweep(cells, opts, nil, func(i int, m Measurement) error {
+			if !cells[i].Skip {
+				got = append(got, m)
+			}
+			return nil
+		})
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	m1, m2 := got[0], got[1]

@@ -26,18 +26,9 @@ type Cell struct {
 	Skip bool
 }
 
-// workerCount resolves Options.Workers (<= 0 means GOMAXPROCS, as for every
-// worker count in the pipeline).
-func (o Options) workerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Sweep measures every cell and invokes commit exactly once per cell, in
 // cell order, from the calling goroutine. It is par.Run over the cells
-// (DESIGN §10): measurement is sharded across Options.Workers workers, each
+// (DESIGN §10): measurement is sharded across GOMAXPROCS workers, each
 // with its own Runner + Engine since Runners are single-goroutine, and
 // because each cell's noise stream is derived from its content-addressed
 // Seed and all observable effects — commit calls, Options.Metrics
@@ -55,7 +46,7 @@ func (o Options) workerCount() int {
 // before it have been committed; the first error in cell order is returned,
 // exactly as a serial loop would fail.
 func Sweep(cells []Cell, opts Options, stop func() bool, commit func(i int, meas Measurement) error) error {
-	workers := opts.workerCount()
+	workers := runtime.GOMAXPROCS(0)
 	runners := make([]*Runner, workers)
 	var poll func(i int) bool
 	if stop != nil {

@@ -63,16 +63,16 @@ func runSweep(t *testing.T, cells []Cell, opts Options) ([]Measurement, *Metrics
 
 func TestSweepParallelMatchesSerial(t *testing.T) {
 	cells := sweepGrid(t)
-	base := Options{MaxReps: 3, MaxTime: 100, SyncJitter: 1e-7}
+	opts := Options{MaxReps: 3, MaxTime: 100, SyncJitter: 1e-7}
 
-	serialOpts := base
-	serialOpts.Workers = 1
-	want, wantMet := runSweep(t, cells, serialOpts)
+	var (
+		want, got       []Measurement
+		wantMet, gotMet *Metrics
+	)
+	par.AtProcs(1, func() { want, wantMet = runSweep(t, cells, opts) })
 
 	for _, w := range []int{2, 4, 7} {
-		opts := base
-		opts.Workers = w
-		got, gotMet := runSweep(t, cells, opts)
+		par.AtProcs(w, func() { got, gotMet = runSweep(t, cells, opts) })
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d commits, want %d", w, len(got), len(want))
 		}
@@ -109,8 +109,9 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 // publish/commit synchronization.
 func TestSweepMatchesFreshEngineRuns(t *testing.T) {
 	cells := sweepGrid(t)
-	opts := Options{MaxReps: 3, MaxTime: 100, SyncJitter: 1e-7, Workers: 4}
-	got, _ := runSweep(t, cells, opts)
+	opts := Options{MaxReps: 3, MaxTime: 100, SyncJitter: 1e-7}
+	var got []Measurement
+	par.AtProcs(4, func() { got, _ = runSweep(t, cells, opts) })
 	for i, c := range cells {
 		fresh, err := NewRunner(Options{MaxReps: 3, MaxTime: 100, SyncJitter: 1e-7}).
 			Measure(c.Cfg, c.Net, c.Topo, c.Msize, c.Seed, c.MaxReps)
@@ -137,12 +138,17 @@ func TestSweepStopCommitsContiguousPrefix(t *testing.T) {
 			polls++
 			return polls > 3
 		}
-		var committed []int
-		err := Sweep(cells, Options{MaxReps: 3, MaxTime: 100, SyncJitter: 1e-7, Workers: w},
-			stop, func(i int, meas Measurement) error {
-				committed = append(committed, i)
-				return nil
-			})
+		var (
+			committed []int
+			err       error
+		)
+		par.AtProcs(w, func() {
+			err = Sweep(cells, Options{MaxReps: 3, MaxTime: 100, SyncJitter: 1e-7},
+				stop, func(i int, meas Measurement) error {
+					committed = append(committed, i)
+					return nil
+				})
+		})
 		if !errors.Is(err, par.ErrStopped) {
 			t.Fatalf("workers=%d: err = %v, want par.ErrStopped", w, err)
 		}
@@ -174,18 +180,23 @@ func TestSweepSkipCellsNotMeasuredNotPolled(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		polls := 0
 		stop := func() bool { polls++; return false }
-		var commits int
-		err := Sweep(cells, Options{MaxReps: 3, MaxTime: 100, SyncJitter: 1e-7, Workers: w},
-			stop, func(i int, meas Measurement) error {
-				commits++
-				if cells[i].Skip && meas.Reps() != 0 {
-					t.Errorf("workers=%d: skip cell %d was measured", w, i)
-				}
-				if !cells[i].Skip && meas.Reps() == 0 {
-					t.Errorf("workers=%d: fresh cell %d has no reps", w, i)
-				}
-				return nil
-			})
+		var (
+			commits int
+			err     error
+		)
+		par.AtProcs(w, func() {
+			err = Sweep(cells, Options{MaxReps: 3, MaxTime: 100, SyncJitter: 1e-7},
+				stop, func(i int, meas Measurement) error {
+					commits++
+					if cells[i].Skip && meas.Reps() != 0 {
+						t.Errorf("workers=%d: skip cell %d was measured", w, i)
+					}
+					if !cells[i].Skip && meas.Reps() == 0 {
+						t.Errorf("workers=%d: fresh cell %d has no reps", w, i)
+					}
+					return nil
+				})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,15 +213,20 @@ func TestSweepCommitErrorAborts(t *testing.T) {
 	cells := sweepGrid(t)
 	boom := fmt.Errorf("journal full")
 	for _, w := range []int{1, 4} {
-		var commits int
-		err := Sweep(cells, Options{MaxReps: 3, MaxTime: 100, SyncJitter: 1e-7, Workers: w},
-			nil, func(i int, meas Measurement) error {
-				if i == 2 {
-					return boom
-				}
-				commits++
-				return nil
-			})
+		var (
+			commits int
+			err     error
+		)
+		par.AtProcs(w, func() {
+			err = Sweep(cells, Options{MaxReps: 3, MaxTime: 100, SyncJitter: 1e-7},
+				nil, func(i int, meas Measurement) error {
+					if i == 2 {
+						return boom
+					}
+					commits++
+					return nil
+				})
+		})
 		if !errors.Is(err, boom) {
 			t.Fatalf("workers=%d: err = %v, want the commit error", w, err)
 		}

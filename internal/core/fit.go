@@ -27,17 +27,17 @@ import (
 )
 
 // fitConfigs fits s's learner to each of cfgs from the samples of ds on
-// s.TrainNodes, on workers goroutines (<= 0 means GOMAXPROCS), and commits
-// the models into s in the order of cfgs. stage ("fit" for Train, "refit"
-// for Refit) labels quarantine records and errors. A configuration with no
-// training samples fails the call before any fit runs, naming the first
-// such configuration in commit order. A learner panic quarantines its
-// configuration; any other fit error ends the call with the first failure
-// in commit order. On success the union envelope is rebuilt from every
-// per-configuration envelope in selectable order: min/max merging is
-// order-independent, and a refit model's envelope may have shrunk, so it
-// cannot be widened incrementally.
-func (s *Selector) fitConfigs(ds *dataset.Dataset, cfgs []mpilib.Config, workers int, stage string) error {
+// s.TrainNodes, on GOMAXPROCS goroutines, and commits the models into s in
+// the order of cfgs. stage ("fit" for Train, "refit" for Refit) labels
+// quarantine records and errors. A configuration with no training samples
+// fails the call before any fit runs, naming the first such configuration
+// in commit order. A learner panic quarantines its configuration; any other
+// fit error ends the call with the first failure in commit order. On
+// success the union envelope is rebuilt from every per-configuration
+// envelope in selectable order: min/max merging is order-independent, and a
+// refit model's envelope may have shrunk, so it cannot be widened
+// incrementally.
+func (s *Selector) fitConfigs(ds *dataset.Dataset, cfgs []mpilib.Config, stage string) error {
 	inTrain := map[int]bool{}
 	for _, n := range s.TrainNodes {
 		inTrain[n] = true
@@ -63,7 +63,7 @@ func (s *Selector) fitConfigs(ds *dataset.Dataset, cfgs []mpilib.Config, workers
 	}
 
 	fitHist := obs.Default.Histogram("core_fit_seconds", obs.Labels{"learner": s.Learner})
-	err := fitAll(s.Learner, len(cfgs), workers, func(i int) ([][]float64, []float64) {
+	err := fitAll(s.Learner, len(cfgs), func(i int) ([][]float64, []float64) {
 		return xs[cfgs[i].ID], ys[cfgs[i].ID]
 	}, func(i int, res fitResult) error {
 		cfg := cfgs[i]
@@ -107,9 +107,9 @@ type fitResult struct {
 	err  error
 }
 
-// fitAll fits a fresh learner to each of n training sets on workers
-// goroutines (<= 0 means GOMAXPROCS), where data(i) returns set i, and
-// passes each outcome to commit in input order on the caller's goroutine.
+// fitAll fits a fresh learner to each of n training sets on GOMAXPROCS
+// goroutines, where data(i) returns set i, and passes each outcome to
+// commit in input order on the caller's goroutine.
 // A fit error, a learner panic included, is part of the outcome, never a
 // par.Run error: commit decides whether it quarantines the configuration or
 // ends the run, so the first failing configuration in input order is the
@@ -117,10 +117,8 @@ type fitResult struct {
 //
 // The run sets `core_fit_workers` and accumulates
 // `core_fit_worker_busy_seconds{worker=w}` for par.Run's worker w.
-func fitAll(learner string, n, workers int, data func(i int) ([][]float64, []float64), commit func(i int, res fitResult) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func fitAll(learner string, n int, data func(i int) ([][]float64, []float64), commit func(i int, res fitResult) error) error {
+	workers := runtime.GOMAXPROCS(0)
 	obs.Default.Gauge("core_fit_workers", nil).Set(float64(workers))
 	busy := make([]*obs.Gauge, min(workers, n))
 	for w := range busy {

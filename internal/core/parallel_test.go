@@ -10,13 +10,22 @@ import (
 	"testing"
 	"time"
 
+	"mpicollpred/internal/dataset"
 	"mpicollpred/internal/ml"
+	"mpicollpred/internal/mpilib"
+	"mpicollpred/internal/par"
 )
 
+// trainAt is Train run at GOMAXPROCS=procs, the one fit worker count.
+func trainAt(procs int, ds *dataset.Dataset, set *mpilib.CollectiveSet, learner string, trainNodes []int) (sel *Selector, err error) {
+	par.AtProcs(procs, func() { sel, err = Train(ds, set, learner, trainNodes) })
+	return sel, err
+}
+
 // TestTrainParallelBitIdentical is the acceptance test of the parallel
-// fitting path: for every registered learner, a selector trained on 4
-// workers must snapshot to exactly the bytes of one trained on 1 worker
-// (serial) and of one trained by Train at GOMAXPROCS — model state,
+// fitting path: for every registered learner, a selector trained at
+// GOMAXPROCS 4 must snapshot to exactly the bytes of one trained at 1
+// (serial) and of one trained at the caller's GOMAXPROCS — model state,
 // envelopes, and quarantine records are independent of worker count and
 // scheduling.
 func TestTrainParallelBitIdentical(t *testing.T) {
@@ -24,11 +33,11 @@ func TestTrainParallelBitIdentical(t *testing.T) {
 	trainNodes := []int{2, 4, 6}
 
 	for _, learner := range []string{"knn", "gam", "xgboost", "rf", "linear"} {
-		a, err := TrainWorkers(ds, set, learner, trainNodes, 1)
+		a, err := trainAt(1, ds, set, learner, trainNodes)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", learner, err)
 		}
-		b, err := TrainWorkers(ds, set, learner, trainNodes, 4)
+		b, err := trainAt(4, ds, set, learner, trainNodes)
 		if err != nil {
 			t.Fatalf("%s: parallel: %v", learner, err)
 		}
@@ -70,11 +79,11 @@ func TestTrainParallelQuarantineDeterministic(t *testing.T) {
 	ds, set := testDataset(t)
 	trainNodes := []int{2, 4, 6}
 
-	a, err := TrainWorkers(ds, set, "panic-fit-par", trainNodes, 1)
+	a, err := trainAt(1, ds, set, "panic-fit-par", trainNodes)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
-	b, err := TrainWorkers(ds, set, "panic-fit-par", trainNodes, 4)
+	b, err := trainAt(4, ds, set, "panic-fit-par", trainNodes)
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -113,7 +122,7 @@ func TestTrainMatrixSharedPool(t *testing.T) {
 
 	want := make(map[string][]byte, len(learners))
 	for _, learner := range learners {
-		sel, err := TrainWorkers(ds, set, learner, trainNodes, 1)
+		sel, err := trainAt(1, ds, set, learner, trainNodes)
 		if err != nil {
 			t.Fatalf("%s: %v", learner, err)
 		}
@@ -127,26 +136,28 @@ func TestTrainMatrixSharedPool(t *testing.T) {
 	got := make(map[string][]byte, len(learners))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, learner := range learners {
-		wg.Add(1)
-		go func(learner string) {
-			defer wg.Done()
-			sel, err := TrainWorkers(ds, set, learner, trainNodes, 4)
-			if err != nil {
-				t.Errorf("%s: %v", learner, err)
-				return
-			}
-			snap, err := sel.Snapshot(FingerprintFor(ds, learner, trainNodes))
-			if err != nil {
-				t.Errorf("%s: %v", learner, err)
-				return
-			}
-			mu.Lock()
-			got[learner] = snap
-			mu.Unlock()
-		}(learner)
-	}
-	wg.Wait()
+	par.AtProcs(4, func() {
+		for _, learner := range learners {
+			wg.Add(1)
+			go func(learner string) {
+				defer wg.Done()
+				sel, err := Train(ds, set, learner, trainNodes)
+				if err != nil {
+					t.Errorf("%s: %v", learner, err)
+					return
+				}
+				snap, err := sel.Snapshot(FingerprintFor(ds, learner, trainNodes))
+				if err != nil {
+					t.Errorf("%s: %v", learner, err)
+					return
+				}
+				mu.Lock()
+				got[learner] = snap
+				mu.Unlock()
+			}(learner)
+		}
+		wg.Wait()
+	})
 	for _, learner := range learners {
 		if !bytes.Equal(got[learner], want[learner]) {
 			t.Errorf("%s: matrix-trained snapshot differs from serial snapshot", learner)
@@ -207,15 +218,19 @@ func TestFitErrorFirstInConfigOrder(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		want string
-		run  func(workers int) (*Selector, error)
+		run  func() (*Selector, error)
 	}{
 		{"Train", fmt.Sprintf("core: fitting refuse-fit for config %d (%s): %v", early.ID, early.Label(), errFitRefused),
-			func(w int) (*Selector, error) { return TrainWorkers(bad, set, "refuse-fit", trainNodes, w) }},
+			func() (*Selector, error) { return Train(bad, set, "refuse-fit", trainNodes) }},
 		{"Refit", fmt.Sprintf("core: refitting refuse-fit for config %d: %v", early.ID, errFitRefused),
-			func(w int) (*Selector, error) { return Refit(base, bad, set, ids, w) }},
+			func() (*Selector, error) { return Refit(base, bad, set, ids) }},
 	} {
 		for _, workers := range []int{1, 4} {
-			sel, err := c.run(workers)
+			var (
+				sel *Selector
+				err error
+			)
+			par.AtProcs(workers, func() { sel, err = c.run() })
 			if sel != nil || err == nil {
 				t.Fatalf("%s at %d workers: got a selector, want an error", c.name, workers)
 			}

@@ -4,7 +4,7 @@
 // not change and would lose their bit-exact identity. Refit clones a
 // trained selector, refits exactly the listed configurations from the
 // (updated) dataset, and reassembles the guardrail state, with the same
-// worker-count-independence guarantee as TrainWorkers: the candidate's
+// worker-count-independence guarantee as Train: the candidate's
 // snapshot bytes depend only on the inputs, never on worker count or
 // scheduling.
 
@@ -29,12 +29,11 @@ import (
 // base and refits cleanly here rejoins selection; one whose learner panics
 // again is quarantined in the candidate. base itself is never mutated.
 //
-// Determinism: fits fan out on workers goroutines (<= 0 means GOMAXPROCS)
-// but are committed in ascending configuration-id order on this goroutine,
+// Determinism: fits fan out on GOMAXPROCS goroutines but are committed in ascending configuration-id order on this goroutine,
 // and the union envelope is rebuilt by a min/max merge over the portfolio
 // in selectable order — the candidate is bit-identical across worker
 // counts.
-func Refit(base *Selector, ds *dataset.Dataset, set *mpilib.CollectiveSet, configIDs []int, workers int) (*Selector, error) {
+func Refit(base *Selector, ds *dataset.Dataset, set *mpilib.CollectiveSet, configIDs []int) (*Selector, error) {
 	if base == nil {
 		return nil, fmt.Errorf("core: refit: nil base selector")
 	}
@@ -100,7 +99,7 @@ func Refit(base *Selector, ds *dataset.Dataset, set *mpilib.CollectiveSet, confi
 		}
 	}
 
-	if err := cand.fitConfigs(ds, cfgs, workers, "refit"); err != nil {
+	if err := cand.fitConfigs(ds, cfgs, "refit"); err != nil {
 		return nil, err
 	}
 	refit := 0

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mpicollpred/internal/dataset"
+	"mpicollpred/internal/par"
 )
 
 // refitPerturb returns a deep copy of ds with config id's measured times
@@ -31,7 +32,7 @@ func TestRefitReplacesOnlyListedConfigs(t *testing.T) {
 	target := set.Selectable()[0].ID
 	ds2 := refitPerturb(ds, target, 5)
 
-	cand, err := Refit(base, ds2, set, []int{target}, 0)
+	cand, err := Refit(base, ds2, set, []int{target})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,11 @@ func TestRefitDeterministicAcrossPoolSizes(t *testing.T) {
 
 	var snaps [][]byte
 	for _, workers := range []int{1, 4} {
-		cand, err := Refit(base, ds2, set, ids, workers)
+		var (
+			cand *Selector
+			err  error
+		)
+		par.AtProcs(workers, func() { cand, err = Refit(base, ds2, set, ids) })
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
@@ -108,7 +113,7 @@ func TestRefitLeavesBaseUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := set.Selectable()[0].ID
-	if _, err := Refit(base, refitPerturb(ds, target, 5), set, []int{target}, 0); err != nil {
+	if _, err := Refit(base, refitPerturb(ds, target, 5), set, []int{target}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := base.Snapshot(fp)
@@ -126,10 +131,10 @@ func TestRefitRejectsUnknownConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Refit(base, ds, set, []int{99999}, 0); err == nil {
+	if _, err := Refit(base, ds, set, []int{99999}); err == nil {
 		t.Fatalf("refit accepted a configuration outside the portfolio")
 	}
-	if _, err := Refit(base, ds, set, nil, 0); err == nil {
+	if _, err := Refit(base, ds, set, nil); err == nil {
 		t.Fatalf("refit accepted an empty configuration list")
 	}
 }

@@ -96,19 +96,12 @@ type Selector struct {
 // samples of ds whose node count is in trainNodes (the paper's split: train
 // on commonly used node counts, predict the rest). learner is one of
 // ml.Names() ("knn", "gam", "xgboost", ...). Fitting runs on GOMAXPROCS
-// workers and is bit-identical to a serial run.
+// workers, and any count yields the same selector bit for bit, because
+// workers only compute independent per-configuration results and this
+// goroutine commits them in configuration order: model-map and envelope
+// contents, the envelope merge order, FitWall's floating-point accumulation
+// order, and quarantine records never depend on scheduling.
 func Train(ds *dataset.Dataset, set *mpilib.CollectiveSet, learner string, trainNodes []int) (*Selector, error) {
-	return TrainWorkers(ds, set, learner, trainNodes, 0)
-}
-
-// TrainWorkers is Train on an explicit number of fit workers (<= 0 means
-// GOMAXPROCS). One worker reproduces the serial fitting path; any count
-// yields the same selector bit for bit, because workers only compute
-// independent per-configuration results and this goroutine commits them in
-// configuration order: model-map and envelope contents, the envelope merge
-// order, FitWall's floating-point accumulation order, and quarantine
-// records never depend on scheduling.
-func TrainWorkers(ds *dataset.Dataset, set *mpilib.CollectiveSet, learner string, trainNodes []int, workers int) (*Selector, error) {
 	if len(trainNodes) == 0 {
 		return nil, fmt.Errorf("core: no training node counts given")
 	}
@@ -126,7 +119,7 @@ func TrainWorkers(ds *dataset.Dataset, set *mpilib.CollectiveSet, learner string
 	sel.setConfigs(set.Selectable())
 
 	t0 := time.Now()
-	err := sel.fitConfigs(ds, sel.configs, workers, "fit")
+	err := sel.fitConfigs(ds, sel.configs, "fit")
 	obs.Default.Histogram("core_fit_parallel_seconds", obs.Labels{"learner": learner}).
 		Observe(time.Since(t0).Seconds())
 	if err != nil {

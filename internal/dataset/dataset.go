@@ -201,7 +201,7 @@ type sampleKey struct {
 //
 // The grid is enumerated in the canonical nodes → ppn → msize → config order
 // into a flat cell list, then measured by bench.Sweep across
-// opts.Workers workers. Sweep commits results in cell order from this
+// GOMAXPROCS workers. Sweep commits results in cell order from this
 // goroutine, so samples, journal appends, metrics accounting and progress
 // callbacks are byte-for-byte those of a serial loop at any worker count.
 func generate(spec Spec, opts bench.Options, progress func(done, total int), ctl genControl) (*Dataset, error) {

@@ -27,10 +27,10 @@ const journalMagic = "#journal-v1"
 // carries the same fingerprint — resuming a clean run from a fault-injected
 // journal (or vice versa) silently degenerates into a fresh run.
 //
-// Options.Workers is deliberately absent: the worker count shards the sweep
-// but never changes a measured value (seeds are content-derived and commits
-// are cell-ordered), so a journal written at one worker count must resume at
-// any other. TestJournalIdentityIgnoresWorkers pins this down.
+// The worker count (GOMAXPROCS) is not an option and not part of it: it
+// shards the sweep but never changes a measured value (seeds are
+// content-derived and commits are cell-ordered), so a journal written at one
+// worker count resumes at any other.
 func journalIdentity(spec Spec, opts bench.Options) string {
 	faults := ""
 	if opts.Faults != nil {

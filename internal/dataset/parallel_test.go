@@ -8,6 +8,7 @@ import (
 
 	"mpicollpred/internal/bench"
 	"mpicollpred/internal/obs"
+	"mpicollpred/internal/par"
 )
 
 // TestGenerateParallelByteIdentical is the tentpole guarantee: the worker
@@ -16,18 +17,19 @@ import (
 // follow commit order, which is grid order at any worker count.
 func TestGenerateParallelByteIdentical(t *testing.T) {
 	spec := tinySpec(t, "d2")
-	mkOpts := func(workers int) (bench.Options, *bench.Metrics) {
-		met := bench.NewMetrics(obs.NewRegistry(), obs.Labels{"dataset": "par-test"})
-		return bench.Options{MaxReps: 2, SyncJitter: 1e-7, Workers: workers, Metrics: met}, met
+	generate := func(procs int) (ds *Dataset, met *bench.Metrics, err error) {
+		met = bench.NewMetrics(obs.NewRegistry(), obs.Labels{"dataset": "par-test"})
+		par.AtProcs(procs, func() {
+			ds, err = Generate(spec, bench.Options{MaxReps: 2, SyncJitter: 1e-7, Metrics: met}, nil)
+		})
+		return ds, met, err
 	}
-	serialOpts, serialMet := mkOpts(1)
-	want, err := Generate(spec, serialOpts, nil)
+	want, serialMet, err := generate(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 8} {
-		opts, met := mkOpts(w)
-		got, err := Generate(spec, opts, nil)
+		got, met, err := generate(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,10 +52,15 @@ func TestGenerateParallelByteIdentical(t *testing.T) {
 // instance boundaries in grid order, independent of worker count.
 func TestGenerateParallelProgressMatchesSerial(t *testing.T) {
 	spec := tinySpec(t, "d1")
-	run := func(workers int) [][2]int {
-		var calls [][2]int
-		_, err := Generate(spec, bench.Options{MaxReps: 1, Workers: workers},
-			func(done, total int) { calls = append(calls, [2]int{done, total}) })
+	run := func(procs int) [][2]int {
+		var (
+			calls [][2]int
+			err   error
+		)
+		par.AtProcs(procs, func() {
+			_, err = Generate(spec, bench.Options{MaxReps: 1},
+				func(done, total int) { calls = append(calls, [2]int{done, total}) })
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,21 +81,14 @@ func TestGenerateParallelProgressMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestJournalIdentityIgnoresWorkers guards the resume contract: a journal
-// written at one worker count must resume at any other, so Workers must not
-// leak into the identity fingerprint — while every option that perturbs
-// timings must.
+// TestJournalIdentityIgnoresWorkers guards the resume contract: every
+// option that perturbs timings must change the identity fingerprint. The
+// worker count is GOMAXPROCS, not an option, so it cannot leak into it (the
+// resume tests below cross worker counts).
 func TestJournalIdentityIgnoresWorkers(t *testing.T) {
 	spec := tinySpec(t, "d1")
 	base := bench.Options{MaxReps: 2, SyncJitter: 1e-7}
 	id := journalIdentity(spec, base)
-	for _, w := range []int{0, 1, 4, 64} {
-		opts := base
-		opts.Workers = w
-		if got := journalIdentity(spec, opts); got != id {
-			t.Errorf("workers=%d changed the journal identity:\n%s\nvs\n%s", w, got, id)
-		}
-	}
 	changed := base
 	changed.MaxReps = 3
 	if journalIdentity(spec, changed) == id {
@@ -102,21 +102,25 @@ func TestJournalIdentityIgnoresWorkers(t *testing.T) {
 // an uninterrupted serial run.
 func TestParallelInterruptResumeByteIdentical(t *testing.T) {
 	spec := tinySpec(t, "d3")
-	opts := bench.Options{MaxReps: 2, SyncJitter: 1e-7, Workers: 1}
-	want, err := Generate(spec, opts, nil)
+	opts := bench.Options{MaxReps: 2, SyncJitter: 1e-7}
+	var (
+		want *Dataset
+		err  error
+	)
+	par.AtProcs(1, func() { want, err = Generate(spec, opts, nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, resumeWorkers := range []int{1, 4} {
 		journalPath := filepath.Join(t.TempDir(), "d3.journal")
-		par := opts
-		par.Workers = 4
 		polls := 0
-		_, err = GenerateResumable(spec, par, journalPath, false, func() bool {
-			polls++
-			return polls > 5
-		}, nil)
+		par.AtProcs(4, func() {
+			_, err = GenerateResumable(spec, opts, journalPath, false, func() bool {
+				polls++
+				return polls > 5
+			}, nil)
+		})
 		if !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("want ErrInterrupted, got %v", err)
 		}
@@ -129,9 +133,8 @@ func TestParallelInterruptResumeByteIdentical(t *testing.T) {
 				len(recorded), len(want.Samples))
 		}
 
-		res := opts
-		res.Workers = resumeWorkers
-		got, err := GenerateResumable(spec, res, journalPath, true, nil, nil)
+		var got *Dataset
+		par.AtProcs(resumeWorkers, func() { got, err = GenerateResumable(spec, opts, journalPath, true, nil, nil) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,13 +153,16 @@ func TestParallelInterruptResumeByteIdentical(t *testing.T) {
 // readers can trust the journal as a prefix checkpoint.
 func TestParallelJournalIsContiguousPrefix(t *testing.T) {
 	spec := tinySpec(t, "d2")
-	opts := bench.Options{MaxReps: 2, SyncJitter: 1e-7, Workers: 4}
+	opts := bench.Options{MaxReps: 2, SyncJitter: 1e-7}
 	journalPath := filepath.Join(t.TempDir(), "d2.journal")
 	polls := 0
-	_, err := GenerateResumable(spec, opts, journalPath, false, func() bool {
-		polls++
-		return polls > 4
-	}, nil)
+	var err error
+	par.AtProcs(4, func() {
+		_, err = GenerateResumable(spec, opts, journalPath, false, func() bool {
+			polls++
+			return polls > 4
+		}, nil)
+	})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
 	}
@@ -166,7 +172,8 @@ func TestParallelJournalIsContiguousPrefix(t *testing.T) {
 	}
 	// Re-enumerate the grid in generation order and demand the journal be a
 	// prefix of it.
-	full, err := Generate(spec, bench.Options{MaxReps: 2, SyncJitter: 1e-7, Workers: 1}, nil)
+	var full *Dataset
+	par.AtProcs(1, func() { full, err = Generate(spec, opts, nil) })
 	if err != nil {
 		t.Fatal(err)
 	}

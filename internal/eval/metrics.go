@@ -7,7 +7,6 @@ import (
 
 	"mpicollpred/internal/core"
 	"mpicollpred/internal/dataset"
-	"mpicollpred/internal/mpilib"
 	"mpicollpred/internal/sim"
 )
 
@@ -25,7 +24,7 @@ type ModelErrors struct {
 
 // ModelError computes prediction-error metrics of a trained selector's
 // models over every (config, test instance) pair with a measurement.
-func ModelError(ds *dataset.Dataset, set *mpilib.CollectiveSet, sel *core.Selector, testNodes []int) (ModelErrors, error) {
+func ModelError(ds *dataset.Dataset, sel *core.Selector, testNodes []int) (ModelErrors, error) {
 	me := modelErrors(ds, sel, ds.InstancesOn(testNodes), nil)
 	if me.N == 0 {
 		return me, fmt.Errorf("eval: no test measurements for nodes %v", testNodes)
@@ -84,7 +83,7 @@ func FeatureNames() []string { return []string{"log2(msize)", "nodes", "ppn", "l
 
 // PermutationImportance evaluates the models with each feature permuted by a
 // seeded shuffle across the test instances.
-func PermutationImportance(ds *dataset.Dataset, set *mpilib.CollectiveSet, sel *core.Selector, testNodes []int) ([]FeatureImportance, error) {
+func PermutationImportance(ds *dataset.Dataset, sel *core.Selector, testNodes []int) ([]FeatureImportance, error) {
 	insts := ds.InstancesOn(testNodes)
 	if len(insts) < 2 {
 		return nil, fmt.Errorf("eval: not enough test instances")

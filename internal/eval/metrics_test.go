@@ -12,7 +12,7 @@ func TestModelErrorMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	me, err := ModelError(ds, set, sel, []int{3, 5})
+	me, err := ModelError(ds, sel, []int{3, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestModelErrorMetrics(t *testing.T) {
 	if me.MAPE > 1.0 {
 		t.Errorf("MAPE %.2f implausibly high", me.MAPE)
 	}
-	if _, err := ModelError(ds, set, sel, []int{99}); err == nil {
+	if _, err := ModelError(ds, sel, []int{99}); err == nil {
 		t.Error("expected error for empty test set")
 	}
 }
@@ -38,7 +38,7 @@ func TestPermutationImportanceRanksMsizeHigh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp, err := PermutationImportance(ds, set, sel, []int{3, 5})
+	imp, err := PermutationImportance(ds, sel, []int{3, 5})
 	if err != nil {
 		t.Fatal(err)
 	}

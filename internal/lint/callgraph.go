@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -86,18 +87,14 @@ func newGraph() *Graph {
 	}
 }
 
-// BuildGraph constructs and finalizes the call graph over pkgs. Per-package
-// construction is independent; the merge and the effect fixed point are
-// deterministic regardless of build order.
-func BuildGraph(pkgs []*Package) *Graph { return BuildGraphWorkers(pkgs, 1) }
-
-// BuildGraphWorkers builds per-package subgraphs on a bounded worker pool,
-// merges them in package order (deterministic) as par.Run commits them, and
-// runs the effect fixed point.
-func BuildGraphWorkers(pkgs []*Package, workers int) *Graph {
+// BuildGraph constructs and finalizes the call graph over pkgs: it builds
+// per-package subgraphs on GOMAXPROCS workers, merges them in package order
+// as par.Run commits them, and runs the effect fixed point, so the graph
+// does not depend on the worker count.
+func BuildGraph(pkgs []*Package) *Graph {
 	g := newGraph()
 	// Neither the build nor the merge can fail.
-	_ = par.Run(len(pkgs), workers, nil,
+	_ = par.Run(len(pkgs), runtime.GOMAXPROCS(0), nil,
 		func(_, i int) (*Graph, error) { return buildPkgGraph(pkgs[i]), nil },
 		func(_ int, pg *Graph) error {
 			g.merge(pg)

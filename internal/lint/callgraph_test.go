@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mpicollpred/internal/par"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from current output")
@@ -77,7 +79,7 @@ func TestCallGraphEffects(t *testing.T) {
 	}
 }
 
-// TestGraphDumpDeterministic builds the graph twice — serial and parallel —
+// TestGraphDumpDeterministic builds the graph twice — at GOMAXPROCS 1 and 4 —
 // and requires byte-identical dumps: the graph is the substrate every
 // analyzer's determinism rests on.
 func TestGraphDumpDeterministic(t *testing.T) {
@@ -86,8 +88,8 @@ func TestGraphDumpDeterministic(t *testing.T) {
 		t.Fatalf("loading callgraph fixture: %v", err)
 	}
 	var a, b bytes.Buffer
-	BuildGraphWorkers(pkgs, 1).Dump(&a, pkgs[0].ImportPath)
-	BuildGraphWorkers(pkgs, 4).Dump(&b, pkgs[0].ImportPath)
+	par.AtProcs(1, func() { BuildGraph(pkgs).Dump(&a, pkgs[0].ImportPath) })
+	par.AtProcs(4, func() { BuildGraph(pkgs).Dump(&b, pkgs[0].ImportPath) })
 	if a.String() != b.String() {
 		t.Errorf("serial and parallel graph dumps differ:\n--- serial ---\n%s\n--- parallel ---\n%s", a.String(), b.String())
 	}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"mpicollpred/internal/par"
 )
@@ -45,10 +44,6 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return ExitError
 	}
-	// Packages load and analyze on GOMAXPROCS workers; the output does not
-	// depend on the count.
-	workers := runtime.GOMAXPROCS(0)
-
 	analyzers := DefaultAnalyzers()
 	if *listOnly {
 		for _, a := range analyzers {
@@ -63,7 +58,7 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return ExitError
 		}
-		rep, err := par.SelfCheck(*benchout, "mpicollvet", workers, l.benchLeg(analyzers))
+		rep, err := par.SelfCheck(*benchout, "mpicollvet", l.benchLeg(analyzers))
 		if err != nil {
 			fmt.Fprintf(stderr, "mpicollvet: %v\n", err)
 			return ExitError
@@ -72,13 +67,15 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 		return ExitClean
 	}
 
-	pkgs, err := LoadWorkers(*dir, fs.Args(), workers)
+	// Packages load and analyze on GOMAXPROCS workers; the output does not
+	// depend on the count.
+	pkgs, err := Load(*dir, fs.Args())
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return ExitError
 	}
 
-	runner := &Runner{Analyzers: analyzers, Workers: workers}
+	runner := &Runner{Analyzers: analyzers}
 	findings := runner.Run(pkgs)
 	relativize(findings)
 
@@ -130,15 +127,15 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 }
 
 // benchLeg is the -benchout self-check's leg: load and analyze the listed
-// packages on w workers, with the findings text as the output. The one
-// `go list` stays outside the timed legs.
-func (l *listing) benchLeg(analyzers []*Analyzer) func(w int) ([]byte, any, error) {
-	return func(w int) ([]byte, any, error) {
-		pkgs, err := l.load(w)
+// packages, with the findings text as the output. The one `go list` stays
+// outside the timed legs.
+func (l *listing) benchLeg(analyzers []*Analyzer) func() ([]byte, any, error) {
+	return func() ([]byte, any, error) {
+		pkgs, err := l.load()
 		if err != nil {
 			return nil, nil, err
 		}
-		findings := (&Runner{Analyzers: analyzers, Workers: w}).Run(pkgs)
+		findings := (&Runner{Analyzers: analyzers}).Run(pkgs)
 		var text bytes.Buffer
 		for _, f := range findings {
 			fmt.Fprintln(&text, f)

@@ -24,6 +24,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"runtime"
 	"sort"
 	"strings"
 
@@ -145,23 +146,20 @@ func collectSuppressions(fset *token.FileSet, files []*ast.File, known map[strin
 // Runner applies a fixed suite of analyzers to loaded packages.
 type Runner struct {
 	Analyzers []*Analyzer
-	// Workers is the number of packages analyzed concurrently; values <= 1
-	// run serially. Output is byte-identical at any worker count: findings
-	// commit into a per-package slot indexed by load order and are then
-	// canonically sorted and deduplicated.
-	Workers int
 }
 
 // Run builds the call graph over all packages, analyzes every package, and
 // returns the surviving findings in canonical order: sorted by (file, line,
-// column, analyzer, message) with exact duplicates collapsed. Findings on a
+// column, analyzer, message) with exact duplicates collapsed. Packages are
+// analyzed on GOMAXPROCS workers; the output is byte-identical at any
+// count, because findings commit in load order before the sort. Findings on a
 // line carrying (or directly below) a matching ignore directive are dropped.
 func (r *Runner) Run(pkgs []*Package) []Finding {
 	known := map[string]bool{}
 	for _, a := range r.Analyzers {
 		known[a.Name] = true
 	}
-	graph := BuildGraphWorkers(pkgs, r.Workers)
+	graph := BuildGraph(pkgs)
 	var out []Finding
 	analyze := func(_, i int) ([]Finding, error) {
 		pkg := pkgs[i]
@@ -190,7 +188,7 @@ func (r *Runner) Run(pkgs []*Package) []Finding {
 		return kept, nil
 	}
 	// Neither analyze nor the commit can fail.
-	_ = par.Run(len(pkgs), r.Workers, nil, analyze, func(_ int, fs []Finding) error {
+	_ = par.Run(len(pkgs), runtime.GOMAXPROCS(0), nil, analyze, func(_ int, fs []Finding) error {
 		out = append(out, fs...)
 		return nil
 	})

@@ -96,7 +96,7 @@ func list(dir string, patterns []string) (*listing, error) {
 }
 
 // load parses and type-checks every listed target from source, with up to
-// workers packages in flight at once. The token.FileSet is shared (it locks
+// GOMAXPROCS packages in flight at once. The token.FileSet is shared (it locks
 // internally); each worker owns its importer and types.Config, because the
 // gc importer's cache is not safe for concurrent use. Resulting *types*
 // object identities therefore differ between worker universes for the same
@@ -104,10 +104,8 @@ func list(dir string, patterns []string) (*listing, error) {
 // FullName strings rather than object pointers. Package order and any error
 // reported are independent of scheduling: par.Run commits in load order and
 // the first error by index wins.
-func (l *listing) load(workers int) ([]*Package, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+func (l *listing) load() ([]*Package, error) {
+	workers := runtime.GOMAXPROCS(0)
 	fset := token.NewFileSet()
 	lookup := func(path string) (io.ReadCloser, error) {
 		exp, ok := l.exports[path]
@@ -175,15 +173,9 @@ func loadOne(fset *token.FileSet, conf *types.Config, t listedPackage) (*Package
 // GOPATH-era package layout and no dependency beyond the go toolchain
 // itself.
 func Load(dir string, patterns []string) ([]*Package, error) {
-	return LoadWorkers(dir, patterns, 0)
-}
-
-// LoadWorkers is Load with an explicit parallelism bound; workers <= 0 means
-// GOMAXPROCS.
-func LoadWorkers(dir string, patterns []string, workers int) ([]*Package, error) {
 	l, err := list(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	return l.load(workers)
+	return l.load()
 }

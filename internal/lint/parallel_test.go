@@ -3,18 +3,10 @@ package lint
 import (
 	"encoding/json"
 	"os"
-	"runtime"
 	"testing"
 
 	"mpicollpred/internal/par"
 )
-
-// setGOMAXPROCS sets GOMAXPROCS, which sizes the CLI's worker count, until
-// the test ends. No test here runs in parallel, so the change is safe.
-func setGOMAXPROCS(t *testing.T, n int) {
-	prev := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
 
 // TestParallelOutputByteIdentical is the ordering contract with teeth: the
 // concurrent runner must produce output indistinguishable from the serial
@@ -26,17 +18,22 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		t.Skip("skipping multi-package analysis in -short mode")
 	}
 	run := func(workers int) (int, string) {
-		setGOMAXPROCS(t, workers)
-		code, out, errb := runCLI("-json",
-			"./testdata/src/driver/...",
-			"./testdata/src/lockscope/...",
-			"./testdata/src/goleak/...",
-			"./testdata/src/waitgroup/...",
-			"./testdata/src/atomicmix/...",
-			"./testdata/src/ctxflow/...",
-			"./testdata/src/floateq/...",
-			"./testdata/src/seededrand/...",
+		var (
+			code      int
+			out, errb string
 		)
+		par.AtProcs(workers, func() {
+			code, out, errb = runCLI("-json",
+				"./testdata/src/driver/...",
+				"./testdata/src/lockscope/...",
+				"./testdata/src/goleak/...",
+				"./testdata/src/waitgroup/...",
+				"./testdata/src/atomicmix/...",
+				"./testdata/src/ctxflow/...",
+				"./testdata/src/floateq/...",
+				"./testdata/src/seededrand/...",
+			)
+		})
 		if code != ExitFindings {
 			t.Fatalf("workers=%d exit = %d, want %d\nstderr:\n%s", workers, code, ExitFindings, errb)
 		}
@@ -60,8 +57,11 @@ func TestBenchMode(t *testing.T) {
 		t.Skip("skipping bench harness in -short mode")
 	}
 	path := t.TempDir() + "/bench.json"
-	setGOMAXPROCS(t, 2)
-	code, _, errb := runCLI("-benchout", path, "./testdata/src/driver/...")
+	var (
+		code int
+		errb string
+	)
+	par.AtProcs(2, func() { code, _, errb = runCLI("-benchout", path, "./testdata/src/driver/...") })
 	if code != ExitClean {
 		t.Fatalf("bench exit = %d, want %d\nstderr:\n%s", code, ExitClean, errb)
 	}

@@ -37,10 +37,8 @@ func exhaustiveArgmin(cfgs []Config, prm netmodel.Params, topo netmodel.Topology
 
 // withProcs runs f at each GOMAXPROCS setting, restoring the original.
 func withProcs(t *testing.T, f func(t *testing.T)) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		f(t)
+		par.AtProcs(procs, func() { f(t) })
 	}
 }
 

@@ -35,28 +35,40 @@ func (r Report) String() string {
 		r.Serial.Seconds, r.Parallel.Seconds, r.Workers, r.Speedup, r.Identical)
 }
 
-// SelfCheck proves Run's promise for one tool: it calls leg(1), then
-// leg(workers) (workers <= 0: GOMAXPROCS), times each call, byte-compares
-// the two outputs and writes the Report to path as indented JSON. It returns
-// an error if a leg fails or the outputs differ; the report is written in
-// the second case too. The serial leg runs first, so any cache warm-up
-// favours the parallel leg and biases the result against the speedup.
-func SelfCheck(path, tool string, workers int, leg func(workers int) (out []byte, detail any, err error)) (Report, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// AtProcs calls f with GOMAXPROCS set to procs and restores the previous
+// setting when f returns or panics. GOMAXPROCS is the pipeline's one worker
+// count, so this is how a caller runs work serially (procs = 1) or at a
+// chosen parallelism. It changes a process-wide setting: callers must not
+// overlap.
+func AtProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// SelfCheck proves Run's promise for one tool: it calls leg at GOMAXPROCS=1,
+// then at the caller's GOMAXPROCS, times each call, byte-compares the two
+// outputs and writes the Report to path as indented JSON. It returns an
+// error if a leg fails or the outputs differ; the report is written in the
+// second case too. GOMAXPROCS is back at the caller's value on every return.
+// The serial leg runs first, so any cache warm-up favours the parallel leg
+// and biases the result against the speedup.
+func SelfCheck(path, tool string, leg func() (out []byte, detail any, err error)) (Report, error) {
+	workers := runtime.GOMAXPROCS(0)
 	var (
 		legs [2]LegTime
 		outs [2][]byte
 	)
 	for i, w := range [2]int{1, workers} {
+		var (
+			detail any
+			err    error
+		)
 		start := time.Now()
-		out, detail, err := leg(w)
+		AtProcs(w, func() { outs[i], detail, err = leg() })
 		if err != nil {
 			return Report{}, fmt.Errorf("self-check, %d-worker leg: %w", w, err)
 		}
 		legs[i] = LegTime{Seconds: time.Since(start).Seconds(), Detail: detail}
-		outs[i] = out
 	}
 	rep := Report{
 		Tool:      tool,

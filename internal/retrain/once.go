@@ -34,8 +34,6 @@ type OnceOptions struct {
 	Drift *fault.Plan
 	// Reps is the simulated repetitions per measurement (default 2).
 	Reps int
-	// FitWorkers is the number of refit goroutines (<= 0 means GOMAXPROCS).
-	FitWorkers int
 	// MaxCells bounds the swept instance cells (default 32).
 	MaxCells int
 }
@@ -87,7 +85,7 @@ func Once(opts OnceOptions) (*OnceReport, error) {
 		return nil, fmt.Errorf("retrain: audit log has no predicted decisions for model %q", model)
 	}
 
-	rt := newRetrainer(opts.CacheDir, opts.OutDir, opts.Scale, opts.Reps, opts.FitWorkers)
+	rt := newRetrainer(opts.CacheDir, opts.OutDir, opts.Scale, opts.Reps)
 	cand, err := rt.cycle(model, opts.SnapshotPath, cells, opts.Drift)
 	if err != nil {
 		return nil, err

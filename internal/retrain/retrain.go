@@ -61,9 +61,6 @@ type Options struct {
 	Scale dataset.Scale
 	// Reps is the simulated repetitions per observation (default 2).
 	Reps int
-	// FitWorkers is the number of goroutines refits run on (<= 0 means
-	// GOMAXPROCS).
-	FitWorkers int
 	// Detector tunes drift declaration.
 	Detector DetectorOptions
 	// MaxCells bounds the observed-cell set swept per model per cycle
@@ -169,7 +166,7 @@ func New(opts Options) (*Loop, error) {
 		state:   StateObserving,
 		det:     newDetector(opts.Detector),
 		obsr:    newObserver(opts.Reps, opts.Drift),
-		rt:      newRetrainer(opts.CacheDir, opts.OutDir, opts.Scale, opts.Reps, opts.FitWorkers),
+		rt:      newRetrainer(opts.CacheDir, opts.OutDir, opts.Scale, opts.Reps),
 		cells:   map[string]map[cell]struct{}{},
 		dropped: map[string]int{},
 		maxGen:  map[string]uint64{},

@@ -12,6 +12,7 @@ import (
 	"mpicollpred/internal/core"
 	"mpicollpred/internal/dataset"
 	"mpicollpred/internal/fault"
+	"mpicollpred/internal/par"
 )
 
 // trainBase trains a smoke-scale d1 gam selector and saves it as a
@@ -100,9 +101,12 @@ func TestOnceDeterministicAcrossFitWorkers(t *testing.T) {
 		if err := os.MkdirAll(outDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Once(OnceOptions{
-			SnapshotPath: basePath, AuditPath: logPath, OutDir: outDir,
-			CacheDir: cacheDir, Drift: plan, FitWorkers: workers,
+		var rep *OnceReport
+		par.AtProcs(workers, func() {
+			rep, err = Once(OnceOptions{
+				SnapshotPath: basePath, AuditPath: logPath, OutDir: outDir,
+				CacheDir: cacheDir, Drift: plan,
+			})
 		})
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)

@@ -95,14 +95,13 @@ type retrainer struct {
 	outDir   string
 	scale    dataset.Scale
 	reps     int
-	workers  int // fit workers; <= 0 means GOMAXPROCS
 	// datasets caches the working copy per dataset name; upserts accumulate
 	// across cycles so later candidates keep earlier corrections.
 	datasets map[string]*dataset.Dataset
 	seq      map[string]int // candidate sequence per model name
 }
 
-func newRetrainer(cacheDir, outDir string, scale dataset.Scale, reps, workers int) *retrainer {
+func newRetrainer(cacheDir, outDir string, scale dataset.Scale, reps int) *retrainer {
 	if scale == "" {
 		scale = dataset.ScaleSmoke
 	}
@@ -110,7 +109,7 @@ func newRetrainer(cacheDir, outDir string, scale dataset.Scale, reps, workers in
 		reps = 2
 	}
 	return &retrainer{cacheDir: cacheDir, outDir: outDir, scale: scale, reps: reps,
-		workers: workers, datasets: map[string]*dataset.Dataset{}, seq: map[string]int{}}
+		datasets: map[string]*dataset.Dataset{}, seq: map[string]int{}}
 }
 
 // dataset returns the working dataset for a fingerprint, loading (or
@@ -208,7 +207,7 @@ func (rt *retrainer) cycle(model, basePath string, cells []cell, plan *fault.Pla
 	}
 	sort.Ints(ids)
 	cand.RefitConfigs = len(ids)
-	next, err := core.Refit(base, ds, set, ids, rt.workers)
+	next, err := core.Refit(base, ds, set, ids)
 	if err != nil {
 		return nil, err
 	}

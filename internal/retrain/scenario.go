@@ -3,9 +3,9 @@
 // detector ok). Phase B shifts the machine's constants via a fault plan —
 // the detector must declare drift and the loop must retrain and deploy.
 // Phase C keeps serving on the shifted machine with the retrained model —
-// the detector must settle back to ok. The scenario runs once per fit
-// worker count and asserts the candidate snapshots are byte-identical,
-// which is the experiment behind BENCH_retrain.json and
+// the detector must settle back to ok. The scenario runs once per
+// GOMAXPROCS setting in scenarioProcs and asserts the candidate snapshots
+// are byte-identical, which is the experiment behind BENCH_retrain.json and
 // results/drift_recovery.txt.
 
 package retrain
@@ -23,6 +23,7 @@ import (
 	"mpicollpred/internal/core"
 	"mpicollpred/internal/dataset"
 	"mpicollpred/internal/fault"
+	"mpicollpred/internal/par"
 	"mpicollpred/internal/sim"
 	"mpicollpred/internal/tablefmt"
 )
@@ -49,9 +50,6 @@ type ScenarioOptions struct {
 	PhaseRecords int
 	// Seed keys the served instance sequence.
 	Seed uint64
-	// FitWorkers are the worker counts the scenario cross-checks for
-	// byte-identical candidates (default 1 and 4).
-	FitWorkers []int
 	// Detector overrides the loop's drift thresholds (zero = loop
 	// defaults).
 	Detector DetectorOptions
@@ -81,9 +79,6 @@ func (o *ScenarioOptions) defaults() error {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if len(o.FitWorkers) == 0 {
-		o.FitWorkers = []int{1, 4}
 	}
 	return nil
 }
@@ -147,8 +142,12 @@ func (r *scenarioReloader) ReloadPaths(paths []string) error {
 	return nil
 }
 
-// RunScenario executes the drift-recovery scenario once per fit worker count
-// and cross-checks the runs.
+// scenarioProcs are the GOMAXPROCS settings, and so the fit worker counts,
+// the scenario's passes run at.
+var scenarioProcs = []int{1, 4}
+
+// RunScenario executes the drift-recovery scenario once per setting in
+// scenarioProcs and cross-checks the runs.
 func RunScenario(opts ScenarioOptions) (*ScenarioReport, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
@@ -160,17 +159,23 @@ func RunScenario(opts ScenarioOptions) (*ScenarioReport, error) {
 
 	var rep *ScenarioReport
 	var candBytes [][]byte
-	for _, workers := range opts.FitWorkers {
-		passRep, cand, err := runScenarioPass(opts, plan, workers)
+	for _, procs := range scenarioProcs {
+		var (
+			passRep *ScenarioReport
+			cand    []byte
+		)
+		par.AtProcs(procs, func() {
+			passRep, cand, err = runScenarioPass(opts, plan, filepath.Join(opts.WorkDir, fmt.Sprintf("w%d", procs)))
+		})
 		if err != nil {
-			return nil, fmt.Errorf("retrain: scenario with %d fit workers: %w", workers, err)
+			return nil, fmt.Errorf("retrain: scenario with %d fit workers: %w", procs, err)
 		}
 		candBytes = append(candBytes, cand)
 		if rep == nil {
 			rep = passRep
 		}
 	}
-	rep.FitWorkers = opts.FitWorkers
+	rep.FitWorkers = append([]int(nil), scenarioProcs...)
 	rep.Deterministic = true
 	for _, b := range candBytes[1:] {
 		if !bytes.Equal(candBytes[0], b) {
@@ -181,10 +186,9 @@ func RunScenario(opts ScenarioOptions) (*ScenarioReport, error) {
 	return rep, nil
 }
 
-// runScenarioPass runs the three phases at one fit worker count and returns the
-// report plus the candidate snapshot's bytes.
-func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, workers int) (*ScenarioReport, []byte, error) {
-	dir := filepath.Join(opts.WorkDir, fmt.Sprintf("w%d", workers))
+// runScenarioPass runs the three phases in dir and returns the report plus
+// the candidate snapshot's bytes.
+func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, dir string) (*ScenarioReport, []byte, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
@@ -200,7 +204,7 @@ func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, workers int) (*Scen
 	if err != nil {
 		return nil, nil, err
 	}
-	sel, err := core.TrainWorkers(ds, set, opts.Learner, opts.TrainNodes, workers)
+	sel, err := core.Train(ds, set, opts.Learner, opts.TrainNodes)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -212,12 +216,11 @@ func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, workers int) (*Scen
 
 	rel := &scenarioReloader{paths: []string{basePath}, gen: 1, sel: sel}
 	loop, err := New(Options{
-		Reloader:   rel,
-		OutDir:     dir,
-		CacheDir:   opts.CacheDir,
-		Scale:      opts.Scale,
-		FitWorkers: workers,
-		Detector:   opts.Detector,
+		Reloader: rel,
+		OutDir:   dir,
+		CacheDir: opts.CacheDir,
+		Scale:    opts.Scale,
+		Detector: opts.Detector,
 		// Loop behavior never reads the clock; pin it so even the unused
 		// default seam stays out of the scenario.
 		Clock: func() time.Time { return time.UnixMicro(1) },

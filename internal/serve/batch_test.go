@@ -5,24 +5,18 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"mpicollpred/internal/par"
 )
 
-// setProcs sets GOMAXPROCS, and so the goroutines one batch fans out on,
-// to n until the test ends.
-func setProcs(t *testing.T, n int) {
+// batchServer builds a server with models installed. A batch fans out on
+// GOMAXPROCS goroutines, so the tests choose the worker count with
+// par.AtProcs around the requests.
+func batchServer(t *testing.T, models ...*Model) *Server {
 	t.Helper()
-	prev := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
-// batchServer builds a server answering batches on workers goroutines.
-func batchServer(t *testing.T, workers int, models ...*Model) *Server {
-	t.Helper()
-	setProcs(t, workers)
 	s, err := New(Options{CacheSize: 4096, CacheShards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +34,7 @@ func batchServer(t *testing.T, workers int, models ...*Model) *Server {
 func TestBatchOrderingUnderConcurrency(t *testing.T) {
 	_, knn, _ := testModels(t)
 	for _, workers := range []int{1, 4, 16} {
-		s := batchServer(t, workers, knn)
+		s := batchServer(t, knn)
 		req := BatchRequest{Instances: make([]InstanceRequest, 400)}
 		for i := range req.Instances {
 			if i%7 == 3 {
@@ -53,7 +47,7 @@ func TestBatchOrderingUnderConcurrency(t *testing.T) {
 			}
 		}
 		var resp BatchResponse
-		postJSON(t, s.Handler(), "/v1/batch", req, http.StatusOK, &resp)
+		par.AtProcs(workers, func() { postJSON(t, s.Handler(), "/v1/batch", req, http.StatusOK, &resp) })
 		if len(resp.Results) != len(req.Instances) {
 			t.Fatalf("workers=%d: %d results for %d instances", workers, len(resp.Results), len(req.Instances))
 		}
@@ -77,13 +71,13 @@ func TestBatchOrderingUnderConcurrency(t *testing.T) {
 // one-at-a-time /v1/select decisions for the same instances.
 func TestBatchMatchesSelect(t *testing.T) {
 	_, knn, _ := testModels(t)
-	s := batchServer(t, 8, knn)
+	s := batchServer(t, knn)
 	req := BatchRequest{Instances: make([]InstanceRequest, 48)}
 	for i := range req.Instances {
 		req.Instances[i] = InstanceRequest{Nodes: 2 + i%4, PPN: 1 + i%2, Msize: int64(16 << (i % 5))}
 	}
 	var resp BatchResponse
-	postJSON(t, s.Handler(), "/v1/batch", req, http.StatusOK, &resp)
+	par.AtProcs(8, func() { postJSON(t, s.Handler(), "/v1/batch", req, http.StatusOK, &resp) })
 	for i, in := range req.Instances {
 		var single SelectResponse
 		postJSON(t, s.Handler(), "/v1/select", SelectRequest{InstanceRequest: in}, http.StatusOK, &single)
@@ -98,50 +92,58 @@ func TestBatchMatchesSelect(t *testing.T) {
 // metrics registry all interleave here.
 func TestBatchHammer(t *testing.T) {
 	_, knn, _ := testModels(t)
-	s := batchServer(t, 4, knn)
+	s := batchServer(t, knn)
 	var wg sync.WaitGroup
-	for c := 0; c < 8; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for round := 0; round < 20; round++ {
-				req := BatchRequest{Instances: make([]InstanceRequest, 37)}
-				for i := range req.Instances {
-					req.Instances[i] = InstanceRequest{
-						Nodes: 2 + (c+i)%4, PPN: 1 + (round+i)%2, Msize: int64(16 << ((c + round + i) % 5)),
+	par.AtProcs(4, func() {
+		for c := 0; c < 8; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				for round := 0; round < 20; round++ {
+					req := BatchRequest{Instances: make([]InstanceRequest, 37)}
+					for i := range req.Instances {
+						req.Instances[i] = InstanceRequest{
+							Nodes: 2 + (c+i)%4, PPN: 1 + (round+i)%2, Msize: int64(16 << ((c + round + i) % 5)),
+						}
+					}
+					var resp BatchResponse
+					postJSON(t, s.Handler(), "/v1/batch", req, http.StatusOK, &resp)
+					for i, res := range resp.Results {
+						if res.InstanceRequest != req.Instances[i] || res.Error != "" || res.Label == "" {
+							t.Errorf("client %d round %d entry %d: %+v", c, round, i, res)
+							return
+						}
 					}
 				}
-				var resp BatchResponse
-				postJSON(t, s.Handler(), "/v1/batch", req, http.StatusOK, &resp)
-				for i, res := range resp.Results {
-					if res.InstanceRequest != req.Instances[i] || res.Error != "" || res.Label == "" {
-						t.Errorf("client %d round %d entry %d: %+v", c, round, i, res)
-						return
-					}
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
+			}(c)
+		}
+		wg.Wait()
+	})
 }
 
 // TestLoadgenBatchMode drives the -batch loadgen path end to end against a
 // live server.
 func TestLoadgenBatchMode(t *testing.T) {
 	_, knn, _ := testModels(t)
-	s := batchServer(t, 4, knn)
+	s := batchServer(t, knn)
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	rep, err := Loadgen(context.Background(), LoadgenOptions{
-		URL:      srv.URL,
-		Duration: 300 * time.Millisecond,
-		Workers:  4,
-		Seed:     7,
-		Batch:    32,
-		Nodes:    []int{2, 4, 6},
-		PPNs:     []int{1, 4},
-		Msizes:   []int64{16, 1024},
+	var (
+		rep LoadgenReport
+		err error
+	)
+	par.AtProcs(4, func() {
+		rep, err = Loadgen(context.Background(), LoadgenOptions{
+			URL:      srv.URL,
+			Duration: 300 * time.Millisecond,
+			Workers:  4,
+			Seed:     7,
+			Batch:    32,
+			Nodes:    []int{2, 4, 6},
+			PPNs:     []int{1, 4},
+			Msizes:   []int64{16, 1024},
+		})
 	})
 	if err != nil {
 		t.Fatalf("loadgen: %v (report %+v)", err, rep)

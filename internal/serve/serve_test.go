@@ -18,6 +18,7 @@ import (
 	"mpicollpred/internal/bench"
 	"mpicollpred/internal/core"
 	"mpicollpred/internal/dataset"
+	"mpicollpred/internal/par"
 )
 
 // trainedModels holds two selectors trained once and shared by the tests in
@@ -476,7 +477,6 @@ func TestBatchIsScheduleIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		setProcs(t, workers)
 		s, err := New(Options{CacheSize: 1024, CacheShards: 4, Audit: lg})
 		if err != nil {
 			t.Fatal(err)
@@ -485,7 +485,7 @@ func TestBatchIsScheduleIndependent(t *testing.T) {
 			t.Fatal(err)
 		}
 		var resp BatchResponse
-		postJSON(t, s.Handler(), "/v1/batch", req, http.StatusOK, &resp)
+		par.AtProcs(workers, func() { postJSON(t, s.Handler(), "/v1/batch", req, http.StatusOK, &resp) })
 		if err := lg.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -67,8 +67,8 @@ func (t *Telemetry) model(name string) *modelTelemetry {
 	if mt == nil {
 		mt = &modelTelemetry{
 			pred:     obs.NewQuantileWindow(telemetryPredWindow),
-			fallback: obs.NewRateMonitor(0.05, audit.DriftFallbackWarn, audit.DriftFallbackBreach),
-			envelope: obs.NewRateMonitor(0.05, audit.DriftFallbackWarn, audit.DriftFallbackBreach),
+			fallback: obs.NewRateMonitor(audit.DriftAlpha, audit.DriftFallbackWarn, audit.DriftFallbackBreach),
+			envelope: obs.NewRateMonitor(audit.DriftAlpha, audit.DriftFallbackWarn, audit.DriftFallbackBreach),
 		}
 		t.models[name] = mt
 	}
