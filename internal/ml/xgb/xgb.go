@@ -132,10 +132,11 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 	}
 	leaf := make([]float64, n) // leaf[i]: this round's tree at x[i]
 	topt := tree.Options{MaxDepth: r.opts.MaxDepth, Lambda: r.opts.Lambda, MinChild: r.opts.MinChild}
+	sample := tree.NewSample(x, idx) // every round splits the same rows
 
 	for round := 0; round < r.opts.Rounds; round++ {
 		r.gradients(y, score, g, h)
-		t := tree.BuildGradHess(x, g, h, idx, topt, leaf)
+		t := sample.BuildGradHess(g, h, topt, leaf)
 		r.trees = append(r.trees, t)
 		for i := range score {
 			score[i] += r.opts.Eta * leaf[i]
