@@ -82,12 +82,12 @@ func TestGradHessLeafValue(t *testing.T) {
 		g[i] = -y[i]
 		h[i] = 1
 	}
-	tr := BuildGradHess(x, g, h, allIdx(3), Options{MaxDepth: 0, Lambda: 0}, nil)
+	tr := NewSample(x, allIdx(3)).BuildGradHess(g, h, Options{MaxDepth: 0, Lambda: 0}, nil)
 	if got := tr.Predict([]float64{0}); math.Abs(got-3) > 1e-9 {
 		t.Errorf("leaf = %v, want 3", got)
 	}
 	// With large lambda the leaf shrinks toward zero.
-	tr = BuildGradHess(x, g, h, allIdx(3), Options{MaxDepth: 0, Lambda: 1e9}, nil)
+	tr = NewSample(x, allIdx(3)).BuildGradHess(g, h, Options{MaxDepth: 0, Lambda: 1e9}, nil)
 	if got := tr.Predict([]float64{0}); math.Abs(got) > 1e-6 {
 		t.Errorf("shrunk leaf = %v", got)
 	}
@@ -104,7 +104,7 @@ func TestGradHessSplitsOnInformativeFeature(t *testing.T) {
 		g = append(g, -(f0*10 + rng.Norm()*0.01))
 		h = append(h, 1)
 	}
-	tr := BuildGradHess(x, g, h, allIdx(len(x)), Options{MaxDepth: 1, Lambda: 1}, nil)
+	tr := NewSample(x, allIdx(len(x))).BuildGradHess(g, h, Options{MaxDepth: 1, Lambda: 1}, nil)
 	lo := tr.Predict([]float64{0, 0.5})
 	hi := tr.Predict([]float64{1, 0.5})
 	if !(hi > lo+5) {
@@ -116,7 +116,7 @@ func TestGammaBlocksWeakSplits(t *testing.T) {
 	x := [][]float64{{0}, {1}, {2}, {3}}
 	g := []float64{-1, -1.01, -1.02, -1.03} // nearly constant
 	h := []float64{1, 1, 1, 1}
-	tr := BuildGradHess(x, g, h, allIdx(4), Options{MaxDepth: 3, Lambda: 1, Gamma: 1}, nil)
+	tr := NewSample(x, allIdx(4)).BuildGradHess(g, h, Options{MaxDepth: 3, Lambda: 1, Gamma: 1}, nil)
 	if tr.NumNodes() != 1 {
 		t.Errorf("gamma should prevent splitting, got %d nodes", tr.NumNodes())
 	}
