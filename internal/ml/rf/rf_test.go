@@ -76,3 +76,15 @@ func TestRejectsBadTargets(t *testing.T) {
 		t.Error("unfitted forest should return NaN")
 	}
 }
+
+// BenchmarkFit times one default 100-tree forest fit on the 400-row
+// tie-heavy golden set.
+func BenchmarkFit(b *testing.B) {
+	x, y := dupSurface(400, 11, false)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := New().Fit(x, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -112,3 +112,15 @@ func TestTweedieGradientSigns(t *testing.T) {
 		t.Errorf("gradient below optimum should be negative, got %v", g[0])
 	}
 }
+
+// BenchmarkFit times one default 200-round Tweedie fit on the 400-row
+// tie-heavy golden set, about the size of one Table IV configuration model.
+func BenchmarkFit(b *testing.B) {
+	x, y := dupSurface(400, 11, false)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := New().Fit(x, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
