@@ -29,6 +29,7 @@ import (
 	"syscall"
 
 	"mpicollpred/internal/audit"
+	"mpicollpred/internal/obs"
 )
 
 func main() {
@@ -40,19 +41,28 @@ func main() {
 		follow  = flag.Bool("follow", false, "tail the log, printing records as they are appended (Ctrl-C stops)")
 		reps    = flag.Int("reps", 2, "replay: simulated repetitions per measurement")
 		out     = flag.String("out", "", "write the report here instead of stdout")
+		cpuprof = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memprof = flag.String("memprofile", "", "write a heap profile at the end of the run to this file (go tool pprof)")
 	)
 	flag.Parse()
-	if *follow {
-		if *summary || *drift || *replay {
-			fmt.Fprintln(os.Stderr, "mpicollaudit: -follow streams raw records and excludes the batch reports")
-			os.Exit(2)
-		}
-		runFollow(*logPath)
-		return
+	if *follow && (*summary || *drift || *replay) {
+		fmt.Fprintln(os.Stderr, "mpicollaudit: -follow streams raw records and excludes the batch reports")
+		os.Exit(2)
 	}
-	if !*summary && !*drift && !*replay {
+	if !*follow && !*summary && !*drift && !*replay {
 		fmt.Fprintln(os.Stderr, "mpicollaudit: pick at least one of -summary, -drift, -replay, -follow")
 		os.Exit(2)
+	}
+	stopProfiles, err := obs.StartProfiles(*cpuprof, *memprof)
+	fail(err)
+	finish = func() error {
+		finish = func() error { return nil }
+		return stopProfiles()
+	}
+	defer func() { fail(finish()) }()
+	if *follow {
+		runFollow(*logPath)
+		return
 	}
 
 	recs, err := audit.ReadLog(*logPath)
@@ -103,9 +113,16 @@ func runFollow(path string) {
 	}
 }
 
+// finish stops the profiles; main installs it, and it disarms itself on its
+// first call. fail runs it too, because os.Exit skips deferred calls.
+var finish = func() error { return nil }
+
 func fail(err error) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mpicollaudit: %v\n", err)
+		if err := finish(); err != nil {
+			fmt.Fprintf(os.Stderr, "mpicollaudit: %v\n", err)
+		}
 		os.Exit(1)
 	}
 }

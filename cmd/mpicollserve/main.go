@@ -67,6 +67,8 @@ func main() {
 		drainGrace = flag.Duration("drain-grace", 0, "server: pause between flipping /readyz and closing the listener on SIGTERM, giving routers time to notice")
 		verbose    = flag.Bool("v", false, "verbose (debug) logging")
 		quiet      = flag.Bool("quiet", false, "suppress informational logging")
+		cpuprof    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memprof    = flag.String("memprofile", "", "write a heap profile at the end of the run to this file (go tool pprof)")
 
 		retrainOn    = flag.Bool("retrain", false, "run the online retraining loop over the -audit log (observe -> detect drift -> retrain -> deploy)")
 		retrainDrift = flag.String("retrain-drift", "", `retrain: fault plan perturbing observations, e.g. "straggler:node=0,factor=4" (simulated machine drift)`)
@@ -101,6 +103,17 @@ func main() {
 	)
 	flag.Parse()
 	log := obs.NewLogger(os.Stderr, obs.FlagLevel(*verbose, *quiet))
+	if !*loadgen && !*router && *models == "" {
+		fmt.Fprintln(os.Stderr, "mpicollserve: -models is required (snapshots from `mpicolltune -save`)")
+		os.Exit(2)
+	}
+	stopProfiles, err := obs.StartProfiles(*cpuprof, *memprof)
+	fail(err)
+	finish = func() error {
+		finish = func() error { return nil }
+		return stopProfiles()
+	}
+	defer func() { fail(finish()) }()
 
 	if *loadgen {
 		runLoadgen(log, serve.LoadgenOptions{
@@ -125,10 +138,6 @@ func main() {
 		return
 	}
 
-	if *models == "" {
-		fmt.Fprintln(os.Stderr, "mpicollserve: -models is required (snapshots from `mpicolltune -save`)")
-		os.Exit(2)
-	}
 	paths := splitList(*models)
 
 	var auditLog *audit.Logger
@@ -373,9 +382,16 @@ func runLoadgen(log *obs.Logger, opts serve.LoadgenOptions, out string) {
 	fail(err)
 }
 
+// finish stops the profiles; main installs it, and it disarms itself on its
+// first call. fail runs it too, because os.Exit skips deferred calls.
+var finish = func() error { return nil }
+
 func fail(err error) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mpicollserve: %v\n", err)
+		if err := finish(); err != nil {
+			fmt.Fprintf(os.Stderr, "mpicollserve: %v\n", err)
+		}
 		os.Exit(1)
 	}
 }

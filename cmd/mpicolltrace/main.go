@@ -42,12 +42,21 @@ func main() {
 		faultSpec = flag.String("faults", "", "fault plan, e.g. 'straggler:node=0,factor=4' (see internal/fault)")
 		seed      = flag.Uint64("seed", 1, "noise seed")
 		metrics   = flag.String("metrics", "", "write a metrics-registry snapshot to this file")
+		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+		memprof   = flag.String("memprofile", "", "write a heap profile at the end of the run to this file (go tool pprof)")
 		list      = flag.Bool("list", false, "list the library's configurations for the collective and exit")
 		verbose   = flag.Bool("v", false, "verbose (debug) logging")
 		quiet     = flag.Bool("quiet", false, "suppress informational logging")
 	)
 	flag.Parse()
 	log := obs.NewLogger(os.Stderr, obs.FlagLevel(*verbose, *quiet))
+	stopProfiles, err := obs.StartProfiles(*cpuprof, *memprof)
+	fail(err)
+	finish = func() error {
+		finish = func() error { return nil }
+		return stopProfiles()
+	}
+	defer func() { fail(finish()) }()
 
 	lib, err := mpilib.ByName(*libName)
 	fail(err)
@@ -132,9 +141,16 @@ func main() {
 	}
 }
 
+// finish stops the profiles; main installs it, and it disarms itself on its
+// first call. fail runs it too, because os.Exit skips deferred calls.
+var finish = func() error { return nil }
+
 func fail(err error) {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mpicolltrace: %v\n", err)
+		if err := finish(); err != nil {
+			fmt.Fprintf(os.Stderr, "mpicolltrace: %v\n", err)
+		}
 		os.Exit(1)
 	}
 }

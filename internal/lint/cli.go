@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"mpicollpred/internal/obs"
 	"mpicollpred/internal/par"
 )
 
@@ -23,7 +24,7 @@ const (
 // tests can exercise flag handling, output formats, and exit codes without
 // spawning a process. args are the command-line arguments after the program
 // name; the return value is the process exit code.
-func CLIMain(args []string, stdout, stderr io.Writer) int {
+func CLIMain(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("mpicollvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
@@ -31,6 +32,8 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("C", ".", "directory to resolve package patterns in")
 	sarifOut := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file (- for stdout)")
 	benchout := fs.String("benchout", "", "run serially and in parallel, verify byte-identity, write a speedup report here, and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	memprofile := fs.String("memprofile", "", "write a heap profile at the end of the run to this file (go tool pprof)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: mpicollvet [flags] [packages]\n\n"+
 			"Runs the repository's domain-specific static analyzers over the\n"+
@@ -44,6 +47,17 @@ func CLIMain(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return ExitError
 	}
+	stopProfiles, err := obs.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(stderr, "mpicollvet: %v\n", err)
+		return ExitError
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(stderr, "mpicollvet: %v\n", err)
+			code = ExitError
+		}
+	}()
 	analyzers := DefaultAnalyzers()
 	if *listOnly {
 		for _, a := range analyzers {
