@@ -29,10 +29,7 @@ func runDriftRecovery(c *expCtx) (string, error) {
 	}
 	defer func() { _ = os.RemoveAll(workDir) }()
 
-	rep, err := retrain.RunScenario(retrain.ScenarioOptions{
-		CacheDir: cacheDir,
-		WorkDir:  workDir,
-	})
+	rep, err := retrain.RunScenario(cacheDir, workDir)
 	if err != nil {
 		return "", err
 	}

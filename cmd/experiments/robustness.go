@@ -25,9 +25,9 @@ var robustnessLevels = []struct{ name, spec string }{
 	{"+noise burst", "straggler:node=0,factor=4;nic:node=1,factor=8,period=2e-3,duty=0.5;noise:sigma=0.3"},
 }
 
-// robustnessMaxInstances bounds the measured test instances per dataset so
+// robustnessInstanceCap bounds the measured test instances per dataset so
 // the experiment stays seconds-scale even at full grids.
-const robustnessMaxInstances = 24
+const robustnessInstanceCap = 24
 
 // runRobustness evaluates how the tuned selector degrades on a faulty
 // machine. The selector is trained on the CLEAN dataset — exactly the
@@ -198,16 +198,16 @@ func robustnessSplit(split eval.Split, grid []int) (train, test []int) {
 	return train, test
 }
 
-// robustnessInstances picks up to robustnessMaxInstances test instances,
+// robustnessInstances picks up to robustnessInstanceCap test instances,
 // deterministically stride-sampled from the sorted test grid.
 func robustnessInstances(d *dataset.Dataset, testNodes []int) []dataset.Instance {
 	all := d.InstancesOn(testNodes)
-	if len(all) <= robustnessMaxInstances {
+	if len(all) <= robustnessInstanceCap {
 		return all
 	}
-	stride := len(all) / robustnessMaxInstances
+	stride := len(all) / robustnessInstanceCap
 	var out []dataset.Instance
-	for i := 0; i < len(all) && len(out) < robustnessMaxInstances; i += stride {
+	for i := 0; i < len(all) && len(out) < robustnessInstanceCap; i += stride {
 		out = append(out, all[i])
 	}
 	return out

@@ -105,7 +105,7 @@ func runFollow(path string) {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	enc := json.NewEncoder(os.Stdout)
-	err := audit.Follow(ctx, path, audit.FollowOptions{WaitForFile: true}, func(rec audit.Record) error {
+	err := audit.Follow(ctx, path, audit.FollowOptions{}, func(rec audit.Record) error {
 		return enc.Encode(rec)
 	})
 	if err != nil && !errors.Is(err, context.Canceled) {

@@ -60,8 +60,7 @@ func main() {
 		outlierK   = flag.Float64("outlier-k", 0, "MAD multiple beyond which a repetition is an outlier (0 = default)")
 		benchout   = flag.String("benchout", "", "generate serially and in parallel, verify byte-identity, write a speedup report here (single dataset only)")
 		validate   = flag.Bool("validate", false, "validate the dataset after load/generate; exit nonzero on bad rows")
-		quiet      = flag.Bool("q", false, "suppress progress output")
-		quiet2     = flag.Bool("quiet", false, "alias for -q")
+		quiet      = flag.Bool("quiet", false, "suppress progress output")
 		verbose    = flag.Bool("v", false, "verbose (debug) logging")
 		metrics    = flag.String("metrics", "", "write a metrics-registry snapshot to this file (.json for JSON)")
 		listAll    = flag.Bool("list", false, "list dataset specs and exit")
@@ -69,7 +68,6 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile at the end of the run to this file (go tool pprof)")
 	)
 	flag.Parse()
-	*quiet = *quiet || *quiet2
 	log := obs.NewLogger(os.Stderr, obs.FlagLevel(*verbose, *quiet))
 
 	sc := dataset.Scale(*scale)

@@ -27,7 +27,7 @@ func checkProfileFlag(t *testing.T, flag string) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	prof := filepath.Join(dir, "profile.pprof")
-	run := exec.Command(bin, "-dataset", "d1", "-scale", "smoke", "-q",
+	run := exec.Command(bin, "-dataset", "d1", "-scale", "smoke", "-quiet",
 		"-cache", filepath.Join(dir, "cache"), flag, prof)
 	if out, err := run.CombinedOutput(); err != nil {
 		t.Fatalf("mpicollbench: %v\n%s", err, out)
@@ -60,7 +60,7 @@ func TestBenchoutSmoke(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	report := filepath.Join(dir, "bench.json")
-	run := exec.Command(bin, "-dataset", "d8", "-scale", "smoke", "-q", "-benchout", report)
+	run := exec.Command(bin, "-dataset", "d8", "-scale", "smoke", "-quiet", "-benchout", report)
 	run.Env = append(os.Environ(), "GOMAXPROCS=2")
 	if out, err := run.CombinedOutput(); err != nil {
 		t.Fatalf("mpicollbench: %v\n%s", err, out)

@@ -117,7 +117,7 @@ func TestLoggerRotation(t *testing.T) {
 	path := filepath.Join(dir, "audit.jsonl")
 	// Each line is a few hundred bytes; cap at 1 KiB so rotation triggers
 	// quickly.
-	lg, err := NewLogger(path, LoggerOptions{MaxBytes: 1 << 10, Keep: 2, Clock: newTestClock().now})
+	lg, err := NewLogger(path, LoggerOptions{MaxBytes: 1 << 10, Clock: newTestClock().now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +141,9 @@ func TestLoggerRotation(t *testing.T) {
 		t.Fatalf("unexpected errors: %d", st.Errors)
 	}
 	// Every retained generation must hold only whole, valid lines, and no
-	// more than Keep rotations may exist.
-	if _, err := os.Stat(fmt.Sprintf("%s.%d", path, 3)); !os.IsNotExist(err) {
-		t.Fatalf("rotation beyond Keep exists: %v", err)
+	// more than keepRotations rotations may exist.
+	if _, err := os.Stat(fmt.Sprintf("%s.%d", path, keepRotations+1)); !os.IsNotExist(err) {
+		t.Fatalf("rotation beyond keepRotations exists: %v", err)
 	}
 	kept := 0
 	for _, p := range []string{path, path + ".1", path + ".2"} {

@@ -25,10 +25,6 @@ type FollowOptions struct {
 	// tests and deterministic drives inject their own (e.g. one that feeds
 	// more records, or one that cancels the context when a script runs dry).
 	Poll func()
-	// WaitForFile keeps polling when the log file does not exist yet
-	// instead of failing — a follower may legitimately start before the
-	// server's first append creates the log.
-	WaitForFile bool
 }
 
 // DefaultFollowPoll is the real-time pause between read attempts when no
@@ -46,7 +42,8 @@ func realPoll() {
 // calling fn for every record, until ctx is cancelled (which returns nil —
 // stopping a tail is a normal exit, not a failure). Every line is held to
 // the same strict schema as Scan; a malformed line aborts the follow with
-// its line number.
+// its line number. A log that does not exist yet is waited for: a follower
+// may legitimately start before the server's first append creates it.
 //
 // Rotation handling: when the file shrinks or is replaced (the Logger
 // renames the active log aside and reopens), Follow finishes nothing — the
@@ -59,7 +56,7 @@ func Follow(ctx context.Context, path string, opts FollowOptions, fn func(Record
 		opts.Poll = realPoll
 	}
 
-	f, err := openFollow(ctx, path, opts)
+	f, err := openFollow(ctx, path, opts.Poll)
 	if err != nil || f == nil {
 		return err
 	}
@@ -123,7 +120,7 @@ func Follow(ctx context.Context, path string, opts FollowOptions, fn func(Record
 		if rotated {
 			// Mid-rotation the path may briefly not exist (rename-aside before
 			// the fresh file is created); wait for it like a late-starting tail.
-			nf, err := openFollow(ctx, path, FollowOptions{Poll: opts.Poll, WaitForFile: true})
+			nf, err := openFollow(ctx, path, opts.Poll)
 			if err != nil {
 				return fmt.Errorf("audit: follow reopening after rotation: %w", err)
 			}
@@ -138,21 +135,21 @@ func Follow(ctx context.Context, path string, opts FollowOptions, fn func(Record
 	}
 }
 
-// openFollow opens the log, optionally waiting for it to appear. A nil file
-// with nil error means the context was cancelled while waiting.
-func openFollow(ctx context.Context, path string, opts FollowOptions) (*os.File, error) {
+// openFollow opens the log, calling poll until it appears. A nil file with
+// nil error means the context was cancelled while waiting.
+func openFollow(ctx context.Context, path string, poll func()) (*os.File, error) {
 	for {
 		f, err := os.Open(path)
 		if err == nil {
 			return f, nil
 		}
-		if !opts.WaitForFile || !os.IsNotExist(err) {
+		if !os.IsNotExist(err) {
 			return nil, fmt.Errorf("audit: follow: %w", err)
 		}
 		if ctx.Err() != nil {
 			return nil, nil
 		}
-		opts.Poll()
+		poll()
 	}
 }
 

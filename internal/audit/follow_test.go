@@ -84,7 +84,7 @@ func TestFollowSurvivesRotation(t *testing.T) {
 	path := filepath.Join(dir, "audit.jsonl")
 	clock := func() time.Time { return time.UnixMicro(1) }
 	// ~3 records per generation: every few appends rotate the file.
-	lg, err := NewLogger(path, LoggerOptions{MaxBytes: 800, Keep: 2, Clock: clock})
+	lg, err := NewLogger(path, LoggerOptions{MaxBytes: 800, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,6 @@ func TestFollowWaitsForFile(t *testing.T) {
 	polls := 0
 	var got int
 	err := Follow(ctx, path, FollowOptions{
-		WaitForFile: true,
 		Poll: func() {
 			polls++
 			if polls == 3 {

@@ -13,9 +13,6 @@ type LoggerOptions struct {
 	// MaxBytes rotates the log when appending a record would push the
 	// current file past this size (default 64 MiB; <= 0 keeps the default).
 	MaxBytes int64
-	// Keep is how many rotated generations to retain as path.1 .. path.N
-	// (default 2).
-	Keep int
 	// Clock injects the timestamp source (default: the real clock).
 	Clock func() time.Time
 }
@@ -23,6 +20,10 @@ type LoggerOptions struct {
 // DefaultMaxBytes is the rotation threshold when LoggerOptions.MaxBytes is
 // unset.
 const DefaultMaxBytes = 64 << 20
+
+// keepRotations is how many rotated generations are retained as
+// path.1 .. path.N.
+const keepRotations = 2
 
 // LoggerStats counts a Logger's lifetime activity.
 type LoggerStats struct {
@@ -42,7 +43,6 @@ type Logger struct {
 	path  string
 	size  int64
 	max   int64
-	keep  int
 	clock func() time.Time
 	stats LoggerStats
 }
@@ -51,9 +51,6 @@ type Logger struct {
 func NewLogger(path string, opts LoggerOptions) (*Logger, error) {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = DefaultMaxBytes
-	}
-	if opts.Keep <= 0 {
-		opts.Keep = 2
 	}
 	if opts.Clock == nil {
 		opts.Clock = realClock
@@ -68,7 +65,7 @@ func NewLogger(path string, opts LoggerOptions) (*Logger, error) {
 		return nil, fmt.Errorf("audit: stat log: %w", err)
 	}
 	return &Logger{f: f, path: path, size: st.Size(), max: opts.MaxBytes,
-		keep: opts.Keep, clock: opts.Clock}, nil
+		clock: opts.Clock}, nil
 }
 
 // Path returns the active log file path.
@@ -113,10 +110,10 @@ func (l *Logger) rotateLocked() error {
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("audit: closing for rotation: %w", err)
 	}
-	if err := os.Remove(fmt.Sprintf("%s.%d", l.path, l.keep)); err != nil && !os.IsNotExist(err) {
+	if err := os.Remove(fmt.Sprintf("%s.%d", l.path, keepRotations)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("audit: dropping oldest rotation: %w", err)
 	}
-	for k := l.keep - 1; k >= 1; k-- {
+	for k := keepRotations - 1; k >= 1; k-- {
 		from := fmt.Sprintf("%s.%d", l.path, k)
 		if _, err := os.Stat(from); err != nil {
 			continue

@@ -11,11 +11,12 @@ import (
 	"mpicollpred/internal/tablefmt"
 )
 
+// replayInstanceCap caps the unique decisions measured; a log with more
+// is stride-sampled deterministically.
+const replayInstanceCap = 64
+
 // ReplayOptions configures a replay run.
 type ReplayOptions struct {
-	// MaxInstances caps the unique decisions measured (default 64;
-	// stride-sampled deterministically when the log holds more).
-	MaxInstances int
 	// Reps is the simulated repetitions per measurement (default 2).
 	Reps int
 }
@@ -48,7 +49,7 @@ type ReplayReport struct {
 	Rows     []ReplayRow
 	Models   []ReplayModelStats
 	Skipped  int // fallback decisions (no prediction to compare)
-	Unique   int // unique decisions before the MaxInstances cap
+	Unique   int // unique decisions before the replayInstanceCap cap
 	Measured int
 }
 
@@ -76,9 +77,6 @@ type replayKey struct {
 // (never on log order or time), so the same log always replays to the same
 // report — byte for byte.
 func Replay(recs []Record, opts ReplayOptions) (*ReplayReport, error) {
-	if opts.MaxInstances <= 0 {
-		opts.MaxInstances = 64
-	}
 	if opts.Reps <= 0 {
 		opts.Reps = 2
 	}
@@ -128,10 +126,10 @@ func Replay(recs []Record, opts ReplayOptions) (*ReplayReport, error) {
 		return a.predictedBits < b.predictedBits
 	})
 	rep.Unique = len(uniques)
-	if len(uniques) > opts.MaxInstances {
-		stride := len(uniques) / opts.MaxInstances
+	if len(uniques) > replayInstanceCap {
+		stride := len(uniques) / replayInstanceCap
 		var sampled []*uniq
-		for i := 0; i < len(uniques) && len(sampled) < opts.MaxInstances; i += stride {
+		for i := 0; i < len(uniques) && len(sampled) < replayInstanceCap; i += stride {
 			sampled = append(sampled, uniques[i])
 		}
 		uniques = sampled

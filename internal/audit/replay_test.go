@@ -69,23 +69,31 @@ func TestReplayIsDeterministicAndDedupes(t *testing.T) {
 	}
 }
 
+// TestReplayCapsInstances feeds more than twice replayInstanceCap unique
+// decisions, so the stride sampling keeps every second one.
 func TestReplayCapsInstances(t *testing.T) {
+	const unique = 2*replayInstanceCap + 2
 	var recs []Record
-	for i := 0; i < 10; i++ {
+	for i := 0; i < unique; i++ {
 		r := mkRecord("r", 4, 8, int64(1024*(i+1)), 1.0e-4)
 		r.V = SchemaVersion
 		r.TimeUnixUs = int64(i + 1)
 		recs = append(recs, r)
 	}
-	rep, err := Replay(recs, ReplayOptions{MaxInstances: 4, Reps: 1})
+	rep, err := Replay(recs, ReplayOptions{Reps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Unique != 10 {
-		t.Fatalf("unique=%d, want 10", rep.Unique)
+	if rep.Unique != unique {
+		t.Fatalf("unique=%d, want %d", rep.Unique, unique)
 	}
-	if rep.Measured != 4 {
-		t.Fatalf("measured=%d, want 4", rep.Measured)
+	if rep.Measured != replayInstanceCap {
+		t.Fatalf("measured=%d, want %d", rep.Measured, replayInstanceCap)
+	}
+	for k, row := range rep.Rows {
+		if want := int64(1024 * (2*k + 1)); row.Msize != want {
+			t.Fatalf("row %d: msize %d, want %d (stride 2 from the smallest)", k, row.Msize, want)
+		}
 	}
 }
 

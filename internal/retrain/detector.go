@@ -13,45 +13,22 @@ import (
 	"mpicollpred/internal/obs"
 )
 
-// DetectorOptions tunes the per-model drift detector.
-type DetectorOptions struct {
-	// Tolerance is the |relative error| above which one observation counts
-	// as an error event (default 0.5: observed more than ~2x/0.5x off).
-	Tolerance float64
-	// Alpha is the EWMA weight of a new event (default 0.2 — the retrain
-	// loop sees far fewer events than the request path, so it forgets
-	// faster than the serving monitors).
-	Alpha float64
-	// Warn and Breach are EWMA error-rate thresholds (defaults 0.3, 0.5).
-	Warn, Breach float64
-	// MinEvents is the monitor warm-up: below it the level stays ok
-	// (default 8).
-	MinEvents uint64
-	// Hysteresis is how many consecutive observations must sit at breach
-	// before drift is declared (default 4).
-	Hysteresis int
-}
-
-func (o *DetectorOptions) defaults() {
-	if o.Tolerance <= 0 {
-		o.Tolerance = 0.5
-	}
-	if o.Alpha <= 0 {
-		o.Alpha = 0.2
-	}
-	if o.Warn <= 0 {
-		o.Warn = 0.3
-	}
-	if o.Breach <= 0 {
-		o.Breach = 0.5
-	}
-	if o.MinEvents == 0 {
-		o.MinEvents = 8
-	}
-	if o.Hysteresis <= 0 {
-		o.Hysteresis = 4
-	}
-}
+const (
+	// detTolerance is the |relative error| above which one observation
+	// counts as an error event: observed more than ~2x/0.5x off.
+	detTolerance = 0.5
+	// detAlpha is the EWMA weight of a new event. The retrain loop sees far
+	// fewer events than the request path, so it forgets faster than the
+	// serving monitors.
+	detAlpha = 0.2
+	// detWarn and detBreach are the EWMA error-rate thresholds.
+	detWarn, detBreach = 0.3, 0.5
+	// detMinEvents is the monitor warm-up: below it the level stays ok.
+	detMinEvents = 8
+	// detHysteresis is how many consecutive observations must sit at
+	// breach before drift is declared.
+	detHysteresis = 4
+)
 
 // modelState is one served model's detector state. It is guarded by the
 // loop's mutex, not its own.
@@ -70,27 +47,31 @@ type modelState struct {
 
 // detector owns the per-model drift state.
 type detector struct {
-	opts   DetectorOptions
 	models map[string]*modelState
 }
 
-func newDetector(opts DetectorOptions) *detector {
-	opts.defaults()
-	return &detector{opts: opts, models: map[string]*modelState{}}
+func newDetector() *detector {
+	return &detector{models: map[string]*modelState{}}
+}
+
+// newMonitor is a model's EWMA error-rate monitor, warm-up included.
+func newMonitor() *obs.RateMonitor {
+	m := obs.NewRateMonitor(detAlpha, detWarn, detBreach)
+	m.SetMinEvents(detMinEvents)
+	return m
 }
 
 func (d *detector) state(model string) *modelState {
 	st := d.models[model]
 	if st == nil {
-		st = &modelState{monitor: obs.NewRateMonitor(d.opts.Alpha, d.opts.Warn, d.opts.Breach)}
-		st.monitor.SetMinEvents(d.opts.MinEvents)
+		st = &modelState{monitor: newMonitor()}
 		d.models[model] = st
 	}
 	return st
 }
 
 // observe feeds one comparison and reports whether drift is declared by it:
-// the monitor must be at breach for Hysteresis consecutive observations.
+// the monitor must be at breach for detHysteresis consecutive observations.
 // Returns false for every observation after the declaring one until reset —
 // a cycle is already running or just failed; re-declaring immediately would
 // hot-loop the retrainer.
@@ -98,7 +79,7 @@ func (d *detector) observe(model string, relErr float64) bool {
 	st := d.state(model)
 	st.observations++
 	st.lastRelErr = relErr
-	event := abs(relErr) > d.opts.Tolerance
+	event := abs(relErr) > detTolerance
 	if event {
 		st.errorEvents++
 	}
@@ -108,7 +89,7 @@ func (d *detector) observe(model string, relErr float64) bool {
 	} else {
 		st.breachStreak = 0
 	}
-	if st.breachStreak == d.opts.Hysteresis {
+	if st.breachStreak == detHysteresis {
 		st.drifts++
 		return true
 	}
@@ -120,8 +101,7 @@ func (d *detector) observe(model string, relErr float64) bool {
 // ignored as stale.
 func (d *detector) reset(model string, minGen uint64) {
 	st := d.state(model)
-	st.monitor = obs.NewRateMonitor(d.opts.Alpha, d.opts.Warn, d.opts.Breach)
-	st.monitor.SetMinEvents(d.opts.MinEvents)
+	st.monitor = newMonitor()
 	st.breachStreak = 0
 	if minGen > st.minGen {
 		st.minGen = minGen

@@ -34,18 +34,14 @@ const observerMemoCap = 4096
 
 // observer measures audited decisions in the simulator.
 type observer struct {
-	reps   int
 	plan   *fault.Plan // nil = faithful machine, non-nil = drifted machine
 	meas   *bench.Measurer
 	memo   map[obsKey]float64
 	resets uint64
 }
 
-func newObserver(reps int, plan *fault.Plan) *observer {
-	if reps <= 0 {
-		reps = 2
-	}
-	o := &observer{reps: reps}
+func newObserver(plan *fault.Plan) *observer {
+	o := &observer{}
 	o.setPlan(plan)
 	return o
 }
@@ -55,7 +51,7 @@ func newObserver(reps int, plan *fault.Plan) *observer {
 // dropped.
 func (o *observer) setPlan(plan *fault.Plan) {
 	o.plan = plan
-	o.meas = bench.NewMeasurer(o.reps, plan)
+	o.meas = bench.NewMeasurer(measureReps, plan)
 	o.memo = map[obsKey]float64{}
 }
 

@@ -32,10 +32,6 @@ type OnceOptions struct {
 	Scale    dataset.Scale
 	// Drift perturbs the re-measurements (nil = faithful machine).
 	Drift *fault.Plan
-	// Reps is the simulated repetitions per measurement (default 2).
-	Reps int
-	// MaxCells bounds the swept instance cells (default 32).
-	MaxCells int
 }
 
 // OnceReport summarizes an offline pass.
@@ -50,9 +46,6 @@ type OnceReport struct {
 // snapshot's model, re-measures them under the drift plan, and refits the
 // affected configurations. The candidate lands in OutDir.
 func Once(opts OnceOptions) (*OnceReport, error) {
-	if opts.MaxCells <= 0 {
-		opts.MaxCells = 32
-	}
 	_, fp, err := core.LoadSnapshot(opts.SnapshotPath)
 	if err != nil {
 		return nil, fmt.Errorf("retrain: loading snapshot: %w", err)
@@ -75,7 +68,7 @@ func Once(opts OnceOptions) (*OnceReport, error) {
 		if _, ok := seen[c]; ok {
 			continue
 		}
-		if len(cells) >= opts.MaxCells {
+		if len(cells) >= maxCells {
 			continue
 		}
 		seen[c] = struct{}{}
@@ -85,7 +78,7 @@ func Once(opts OnceOptions) (*OnceReport, error) {
 		return nil, fmt.Errorf("retrain: audit log has no predicted decisions for model %q", model)
 	}
 
-	rt := newRetrainer(opts.CacheDir, opts.OutDir, opts.Scale, opts.Reps)
+	rt := newRetrainer(opts.CacheDir, opts.OutDir, opts.Scale)
 	cand, err := rt.cycle(model, opts.SnapshotPath, cells, opts.Drift)
 	if err != nil {
 		return nil, err

@@ -59,15 +59,6 @@ type Options struct {
 	CacheDir string
 	// Scale is the dataset scale for regeneration (default smoke).
 	Scale dataset.Scale
-	// Reps is the simulated repetitions per observation (default 2).
-	Reps int
-	// Detector tunes drift declaration.
-	Detector DetectorOptions
-	// MaxCells bounds the observed-cell set swept per model per cycle
-	// (default 32; excess cells are counted, not measured).
-	MaxCells int
-	// Follow configures the audit tail (poll injection for tests).
-	Follow audit.FollowOptions
 	// StatusLog receives one JSON line per state transition; nil discards.
 	StatusLog io.Writer
 	// Clock timestamps status-log lines (default: wall clock). Loop
@@ -128,7 +119,7 @@ type Loop struct {
 	obsr    *observer
 	rt      *retrainer
 	cells   map[string]map[cell]struct{} // observed cells per model since last deploy
-	dropped map[string]int               // cells beyond MaxCells
+	dropped map[string]int               // cells beyond maxCells
 	maxGen  map[string]uint64            // highest generation seen per model
 
 	// published is the status snapshot concurrent readers (the serving
@@ -155,18 +146,15 @@ func New(opts Options) (*Loop, error) {
 	if opts.Deployer == nil {
 		opts.Deployer = &ReloadDeployer{Target: opts.Reloader}
 	}
-	if opts.MaxCells <= 0 {
-		opts.MaxCells = 32
-	}
 	if opts.Clock == nil {
 		opts.Clock = realClock
 	}
 	l := &Loop{
 		opts:    opts,
 		state:   StateObserving,
-		det:     newDetector(opts.Detector),
-		obsr:    newObserver(opts.Reps, opts.Drift),
-		rt:      newRetrainer(opts.CacheDir, opts.OutDir, opts.Scale, opts.Reps),
+		det:     newDetector(),
+		obsr:    newObserver(opts.Drift),
+		rt:      newRetrainer(opts.CacheDir, opts.OutDir, opts.Scale),
 		cells:   map[string]map[cell]struct{}{},
 		dropped: map[string]int{},
 		maxGen:  map[string]uint64{},
@@ -187,9 +175,7 @@ func (l *Loop) SetDrift(plan *fault.Plan) {
 // Run tails the audit log until ctx is cancelled, feeding every record
 // through ProcessRecord.
 func (l *Loop) Run(ctx context.Context) error {
-	fo := l.opts.Follow
-	fo.WaitForFile = true
-	return audit.Follow(ctx, l.opts.AuditPath, fo, func(rec audit.Record) error {
+	return audit.Follow(ctx, l.opts.AuditPath, audit.FollowOptions{}, func(rec audit.Record) error {
 		return l.ProcessRecord(ctx, rec)
 	})
 }
@@ -237,7 +223,7 @@ func (l *Loop) processRecord(ctx context.Context, rec audit.Record) error {
 	}
 	c := cell{nodes: rec.Nodes, ppn: rec.PPN, msize: rec.Msize}
 	if _, ok := cs[c]; !ok {
-		if len(cs) < l.opts.MaxCells {
+		if len(cs) < maxCells {
 			cs[c] = struct{}{}
 		} else {
 			l.dropped[rec.Model]++

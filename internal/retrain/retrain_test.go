@@ -150,10 +150,7 @@ func TestScenarioDriftRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full drift scenario in -short mode")
 	}
-	rep, err := RunScenario(ScenarioOptions{
-		CacheDir: t.TempDir(),
-		WorkDir:  t.TempDir(),
-	})
+	rep, err := RunScenario(t.TempDir(), t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

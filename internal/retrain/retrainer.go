@@ -22,6 +22,16 @@ import (
 	"mpicollpred/internal/sim"
 )
 
+// The loop's and Once's measurement bounds.
+const (
+	// measureReps is the simulated repetitions per observation and per
+	// re-measured cell.
+	measureReps = 2
+	// maxCells bounds the observed cells swept per model per cycle; excess
+	// cells are counted, not measured.
+	maxCells = 32
+)
+
 // cell is one observed (nodes, ppn, msize) instance.
 type cell struct {
 	nodes, ppn int
@@ -94,21 +104,17 @@ type retrainer struct {
 	cacheDir string
 	outDir   string
 	scale    dataset.Scale
-	reps     int
 	// datasets caches the working copy per dataset name; upserts accumulate
 	// across cycles so later candidates keep earlier corrections.
 	datasets map[string]*dataset.Dataset
 	seq      map[string]int // candidate sequence per model name
 }
 
-func newRetrainer(cacheDir, outDir string, scale dataset.Scale, reps int) *retrainer {
+func newRetrainer(cacheDir, outDir string, scale dataset.Scale) *retrainer {
 	if scale == "" {
 		scale = dataset.ScaleSmoke
 	}
-	if reps <= 0 {
-		reps = 2
-	}
-	return &retrainer{cacheDir: cacheDir, outDir: outDir, scale: scale, reps: reps,
+	return &retrainer{cacheDir: cacheDir, outDir: outDir, scale: scale,
 		datasets: map[string]*dataset.Dataset{}, seq: map[string]int{}}
 }
 
@@ -181,12 +187,12 @@ func (rt *retrainer) cycle(model, basePath string, cells []cell, plan *fault.Pla
 				Cfg: cfg, Net: mach.Net, Topo: topos[j], Msize: c.msize,
 				Seed: sim.DomainSeed(sim.DomainRetrain,
 					uint64(cfg.ID), uint64(c.nodes), uint64(c.ppn), uint64(c.msize)),
-				MaxReps: rt.reps,
+				MaxReps: measureReps,
 			})
 		}
 	}
 	bo := bench.DefaultOptions(mach.Name)
-	bo.MaxReps = rt.reps
+	bo.MaxReps = measureReps
 	bo.Faults = plan
 	refit := map[int]bool{}
 	err = bench.Sweep(grid, bo, nil, func(i int, meas bench.Measurement) error {

@@ -28,60 +28,24 @@ import (
 	"mpicollpred/internal/tablefmt"
 )
 
-// ScenarioOptions configures a drift-recovery run.
-type ScenarioOptions struct {
-	// DatasetName / Learner pick the model (defaults "d1", "gam").
-	DatasetName string
-	Learner     string
-	// Scale is the dataset scale (default smoke — the scenario is a CI
-	// artifact, not a benchmark).
-	Scale dataset.Scale
-	// CacheDir is the dataset cache; WorkDir receives snapshots and
-	// candidates. Both required.
-	CacheDir string
-	WorkDir  string
-	// TrainNodes is the training split (default 2,3,4,5 — the smoke grid).
-	TrainNodes []int
-	// Drift is the machine-shift fault plan spec
-	// (default "straggler:node=0,factor=4").
-	Drift string
-	// PhaseRecords is the record count of phases A and C; phase B feeds up
-	// to 4x this many before giving up on detection (default 48).
-	PhaseRecords int
-	// Seed keys the served instance sequence.
-	Seed uint64
-	// Detector overrides the loop's drift thresholds (zero = loop
-	// defaults).
-	Detector DetectorOptions
-}
+// The scenario's fixed world: the model it serves, the machine shift and
+// the length of each phase. The scenario is a CI artifact, not a
+// benchmark, so it runs at smoke scale.
+const (
+	scenarioDataset = "d1"
+	scenarioLearner = "gam"
+	scenarioScale   = dataset.ScaleSmoke
+	// scenarioDrift is the machine-shift fault plan of phase B.
+	scenarioDrift = "straggler:node=0,factor=4"
+	// recordsPerPhase is the record count of phases A and C; phase B
+	// feeds up to 4x this many before giving up on detection.
+	recordsPerPhase = 48
+	// scenarioSeed keys the served instance sequence.
+	scenarioSeed = 1
+)
 
-func (o *ScenarioOptions) defaults() error {
-	if o.DatasetName == "" {
-		o.DatasetName = "d1"
-	}
-	if o.Learner == "" {
-		o.Learner = "gam"
-	}
-	if o.Scale == "" {
-		o.Scale = dataset.ScaleSmoke
-	}
-	if o.CacheDir == "" || o.WorkDir == "" {
-		return fmt.Errorf("retrain: scenario needs CacheDir and WorkDir")
-	}
-	if len(o.TrainNodes) == 0 {
-		o.TrainNodes = []int{2, 3, 4, 5}
-	}
-	if o.Drift == "" {
-		o.Drift = "straggler:node=0,factor=4"
-	}
-	if o.PhaseRecords <= 0 {
-		o.PhaseRecords = 48
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return nil
-}
+// scenarioTrainNodes is the training split: the smoke grid's node counts.
+var scenarioTrainNodes = []int{2, 3, 4, 5}
 
 // PhaseStats summarizes one scenario phase.
 type PhaseStats struct {
@@ -94,8 +58,7 @@ type PhaseStats struct {
 }
 
 // ScenarioReport is the BENCH_retrain.json payload. It contains no
-// timestamps or wall-clock durations — the same options always render the
-// same bytes.
+// timestamps or wall-clock durations — every run renders the same bytes.
 type ScenarioReport struct {
 	Dataset       string       `json:"dataset"`
 	Learner       string       `json:"learner"`
@@ -147,12 +110,13 @@ func (r *scenarioReloader) ReloadPaths(paths []string) error {
 var scenarioProcs = []int{1, 4}
 
 // RunScenario executes the drift-recovery scenario once per setting in
-// scenarioProcs and cross-checks the runs.
-func RunScenario(opts ScenarioOptions) (*ScenarioReport, error) {
-	if err := opts.defaults(); err != nil {
-		return nil, err
+// scenarioProcs and cross-checks the runs. cacheDir is the dataset cache;
+// workDir receives snapshots and candidates.
+func RunScenario(cacheDir, workDir string) (*ScenarioReport, error) {
+	if cacheDir == "" || workDir == "" {
+		return nil, fmt.Errorf("retrain: scenario needs a cache and a work directory")
 	}
-	plan, err := fault.Parse(opts.Drift)
+	plan, err := fault.Parse(scenarioDrift)
 	if err != nil {
 		return nil, fmt.Errorf("retrain: scenario drift plan: %w", err)
 	}
@@ -165,7 +129,7 @@ func RunScenario(opts ScenarioOptions) (*ScenarioReport, error) {
 			cand    []byte
 		)
 		par.AtProcs(procs, func() {
-			passRep, cand, err = runScenarioPass(opts, plan, filepath.Join(opts.WorkDir, fmt.Sprintf("w%d", procs)))
+			passRep, cand, err = runScenarioPass(cacheDir, plan, filepath.Join(workDir, fmt.Sprintf("w%d", procs)))
 		})
 		if err != nil {
 			return nil, fmt.Errorf("retrain: scenario with %d fit workers: %w", procs, err)
@@ -188,15 +152,15 @@ func RunScenario(opts ScenarioOptions) (*ScenarioReport, error) {
 
 // runScenarioPass runs the three phases in dir and returns the report plus
 // the candidate snapshot's bytes.
-func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, dir string) (*ScenarioReport, []byte, error) {
+func runScenarioPass(cacheDir string, plan *fault.Plan, dir string) (*ScenarioReport, []byte, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	ds, err := dataset.LoadOrGenerate(opts.CacheDir, opts.DatasetName, opts.Scale, nil)
+	ds, err := dataset.LoadOrGenerate(cacheDir, scenarioDataset, scenarioScale, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	spec, err := dataset.SpecByName(opts.DatasetName, opts.Scale)
+	spec, err := dataset.SpecByName(scenarioDataset, scenarioScale)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -204,13 +168,13 @@ func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, dir string) (*Scena
 	if err != nil {
 		return nil, nil, err
 	}
-	sel, err := core.Train(ds, set, opts.Learner, opts.TrainNodes)
+	sel, err := core.Train(ds, set, scenarioLearner, scenarioTrainNodes)
 	if err != nil {
 		return nil, nil, err
 	}
 	sel.SetFallback(mach, set)
 	basePath := filepath.Join(dir, "base.snap")
-	if err := sel.SaveSnapshot(basePath, core.FingerprintFor(ds, opts.Learner, opts.TrainNodes)); err != nil {
+	if err := sel.SaveSnapshot(basePath, core.FingerprintFor(ds, scenarioLearner, scenarioTrainNodes)); err != nil {
 		return nil, nil, err
 	}
 
@@ -218,9 +182,8 @@ func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, dir string) (*Scena
 	loop, err := New(Options{
 		Reloader: rel,
 		OutDir:   dir,
-		CacheDir: opts.CacheDir,
-		Scale:    opts.Scale,
-		Detector: opts.Detector,
+		CacheDir: cacheDir,
+		Scale:    scenarioScale,
 		// Loop behavior never reads the clock; pin it so even the unused
 		// default seam stays out of the scenario.
 		Clock: func() time.Time { return time.UnixMicro(1) },
@@ -229,9 +192,9 @@ func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, dir string) (*Scena
 		return nil, nil, err
 	}
 
-	model := opts.DatasetName + "-" + opts.Learner
-	rep := &ScenarioReport{Dataset: opts.DatasetName, Learner: opts.Learner,
-		Drift: opts.Drift, TrainNodes: opts.TrainNodes}
+	model := scenarioDataset + "-" + scenarioLearner
+	rep := &ScenarioReport{Dataset: scenarioDataset, Learner: scenarioLearner,
+		Drift: scenarioDrift, TrainNodes: scenarioTrainNodes}
 
 	// serve produces one audit record: a selection by the live model on a
 	// drawn instance.
@@ -246,7 +209,7 @@ func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, dir string) (*Scena
 			V: audit.SchemaVersion, TimeUnixUs: int64(seq), Endpoint: "select",
 			RequestID: fmt.Sprintf("scen-%d", seq),
 			Model:     model, Coll: spec.Coll, Lib: spec.Lib, Machine: spec.Machine,
-			Dataset: opts.DatasetName, Generation: rel.gen,
+			Dataset: scenarioDataset, Generation: rel.gen,
 			Nodes: n, PPN: ppn, Msize: m,
 			ConfigID: pred.ConfigID, AlgID: pred.AlgID, Label: pred.Label,
 			Fallback: pred.Fallback, FallbackReason: pred.FallbackReason,
@@ -266,7 +229,7 @@ func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, dir string) (*Scena
 		return 0, 0, 0, "ok"
 	}
 	runPhase := func(name string, records int, stop func() bool) (PhaseStats, error) {
-		rng := sim.NewRNG(sim.Seed(opts.Seed, uint64(len(rep.Phases))))
+		rng := sim.NewRNG(sim.Seed(scenarioSeed, uint64(len(rep.Phases))))
 		o0, e0, _, _ := modelStats()
 		fed := 0
 		for i := 0; i < records; i++ {
@@ -286,13 +249,13 @@ func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, dir string) (*Scena
 	}
 
 	// Phase A: faithful machine.
-	if _, err := runPhase("A:baseline", opts.PhaseRecords, nil); err != nil {
+	if _, err := runPhase("A:baseline", recordsPerPhase, nil); err != nil {
 		return nil, nil, err
 	}
 	// Phase B: the machine shifts; feed until the loop completes a cycle.
 	loop.SetDrift(plan)
 	obsBefore := loop.Status().Observations
-	if _, err := runPhase("B:drift", 4*opts.PhaseRecords, func() bool {
+	if _, err := runPhase("B:drift", 4*recordsPerPhase, func() bool {
 		return loop.Status().Cycles > 0 && loop.state == StateObserving
 	}); err != nil {
 		return nil, nil, err
@@ -319,7 +282,7 @@ func runScenarioPass(opts ScenarioOptions, plan *fault.Plan, dir string) (*Scena
 			rep.Cycles, rep.DeployOutcome)
 	}
 	// Phase C: still-shifted machine, retrained model.
-	psC, err := runPhase("C:recovered", opts.PhaseRecords, nil)
+	psC, err := runPhase("C:recovered", recordsPerPhase, nil)
 	if err != nil {
 		return nil, nil, err
 	}

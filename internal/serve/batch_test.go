@@ -17,7 +17,7 @@ import (
 // par.AtProcs around the requests.
 func batchServer(t *testing.T, models ...*Model) *Server {
 	t.Helper()
-	s, err := New(Options{CacheSize: 4096, CacheShards: 4})
+	s, err := New(Options{CacheSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

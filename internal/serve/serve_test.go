@@ -78,7 +78,7 @@ func testModels(t testing.TB) (*dataset.Dataset, *Model, *Model) {
 
 func testServer(t *testing.T, models ...*Model) *Server {
 	t.Helper()
-	s, err := New(Options{CacheSize: 1024, CacheShards: 4})
+	s, err := New(Options{CacheSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestBatchIsScheduleIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Options{CacheSize: 1024, CacheShards: 4, Audit: lg})
+		s, err := New(Options{CacheSize: 1024, Audit: lg})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,8 +54,6 @@ type Options struct {
 	// CacheSize is the selection-cache capacity in entries (default 65536;
 	// negative disables caching).
 	CacheSize int
-	// CacheShards is the shard count (default 16).
-	CacheShards int
 	// Log receives request-path errors; nil discards them.
 	Log *obs.Logger
 	// Metrics is the registry the server reports into (default obs.Default).
@@ -94,6 +92,9 @@ type Server struct {
 	retrainFn  func() any
 }
 
+// cacheShards is the selection cache's shard count.
+const cacheShards = 16
+
 // maxBodyBytes bounds request bodies; the largest legitimate payload is a
 // batch of a few thousand instances.
 const maxBodyBytes = 1 << 20
@@ -104,15 +105,12 @@ func New(opts Options) (*Server, error) {
 	if opts.CacheSize == 0 {
 		opts.CacheSize = 65536
 	}
-	if opts.CacheShards == 0 {
-		opts.CacheShards = 16
-	}
 	if opts.Metrics == nil {
 		opts.Metrics = obs.Default
 	}
 	s := &Server{
 		reg:        NewRegistry(),
-		cache:      NewSelectionCache(opts.CacheSize, opts.CacheShards),
+		cache:      NewSelectionCache(opts.CacheSize, cacheShards),
 		paths:      append([]string(nil), opts.SnapshotPaths...),
 		log:        opts.Log,
 		metrics:    opts.Metrics,

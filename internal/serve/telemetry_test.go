@@ -25,7 +25,7 @@ func telemetryServer(t *testing.T, auditPath string, models ...*Model) (*Server,
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Options{CacheSize: 1024, CacheShards: 4,
+	s, err := New(Options{CacheSize: 1024,
 		Metrics: obs.NewRegistry(), Audit: lg, TraceRing: 64})
 	if err != nil {
 		t.Fatal(err)
