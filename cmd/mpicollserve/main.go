@@ -12,7 +12,8 @@
 //     (seeded delays, 5xx bursts, dropped connections) for resilience
 //     drills and CI smoke tests.
 //   - -loadgen is the load-generation client used by CI to benchmark a
-//     server — or, with -urls, a whole fleet — and write BENCH_serve.json.
+//     server — or, with a comma-separated -url list, a whole fleet — and
+//     write BENCH_serve.json.
 //
 // With -retrain (requires -audit), the server additionally runs the online
 // retraining loop of internal/retrain: it tails its own audit log, replays
@@ -61,7 +62,6 @@ func main() {
 		auditPath  = flag.String("audit", "", "append-only JSONL selection audit log (empty disables auditing)")
 		auditMax   = flag.Int64("audit-max-bytes", audit.DefaultMaxBytes, "audit log rotation threshold in bytes")
 		traceRing  = flag.Int("trace-ring", 0, "recent request traces kept for /debug/traces (0 disables tracing)")
-		sloLat     = flag.Duration("slo-latency", serve.DefaultLatencySLO, "per-request latency SLO for the burn-rate monitor")
 		chaos      = flag.String("chaos", "", `server: seeded HTTP chaos spec, e.g. "delay:prob=0.2,ms=25;err:prob=0.1,code=503" (resilience drills)`)
 		chaosSeed  = flag.Uint64("chaos-seed", 1, "server: chaos plan seed")
 		drainGrace = flag.Duration("drain-grace", 0, "server: pause between flipping /readyz and closing the listener on SIGTERM, giving routers time to notice")
@@ -85,8 +85,7 @@ func main() {
 		retries  = flag.Int("retries", 0, "router/loadgen: transient-failure retries (0 = default)")
 
 		loadgen  = flag.Bool("loadgen", false, "run as a load-generation client instead of a server")
-		url      = flag.String("url", "http://127.0.0.1:8080", "loadgen: server base URL")
-		urls     = flag.String("urls", "", "loadgen: comma-separated base URLs for multi-target fleet load (overrides -url)")
+		urls     = flag.String("url", "http://127.0.0.1:8080", "loadgen: comma-separated server base URLs (several drive a fleet)")
 		model    = flag.String("model", "", "loadgen: model name to query (empty works for single-model servers)")
 		duration = flag.Duration("duration", 5*time.Second, "loadgen: run length")
 		workers  = flag.Int("workers", 8, "loadgen: concurrent client goroutines")
@@ -116,8 +115,12 @@ func main() {
 	defer func() { fail(finish()) }()
 
 	if *loadgen {
+		targets := splitList(*urls)
+		for i := range targets {
+			targets[i] = strings.TrimRight(targets[i], "/")
+		}
 		runLoadgen(log, serve.LoadgenOptions{
-			URL: strings.TrimRight(*url, "/"), URLs: splitList(*urls), Model: *model,
+			URLs: targets, Model: *model,
 			Duration: *duration, Workers: *workers, Seed: *seed, Batch: *batch, Retries: *retries,
 			Nodes: parseIntPool(*nodesCSV, "-nodes"), PPNs: parseIntPool(*ppnsCSV, "-ppns"),
 			Msizes:  parseInt64Pool(*msizes, "-msizes"),
@@ -162,7 +165,6 @@ func main() {
 		Log:           log,
 		Audit:         auditLog,
 		TraceRing:     *traceRing,
-		LatencySLO:    *sloLat,
 		Middleware:    middleware,
 	})
 	fail(err)
@@ -354,11 +356,7 @@ func parseIntPool(s, flagName string) []int {
 }
 
 func runLoadgen(log *obs.Logger, opts serve.LoadgenOptions, out string) {
-	target := opts.URL
-	if len(opts.URLs) > 0 {
-		target = strings.Join(opts.URLs, ", ")
-	}
-	log.Infof("loadgen: %d workers against %s for %s", opts.Workers, target, opts.Duration)
+	log.Infof("loadgen: %d workers against %s for %s", opts.Workers, strings.Join(opts.URLs, ", "), opts.Duration)
 	// Ctrl-C ends the run at the next request boundary; the partial report
 	// is still aggregated and written before exiting.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

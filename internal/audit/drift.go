@@ -21,6 +21,31 @@ const (
 	DriftShiftBreach    = 3.0
 )
 
+// FallbackMonitors are one model's fallback-rate and envelope-violation
+// EWMA monitors. The live server and the log replay both run this pair, so
+// both agree on what "drifting" means.
+type FallbackMonitors struct {
+	// Fallback tracks the rate of fallback decisions.
+	Fallback *obs.RateMonitor
+	// Envelope tracks the rate of fallbacks for queries outside the
+	// model's training envelope.
+	Envelope *obs.RateMonitor
+}
+
+// NewFallbackMonitors returns a fresh pair at the drift thresholds.
+func NewFallbackMonitors() FallbackMonitors {
+	return FallbackMonitors{
+		Fallback: obs.NewRateMonitor(DriftAlpha, DriftFallbackWarn, DriftFallbackBreach),
+		Envelope: obs.NewRateMonitor(DriftAlpha, DriftFallbackWarn, DriftFallbackBreach),
+	}
+}
+
+// Observe folds one decision, its fallback flag and reason, into the pair.
+func (m FallbackMonitors) Observe(fallback bool, reason string) {
+	m.Fallback.Observe(fallback)
+	m.Envelope.Observe(fallback && reason == "extrapolation")
+}
+
 // ModelDrift is one model's drift verdict.
 type ModelDrift struct {
 	Model         string
@@ -59,8 +84,7 @@ type DriftReport struct {
 // into halves to detect distribution shift. Deterministic for a given log.
 func Drift(recs []Record) *DriftReport {
 	type state struct {
-		fallback *obs.RateMonitor
-		envelope *obs.RateMonitor
+		monitors FallbackMonitors
 		preds    []float64
 		requests int
 	}
@@ -68,15 +92,11 @@ func Drift(recs []Record) *DriftReport {
 	for _, r := range recs {
 		st := byModel[r.Model]
 		if st == nil {
-			st = &state{
-				fallback: obs.NewRateMonitor(DriftAlpha, DriftFallbackWarn, DriftFallbackBreach),
-				envelope: obs.NewRateMonitor(DriftAlpha, DriftFallbackWarn, DriftFallbackBreach),
-			}
+			st = &state{monitors: NewFallbackMonitors()}
 			byModel[r.Model] = st
 		}
 		st.requests++
-		st.fallback.Observe(r.Fallback)
-		st.envelope.Observe(r.Fallback && r.FallbackReason == "extrapolation")
+		st.monitors.Observe(r.Fallback, r.FallbackReason)
 		if r.PredictedSeconds != nil {
 			st.preds = append(st.preds, *r.PredictedSeconds)
 		}
@@ -93,10 +113,10 @@ func Drift(recs []Record) *DriftReport {
 		d := ModelDrift{
 			Model:         name,
 			Requests:      st.requests,
-			FallbackRate:  st.fallback.Rate(),
-			FallbackLevel: st.fallback.Level(),
-			EnvelopeRate:  st.envelope.Rate(),
-			EnvelopeLevel: st.envelope.Level(),
+			FallbackRate:  st.monitors.Fallback.Rate(),
+			FallbackLevel: st.monitors.Fallback.Level(),
+			EnvelopeRate:  st.monitors.Envelope.Rate(),
+			EnvelopeLevel: st.monitors.Envelope.Level(),
 			EarlyP50:      math.NaN(),
 			LateP50:       math.NaN(),
 			Shift:         math.NaN(),

@@ -10,7 +10,6 @@ package audit
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -90,16 +89,7 @@ func Follow(ctx context.Context, path string, opts FollowOptions, fn func(Record
 				if len(line) > maxLineBytes {
 					return fmt.Errorf("audit: follow %s line %d: line exceeds %d bytes", path, lineNo, maxLineBytes)
 				}
-				var rec Record
-				dec := json.NewDecoder(bytes.NewReader(line))
-				dec.DisallowUnknownFields()
-				if err := dec.Decode(&rec); err != nil {
-					return fmt.Errorf("audit: follow %s line %d: %w", path, lineNo, err)
-				}
-				if err := rec.Validate(); err != nil {
-					return fmt.Errorf("audit: follow %s line %d: %w", path, lineNo, err)
-				}
-				if err := fn(rec); err != nil {
+				if err := handleLine(line, fn); err != nil {
 					return fmt.Errorf("audit: follow %s line %d: %w", path, lineNo, err)
 				}
 			}

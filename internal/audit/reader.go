@@ -26,16 +26,7 @@ func Scan(r io.Reader, fn func(Record) error) error {
 		if len(line) == 0 {
 			continue
 		}
-		var rec Record
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&rec); err != nil {
-			return fmt.Errorf("audit: line %d: %w", lineNo, err)
-		}
-		if err := rec.Validate(); err != nil {
-			return fmt.Errorf("audit: line %d: %w", lineNo, err)
-		}
-		if err := fn(rec); err != nil {
+		if err := handleLine(line, fn); err != nil {
 			return fmt.Errorf("audit: line %d: %w", lineNo, err)
 		}
 	}
@@ -43,6 +34,23 @@ func Scan(r io.Reader, fn func(Record) error) error {
 		return fmt.Errorf("audit: line %d: %w", lineNo+1, err)
 	}
 	return nil
+}
+
+// handleLine parses one non-blank audit line strictly (no unknown fields,
+// and the record must pass Validate) and passes the record to fn. Scan and
+// Follow both read lines through it and prefix its error with the line's
+// position.
+func handleLine(line []byte, fn func(Record) error) error {
+	var rec Record
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rec); err != nil {
+		return err
+	}
+	if err := rec.Validate(); err != nil {
+		return err
+	}
+	return fn(rec)
 }
 
 // ReadLog loads every record of the audit log at path.

@@ -12,7 +12,8 @@ import (
 )
 
 // replayInstanceCap caps the unique decisions measured; a log with more
-// is stride-sampled deterministically.
+// is sampled at evenly spaced positions of the sorted decisions, so every
+// part of the sort order (every model) keeps its share.
 const replayInstanceCap = 64
 
 // ReplayOptions configures a replay run.
@@ -127,10 +128,9 @@ func Replay(recs []Record, opts ReplayOptions) (*ReplayReport, error) {
 	})
 	rep.Unique = len(uniques)
 	if len(uniques) > replayInstanceCap {
-		stride := len(uniques) / replayInstanceCap
-		var sampled []*uniq
-		for i := 0; i < len(uniques) && len(sampled) < replayInstanceCap; i += stride {
-			sampled = append(sampled, uniques[i])
+		sampled := make([]*uniq, replayInstanceCap)
+		for i := range sampled {
+			sampled[i] = uniques[i*len(uniques)/replayInstanceCap]
 		}
 		uniques = sampled
 	}

@@ -70,7 +70,7 @@ func TestReplayIsDeterministicAndDedupes(t *testing.T) {
 }
 
 // TestReplayCapsInstances feeds more than twice replayInstanceCap unique
-// decisions, so the stride sampling keeps every second one.
+// decisions; the sample takes evenly spaced positions from the smallest.
 func TestReplayCapsInstances(t *testing.T) {
 	const unique = 2*replayInstanceCap + 2
 	var recs []Record
@@ -91,8 +91,40 @@ func TestReplayCapsInstances(t *testing.T) {
 		t.Fatalf("measured=%d, want %d", rep.Measured, replayInstanceCap)
 	}
 	for k, row := range rep.Rows {
-		if want := int64(1024 * (2*k + 1)); row.Msize != want {
-			t.Fatalf("row %d: msize %d, want %d (stride 2 from the smallest)", k, row.Msize, want)
+		if want := int64(1024 * (k*unique/replayInstanceCap + 1)); row.Msize != want {
+			t.Fatalf("row %d: msize %d, want %d (evenly spaced from the smallest)", k, row.Msize, want)
+		}
+	}
+}
+
+// TestReplaySamplesModelsEvenly: between replayInstanceCap and twice it
+// unique decisions, the sample must still spread over the whole sort
+// order, so a model that sorts last keeps about its share of the rows.
+func TestReplaySamplesModelsEvenly(t *testing.T) {
+	const perModel = 50
+	var recs []Record
+	for _, model := range []string{"d1-gam", "d1-knn"} {
+		for i := 0; i < perModel; i++ {
+			r := mkRecord("r", 4, 8, int64(1024*(i+1)), 1.0e-4)
+			r.Model = model
+			r.V = SchemaVersion
+			r.TimeUnixUs = int64(len(recs) + 1)
+			recs = append(recs, r)
+		}
+	}
+	rep, err := Replay(recs, ReplayOptions{Reps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Unique != 2*perModel || rep.Measured != replayInstanceCap {
+		t.Fatalf("unique=%d measured=%d, want %d/%d", rep.Unique, rep.Measured, 2*perModel, replayInstanceCap)
+	}
+	if len(rep.Models) != 2 {
+		t.Fatalf("model aggregates: %+v", rep.Models)
+	}
+	for _, m := range rep.Models {
+		if m.Rows < replayInstanceCap/2-1 {
+			t.Fatalf("model %s replayed %d rows, want at least %d of %d", m.Model, m.Rows, replayInstanceCap/2-1, replayInstanceCap)
 		}
 	}
 }

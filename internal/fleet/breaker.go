@@ -39,33 +39,29 @@ func (s BreakerState) String() string {
 	}
 }
 
+// A breaker opens after breakerThreshold consecutive failures and tries a
+// half-open probe breakerCooldown after it opened.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 2 * time.Second
+)
+
 // Breaker is a per-replica circuit breaker. The clock is passed into Allow
 // and Report rather than read inside, so tests drive the state machine with
 // a synthetic timeline.
 type Breaker struct {
-	mu        sync.Mutex
-	state     BreakerState
-	failures  int       // consecutive failures while closed
-	openedAt  time.Time // when the breaker last opened
-	probing   bool      // a half-open probe is in flight
-	threshold int
-	cooldown  time.Duration
+	mu       sync.Mutex
+	state    BreakerState
+	failures int       // consecutive failures while closed
+	openedAt time.Time // when the breaker last opened
+	probing  bool      // a half-open probe is in flight
 
 	opens      uint64 // lifetime closed/half-open -> open transitions
 	rejections uint64 // requests refused while open
 }
 
-// NewBreaker returns a closed breaker that opens after threshold
-// consecutive failures and tries a half-open probe after cooldown.
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if threshold < 1 {
-		threshold = 1
-	}
-	if cooldown <= 0 {
-		cooldown = 2 * time.Second
-	}
-	return &Breaker{threshold: threshold, cooldown: cooldown}
-}
+// NewBreaker returns a closed breaker.
+func NewBreaker() *Breaker { return &Breaker{} }
 
 // Allow reports whether a request may pass at time now. While open it
 // rejects until the cooldown has elapsed, then admits exactly one probe
@@ -77,7 +73,7 @@ func (b *Breaker) Allow(now time.Time) bool {
 	case BreakerClosed:
 		return true
 	case BreakerOpen:
-		if now.Sub(b.openedAt) >= b.cooldown {
+		if now.Sub(b.openedAt) >= breakerCooldown {
 			b.state = BreakerHalfOpen
 			b.probing = true
 			return true
@@ -129,7 +125,7 @@ func (b *Breaker) Report(ok bool, now time.Time) {
 			return
 		}
 		b.failures++
-		if b.failures >= b.threshold {
+		if b.failures >= breakerThreshold {
 			b.state = BreakerOpen
 			b.openedAt = now
 			b.opens++

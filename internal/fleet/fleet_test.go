@@ -98,13 +98,10 @@ func newReplica(t *testing.T, opts serve.Options, mw func(http.Handler) http.Han
 func newRouter(t *testing.T, urls []string, tweak func(*Options)) *Router {
 	t.Helper()
 	opts := Options{
-		Replicas:         urls,
-		ProbeInterval:    20 * time.Millisecond,
-		ProbeTimeout:     500 * time.Millisecond,
-		Retries:          3,
-		BreakerThreshold: 3,
-		BreakerCooldown:  100 * time.Millisecond,
-		Seed:             42,
+		Replicas:      urls,
+		ProbeInterval: 20 * time.Millisecond,
+		Retries:       3,
+		Seed:          42,
 	}
 	if tweak != nil {
 		tweak(&opts)
@@ -119,30 +116,33 @@ func newRouter(t *testing.T, urls []string, tweak func(*Options)) *Router {
 }
 
 func TestBreakerStateMachine(t *testing.T) {
-	b := NewBreaker(3, time.Second)
+	b := NewBreaker()
 	now := time.Unix(0, 0)
 	if !b.Allow(now) {
 		t.Fatal("fresh breaker must be closed")
 	}
-	// Two failures and a success: consecutive count resets, stays closed.
-	b.Report(false, now)
-	b.Report(false, now)
+	// A success between failures resets the consecutive count: one short
+	// run, a success, then another short run leaves the breaker closed.
+	for i := 0; i < breakerThreshold-1; i++ {
+		b.Report(false, now)
+	}
 	b.Report(true, now)
-	b.Report(false, now)
-	b.Report(false, now)
+	for i := 0; i < breakerThreshold-1; i++ {
+		b.Report(false, now)
+	}
 	if b.State() != BreakerClosed {
 		t.Fatalf("state %v after non-consecutive failures, want closed", b.State())
 	}
-	// Third consecutive failure opens.
+	// The threshold-th consecutive failure opens.
 	b.Report(false, now)
 	if b.State() != BreakerOpen {
 		t.Fatalf("state %v after threshold failures, want open", b.State())
 	}
-	if b.Allow(now.Add(500 * time.Millisecond)) {
+	if b.Allow(now.Add(breakerCooldown - time.Millisecond)) {
 		t.Fatal("open breaker admitted a request before cooldown")
 	}
 	// After the cooldown exactly one probe passes.
-	probeTime := now.Add(1100 * time.Millisecond)
+	probeTime := now.Add(breakerCooldown)
 	if !b.Allow(probeTime) {
 		t.Fatal("cooled-down breaker refused the half-open probe")
 	}
@@ -154,7 +154,10 @@ func TestBreakerStateMachine(t *testing.T) {
 	if b.State() != BreakerOpen {
 		t.Fatalf("state %v after failed probe, want open", b.State())
 	}
-	again := probeTime.Add(1100 * time.Millisecond)
+	if b.Allow(probeTime.Add(breakerCooldown - time.Millisecond)) {
+		t.Fatal("reopened breaker admitted a request before the renewed cooldown")
+	}
+	again := probeTime.Add(breakerCooldown)
 	if !b.Allow(again) {
 		t.Fatal("breaker refused second probe after renewed cooldown")
 	}
@@ -163,8 +166,8 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatalf("state %v after successful probe, want closed", b.State())
 	}
 	opens, rejections := b.Stats()
-	if opens != 2 || rejections != 2 {
-		t.Fatalf("stats opens=%d rejections=%d, want 2 and 2", opens, rejections)
+	if opens != 2 || rejections != 3 {
+		t.Fatalf("stats opens=%d rejections=%d, want 2 and 3", opens, rejections)
 	}
 }
 
@@ -173,10 +176,15 @@ func TestBreakerStateMachine(t *testing.T) {
 // release the probe slot instead of leaving the breaker rejecting every
 // request until process restart.
 func TestBreakerAbortProbe(t *testing.T) {
-	b := NewBreaker(1, time.Second)
+	b := NewBreaker()
 	now := time.Unix(0, 0)
-	b.Report(false, now) // open
-	probeTime := now.Add(1100 * time.Millisecond)
+	for i := 0; i < breakerThreshold; i++ {
+		b.Report(false, now)
+	}
+	if b.State() != BreakerOpen {
+		t.Fatalf("state %v after threshold failures, want open", b.State())
+	}
+	probeTime := now.Add(breakerCooldown)
 	if !b.Allow(probeTime) {
 		t.Fatal("cooled-down breaker refused the half-open probe")
 	}
@@ -212,10 +220,10 @@ func TestPickHedgeSkipsHalfOpen(t *testing.T) {
 	}
 	now := time.Unix(0, 0)
 	target := rt.replicas[1]
-	for i := 0; i < 5; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		target.breaker.Report(false, now)
 	}
-	after := now.Add(3 * time.Second) // past cooldown: probe-eligible
+	after := now.Add(breakerCooldown) // cooled down: probe-eligible
 	excl := map[int]bool{0: true}     // the open-breaker replica is the only candidate
 	if got := rt.pick(0, excl, after, true); got != nil {
 		t.Fatalf("hedge pick returned %s whose breaker is not closed", got.URL)
@@ -316,7 +324,7 @@ func TestPickRendezvousStable(t *testing.T) {
 		t.Fatalf("64 keys all hashed to one replica; rendezvous weights broken")
 	}
 	// An open breaker diverts the owner's traffic instead of failing it.
-	for i := 0; i < 5; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		owner.breaker.Report(false, now)
 	}
 	if got := rt.pick(12345, nil, now, false); got == owner {

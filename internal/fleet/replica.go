@@ -66,17 +66,15 @@ type prober struct {
 	replicas []*Replica
 	client   *http.Client
 	interval time.Duration
-	timeout  time.Duration
 	stop     chan struct{}
 	done     sync.WaitGroup
 }
 
-func newProber(replicas []*Replica, client *http.Client, interval, timeout time.Duration) *prober {
+func newProber(replicas []*Replica, client *http.Client, interval time.Duration) *prober {
 	return &prober{
 		replicas: replicas,
 		client:   client,
 		interval: interval,
-		timeout:  timeout,
 		stop:     make(chan struct{}),
 	}
 }
@@ -133,7 +131,7 @@ func (p *prober) probe(r *Replica) {
 
 // get reports whether url answers 200 within the probe timeout.
 func (p *prober) get(url string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), p.timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {

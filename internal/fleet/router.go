@@ -46,26 +46,13 @@ type Options struct {
 	Replicas []string
 	// ProbeInterval is the health-probe period (default 250ms).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round trip (default 1s).
-	ProbeTimeout time.Duration
 	// Retries is how many additional replicas a failed request may try
 	// (default 2).
 	Retries int
-	// RetryBase is the backoff unit between retry attempts: attempt k
-	// sleeps RetryBase<<k plus up to one RetryBase of seeded jitter
-	// (default 5ms).
-	RetryBase time.Duration
 	// HedgeAfter launches a hedge request to a second replica when the
 	// primary has not answered /v1/select or /v1/predict within this delay
 	// (default 25ms; negative disables hedging).
 	HedgeAfter time.Duration
-	// BreakerThreshold opens a replica's breaker after this many
-	// consecutive failures (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is the open -> half-open delay (default 2s).
-	BreakerCooldown time.Duration
-	// Timeout bounds one proxied attempt (default 10s).
-	Timeout time.Duration
 	// Seed keys the retry-jitter and rollout-probe RNG streams.
 	Seed uint64
 	// Log receives router events; nil discards them.
@@ -81,28 +68,13 @@ func (o *Options) defaults() error {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 250 * time.Millisecond
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
-	}
 	if o.Retries < 0 {
 		o.Retries = 0
 	} else if o.Retries == 0 {
 		o.Retries = 2
 	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 5 * time.Millisecond
-	}
 	if o.HedgeAfter == 0 {
 		o.HedgeAfter = 25 * time.Millisecond
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 2 * time.Second
-	}
-	if o.Timeout <= 0 {
-		o.Timeout = 10 * time.Second
 	}
 	if o.Metrics == nil {
 		o.Metrics = obs.Default
@@ -143,6 +115,16 @@ const maxProxyBody = 1 << 20
 // attempt instead of forwarding a truncated body under a 200.
 const maxResponseBody = 32 << 20
 
+// probeTimeout bounds one health-probe round trip.
+const probeTimeout = time.Second
+
+// retryBase is the backoff unit between retry attempts: retry k (from 1)
+// sleeps retryBase<<(k-1) plus up to one retryBase of seeded jitter.
+const retryBase = 5 * time.Millisecond
+
+// attemptTimeout bounds one proxied attempt.
+const attemptTimeout = 10 * time.Second
+
 // availabilityWindow sizes the router's client-visible availability burn
 // monitor (same objective as the replicas' own monitor).
 const availabilityWindow = 512
@@ -167,10 +149,10 @@ func New(opts Options) (*Router, error) {
 		rt.replicas = append(rt.replicas, &Replica{
 			URL:     u,
 			idx:     i,
-			breaker: NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
+			breaker: NewBreaker(),
 		})
 	}
-	rt.prober = newProber(rt.replicas, rt.client, opts.ProbeInterval, opts.ProbeTimeout)
+	rt.prober = newProber(rt.replicas, rt.client, opts.ProbeInterval)
 	rt.mux = http.NewServeMux()
 	rt.mux.Handle("/v1/select", rt.proxyHandler("select"))
 	rt.mux.Handle("/v1/predict", rt.proxyHandler("predict"))
@@ -344,7 +326,7 @@ func (rt *Router) forward(ctx context.Context, rep *Replica, r *http.Request, bo
 	if len(body) > 0 {
 		rd = bytes.NewReader(body)
 	}
-	ctx, cancel := context.WithTimeout(ctx, rt.opts.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, attemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, r.Method, url, rd)
 	if err != nil {
@@ -486,8 +468,8 @@ func (rt *Router) proxyHandler(endpoint string) http.Handler {
 		for attempt := 0; attempt <= rt.opts.Retries; attempt++ {
 			if attempt > 0 {
 				rt.retries.Add(1)
-				backoff := rt.opts.RetryBase << (attempt - 1)
-				backoff += time.Duration(rng.Float64() * float64(rt.opts.RetryBase))
+				backoff := retryBase << (attempt - 1)
+				backoff += time.Duration(rng.Float64() * float64(retryBase))
 				time.Sleep(backoff)
 			}
 			rep := rt.pick(key, tried, time.Now(), false)

@@ -135,7 +135,7 @@ func TestLoadgenBatchMode(t *testing.T) {
 	)
 	par.AtProcs(4, func() {
 		rep, err = Loadgen(context.Background(), LoadgenOptions{
-			URL:      srv.URL,
+			URLs:     []string{srv.URL},
 			Duration: 300 * time.Millisecond,
 			Workers:  4,
 			Seed:     7,

@@ -253,12 +253,11 @@ func TestLoadgenRetriesTransient(t *testing.T) {
 	defer flaky.Close()
 
 	rep, err := Loadgen(context.Background(), LoadgenOptions{
-		URL:       flaky.URL,
-		Duration:  200 * time.Millisecond,
-		Workers:   2,
-		Seed:      7,
-		Retries:   3,
-		RetryBase: time.Millisecond,
+		URLs:     []string{flaky.URL},
+		Duration: 200 * time.Millisecond,
+		Workers:  2,
+		Seed:     7,
+		Retries:  3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -24,11 +24,9 @@ import (
 
 // LoadgenOptions configures a load-generation run.
 type LoadgenOptions struct {
-	// URL is the server base URL (e.g. "http://127.0.0.1:8080").
-	URL string
-	// URLs is the multi-target mode: workers are spread round-robin over
-	// these base URLs, driving a whole fleet (replicas directly, or several
-	// routers). When set it overrides URL.
+	// URLs are the base URLs to drive (e.g. "http://127.0.0.1:8080"; at
+	// least one). Workers are spread round-robin over them, so several
+	// URLs drive a whole fleet (replicas directly, or several routers).
 	URLs []string
 	// Model names the model to query ("" works for single-model servers).
 	Model string
@@ -46,9 +44,6 @@ type LoadgenOptions struct {
 	// backoff before it counts as a hard error (default 3; negative
 	// disables retries).
 	Retries int
-	// RetryBase is the backoff unit: attempt k sleeps RetryBase<<k plus up
-	// to one RetryBase of jitter (default 5ms).
-	RetryBase time.Duration
 	// Nodes/PPNs/Msizes form the instance pool workers draw from. The pool
 	// is deliberately small: real tuning traffic repeats the same instances,
 	// which is what the selection cache exists for.
@@ -68,13 +63,9 @@ type LoadgenOptions struct {
 	ShiftMsizes []int64
 }
 
-// targets returns the base URLs the workers drive.
-func (o *LoadgenOptions) targets() []string {
-	if len(o.URLs) > 0 {
-		return o.URLs
-	}
-	return []string{o.URL}
-}
+// retryBase is the backoff unit: retry k (from 0) sleeps
+// retryBase<<k plus up to one retryBase of jitter.
+const retryBase = 5 * time.Millisecond
 
 // LoadgenReport summarizes a run; it is what BENCH_serve.json holds. In
 // batch mode (BatchSize > 0) Requests counts round trips, Instances counts
@@ -123,9 +114,6 @@ func (o *LoadgenOptions) defaults() {
 	}
 	if o.Retries < 0 {
 		o.Retries = 0
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 5 * time.Millisecond
 	}
 	if len(o.Nodes) == 0 {
 		o.Nodes = []int{2, 4, 8, 16}
@@ -188,6 +176,9 @@ func transientStatus(code int) bool {
 // the workers at their next request boundary and is threaded into every
 // outbound request, so an aborted run leaves nothing in flight.
 func Loadgen(ctx context.Context, opts LoadgenOptions) (LoadgenReport, error) {
+	if len(opts.URLs) == 0 {
+		return LoadgenReport{}, errors.New("serve: loadgen needs at least one target URL")
+	}
 	opts.defaults()
 	client := &http.Client{
 		Transport: &http.Transport{
@@ -199,7 +190,6 @@ func Loadgen(ctx context.Context, opts LoadgenOptions) (LoadgenReport, error) {
 	defer client.CloseIdleConnections()
 
 	deadline := time.Now().Add(opts.Duration)
-	targets := opts.targets()
 	workers := make([]loadgenWorker, opts.Workers)
 	var reqCount atomic.Int64 // global request counter driving the pool shift
 	var firstErr atomic.Pointer[error]
@@ -209,7 +199,7 @@ func Loadgen(ctx context.Context, opts LoadgenOptions) (LoadgenReport, error) {
 		go func(wi int) {
 			defer wg.Done()
 			w := &workers[wi]
-			base := targets[wi%len(targets)]
+			base := opts.URLs[wi%len(opts.URLs)]
 			rng := sim.NewRNG(sim.Seed(opts.Seed, uint64(wi)))
 			nodes, ppns, msizes := opts.Nodes, opts.PPNs, opts.Msizes
 			draw := func() InstanceRequest {
@@ -270,8 +260,8 @@ func Loadgen(ctx context.Context, opts LoadgenOptions) (LoadgenReport, error) {
 						break
 					}
 					w.retries++
-					backoff := opts.RetryBase << attempt
-					backoff += time.Duration(rng.Float64() * float64(opts.RetryBase))
+					backoff := retryBase << attempt
+					backoff += time.Duration(rng.Float64() * float64(retryBase))
 					time.Sleep(backoff)
 					err = op()
 				}
@@ -291,10 +281,10 @@ func Loadgen(ctx context.Context, opts LoadgenOptions) (LoadgenReport, error) {
 	}
 	wg.Wait()
 
-	rep := LoadgenReport{URL: targets[0], Model: opts.Model, Workers: opts.Workers,
+	rep := LoadgenReport{URL: opts.URLs[0], Model: opts.Model, Workers: opts.Workers,
 		BatchSize: opts.Batch, DurationSeconds: opts.Duration.Seconds()}
-	if len(targets) > 1 {
-		rep.Targets = targets
+	if len(opts.URLs) > 1 {
+		rep.Targets = opts.URLs
 	}
 	var all []float64
 	for i := range workers {
@@ -322,7 +312,7 @@ func Loadgen(ctx context.Context, opts LoadgenOptions) (LoadgenReport, error) {
 	if len(all) > 0 {
 		rep.LatencyMaxUs = all[len(all)-1] * 1e6
 	}
-	rep.Fleet = fetchFleetStatus(ctx, client, targets[0])
+	rep.Fleet = fetchFleetStatus(ctx, client, opts.URLs[0])
 	if p := firstErr.Load(); p != nil {
 		return rep, fmt.Errorf("serve: loadgen saw %d errors, first: %w", rep.Errors, *p)
 	}
@@ -446,7 +436,8 @@ func quantileUs(sorted []float64, q float64) float64 {
 	return sorted[i] * 1e6
 }
 
-// WriteFile writes the report as indented JSON, atomically.
+// WriteFile writes the report as indented JSON, atomically and durably: the
+// tmp file is synced and closed before the rename, and removed on failure.
 func (r LoadgenReport) WriteFile(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -454,12 +445,22 @@ func (r LoadgenReport) WriteFile(path string) error {
 	}
 	data = append(data, '\n')
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return nil
+	return err
 }

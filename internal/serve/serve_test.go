@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -385,7 +386,7 @@ func TestLoadgen(t *testing.T) {
 	defer srv.Close()
 
 	rep, err := Loadgen(context.Background(), LoadgenOptions{
-		URL:      srv.URL,
+		URLs:     []string{srv.URL},
 		Duration: 300 * time.Millisecond,
 		Workers:  4,
 		Seed:     42,
@@ -406,17 +407,28 @@ func TestLoadgen(t *testing.T) {
 		t.Fatalf("implausible latency summary: %+v", rep)
 	}
 
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
+	dir := t.TempDir()
+	out := filepath.Join(dir, "BENCH_serve.json")
 	if err := rep.WriteFile(out); err != nil {
 		t.Fatal(err)
 	}
 	var back LoadgenReport
-	data, err := json.Marshal(rep)
+	data, err := os.ReadFile(out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
+	}
+	if back.Requests != rep.Requests || back.URL != rep.URL {
+		t.Fatalf("report read back as %+v, wrote %+v", back, rep)
+	}
+	// A failed rename (the target is a directory) leaves no tmp file.
+	if err := rep.WriteFile(dir); err == nil {
+		t.Fatal("writing the report over a directory succeeded")
+	}
+	if _, err := os.Stat(dir + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("tmp file left after a failed write: %v", err)
 	}
 }
 
@@ -434,7 +446,7 @@ func TestLoadgenCancelledContext(t *testing.T) {
 	cancel()
 	start := time.Now()
 	rep, err := Loadgen(ctx, LoadgenOptions{
-		URL:      srv.URL,
+		URLs:     []string{srv.URL},
 		Duration: 30 * time.Second, // must NOT be waited out
 		Workers:  4,
 		Seed:     42,

@@ -64,9 +64,6 @@ type Options struct {
 	// 0 (the default) disables tracing entirely — the request path then
 	// takes the zero-allocation no-op spans.
 	TraceRing int
-	// LatencySLO is the per-request latency objective of the latency burn
-	// monitor (default DefaultLatencySLO).
-	LatencySLO time.Duration
 	// Middleware, when set, wraps the whole handler chain in Serve —
 	// the seam the chaos injector (fault.ChaosPlan) plugs into.
 	Middleware func(http.Handler) http.Handler
@@ -116,7 +113,7 @@ func New(opts Options) (*Server, error) {
 		metrics:    opts.Metrics,
 		auditLog:   opts.Audit,
 		ring:       obs.NewSpanRing(opts.TraceRing),
-		tel:        newTelemetry(opts.LatencySLO),
+		tel:        newTelemetry(),
 		middleware: opts.Middleware,
 	}
 	if len(s.paths) > 0 {

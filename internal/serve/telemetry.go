@@ -19,20 +19,18 @@ const (
 	telemetryPredWindow = 512
 	// telemetrySLOWindow is the request window of the SLO burn monitors.
 	telemetrySLOWindow = 512
-	// DefaultLatencySLO is the per-request latency objective when
-	// Options.LatencySLO is unset.
-	DefaultLatencySLO = 100 * time.Millisecond
+	// latencySLO is the per-request latency objective.
+	latencySLO = 100 * time.Millisecond
 	// sloAvailabilityObjective is the availability SLO (non-5xx fraction).
 	sloAvailabilityObjective = 0.999
-	// sloLatencyObjective is the latency SLO (fraction under LatencySLO).
+	// sloLatencyObjective is the latency SLO (fraction under latencySLO).
 	sloLatencyObjective = 0.99
 )
 
 // modelTelemetry is one model's live monitors.
 type modelTelemetry struct {
 	pred     *obs.QuantileWindow
-	fallback *obs.RateMonitor
-	envelope *obs.RateMonitor
+	monitors audit.FallbackMonitors
 	requests uint64
 	cached   uint64
 }
@@ -45,18 +43,13 @@ type Telemetry struct {
 	models       map[string]*modelTelemetry
 	availability *obs.BurnRate
 	latency      *obs.BurnRate
-	latencySLO   time.Duration
 }
 
-func newTelemetry(latencySLO time.Duration) *Telemetry {
-	if latencySLO <= 0 {
-		latencySLO = DefaultLatencySLO
-	}
+func newTelemetry() *Telemetry {
 	return &Telemetry{
 		models:       map[string]*modelTelemetry{},
 		availability: obs.NewBurnRate(sloAvailabilityObjective, telemetrySLOWindow),
 		latency:      obs.NewBurnRate(sloLatencyObjective, telemetrySLOWindow),
-		latencySLO:   latencySLO,
 	}
 }
 
@@ -67,8 +60,7 @@ func (t *Telemetry) model(name string) *modelTelemetry {
 	if mt == nil {
 		mt = &modelTelemetry{
 			pred:     obs.NewQuantileWindow(telemetryPredWindow),
-			fallback: obs.NewRateMonitor(audit.DriftAlpha, audit.DriftFallbackWarn, audit.DriftFallbackBreach),
-			envelope: obs.NewRateMonitor(audit.DriftAlpha, audit.DriftFallbackWarn, audit.DriftFallbackBreach),
+			monitors: audit.NewFallbackMonitors(),
 		}
 		t.models[name] = mt
 	}
@@ -84,8 +76,7 @@ func (t *Telemetry) ObserveDecision(model string, d Decision) {
 		mt.cached++
 	}
 	t.mu.Unlock()
-	mt.fallback.Observe(d.Fallback)
-	mt.envelope.Observe(d.Fallback && d.FallbackReason == "extrapolation")
+	mt.monitors.Observe(d.Fallback, d.FallbackReason)
 	if d.PredictedSeconds != nil {
 		mt.pred.Observe(*d.PredictedSeconds)
 	}
@@ -94,7 +85,7 @@ func (t *Telemetry) ObserveDecision(model string, d Decision) {
 // ObserveRequest folds one HTTP outcome into the SLO burn monitors.
 func (t *Telemetry) ObserveRequest(code int, elapsed time.Duration) {
 	t.availability.Observe(code < 500)
-	t.latency.Observe(elapsed <= t.latencySLO)
+	t.latency.Observe(elapsed <= latencySLO)
 }
 
 // jsonFloat boxes v for JSON, nil when NaN (encoding/json rejects NaN).
@@ -141,7 +132,7 @@ type TelemetrySnapshot struct {
 	Models            []ModelTelemetrySnapshot `json:"models"`
 	Availability      BurnSnapshot             `json:"availability"`
 	Latency           BurnSnapshot             `json:"latency"`
-	LatencySLOSeconds float64                  `json:"latency_slo_seconds"`
+	SLOLatencySeconds float64                  `json:"latency_slo_seconds"`
 	TracesStored      int                      `json:"traces_stored"`
 	TracesTotal       uint64                   `json:"traces_total"`
 }
@@ -172,20 +163,20 @@ func (t *Telemetry) Snapshot(ring *obs.SpanRing) TelemetrySnapshot {
 		Models:            []ModelTelemetrySnapshot{},
 		Availability:      burnSnapshot(t.availability),
 		Latency:           burnSnapshot(t.latency),
-		LatencySLOSeconds: t.latencySLO.Seconds(),
+		SLOLatencySeconds: latencySLO.Seconds(),
 	}
 	snap.TracesStored, snap.TracesTotal = ring.Stats()
 	for i, name := range names {
 		mt := mts[i]
-		_, fbEvents, _ := mt.fallback.Stats()
-		_, envEvents, _ := mt.envelope.Stats()
+		_, fbEvents, _ := mt.monitors.Fallback.Stats()
+		_, envEvents, _ := mt.monitors.Envelope.Stats()
 		ms := ModelTelemetrySnapshot{
 			Model: name, Requests: counts[i][0], Cached: counts[i][1],
 			WindowLen:      mt.pred.Len(),
-			FallbackRate:   mt.fallback.Rate(),
-			FallbackLevel:  mt.fallback.Level().String(),
-			EnvelopeRate:   mt.envelope.Rate(),
-			EnvelopeLevel:  mt.envelope.Level().String(),
+			FallbackRate:   mt.monitors.Fallback.Rate(),
+			FallbackLevel:  mt.monitors.Fallback.Level().String(),
+			EnvelopeRate:   mt.monitors.Envelope.Rate(),
+			EnvelopeLevel:  mt.monitors.Envelope.Level().String(),
 			FallbackEvents: fbEvents,
 			EnvelopeEvents: envEvents,
 		}
