@@ -139,6 +139,7 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 	}
 
 	design := r.designMatrix(x)
+	xtx := design.AtA(nil)
 	pen := r.penaltyTemplate()
 
 	logy := make([]float64, len(y))
@@ -150,7 +151,7 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 	var bestBeta []float64
 	var bestLambda, bestEDF float64
 	for _, lambda := range r.opts.Lambdas {
-		beta, gcv, edf, err := r.fitIRLS(design, pen, y, logy, lambda)
+		beta, gcv, edf, err := r.fitIRLS(design, xtx, pen, y, logy, lambda)
 		if err != nil {
 			continue
 		}
@@ -168,19 +169,24 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 }
 
 // fitIRLS runs penalized IRLS for one smoothing parameter and returns the
-// coefficients and the GCV score. For the Gamma family with log link the
-// IRLS weights are identically 1, so each iteration is a penalized least
-// squares on the working response z = eta + (y - mu)/mu.
-func (r *Regressor) fitIRLS(design *linalg.Matrix, pen *linalg.Matrix, y, logy []float64, lambda float64) (beta []float64, gcv, edf float64, err error) {
+// coefficients and the GCV score; xtx is the design's Gram matrix XtX. For
+// the Gamma family with log link the IRLS weights are identically 1, so
+// each iteration is a penalized least squares on the working response
+// z = eta + (y - mu)/mu against the same normal matrix, which is factored
+// once.
+func (r *Regressor) fitIRLS(design, xtx, pen *linalg.Matrix, y, logy []float64, lambda float64) (beta []float64, gcv, edf float64, err error) {
 	n := design.Rows
 	cols := design.Cols
 
 	// Penalized normal-matrix: XtX + lambda*pen (+ tiny ridge on smooth
 	// blocks, applied inside penaltyTemplate).
-	xtx := design.AtA(nil)
 	a := linalg.New(cols, cols)
 	for i := range a.Data {
 		a.Data[i] = xtx.Data[i] + lambda*pen.Data[i]
+	}
+	l, err := linalg.FactorSPD(a)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 
 	// Start from the log targets: exact for a saturated model and an
@@ -188,11 +194,7 @@ func (r *Regressor) fitIRLS(design *linalg.Matrix, pen *linalg.Matrix, y, logy [
 	z := append([]float64(nil), logy...)
 	eta := make([]float64, n)
 	for iter := 0; iter < r.opts.MaxIter; iter++ {
-		rhs := design.AtV(z, nil)
-		beta, err = linalg.SolveSPD(a, rhs)
-		if err != nil {
-			return nil, 0, 0, err
-		}
+		beta = linalg.SolveChol(l, design.AtV(z, nil))
 		newEta := design.MulVec(beta)
 		shift := 0.0
 		for i := range newEta {
@@ -220,7 +222,7 @@ func (r *Regressor) fitIRLS(design *linalg.Matrix, pen *linalg.Matrix, y, logy [
 	}
 
 	// GCV on the working scale: n * RSS / (n - edf)^2.
-	edf = effectiveDF(a, xtx)
+	edf = effectiveDF(l, xtx)
 	rss := 0.0
 	for i := 0; i < n; i++ {
 		dlt := z[i] - eta[i]
@@ -235,20 +237,16 @@ func (r *Regressor) fitIRLS(design *linalg.Matrix, pen *linalg.Matrix, y, logy [
 }
 
 // effectiveDF computes tr((XtX + S)^-1 XtX), the effective degrees of
-// freedom of the penalized fit.
-func effectiveDF(a, xtx *linalg.Matrix) float64 {
-	cols := a.Cols
+// freedom of the penalized fit, from the Cholesky factor l of XtX + S.
+func effectiveDF(l, xtx *linalg.Matrix) float64 {
+	cols := l.Cols
 	tr := 0.0
 	e := make([]float64, cols)
 	for c := 0; c < cols; c++ {
 		for i := range e {
 			e[i] = xtx.At(i, c)
 		}
-		col, err := linalg.SolveSPD(a, e)
-		if err != nil {
-			return float64(cols)
-		}
-		tr += col[c]
+		tr += linalg.SolveChol(l, e)[c]
 	}
 	return tr
 }

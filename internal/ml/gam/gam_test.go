@@ -132,3 +132,15 @@ func TestUnfittedPredictIsNaN(t *testing.T) {
 		t.Error("unfitted model should return NaN")
 	}
 }
+
+// BenchmarkFit times one default fit on the 400-row, 4-feature golden set,
+// about the size of one Table IV configuration model.
+func BenchmarkFit(b *testing.B) {
+	x, y := featureSurface(400, 7, false)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := New().Fit(x, y); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -153,11 +153,13 @@ func SolveChol(l *Matrix, b []float64) []float64 {
 	return x
 }
 
-// SolveSPD solves A·x = b for symmetric positive (semi-)definite A,
-// escalating a diagonal ridge until the factorization succeeds. It is the
-// workhorse of the penalized least-squares fits, where the penalty usually
-// — but not always — makes the system strictly definite.
-func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
+// FactorSPD returns the Cholesky factor of a symmetric positive
+// (semi-)definite A, escalating a diagonal ridge until the factorization
+// succeeds. It is the workhorse of the penalized least-squares fits, where
+// the penalty usually — but not always — makes the system strictly
+// definite; every right-hand side then solves against the one factor with
+// SolveChol.
+func FactorSPD(a *Matrix) (*Matrix, error) {
 	// Scale the ridge to the matrix magnitude.
 	maxDiag := 0.0
 	for i := 0; i < a.Rows; i++ {
@@ -178,7 +180,7 @@ func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 			}
 		}
 		if l, err := Cholesky(work); err == nil {
-			return SolveChol(l, b), nil
+			return l, nil
 		}
 		if floats.Exact(ridge, 0) { // 0 is the assigned not-yet-regularized sentinel
 			ridge = maxDiag * 1e-12
@@ -187,4 +189,14 @@ func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 		}
 	}
 	return nil, fmt.Errorf("linalg: SPD solve failed even with ridge %g", ridge)
+}
+
+// SolveSPD solves A·x = b for symmetric positive (semi-)definite A through
+// FactorSPD and SolveChol.
+func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
+	l, err := FactorSPD(a)
+	if err != nil {
+		return nil, err
+	}
+	return SolveChol(l, b), nil
 }

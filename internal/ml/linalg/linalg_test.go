@@ -123,3 +123,52 @@ func TestSolveSPDWithSemiDefinite(t *testing.T) {
 		t.Errorf("x = %v", x)
 	}
 }
+
+// TestFactorOnceSolvesLikeSolveSPD checks that right-hand sides solved
+// against one FactorSPD factor equal, bit for bit, a fresh SolveSPD per
+// right-hand side: on random SPD matrices, and on the rank-deficient
+// matrix above, which factors only after the ridge escalation.
+func TestFactorOnceSolvesLikeSolveSPD(t *testing.T) {
+	rng := sim.NewRNG(7)
+	var mats []*Matrix
+	for _, n := range []int{2, 5, 9, 33} {
+		b := New(n+3, n)
+		for i := range b.Data {
+			b.Data[i] = rng.Norm()
+		}
+		a := b.AtA(nil)
+		for i := 0; i < n; i++ {
+			a.Add(i, i, 1e-3)
+		}
+		mats = append(mats, a)
+	}
+	semi := New(2, 2)
+	copy(semi.Data, []float64{1, 1, 1, 1})
+	if _, err := Cholesky(semi); err == nil {
+		t.Fatal("the rank-deficient case must need the ridge")
+	}
+	mats = append(mats, semi)
+	for _, a := range mats {
+		l, err := FactorSPD(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 6; k++ {
+			rhs := make([]float64, a.Rows)
+			for i := range rhs {
+				rhs[i] = rng.Norm()
+			}
+			want, err := SolveSPD(a, rhs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := SolveChol(l, rhs)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d rhs %d: x[%d] = %v from the shared factor, %v from SolveSPD",
+						a.Rows, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
