@@ -30,8 +30,8 @@ func DefaultOptions() Options {
 
 // Regressor is a fitted forest.
 type Regressor struct {
-	opts  Options
-	trees []*tree.Tree
+	opts   Options
+	forest tree.Forest
 }
 
 // New returns a forest with default options.
@@ -53,25 +53,17 @@ type State struct {
 
 // State exports the fitted forest.
 func (r *Regressor) State() State {
-	s := State{Opts: r.opts, Trees: make([][]tree.Node, len(r.trees))}
-	for i, t := range r.trees {
-		s.Trees[i] = t.State()
-	}
-	return s
+	return State{Opts: r.opts, Trees: r.forest.State()}
 }
 
-// FromState rebuilds a fitted forest; tree.FromState validates every tree's
+// FromState rebuilds a fitted forest; tree.NewForest validates every tree's
 // structure.
 func FromState(s State) (*Regressor, error) {
-	r := &Regressor{opts: s.Opts, trees: make([]*tree.Tree, len(s.Trees))}
-	for i, nodes := range s.Trees {
-		t, err := tree.FromState(nodes)
-		if err != nil {
-			return nil, fmt.Errorf("rf: snapshot tree %d: %w", i, err)
-		}
-		r.trees[i] = t
+	f, err := tree.NewForest(s.Trees)
+	if err != nil {
+		return nil, fmt.Errorf("rf: snapshot: %w", err)
 	}
-	return r, nil
+	return &Regressor{opts: s.Opts, forest: f}, nil
 }
 
 // Fit trains the forest on log targets (bagging + feature subsampling).
@@ -95,31 +87,30 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 		mtry = (2*len(x[0]) + 2) / 3
 	}
 	rng := sim.NewRNG(sim.Seed(r.opts.Seed, 0xF0537))
-	r.trees = r.trees[:0]
+	var forest tree.ForestBuilder
 	idx := make([]int, n)
 	for t := 0; t < r.opts.NumTrees; t++ {
 		for i := range idx {
 			idx[i] = rng.Intn(n) // bootstrap sample
 		}
-		tr := tree.BuildVariance(x, logy, idx, tree.Options{
+		err := forest.Add(tree.BuildVariance(x, logy, idx, tree.Options{
 			MaxDepth: r.opts.MaxDepth,
 			MinLeaf:  r.opts.MinLeaf,
 			MTry:     mtry,
 			RNG:      rng,
-		})
-		r.trees = append(r.trees, tr)
+		}))
+		if err != nil {
+			return fmt.Errorf("rf: %w", err)
+		}
 	}
+	r.forest = forest.Forest()
 	return nil
 }
 
 // Predict returns exp(mean of the trees' log-time predictions).
 func (r *Regressor) Predict(x []float64) float64 {
-	if len(r.trees) == 0 {
+	if r.forest.Len() == 0 {
 		return math.NaN()
 	}
-	s := 0.0
-	for _, t := range r.trees {
-		s += t.Predict(x)
-	}
-	return math.Exp(s / float64(len(r.trees)))
+	return math.Exp(r.forest.Sum(x, 0, 1) / float64(r.forest.Len()))
 }

@@ -206,7 +206,7 @@ func TestSplitSearchMatchesReference(t *testing.T) {
 
 		for _, grad := range []bool{false, true} {
 			ref := &refBuilder{x: x, opts: opts()}
-			var got *Tree
+			var got []Node
 			if grad {
 				// A Sample's second build must not see the first's
 				// partitions.
@@ -219,7 +219,7 @@ func TestSplitSearchMatchesReference(t *testing.T) {
 				got = BuildVariance(x, y, idx, opts())
 			}
 			ref.grow(slices.Clone(idx), 0)
-			state := got.State()
+			state := got
 			if len(state) != len(ref.nodes) {
 				t.Fatalf("trial %d (n %d, grad %v): %d nodes, reference %d", trial, n, grad, len(state), len(ref.nodes))
 			}
@@ -239,7 +239,8 @@ func TestSplitSearchMatchesReference(t *testing.T) {
 }
 
 // refPredict walks an exported node list through its explicit Left/Right
-// links, the routing of the former 32-byte node.
+// links by the float64 test x[Feature] <= Thresh: the routing a Forest's
+// rank keys must reproduce.
 func refPredict(nodes []Node, x []float64) float64 {
 	i := int32(0)
 	for {
@@ -270,98 +271,4 @@ func specialData() (x [][]float64, g, h []float64) {
 		h = append(h, 1)
 	}
 	return x, g, h
-}
-
-// TestSpecialValuesRouteAsBefore: NaN, ±0 and ±Inf features take the same
-// path through the 16-byte nodes as through the exported Left/Right links,
-// NaN always to the right.
-func TestSpecialValuesRouteAsBefore(t *testing.T) {
-	x, g, h := specialData()
-	tr := NewSample(x, allIdx(len(x))).BuildGradHess(g, h, Options{MaxDepth: 6, Lambda: 1}, nil)
-	state := tr.State()
-	if tr.NumNodes() < 7 {
-		t.Fatalf("tree too small to exercise routing: %d nodes", tr.NumNodes())
-	}
-	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1),
-		-1, -0.5, 0.5, 1, 1.5, 2, 3.5, 4, 5}
-	for _, n := range state {
-		if n.Feature >= 0 {
-			specials = append(specials, n.Thresh, math.Nextafter(n.Thresh, math.Inf(1)))
-		}
-	}
-	for _, a := range specials {
-		for _, b := range specials {
-			q := []float64{a, b}
-			if got, want := tr.Predict(q), refPredict(state, q); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("Predict(%v) = %v, exported links give %v", q, got, want)
-			}
-		}
-	}
-
-	// A root split on feature 0 at exactly 0 sends both zeros left and NaN
-	// right.
-	root := Tree{nodes: []node{{v: 0, feature: 0, right: 2}, {v: 1, feature: -1}, {v: 2, feature: -1}}}
-	for _, c := range []struct {
-		x    float64
-		want float64
-	}{{math.Copysign(0, -1), 1}, {0, 1}, {math.NaN(), 2}, {math.Inf(-1), 1}, {math.Inf(1), 2}} {
-		if got := root.Predict([]float64{c.x}); got != c.want {
-			t.Errorf("x=%v routed to leaf %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-// TestLeafAssignmentEqualsPredict: the leaf values Sample.BuildGradHess
-// records while partitioning equal, bit for bit, what Predict returns for
-// each training row — the identity xgb's score update relies on.
-func TestLeafAssignmentEqualsPredict(t *testing.T) {
-	x, g, h := specialData()
-	leaf := make([]float64, len(x))
-	for i := range leaf {
-		leaf[i] = math.NaN()
-	}
-	tr := NewSample(x, allIdx(len(x))).BuildGradHess(g, h, Options{MaxDepth: 6, Lambda: 1}, leaf)
-	for i := range x {
-		if got, want := leaf[i], tr.Predict(x[i]); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("row %d (%v): leaf %v, Predict %v", i, x[i], got, want)
-		}
-	}
-}
-
-// TestFromStateRejectsMalformedTrees: every structural defect is an error,
-// never a panic or a tree Predict could loop in.
-func TestFromStateRejectsMalformedTrees(t *testing.T) {
-	leaf := Node{Feature: -1, Value: 1}
-	split := func(left, right int32) Node {
-		return Node{Feature: 0, Thresh: 0.5, Left: left, Right: right, Value: 3}
-	}
-	cases := []struct {
-		name  string
-		nodes []Node
-	}{
-		{"empty", nil},
-		{"left skips ahead", []Node{split(2, 2), leaf, leaf}},
-		{"left backward", []Node{split(1, 2), split(0, 2), leaf}},
-		{"left self", []Node{split(0, 1), leaf}},
-		{"right backward", []Node{split(1, 3), split(2, 0), leaf, leaf}},
-		{"right self", []Node{split(1, 2), split(2, 1), leaf}},
-		{"right out of range", []Node{split(1, 3), leaf, leaf}},
-		{"right negative", []Node{split(1, -1), leaf}},
-		{"last node internal", []Node{split(1, 2), leaf, split(3, 3)}},
-	}
-	for _, c := range cases {
-		tr, err := FromState(c.nodes)
-		if err == nil || tr != nil {
-			t.Errorf("%s: FromState = (%v, %v), want an error", c.name, tr, err)
-		}
-	}
-
-	good := []Node{split(1, 2), leaf, {Feature: -1, Value: 2}}
-	tr, err := FromState(good)
-	if err != nil {
-		t.Fatalf("well-formed tree rejected: %v", err)
-	}
-	if !slices.Equal(tr.State(), good) {
-		t.Errorf("State after FromState = %v, want %v", tr.State(), good)
-	}
 }

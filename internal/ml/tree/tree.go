@@ -5,7 +5,6 @@
 package tree
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -27,98 +26,18 @@ type Options struct {
 	RNG *sim.RNG
 }
 
-// node is one tree node in 16 bytes. Nodes are stored in preorder, so the
-// left child of internal node i is always node i+1 and only the right child
-// is stored. feature < 0 marks a leaf whose value is v; an internal node
-// routes x[feature] <= v to i+1, anything else (NaN included) to right.
-type node struct {
-	v       float64
-	feature int32
-	right   int32
-}
-
-// Tree is a fitted regression tree.
-type Tree struct {
-	nodes []node
-	// inner holds, in preorder, the value each internal node would predict
-	// as a leaf. Predict never reads it; State exports it, so snapshots keep
-	// carrying it.
-	inner []float64
-}
-
-// Predict returns the tree's response for a feature vector.
-func (t *Tree) Predict(x []float64) float64 {
-	nodes := t.nodes
-	i := 0
-	for {
-		n := &nodes[i]
-		if n.feature < 0 {
-			return n.v
-		}
-		if x[n.feature] <= n.v {
-			i++
-		} else {
-			i = int(n.right)
-		}
-	}
-}
-
-// NumNodes returns the number of nodes, a rough model-complexity measure.
-func (t *Tree) NumNodes() int { return len(t.nodes) }
-
-// Node is the exported form of one tree node, used by the snapshot codec.
-// Feature < 0 marks a leaf carrying Value; an internal node routes
-// x[Feature] <= Thresh to Left, else Right, and its Value is what it would
-// predict as a leaf.
+// Node is one node of a tree in its exported form, used by the builders,
+// the snapshot codec and NewForest. Nodes are in preorder, so an internal
+// node's Left is always the next node. Feature -1 marks a leaf carrying
+// Value (its Thresh, Left and Right are zero); an internal node routes
+// x[Feature] <= Thresh to Left, anything else (NaN included) to Right, and
+// its Value is what it would predict as a leaf.
 type Node struct {
 	Feature int32
 	Thresh  float64
 	Left    int32
 	Right   int32
 	Value   float64
-}
-
-// State exports the fitted tree as a flat node list in preorder, suitable
-// for serialization. Leaves export zero Thresh, Left and Right.
-func (t *Tree) State() []Node {
-	out := make([]Node, len(t.nodes))
-	k := 0
-	for i, n := range t.nodes {
-		if n.feature < 0 {
-			out[i] = Node{Feature: n.feature, Value: n.v}
-			continue
-		}
-		out[i] = Node{Feature: n.feature, Thresh: n.v,
-			Left: int32(i + 1), Right: n.right, Value: t.inner[k]}
-		k++
-	}
-	return out
-}
-
-// FromState rebuilds a tree from an exported node list, validating the
-// structural invariants the builder guarantees — nodes are in preorder, so
-// an internal node's left child is the next node and its right child points
-// strictly forward and stays in range — so a corrupted snapshot can never
-// make Predict loop forever or index out of bounds.
-func FromState(nodes []Node) (*Tree, error) {
-	if len(nodes) == 0 {
-		return nil, fmt.Errorf("tree: empty node list")
-	}
-	t := &Tree{nodes: make([]node, len(nodes))}
-	for i, n := range nodes {
-		if n.Feature < 0 {
-			t.nodes[i] = node{v: n.Value, feature: n.Feature}
-			continue
-		}
-		if int(n.Left) != i+1 || int(n.Left) >= len(nodes) ||
-			int(n.Right) <= i || int(n.Right) >= len(nodes) {
-			return nil, fmt.Errorf("tree: node %d has children (%d, %d) of %d nodes; want left %d and right in (%d, %d)",
-				i, n.Left, n.Right, len(nodes), i+1, i, len(nodes))
-		}
-		t.nodes[i] = node{v: n.Thresh, feature: n.Feature, right: n.Right}
-		t.inner = append(t.inner, n.Value)
-	}
-	return t, nil
 }
 
 // presort fills rows, d+1 blocks of len(idx) rows, with idx's rows: block 0
@@ -182,9 +101,10 @@ func NewSample(x [][]float64, idx []int) *Sample {
 // BuildGradHess grows a tree maximizing the XGBoost split gain for the
 // gradient/hessian statistics over the sample. Leaf values are
 // -G/(H+lambda). When leaf is non-nil, leaf[i] is set, for every row i of
-// the sample, to the value of the leaf row i falls into: exactly what
-// Predict(x[i]) returns, without walking the tree again.
-func (s *Sample) BuildGradHess(g, h []float64, opts Options, leaf []float64) *Tree {
+// the sample, to the value of the leaf row i falls into: exactly the leaf
+// the tree routes x[i] to, without walking the tree again. The nodes
+// returned are the Sample's buffer, valid until its next build.
+func (s *Sample) BuildGradHess(g, h []float64, opts Options, leaf []float64) []Node {
 	if opts.MinChild <= 0 {
 		opts.MinChild = 1e-12
 	}
@@ -207,8 +127,7 @@ type builder struct {
 	// leaf, when non-nil, receives each row's leaf value.
 	leaf []float64
 
-	nodes []node
-	inner []float64
+	nodes []Node
 
 	// rows holds the blocks of the n sample rows that presort fills. Each
 	// split partitions the node's segment of every block stably, so a
@@ -242,20 +161,27 @@ func (b *builder) block(k, lo, hi int) []int32 { return b.rows[k*b.n+lo : k*b.n+
 // BuildVariance grows a tree minimizing squared error of y over the sample
 // index set idx (duplicates allowed, as in a bootstrap sample), presorting
 // idx for this one tree.
-func BuildVariance(x [][]float64, y []float64, idx []int, opts Options) *Tree {
+func BuildVariance(x [][]float64, y []float64, idx []int, opts Options) []Node {
 	if opts.MinLeaf < 1 {
 		opts.MinLeaf = 1
 	}
 	b := newBuilder(x, len(idx))
 	presort(x, idx, b.rows)
 	b.opts, b.y = opts, y
+	// Every leaf holds at least MinLeaf rows and lies at most MaxDepth
+	// deep, which bounds the leaves and so the nodes.
+	leaves := max((len(idx)+opts.MinLeaf-1)/opts.MinLeaf, 1)
+	if d := max(opts.MaxDepth, 0); d < 30 {
+		leaves = min(leaves, 1<<d)
+	}
+	b.nodes = make([]Node, 0, 2*leaves-1)
 	return b.build()
 }
 
-func (b *builder) build() *Tree {
-	b.nodes, b.inner = nil, nil
+func (b *builder) build() []Node {
+	b.nodes = b.nodes[:0]
 	b.grow(0, b.n, 0)
-	return &Tree{nodes: b.nodes, inner: b.inner}
+	return b.nodes
 }
 
 // grow appends the subtree over the node rows [lo, hi) in preorder.
@@ -264,7 +190,7 @@ func (b *builder) grow(lo, hi, depth int) {
 	me := len(b.nodes)
 	value, feat, thresh, ok := b.split(lo, hi, depth)
 	if !ok {
-		b.nodes = append(b.nodes, node{v: value, feature: -1})
+		b.nodes = append(b.nodes, Node{Feature: -1, Value: value})
 		if b.leaf != nil {
 			for _, i := range idx {
 				b.leaf[i] = value
@@ -272,11 +198,10 @@ func (b *builder) grow(lo, hi, depth int) {
 		}
 		return
 	}
-	b.nodes = append(b.nodes, node{v: thresh, feature: int32(feat)})
-	b.inner = append(b.inner, value)
+	b.nodes = append(b.nodes, Node{Feature: int32(feat), Thresh: thresh, Left: int32(me + 1), Value: value})
 	nl := b.partition(lo, hi, feat, thresh, depth)
 	b.grow(lo, lo+nl, depth+1)
-	b.nodes[me].right = int32(len(b.nodes))
+	b.nodes[me].Right = int32(len(b.nodes))
 	b.grow(lo+nl, hi, depth+1)
 }
 
@@ -403,8 +328,8 @@ func (b *builder) bestSplitGrad(lo, hi int, G, H float64) (int, float64, bool) {
 
 // partition reorders the node's rows stably in block 0 and, unless the
 // children are at maximum depth and never search, in the feature blocks,
-// so the rows with x[feat] <= thresh come first — the test Predict applies
-// — and returns how many there are. Block 1+feat, sorted by feat with NaN
+// so the rows with x[feat] <= thresh come first — the test a tree routes
+// by — and returns how many there are. Block 1+feat, sorted by feat with NaN
 // last, already is in that order.
 func (b *builder) partition(lo, hi, feat int, thresh float64, depth int) int {
 	nl := 0

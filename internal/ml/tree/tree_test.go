@@ -38,7 +38,7 @@ func TestVarianceTreeRecoversPiecewiseConstant(t *testing.T) {
 	x, y := gridData()
 	tr := BuildVariance(x, y, allIdx(len(x)), Options{MaxDepth: 4, MinLeaf: 1})
 	for i := range x {
-		if got := tr.Predict(x[i]); math.Abs(got-y[i]) > 1e-9 {
+		if got := refPredict(tr, x[i]); math.Abs(got-y[i]) > 1e-9 {
 			t.Fatalf("x=%v: predict %v want %v", x[i], got, y[i])
 		}
 	}
@@ -52,11 +52,11 @@ func TestDepthZeroIsMean(t *testing.T) {
 		mean += v
 	}
 	mean /= float64(len(y))
-	if got := tr.Predict([]float64{0, 0}); math.Abs(got-mean) > 1e-9 {
+	if got := refPredict(tr, []float64{0, 0}); math.Abs(got-mean) > 1e-9 {
 		t.Errorf("stump value %v, want mean %v", got, mean)
 	}
-	if tr.NumNodes() != 1 {
-		t.Errorf("depth-0 tree has %d nodes", tr.NumNodes())
+	if len(tr) != 1 {
+		t.Errorf("depth-0 tree has %d nodes", len(tr))
 	}
 }
 
@@ -66,8 +66,8 @@ func TestMinLeafRespected(t *testing.T) {
 	// With MinLeaf 30 of 100 samples, depth is severely limited; count
 	// leaves and ensure no leaf got fewer than 30 training points by
 	// checking the tree is small.
-	if tr.NumNodes() > 7 {
-		t.Errorf("tree too large for MinLeaf=30: %d nodes", tr.NumNodes())
+	if len(tr) > 7 {
+		t.Errorf("tree too large for MinLeaf=30: %d nodes", len(tr))
 	}
 }
 
@@ -83,12 +83,12 @@ func TestGradHessLeafValue(t *testing.T) {
 		h[i] = 1
 	}
 	tr := NewSample(x, allIdx(3)).BuildGradHess(g, h, Options{MaxDepth: 0, Lambda: 0}, nil)
-	if got := tr.Predict([]float64{0}); math.Abs(got-3) > 1e-9 {
+	if got := refPredict(tr, []float64{0}); math.Abs(got-3) > 1e-9 {
 		t.Errorf("leaf = %v, want 3", got)
 	}
 	// With large lambda the leaf shrinks toward zero.
 	tr = NewSample(x, allIdx(3)).BuildGradHess(g, h, Options{MaxDepth: 0, Lambda: 1e9}, nil)
-	if got := tr.Predict([]float64{0}); math.Abs(got) > 1e-6 {
+	if got := refPredict(tr, []float64{0}); math.Abs(got) > 1e-6 {
 		t.Errorf("shrunk leaf = %v", got)
 	}
 }
@@ -105,8 +105,8 @@ func TestGradHessSplitsOnInformativeFeature(t *testing.T) {
 		h = append(h, 1)
 	}
 	tr := NewSample(x, allIdx(len(x))).BuildGradHess(g, h, Options{MaxDepth: 1, Lambda: 1}, nil)
-	lo := tr.Predict([]float64{0, 0.5})
-	hi := tr.Predict([]float64{1, 0.5})
+	lo := refPredict(tr, []float64{0, 0.5})
+	hi := refPredict(tr, []float64{1, 0.5})
 	if !(hi > lo+5) {
 		t.Errorf("split failed: lo=%v hi=%v", lo, hi)
 	}
@@ -117,8 +117,8 @@ func TestGammaBlocksWeakSplits(t *testing.T) {
 	g := []float64{-1, -1.01, -1.02, -1.03} // nearly constant
 	h := []float64{1, 1, 1, 1}
 	tr := NewSample(x, allIdx(4)).BuildGradHess(g, h, Options{MaxDepth: 3, Lambda: 1, Gamma: 1}, nil)
-	if tr.NumNodes() != 1 {
-		t.Errorf("gamma should prevent splitting, got %d nodes", tr.NumNodes())
+	if len(tr) != 1 {
+		t.Errorf("gamma should prevent splitting, got %d nodes", len(tr))
 	}
 }
 
@@ -129,14 +129,14 @@ func TestMTrySubsampling(t *testing.T) {
 	tr := BuildVariance(x, y, allIdx(len(x)), Options{MaxDepth: 6, MinLeaf: 1, MTry: 1, RNG: sim.NewRNG(3)})
 	mse := 0.0
 	for i := range x {
-		d := tr.Predict(x[i]) - y[i]
+		d := refPredict(tr, x[i]) - y[i]
 		mse += d * d
 	}
 	mse /= float64(len(x))
 	full := BuildVariance(x, y, allIdx(len(x)), Options{MaxDepth: 6, MinLeaf: 1})
 	fullMSE := 0.0
 	for i := range x {
-		d := full.Predict(x[i]) - y[i]
+		d := refPredict(full, x[i]) - y[i]
 		fullMSE += d * d
 	}
 	fullMSE /= float64(len(x))
@@ -149,7 +149,7 @@ func TestConstantFeaturesNoSplit(t *testing.T) {
 	x := [][]float64{{1, 1}, {1, 1}, {1, 1}}
 	y := []float64{1, 2, 3}
 	tr := BuildVariance(x, y, allIdx(3), Options{MaxDepth: 5, MinLeaf: 1})
-	if tr.NumNodes() != 1 {
-		t.Errorf("constant features must yield a stump, got %d nodes", tr.NumNodes())
+	if len(tr) != 1 {
+		t.Errorf("constant features must yield a stump, got %d nodes", len(tr))
 	}
 }

@@ -78,3 +78,48 @@ func TestGoldenStateDigests(t *testing.T) {
 		}
 	}
 }
+
+// predictionDigest hashes the bits of r's prediction at every query of a
+// grid around and beyond the golden sets' feature values, NaN, ±0 and ±Inf
+// included.
+func predictionDigest(r *Regressor) string {
+	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)}
+	as := append([]float64{-1, 0.5, 1, 2, 3, 3.5, 5, 6, 7}, specials...)
+	bs := append([]float64{-0.5, 0.25, 0.5, 0.75, 1, 1.5, 2}, specials...)
+	cs := append([]float64{1, 2, 3, 48, 64, 100, 1024, 2048, 4096}, specials...)
+	h := sha256.New()
+	for _, a := range as {
+		for _, b := range bs {
+			for _, c := range cs {
+				if err := binary.Write(h, binary.LittleEndian, r.Predict([]float64{a, b, c})); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGoldenPredictionDigests pins every bit of the golden fits'
+// predictions on a query grid, so a change to the prediction layout that
+// moves a single prediction fails here even when the fitted state holds.
+func TestGoldenPredictionDigests(t *testing.T) {
+	cases := []struct {
+		name    string
+		withNaN bool
+		want    string
+	}{
+		{"ties-tweedie", false, "b87373ded2054ee6b70bd748583c3da6fd3b179b400bd29a5d693c82a1ec0ece"},
+		{"ties-nan-tweedie", true, "85121f184694e537b2428bc6c79073fee14d93c06913ac949014ba132ccd9b3b"},
+	}
+	for _, c := range cases {
+		x, y := dupSurface(400, 11, c.withNaN)
+		r := New()
+		if err := r.Fit(x, y); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := predictionDigest(r); got != c.want {
+			t.Errorf("%s: prediction digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}

@@ -55,9 +55,9 @@ func DefaultOptions() Options {
 
 // Regressor is a boosted ensemble.
 type Regressor struct {
-	opts  Options
-	base  float64 // initial raw score: log(mean y)
-	trees []*tree.Tree
+	opts   Options
+	base   float64 // initial raw score: log(mean y)
+	forest tree.Forest
 }
 
 // New returns an XGBoost-style regressor with the paper's defaults.
@@ -80,25 +80,17 @@ type State struct {
 
 // State exports the fitted ensemble.
 func (r *Regressor) State() State {
-	s := State{Opts: r.opts, Base: r.base, Trees: make([][]tree.Node, len(r.trees))}
-	for i, t := range r.trees {
-		s.Trees[i] = t.State()
-	}
-	return s
+	return State{Opts: r.opts, Base: r.base, Trees: r.forest.State()}
 }
 
-// FromState rebuilds a fitted ensemble; tree.FromState validates every
+// FromState rebuilds a fitted ensemble; tree.NewForest validates every
 // tree's structure.
 func FromState(s State) (*Regressor, error) {
-	r := &Regressor{opts: s.Opts, base: s.Base, trees: make([]*tree.Tree, len(s.Trees))}
-	for i, nodes := range s.Trees {
-		t, err := tree.FromState(nodes)
-		if err != nil {
-			return nil, fmt.Errorf("xgb: snapshot tree %d: %w", i, err)
-		}
-		r.trees[i] = t
+	f, err := tree.NewForest(s.Trees)
+	if err != nil {
+		return nil, fmt.Errorf("xgb: snapshot: %w", err)
 	}
-	return r, nil
+	return &Regressor{opts: s.Opts, base: s.Base, forest: f}, nil
 }
 
 // Fit trains the ensemble.
@@ -118,7 +110,6 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 	}
 	mean /= float64(n)
 	r.base = math.Log(mean)
-	r.trees = r.trees[:0]
 
 	score := make([]float64, n) // raw (log-scale) predictions
 	for i := range score {
@@ -134,19 +125,23 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 	topt := tree.Options{MaxDepth: r.opts.MaxDepth, Lambda: r.opts.Lambda, MinChild: r.opts.MinChild}
 	sample := tree.NewSample(x, idx) // every round splits the same rows
 
+	var forest tree.ForestBuilder
 	for round := 0; round < r.opts.Rounds; round++ {
 		r.gradients(y, score, g, h)
 		t := sample.BuildGradHess(g, h, topt, leaf)
-		r.trees = append(r.trees, t)
+		if err := forest.Add(t); err != nil {
+			return fmt.Errorf("xgb: %w", err)
+		}
 		for i := range score {
 			score[i] += r.opts.Eta * leaf[i]
 		}
 		// Pure-stump round: the ensemble has converged; further rounds
 		// only repeat the same shrinkage step.
-		if t.NumNodes() == 1 && round > 0 && math.Abs(leaf[0]) < 1e-12 {
+		if len(t) == 1 && round > 0 && math.Abs(leaf[0]) < 1e-12 {
 			break
 		}
 	}
+	r.forest = forest.Forest()
 	return nil
 }
 
@@ -178,12 +173,8 @@ func (r *Regressor) gradients(y, score, g, h []float64) {
 
 // Predict returns exp(raw score) for the feature vector.
 func (r *Regressor) Predict(x []float64) float64 {
-	s := r.base
-	for _, t := range r.trees {
-		s += r.opts.Eta * t.Predict(x)
-	}
-	return math.Exp(s)
+	return math.Exp(r.forest.Sum(x, r.base, r.opts.Eta))
 }
 
 // NumTrees returns the number of boosted rounds actually performed.
-func (r *Regressor) NumTrees() int { return len(r.trees) }
+func (r *Regressor) NumTrees() int { return r.forest.Len() }

@@ -124,3 +124,21 @@ func BenchmarkFit(b *testing.B) {
 		}
 	}
 }
+
+// predictSink keeps BenchmarkPredict's predictions live.
+var predictSink float64
+
+// BenchmarkPredict times one prediction of the default fit on the 400-row
+// tie-heavy golden set, cycling through a fixed query set: that set's rows.
+func BenchmarkPredict(b *testing.B) {
+	x, y := dupSurface(400, 11, false)
+	r := New()
+	if err := r.Fit(x, y); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		predictSink += r.Predict(x[i%len(x)])
+	}
+}
