@@ -43,6 +43,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -235,7 +236,8 @@ func runRetrainOnce(log *obs.Logger, snapPath, auditPath, outDir, driftSpec, cac
 }
 
 // buildUnits loads every requested dataset once and expands the
-// dataset × learner matrix in deterministic order.
+// dataset × learner matrix in deterministic order. It checks every
+// dataset's training nodes before it generates any dataset.
 func buildUnits(log *obs.Logger, dsList, learnerList []string, cache string, scale dataset.Scale, trainFlag string) []*unit {
 	var flagNodes []int
 	for _, part := range splitList(trainFlag) {
@@ -243,23 +245,42 @@ func buildUnits(log *obs.Logger, dsList, learnerList []string, cache string, sca
 		fail(err)
 		flagNodes = append(flagNodes, n)
 	}
+	trainNodes := make([][]int, len(dsList))
+	for i, name := range dsList {
+		spec, err := dataset.SpecByName(name, scale)
+		fail(err)
+		trainNodes[i] = flagNodes
+		if len(flagNodes) == 0 {
+			split, err := eval.SplitFor(spec.Machine)
+			fail(err)
+			trainNodes[i] = split.Full
+		}
+		fail(checkTrainNodes(spec, scale, trainNodes[i]))
+	}
 	var units []*unit
-	for _, name := range dsList {
+	for i, name := range dsList {
 		prog := obs.NewProgress(log, "generating "+name)
 		ds, err := dataset.LoadOrGenerate(cache, name, scale, prog.Func())
 		fail(err)
 		prog.Finish()
-		trainNodes := flagNodes
-		if len(trainNodes) == 0 {
-			split, err := eval.SplitFor(ds.Spec.Machine)
-			fail(err)
-			trainNodes = split.Full
-		}
 		for _, learner := range learnerList {
-			units = append(units, &unit{ds: ds, learner: learner, nodes: trainNodes})
+			units = append(units, &unit{ds: ds, learner: learner, nodes: trainNodes[i]})
 		}
 	}
 	return units
+}
+
+// checkTrainNodes reports training node counts none of which the dataset's
+// grid has: no configuration would have a training sample, and training
+// would fail only after the whole dataset was generated.
+func checkTrainNodes(spec dataset.Spec, scale dataset.Scale, nodes []int) error {
+	for _, n := range nodes {
+		if slices.Contains(spec.Nodes, n) {
+			return nil
+		}
+	}
+	return fmt.Errorf("%s: training nodes %v are not among the dataset's node counts %v at scale %s; choose some with -train-nodes",
+		spec.Name, nodes, spec.Nodes, scale)
 }
 
 // trainMatrix fits up to GOMAXPROCS units concurrently, each unit's Train

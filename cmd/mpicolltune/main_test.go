@@ -5,7 +5,10 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"mpicollpred/internal/dataset"
 )
 
 // build compiles the CLI into a fresh directory, which it also returns as
@@ -77,5 +80,35 @@ func TestBenchoutSmoke(t *testing.T) {
 	if !rep.Identical || rep.Tool != "mpicolltune" || rep.Workers != 2 ||
 		d.Selectors != 2 || d.ModelsFitted == 0 || d.FitWall <= 0 {
 		t.Errorf("implausible report:\n%s", data)
+	}
+}
+
+// TestTrainNodesOutsideGridFailFast: d8's default training nodes lie
+// outside its smoke grid. The run must fail before it generates any dataset
+// of the matrix, naming both node lists and the flag that fixes it.
+func TestTrainNodesOutsideGridFailFast(t *testing.T) {
+	bin, dir := build(t)
+	cache := filepath.Join(dir, "cache")
+	run := exec.Command(bin, "-dataset", "d1,d8", "-learner", "gam", "-scale", "smoke",
+		"-cache", cache, "-save", filepath.Join(dir, "models"), "-quiet")
+	out, err := run.CombinedOutput()
+	if code := run.ProcessState.ExitCode(); err == nil || code != 1 {
+		t.Fatalf("exit code %d (%v), want 1\n%s", code, err, out)
+	}
+	for _, want := range []string{"d8", "[20 32 48]", "[2 3 4 5]", "-train-nodes"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("error does not name %q:\n%s", want, out)
+		}
+	}
+	if entries, err := os.ReadDir(cache); err == nil && len(entries) > 0 {
+		t.Errorf("cache holds %d entries; no dataset should have been generated", len(entries))
+	}
+
+	spec, err := dataset.SpecByName("d8", dataset.ScaleSmoke)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkTrainNodes(spec, dataset.ScaleSmoke, []int{20, 3}); err != nil {
+		t.Errorf("one training node in the grid suffices: %v", err)
 	}
 }
