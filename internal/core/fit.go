@@ -107,6 +107,10 @@ type fitResult struct {
 	err  error
 }
 
+// newLearner builds every model core fits. It is ml.New; tests substitute
+// learners that fail on purpose.
+var newLearner = ml.New
+
 // fitAll fits a fresh learner to each of n training sets on GOMAXPROCS
 // goroutines, where data(i) returns set i, and passes each outcome to
 // commit in input order on the caller's goroutine.
@@ -128,7 +132,7 @@ func fitAll(learner string, n int, data func(i int) ([][]float64, []float64), co
 		t0 := time.Now()
 		defer func() { busy[w].Add(time.Since(t0).Seconds()) }()
 		x, y := data(i)
-		m, err := ml.New(learner)
+		m, err := newLearner(learner)
 		if err != nil {
 			return fitResult{err: err}, nil
 		}

@@ -96,14 +96,11 @@ func (e Envelope) Contains(f []float64) bool {
 }
 
 // Plausible reports whether a predicted time is within the training-response
-// range widened by slack on each side. slack is a multiplicative factor:
-// with the default of 100, a model predicting a time 100x beyond anything it
-// ever saw is declared broken rather than believed.
-func (e Envelope) Plausible(t, slack float64) bool {
-	if slack <= 1 {
-		slack = DefaultPlausibilitySlack
-	}
-	return t >= e.RespMin/slack && t <= e.RespMax*slack
+// range widened by DefaultPlausibilitySlack on each side: a model predicting
+// a time 100x beyond anything it ever saw is declared broken rather than
+// believed.
+func (e Envelope) Plausible(t float64) bool {
+	return t >= e.RespMin/DefaultPlausibilitySlack && t <= e.RespMax*DefaultPlausibilitySlack
 }
 
 // DefaultPlausibilitySlack is the multiplicative widening applied to a

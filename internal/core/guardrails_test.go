@@ -17,6 +17,19 @@ func testMachine(t *testing.T) machine.Machine {
 	return mach
 }
 
+// useLearner makes core build f's learners under name for the rest of the
+// test; every other name still goes to ml.New.
+func useLearner(t *testing.T, name string, f func() ml.Regressor) {
+	prev := newLearner
+	newLearner = func(n string) (ml.Regressor, error) {
+		if n == name {
+			return f(), nil
+		}
+		return prev(n)
+	}
+	t.Cleanup(func() { newLearner = prev })
+}
+
 // panicLearner is a regressor whose methods blow up, standing in for a
 // broken third-party model implementation.
 type panicLearner struct {
@@ -124,7 +137,7 @@ func TestGuardrailsDisarmedWithoutFallback(t *testing.T) {
 }
 
 func TestPanickingFitQuarantinesConfigs(t *testing.T) {
-	ml.Register("panic-fit", func() ml.Regressor { return &panicLearner{fitPanics: true} })
+	useLearner(t, "panic-fit", func() ml.Regressor { return &panicLearner{fitPanics: true} })
 	ds, set := testDataset(t)
 	mach := testMachine(t)
 	sel, err := Train(ds, set, "panic-fit", []int{2, 4, 6})
@@ -158,7 +171,7 @@ func TestPanickingFitQuarantinesConfigs(t *testing.T) {
 }
 
 func TestPanickingPredictQuarantinesAndNeverSelects(t *testing.T) {
-	ml.Register("panic-predict", func() ml.Regressor { return &panicLearner{predictPanics: true} })
+	useLearner(t, "panic-predict", func() ml.Regressor { return &panicLearner{predictPanics: true} })
 	ds, set := testDataset(t)
 	sel, err := Train(ds, set, "panic-predict", []int{2, 4, 6})
 	if err != nil {
@@ -196,7 +209,7 @@ func (b *boundedLearner) Fit(x [][]float64, y []float64) error { return nil }
 func (b *boundedLearner) Predict(x []float64) float64          { return b.pred }
 
 func TestImplausiblePredictionFallsBack(t *testing.T) {
-	ml.Register("tiny-pred", func() ml.Regressor { return &boundedLearner{pred: 1e-30} })
+	useLearner(t, "tiny-pred", func() ml.Regressor { return &boundedLearner{pred: 1e-30} })
 	ds, set := testDataset(t)
 	mach := testMachine(t)
 	sel, err := Train(ds, set, "tiny-pred", []int{2, 4, 6})
@@ -221,10 +234,10 @@ func TestEnvelopeContainsAndPlausible(t *testing.T) {
 			t.Errorf("point %v should be outside", f)
 		}
 	}
-	if !e.Plausible(1e-4, 100) || !e.Plausible(0.1, 100) {
+	if !e.Plausible(1e-4) || !e.Plausible(0.1) {
 		t.Error("in-range and moderately extrapolated times are plausible")
 	}
-	if e.Plausible(1e-9, 100) || e.Plausible(1e3, 100) {
+	if e.Plausible(1e-9) || e.Plausible(1e3) {
 		t.Error("runaway predictions must be implausible")
 	}
 }

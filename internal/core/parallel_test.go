@@ -75,7 +75,7 @@ func TestTrainParallelBitIdentical(t *testing.T) {
 // leave the same quarantine records — and the same snapshot bytes — no
 // matter how many workers fitted it.
 func TestTrainParallelQuarantineDeterministic(t *testing.T) {
-	ml.Register("panic-fit-par", func() ml.Regressor { return &panicLearner{fitPanics: true} })
+	useLearner(t, "panic-fit-par", func() ml.Regressor { return &panicLearner{fitPanics: true} })
 	ds, set := testDataset(t)
 	trainNodes := []int{2, 4, 6}
 
@@ -191,7 +191,7 @@ func (refusingLearner) Predict(x []float64) float64 { return 1e-3 }
 // serial loop stops at — with the same error at 1 and 4 workers, even
 // though at 4 workers the late failure completes first.
 func TestFitErrorFirstInConfigOrder(t *testing.T) {
-	ml.Register("refuse-fit", func() ml.Regressor { return refusingLearner{} })
+	useLearner(t, "refuse-fit", func() ml.Regressor { return refusingLearner{} })
 	ds, set := testDataset(t)
 	trainNodes := []int{2, 4, 6}
 	cfgs := set.Selectable()

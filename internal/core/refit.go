@@ -40,7 +40,7 @@ func Refit(base *Selector, ds *dataset.Dataset, set *mpilib.CollectiveSet, confi
 	if len(configIDs) == 0 {
 		return nil, fmt.Errorf("core: refit: no configurations listed")
 	}
-	if _, err := ml.New(base.Learner); err != nil {
+	if _, err := newLearner(base.Learner); err != nil {
 		return nil, err
 	}
 
@@ -64,15 +64,14 @@ func Refit(base *Selector, ds *dataset.Dataset, set *mpilib.CollectiveSet, confi
 	slices.SortFunc(cfgs, func(a, b mpilib.Config) int { return cmp.Compare(a.ID, b.ID) })
 
 	cand := &Selector{
-		Coll:              base.Coll,
-		Learner:           base.Learner,
-		TrainNodes:        append([]int(nil), base.TrainNodes...),
-		PlausibilitySlack: base.PlausibilitySlack,
-		models:            make(map[int]ml.Regressor),
-		envelopes:         make(map[int]Envelope),
-		selectHist:        base.selectHist,
-		fbMach:            base.fbMach,
-		fbSet:             base.fbSet,
+		Coll:       base.Coll,
+		Learner:    base.Learner,
+		TrainNodes: append([]int(nil), base.TrainNodes...),
+		models:     make(map[int]ml.Regressor),
+		envelopes:  make(map[int]Envelope),
+		selectHist: base.selectHist,
+		fbMach:     base.fbMach,
+		fbSet:      base.fbSet,
 	}
 	cand.setConfigs(set.Selectable())
 

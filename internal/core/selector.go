@@ -71,8 +71,6 @@ type Selector struct {
 	// FitWall is the total wall-clock time spent fitting the
 	// per-configuration regression models, in seconds.
 	FitWall float64
-	// PlausibilitySlack overrides DefaultPlausibilitySlack when > 1.
-	PlausibilitySlack float64
 
 	configs    []mpilib.Config
 	labels     []string // configs[i].Label(), built once by setConfigs
@@ -105,7 +103,7 @@ func Train(ds *dataset.Dataset, set *mpilib.CollectiveSet, learner string, train
 	if len(trainNodes) == 0 {
 		return nil, fmt.Errorf("core: no training node counts given")
 	}
-	if _, err := ml.New(learner); err != nil {
+	if _, err := newLearner(learner); err != nil {
 		return nil, err
 	}
 	sel := &Selector{
@@ -225,7 +223,7 @@ func (s *Selector) SelectTraced(nodes, ppn int, msize int64, tr Tracer) Predicti
 	if best.Fallback {
 		return s.fallbackStage(nodes, ppn, msize, "no_model", tr)
 	}
-	if env, ok := s.envelopes[best.ConfigID]; ok && !env.Plausible(best.Predicted, s.PlausibilitySlack) {
+	if env, ok := s.envelopes[best.ConfigID]; ok && !env.Plausible(best.Predicted) {
 		return s.fallbackStage(nodes, ppn, msize, "implausible", tr)
 	}
 	return best

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
@@ -75,12 +76,13 @@ func (s *Selector) Snapshot(fp Fingerprint) ([]byte, error) {
 	// time is run metadata, not model state — it differs between any two
 	// training runs (and between serial and parallel fitting), and encoding
 	// it would break the guarantee that retraining the same data yields
-	// byte-identical snapshot files.
+	// byte-identical snapshot files. The plausibility-slack slot holds 0,
+	// which has always meant DefaultPlausibilitySlack, the only slack.
 	w.String(s.Coll)
 	w.String(s.Learner)
 	w.Ints(s.TrainNodes)
 	w.F64(0)
-	w.F64(s.PlausibilitySlack)
+	w.F64(0)
 
 	// Portfolio identity: the selectable configuration ids and labels, so a
 	// loader can detect drift against the code-defined portfolio.
@@ -165,16 +167,20 @@ func DecodeSnapshot(data []byte) (*Selector, Fingerprint, error) {
 	fp.TrainNodes = r.Ints()
 
 	sel := &Selector{
-		Coll:              r.String(),
-		Learner:           r.String(),
-		TrainNodes:        r.Ints(),
-		FitWall:           r.F64(),
-		PlausibilitySlack: r.F64(),
-		models:            map[int]ml.Regressor{},
-		envelopes:         map[int]Envelope{},
+		Coll:       r.String(),
+		Learner:    r.String(),
+		TrainNodes: r.Ints(),
+		FitWall:    r.F64(),
+		models:     map[int]ml.Regressor{},
+		envelopes:  map[int]Envelope{},
 	}
+	slack := r.F64()
 	if err := r.Err(); err != nil {
 		return nil, fp, fmt.Errorf("core: snapshot header: %w", err)
+	}
+	if math.Float64bits(slack) != 0 {
+		return nil, fp, fmt.Errorf("core: snapshot plausibility slack slot holds %v, want 0 (this build always uses %d)",
+			slack, DefaultPlausibilitySlack)
 	}
 
 	// Re-resolve the portfolio and verify it matches what was trained.

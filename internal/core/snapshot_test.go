@@ -1,16 +1,22 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"mpicollpred/internal/floats"
+	"mpicollpred/internal/ml"
 	"mpicollpred/internal/snapshot"
 )
 
 // TestSnapshotRoundTripAllLearners is the acceptance test of the
-// persistence layer: for every registered learner, a save → load round trip
+// persistence layer: for every learner ml.New builds, a save → load round trip
 // must reproduce the in-memory selector's predictions bit-identically on the
 // full grid — training cells, held-out node counts, and held-out message
 // sizes alike.
@@ -21,9 +27,7 @@ func TestSnapshotRoundTripAllLearners(t *testing.T) {
 		t.Fatal(err)
 	}
 	trainNodes := []int{2, 4, 6}
-	// The five real learners, spelled out rather than ml.Names(): other
-	// tests in this package register panicking fakes in the shared registry.
-	for _, learner := range []string{"knn", "gam", "xgboost", "rf", "linear"} {
+	for _, learner := range ml.Names() {
 		sel, err := Train(ds, set, learner, trainNodes)
 		if err != nil {
 			t.Fatalf("%s: %v", learner, err)
@@ -139,6 +143,54 @@ func TestSnapshotRejectsDamage(t *testing.T) {
 	}
 	if _, _, err := LoadSnapshot(filepath.Join(dir, "missing.snap")); err == nil {
 		t.Error("LoadSnapshot accepted a missing file")
+	}
+}
+
+// TestSnapshotRejectsSlackSlot: the selector header keeps a plausibility
+// slack slot, and it always holds 0, which means DefaultPlausibilitySlack.
+// A snapshot asking for another slack would be served at the default, so
+// it is refused with an error naming the field.
+func TestSnapshotRejectsSlackSlot(t *testing.T) {
+	ds, set := testDataset(t)
+	trainNodes := []int{2, 4, 6}
+	sel, err := Train(ds, set, "linear", trainNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := FingerprintFor(ds, "linear", trainNodes)
+	data, err := sel.Snapshot(fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := snapshot.Unframe(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The header before the slot: the fingerprint, then the collective,
+	// the learner, the training nodes and the zeroed fit wall time.
+	var w snapshot.Writer
+	w.String(fp.Dataset)
+	w.U64(fp.DatasetHash)
+	w.String(fp.Lib)
+	w.String(fp.Version)
+	w.String(fp.Machine)
+	w.String(fp.Learner)
+	w.Ints(fp.TrainNodes)
+	w.String(sel.Coll)
+	w.String(sel.Learner)
+	w.Ints(sel.TrainNodes)
+	w.F64(0)
+	off := len(w.Bytes())
+	if !bytes.HasPrefix(payload, w.Bytes()) || binary.LittleEndian.Uint64(payload[off:]) != 0 {
+		t.Fatal("snapshot header does not end in a zero slack slot")
+	}
+	bad := slices.Clone(payload)
+	binary.LittleEndian.PutUint64(bad[off:], math.Float64bits(10))
+	if _, _, err := DecodeSnapshot(snapshot.Frame(bad)); err == nil || !strings.Contains(err.Error(), "plausibility slack slot") {
+		t.Errorf("slack 10 in the slot: err %v, want the plausibility slack slot named", err)
+	}
+	if _, _, err := DecodeSnapshot(snapshot.Frame(payload)); err != nil {
+		t.Errorf("re-framed unchanged payload: %v", err)
 	}
 }
 

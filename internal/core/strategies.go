@@ -83,7 +83,7 @@ func TrainRatio(ds *dataset.Dataset, mach machine.Machine, set *mpilib.Collectiv
 		ys[s.ConfigID] = append(ys[s.ConfigID], d/s.Time)
 	}
 	for _, cfg := range sel.configs {
-		m, err := ml.New(learner)
+		m, err := newLearner(learner)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math"
 	"testing"
 
 	"mpicollpred/internal/bench"
@@ -86,6 +87,15 @@ func TestEvaluateOpenMPIBeatsDefaultOnAverage(t *testing.T) {
 			t.Fatalf("bad speedup: %+v", r)
 		}
 	}
+}
+
+// GeoMeanSpeedup is the geometric-mean variant (robust to outliers).
+func (e *Evaluation) GeoMeanSpeedup() float64 {
+	s := 0.0
+	for _, r := range e.Results {
+		s += math.Log(r.Speedup())
+	}
+	return math.Exp(s / float64(len(e.Results)))
 }
 
 func TestEvaluateGeoVsArithmetic(t *testing.T) {

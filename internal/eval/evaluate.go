@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
 
 	"mpicollpred/internal/core"
 	"mpicollpred/internal/dataset"
@@ -145,15 +144,6 @@ func (e *Evaluation) MeanSpeedup() float64 {
 		s += r.Speedup()
 	}
 	return s / float64(len(e.Results))
-}
-
-// GeoMeanSpeedup is the geometric-mean variant (robust to outliers).
-func (e *Evaluation) GeoMeanSpeedup() float64 {
-	s := 0.0
-	for _, r := range e.Results {
-		s += math.Log(r.Speedup())
-	}
-	return math.Exp(s / float64(len(e.Results)))
 }
 
 // MeanVsBest is the mean normalized runtime of the predicted configuration

@@ -7,36 +7,10 @@ package floats
 
 import "math"
 
-const (
-	// Eps is the default relative tolerance of Eq: values agreeing to ~9
-	// significant digits are equal. Benchmark times and model predictions
-	// carry far more noise than this, so Eq never confuses distinct
-	// measurements.
-	Eps = 1e-9
-
-	// ZeroEps is the magnitude below which Zero treats a value as zero.
-	// Feature scales, gains, and rates in this codebase are O(1) or
-	// larger; anything at 1e-12 is accumulated rounding, not signal.
-	ZeroEps = 1e-12
-)
-
-// Eq reports whether a and b are equal within the default relative
-// tolerance Eps.
-func Eq(a, b float64) bool { return EqTol(a, b, Eps) }
-
-// EqTol reports whether a and b agree within relative tolerance tol
-// (absolute near zero). Identical values — including equal infinities —
-// always compare equal; NaN never does.
-func EqTol(a, b, tol float64) bool {
-	if Exact(a, b) {
-		return true
-	}
-	if math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return false // a non-identical infinity is infinitely far away
-	}
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= tol*scale
-}
+// ZeroEps is the magnitude below which Zero treats a value as zero.
+// Feature scales, gains, and rates in this codebase are O(1) or larger;
+// anything at 1e-12 is accumulated rounding, not signal.
+const ZeroEps = 1e-12
 
 // Zero reports whether x is exactly or negligibly zero (|x| <= ZeroEps).
 // Use it for degenerate-scale guards (constant features, vanished
@@ -47,7 +21,8 @@ func Zero(x float64) bool { return math.Abs(x) <= ZeroEps }
 // use it where exactness is the point: sentinel values that were assigned
 // and never computed (a fault factor of exactly 1, a ridge of exactly 0),
 // or duplicate detection among copied values (equal sort keys, repeated
-// spline knots). For anything that went through arithmetic, use Eq/EqTol.
+// spline knots). Anything that went through arithmetic needs a tolerance
+// stated at the call site, or a restatement that avoids the comparison.
 func Exact(a, b float64) bool {
 	return a == b //mpicollvet:ignore floateq this helper is the audited home of the one exact float comparison
 }

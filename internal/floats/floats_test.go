@@ -5,29 +5,6 @@ import (
 	"testing"
 )
 
-func TestEq(t *testing.T) {
-	cases := []struct {
-		a, b float64
-		want bool
-	}{
-		{1, 1, true},
-		{1, 1 + 1e-12, true},                  // within relative tolerance
-		{1, 1 + 1e-6, false},                  // outside
-		{1e12, 1e12 * (1 + 1e-12), true},      // relative, not absolute
-		{0, 1e-12, true},                      // absolute near zero
-		{0, 1e-6, false},                      //
-		{math.Inf(1), math.Inf(1), true},      // equal infinities
-		{math.Inf(1), math.Inf(-1), false},    //
-		{math.NaN(), math.NaN(), false},       // NaN equals nothing
-		{math.Inf(1), math.MaxFloat64, false}, // far apart however large
-	}
-	for _, c := range cases {
-		if got := Eq(c.a, c.b); got != c.want {
-			t.Errorf("Eq(%g, %g) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestZero(t *testing.T) {
 	if !Zero(0) || !Zero(1e-13) || !Zero(-1e-13) {
 		t.Error("Zero must accept exact and negligible zeros")

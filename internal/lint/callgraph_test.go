@@ -3,8 +3,11 @@ package lint
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -96,4 +99,51 @@ func TestGraphDumpDeterministic(t *testing.T) {
 	if !strings.Contains(a.String(), "dyn:") {
 		t.Errorf("dump lacks dynamic-dispatch records; fixture coverage lost:\n%s", a.String())
 	}
+}
+
+// Dump writes a deterministic text rendering of the subgraph declared in
+// pkgPath — the golden-test surface for the graph layer. Occurrences of the
+// package path are shortened to "pkg" for readable, location-independent
+// goldens.
+func (g *Graph) Dump(w io.Writer, pkgPath string) {
+	short := func(s string) string { return strings.ReplaceAll(s, pkgPath, "pkg") }
+	ids := make([]string, 0, len(g.funcs))
+	for id, n := range g.funcs {
+		if n.Pkg == pkgPath {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		n := g.funcs[id]
+		fmt.Fprintf(w, "%s\n  direct: %s\n  effects: %s\n", short(id), n.Direct, n.Trans)
+		if len(n.calls) > 0 {
+			fmt.Fprintf(w, "  calls: %s\n", short(joinSorted(n.calls)))
+		}
+		if len(n.spawns) > 0 {
+			fmt.Fprintf(w, "  spawns: %s\n", short(joinSorted(n.spawns)))
+		}
+		if len(n.dyn) > 0 {
+			keys := make([]string, 0, len(n.dyn))
+			for k := range n.dyn {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				impls := append([]string(nil), g.methodsBySig[k]...)
+				sort.Strings(impls)
+				fmt.Fprintf(w, "  dyn: %s -> [%s] ~%s\n",
+					short(k), short(strings.Join(impls, ", ")), g.dynFallback[k])
+			}
+		}
+	}
+}
+
+func joinSorted(set map[string]bool) string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return strings.Join(keys, ", ")
 }

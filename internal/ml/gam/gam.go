@@ -14,30 +14,22 @@ import (
 	"mpicollpred/internal/ml/linalg"
 )
 
-// Options controls the smooths.
-type Options struct {
+// The smooths' hyper-parameters are constants, an out-of-the-box setup that
+// is never tuned. Snapshots still carry them, in the slots the format has
+// always had, and a decoder rejects any other value.
+const (
 	// NumBasis is the number of B-spline basis functions per feature.
-	NumBasis int
-	// Lambdas is the GCV search grid for the smoothing parameter (shared
-	// across features, as a deliberate out-of-the-box choice).
-	Lambdas []float64
+	NumBasis = 8
 	// MaxIter bounds the IRLS iterations.
-	MaxIter int
-}
+	MaxIter = 25
+)
 
-// DefaultOptions returns the out-of-the-box configuration.
-func DefaultOptions() Options {
-	return Options{
-		NumBasis: 8,
-		Lambdas:  []float64{0.01, 0.1, 1, 10, 100},
-		MaxIter:  25,
-	}
-}
+// Lambdas returns the GCV search grid for the smoothing parameter, shared
+// across features as a deliberate out-of-the-box choice.
+func Lambdas() []float64 { return []float64{0.01, 0.1, 1, 10, 100} }
 
 // Regressor is a fitted GAM.
 type Regressor struct {
-	opts Options
-
 	lo, hi []float64 // per-feature training range (inputs are clamped)
 	active []bool    // false for constant features (no smooth)
 	beta   []float64 // intercept followed by per-feature coefficient blocks
@@ -45,28 +37,13 @@ type Regressor struct {
 	edf    float64   // effective degrees of freedom at the selected lambda
 }
 
-// New returns a GAM with default options.
-func New() *Regressor { return &Regressor{opts: DefaultOptions()} }
-
-// NewWith returns a GAM with explicit options.
-func NewWith(opts Options) *Regressor {
-	if opts.NumBasis < 4 {
-		opts.NumBasis = 4
-	}
-	if opts.MaxIter < 1 {
-		opts.MaxIter = 1
-	}
-	if len(opts.Lambdas) == 0 {
-		opts.Lambdas = []float64{1}
-	}
-	return &Regressor{opts: opts}
-}
+// New returns an unfitted GAM.
+func New() *Regressor { return &Regressor{} }
 
 // State is the exported fitted-model state, used by the snapshot codec: the
-// spline coefficients plus the clamping ranges and options Predict needs to
-// rebuild the exact design row.
+// spline coefficients plus the clamping ranges Predict needs to rebuild the
+// exact design row.
 type State struct {
-	Opts   Options
 	Lo, Hi []float64
 	Active []bool
 	Beta   []float64
@@ -76,31 +53,28 @@ type State struct {
 
 // State exports the fitted model.
 func (r *Regressor) State() State {
-	return State{Opts: r.opts, Lo: r.lo, Hi: r.hi, Active: r.active,
+	return State{Lo: r.lo, Hi: r.hi, Active: r.active,
 		Beta: r.beta, Lambda: r.lambda, EDF: r.edf}
 }
 
 // FromState rebuilds a fitted model, validating that the coefficient vector
-// matches the basis layout implied by the options and active features.
+// matches the basis layout implied by NumBasis and the active features.
 func FromState(s State) (*Regressor, error) {
 	d := len(s.Lo)
 	if len(s.Hi) != d || len(s.Active) != d {
 		return nil, fmt.Errorf("gam: snapshot ranges disagree: %d lo, %d hi, %d active",
 			d, len(s.Hi), len(s.Active))
 	}
-	if s.Opts.NumBasis < 4 {
-		return nil, fmt.Errorf("gam: snapshot basis size %d < 4", s.Opts.NumBasis)
-	}
 	cols := 1
 	for _, act := range s.Active {
 		if act {
-			cols += s.Opts.NumBasis
+			cols += NumBasis
 		}
 	}
 	if len(s.Beta) != cols {
 		return nil, fmt.Errorf("gam: snapshot has %d coefficients, layout needs %d", len(s.Beta), cols)
 	}
-	return &Regressor{opts: s.Opts, lo: s.Lo, hi: s.Hi, active: s.Active,
+	return &Regressor{lo: s.Lo, hi: s.Hi, active: s.Active,
 		beta: s.Beta, lambda: s.Lambda, edf: s.EDF}, nil
 }
 
@@ -150,7 +124,7 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 	bestGCV := math.Inf(1)
 	var bestBeta []float64
 	var bestLambda, bestEDF float64
-	for _, lambda := range r.opts.Lambdas {
+	for _, lambda := range Lambdas() {
 		beta, gcv, edf, err := r.fitIRLS(design, xtx, pen, y, logy, lambda)
 		if err != nil {
 			continue
@@ -193,7 +167,7 @@ func (r *Regressor) fitIRLS(design, xtx, pen *linalg.Matrix, y, logy []float64, 
 	// excellent IRLS warm start in general.
 	z := append([]float64(nil), logy...)
 	eta := make([]float64, n)
-	for iter := 0; iter < r.opts.MaxIter; iter++ {
+	for iter := 0; iter < MaxIter; iter++ {
 		beta = linalg.SolveChol(l, design.AtV(z, nil))
 		newEta := design.MulVec(beta)
 		shift := 0.0
@@ -272,7 +246,7 @@ func (r *Regressor) designMatrix(x [][]float64) *linalg.Matrix {
 	cols := 1
 	for _, act := range r.active {
 		if act {
-			cols += r.opts.NumBasis
+			cols += NumBasis
 		}
 	}
 	m := linalg.New(len(x), cols)
@@ -287,7 +261,7 @@ func (r *Regressor) designRow(x []float64) []float64 {
 	cols := 1
 	for _, act := range r.active {
 		if act {
-			cols += r.opts.NumBasis
+			cols += NumBasis
 		}
 	}
 	row := make([]float64, cols)
@@ -304,8 +278,8 @@ func (r *Regressor) designRow(x []float64) []float64 {
 		if v > r.hi[j] {
 			v = r.hi[j]
 		}
-		bsplineBasis(v, r.lo[j], r.hi[j], r.opts.NumBasis, row[off:off+r.opts.NumBasis])
-		off += r.opts.NumBasis
+		bsplineBasis(v, r.lo[j], r.hi[j], NumBasis, row[off:off+NumBasis])
+		off += NumBasis
 	}
 	return row
 }
@@ -315,7 +289,7 @@ func (r *Regressor) designRow(x []float64) []float64 {
 // coefficients for identifiability (B-spline bases sum to one, which is
 // collinear with the intercept).
 func (r *Regressor) penaltyTemplate() *linalg.Matrix {
-	nb := r.opts.NumBasis
+	nb := NumBasis
 	cols := 1
 	for _, act := range r.active {
 		if act {

@@ -84,7 +84,7 @@ func TestGCVSelectsFromGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, l := range DefaultOptions().Lambdas {
+	for _, l := range Lambdas() {
 		if g.Lambda() == l {
 			found = true
 		}
@@ -92,7 +92,7 @@ func TestGCVSelectsFromGrid(t *testing.T) {
 	if !found {
 		t.Errorf("selected lambda %v not from the grid", g.Lambda())
 	}
-	if g.EDF() <= 1 || g.EDF() > float64(1+DefaultOptions().NumBasis) {
+	if g.EDF() <= 1 || g.EDF() > float64(1+NumBasis) {
 		t.Errorf("implausible EDF %v", g.EDF())
 	}
 }

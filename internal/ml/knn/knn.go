@@ -12,31 +12,26 @@ import (
 	"mpicollpred/internal/floats"
 )
 
+// K is the neighbourhood size, the paper's caret default. It is a
+// constant: snapshots still carry it, in the slot the format has always
+// had, and a decoder rejects any other value.
+const K = 5
+
 // Regressor is a KNN regression model.
 type Regressor struct {
-	k     int
 	mean  []float64
 	scale []float64
 	x     [][]float64 // scaled copies of the training rows
 	y     []float64
 }
 
-// New returns a KNN regressor with the paper's default K = 5.
-func New() *Regressor { return &Regressor{k: 5} }
-
-// NewK returns a KNN regressor with a custom neighbourhood size.
-func NewK(k int) *Regressor {
-	if k < 1 {
-		k = 1
-	}
-	return &Regressor{k: k}
-}
+// New returns an unfitted KNN regressor.
+func New() *Regressor { return &Regressor{} }
 
 // State is the exported fitted-model state, used by the snapshot codec.
 // X holds the z-scaled training rows exactly as Predict consumes them, so a
 // restored model computes bit-identical distances.
 type State struct {
-	K           int
 	Mean, Scale []float64
 	X           [][]float64
 	Y           []float64
@@ -44,15 +39,12 @@ type State struct {
 
 // State exports the fitted model.
 func (r *Regressor) State() State {
-	return State{K: r.k, Mean: r.mean, Scale: r.scale, X: r.x, Y: r.y}
+	return State{Mean: r.mean, Scale: r.scale, X: r.x, Y: r.y}
 }
 
 // FromState rebuilds a fitted model, validating the shapes so a corrupted
 // snapshot cannot index out of bounds at prediction time.
 func FromState(s State) (*Regressor, error) {
-	if s.K < 1 {
-		return nil, fmt.Errorf("knn: snapshot k = %d", s.K)
-	}
 	if len(s.X) == 0 || len(s.X) != len(s.Y) {
 		return nil, fmt.Errorf("knn: snapshot has %d rows but %d targets", len(s.X), len(s.Y))
 	}
@@ -65,7 +57,7 @@ func FromState(s State) (*Regressor, error) {
 			return nil, fmt.Errorf("knn: snapshot row %d has %d features, want %d", i, len(row), d)
 		}
 	}
-	return &Regressor{k: s.K, mean: s.Mean, scale: s.Scale, x: s.X, y: s.Y}, nil
+	return &Regressor{mean: s.Mean, scale: s.Scale, x: s.X, y: s.Y}, nil
 }
 
 // Fit stores the (scaled) training set.
@@ -109,7 +101,8 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 	return nil
 }
 
-// Predict returns the mean running time of the k nearest training samples.
+// Predict returns the mean running time of the K nearest training samples
+// (of all of them when there are fewer).
 func (r *Regressor) Predict(x []float64) float64 {
 	if len(r.x) == 0 {
 		return math.NaN()
@@ -118,12 +111,9 @@ func (r *Regressor) Predict(x []float64) float64 {
 	for j, v := range x {
 		q[j] = (v - r.mean[j]) / r.scale[j]
 	}
-	k := r.k
-	if k > len(r.x) {
-		k = len(r.x)
-	}
+	k := min(K, len(r.x))
 	// Track the k smallest distances with a simple bounded insertion —
-	// k is 5, so this beats sorting all n distances.
+	// k is at most 5, so this beats sorting all n distances.
 	type cand struct {
 		d float64
 		y float64

@@ -6,19 +6,19 @@ import (
 )
 
 func TestExactNeighborsMean(t *testing.T) {
-	// k=2 on a 1-D line: prediction at 0.1 must average the two nearest
-	// targets.
-	r := NewK(2)
-	x := [][]float64{{0}, {1}, {10}, {11}}
-	y := []float64{2, 4, 100, 200}
+	// Two clusters of five on a 1-D line: a prediction inside one cluster
+	// must average exactly its five targets.
+	r := New()
+	x := [][]float64{{0}, {1}, {2}, {3}, {4}, {10}, {11}, {12}, {13}, {14}}
+	y := []float64{2, 4, 6, 8, 10, 100, 200, 300, 400, 500}
 	if err := r.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Predict([]float64{0.1}); got != 3 {
-		t.Errorf("predict = %v, want 3", got)
+	if got := r.Predict([]float64{0.1}); got != 6 {
+		t.Errorf("predict = %v, want 6", got)
 	}
-	if got := r.Predict([]float64{10.6}); got != 150 {
-		t.Errorf("predict = %v, want 150", got)
+	if got := r.Predict([]float64{12.4}); got != 300 {
+		t.Errorf("predict = %v, want 300", got)
 	}
 }
 
@@ -33,7 +33,7 @@ func TestScalingMakesFeaturesComparable(t *testing.T) {
 		x = append(x, []float64{m, n})
 		y = append(y, n*10+1) // depends ONLY on the small feature
 	}
-	r := NewK(3)
+	r := New()
 	if err := r.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestScalingMakesFeaturesComparable(t *testing.T) {
 }
 
 func TestKLargerThanTrainingSet(t *testing.T) {
-	r := NewK(10)
+	r := New() // K = 5 neighbours, two samples
 	if err := r.Fit([][]float64{{1}, {2}}, []float64{4, 6}); err != nil {
 		t.Fatal(err)
 	}
@@ -72,14 +72,19 @@ func TestDefaultKIsFive(t *testing.T) {
 }
 
 func TestConstantFeatureIgnored(t *testing.T) {
-	r := NewK(1)
-	x := [][]float64{{5, 1}, {5, 2}, {5, 3}}
-	y := []float64{1, 2, 3}
+	r := New()
+	var x [][]float64
+	var y []float64
+	for i := 1; i <= 12; i++ {
+		x = append(x, []float64{5, float64(i)})
+		y = append(y, float64(i))
+	}
 	if err := r.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Predict([]float64{5, 2.1}); got != 2 {
-		t.Errorf("nearest by informative feature = %v, want 2", got)
+	// The five nearest by the informative feature: 4, 5, 6, 7 and 8.
+	if got := r.Predict([]float64{5, 6.1}); got != 6 {
+		t.Errorf("nearest by informative feature = %v, want 6", got)
 	}
 }
 
@@ -92,13 +97,13 @@ func TestUnfittedIsNaN(t *testing.T) {
 func TestInsertionKeepsKSmallest(t *testing.T) {
 	// Regression test for the bounded-insertion logic: feed points in an
 	// order that exercises mid-list insertion.
-	r := NewK(3)
-	x := [][]float64{{10}, {1}, {7}, {2}, {8}, {3}}
-	y := []float64{1000, 10, 700, 20, 800, 30}
+	r := New()
+	x := [][]float64{{10}, {1}, {7}, {2}, {8}, {3}, {9}, {4}, {11}, {5}}
+	y := []float64{100, 10, 70, 20, 80, 30, 90, 40, 110, 50}
 	if err := r.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Predict([]float64{0}); got != 20 { // neighbors 1,2,3
-		t.Errorf("k-smallest selection broken: %v, want 20", got)
+	if got := r.Predict([]float64{0}); got != 30 { // neighbors 1,2,3,4,5
+		t.Errorf("k-smallest selection broken: %v, want 30", got)
 	}
 }

@@ -1,12 +1,17 @@
 // Package ml defines the regression-learner interface of the tuning
-// framework and a registry of the available learners: the three the paper
-// settles on (XGBoost, GAM, KNN) and the ones it rejected but which remain
-// useful for ablation (random forest, linear regression).
+// framework and builds the available learners: the three the paper settles
+// on (XGBoost, GAM, KNN) and the ones it rejected but which remain useful
+// for ablation (random forest, linear regression).
 package ml
 
 import (
 	"fmt"
-	"sort"
+
+	"mpicollpred/internal/ml/gam"
+	"mpicollpred/internal/ml/knn"
+	"mpicollpred/internal/ml/linreg"
+	"mpicollpred/internal/ml/rf"
+	"mpicollpred/internal/ml/xgb"
 )
 
 // Regressor is a supervised learner predicting a positive running time from
@@ -19,38 +24,56 @@ type Regressor interface {
 	Predict(x []float64) float64
 }
 
-// Factory creates a fresh, unfitted Regressor with the out-of-the-box
-// hyper-parameters used throughout the paper (no tuning, by design).
-type Factory func() Regressor
-
-var registry = map[string]Factory{}
-
-// Register adds a learner factory under a name; called from init functions
-// of the learner subpackages via Use.
-func Register(name string, f Factory) { registry[name] = f }
-
-// New returns a fresh regressor of the named kind.
+// New returns a fresh, unfitted regressor of the named kind, wrapped in the
+// shared input validation. Every learner runs at its package's constant
+// hyper-parameters, as in the paper (no tuning, by design).
 func New(name string) (Regressor, error) {
-	f, ok := registry[name]
-	if !ok {
+	var r Regressor
+	switch name {
+	case "knn":
+		r = knn.New()
+	case "gam":
+		r = gam.New()
+	case "xgboost":
+		r = xgb.New()
+	case "rf":
+		r = rf.New()
+	case "linear":
+		r = linreg.New()
+	default:
 		return nil, fmt.Errorf("ml: unknown learner %q (have %v)", name, Names())
 	}
-	return f(), nil
+	return validated{r}, nil
 }
 
-// Names lists the registered learners, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
+// Names lists the learners New builds, sorted.
+func Names() []string { return []string{"gam", "knn", "linear", "rf", "xgboost"} }
+
+// validated wraps a learner with the shared input validation.
+type validated struct {
+	Regressor
+}
+
+func (v validated) Fit(x [][]float64, y []float64) error {
+	if err := validate(x, y); err != nil {
+		return err
 	}
-	sort.Strings(out)
-	return out
+	return v.Regressor.Fit(x, y)
 }
 
-// PaperLearners returns the three learners evaluated in the paper, in the
-// order of Table IV.
-func PaperLearners() []string { return []string{"knn", "gam", "xgboost"} }
+// Unwrap strips New's validation wrapper, exposing the concrete learner
+// underneath — the snapshot codec type-switches on it.
+func Unwrap(r Regressor) Regressor {
+	if v, ok := r.(validated); ok {
+		return v.Regressor
+	}
+	return r
+}
+
+// Validated wraps a learner with the shared input validation, the same
+// wrapper New applies; the snapshot codec re-wraps decoded learners so
+// restored and freshly trained models behave identically.
+func Validated(r Regressor) Regressor { return validated{r} }
 
 func validate(x [][]float64, y []float64) error {
 	if len(x) == 0 || len(x) != len(y) {

@@ -13,47 +13,42 @@ import (
 	"mpicollpred/internal/sim"
 )
 
-// Options controls the forest.
-type Options struct {
-	NumTrees int
-	MaxDepth int
-	MinLeaf  int
-	// MTry features per split; 0 = d/3 (regression default).
-	MTry int
-	Seed uint64
-}
-
-// DefaultOptions returns standard out-of-the-box forest settings.
-func DefaultOptions() Options {
-	return Options{NumTrees: 100, MaxDepth: 20, MinLeaf: 2, Seed: 1}
-}
+// The forest's hyper-parameters are constants: standard out-of-the-box
+// settings, never tuned. Snapshots still carry them, in the slots the format
+// has always had, and a decoder rejects any other value.
+const (
+	// NumTrees is the number of bagged trees.
+	NumTrees = 100
+	// MaxDepth bounds each tree's depth; the root is depth 0.
+	MaxDepth = 20
+	// MinLeaf is the minimum number of samples in a leaf.
+	MinLeaf = 2
+	// MTry is the snapshot's feature-subsampling slot. Its one value, 0,
+	// means each split considers 2/3 of the d features, rounded up:
+	// (2d+2)/3. With the paper's 3-4 feature vectors the classic d/3 rule
+	// would leave a single feature per split, which decorrelates the trees
+	// into noise.
+	MTry = 0
+	// Seed seeds the bootstrap samples and the feature subsampling.
+	Seed = 1
+)
 
 // Regressor is a fitted forest.
 type Regressor struct {
-	opts   Options
 	forest tree.Forest
 }
 
-// New returns a forest with default options.
-func New() *Regressor { return &Regressor{opts: DefaultOptions()} }
-
-// NewWith returns a forest with explicit options.
-func NewWith(opts Options) *Regressor {
-	if opts.NumTrees < 1 {
-		opts.NumTrees = 1
-	}
-	return &Regressor{opts: opts}
-}
+// New returns an unfitted forest.
+func New() *Regressor { return &Regressor{} }
 
 // State is the exported fitted-forest state, used by the snapshot codec.
 type State struct {
-	Opts  Options
 	Trees [][]tree.Node
 }
 
 // State exports the fitted forest.
 func (r *Regressor) State() State {
-	return State{Opts: r.opts, Trees: r.forest.State()}
+	return State{Trees: r.forest.State()}
 }
 
 // FromState rebuilds a fitted forest; tree.NewForest validates every tree's
@@ -63,7 +58,7 @@ func FromState(s State) (*Regressor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rf: snapshot: %w", err)
 	}
-	return &Regressor{opts: s.Opts, forest: f}, nil
+	return &Regressor{forest: f}, nil
 }
 
 // Fit trains the forest on log targets (bagging + feature subsampling).
@@ -79,23 +74,17 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 		logy[i] = math.Log(v)
 	}
 	n := len(x)
-	mtry := r.opts.MTry
-	if mtry <= 0 {
-		// 2/3 of the features: with the paper's 3-4 feature vectors the
-		// classic d/3 rule would leave a single feature per split, which
-		// decorrelates the trees into noise.
-		mtry = (2*len(x[0]) + 2) / 3
-	}
-	rng := sim.NewRNG(sim.Seed(r.opts.Seed, 0xF0537))
+	mtry := (2*len(x[0]) + 2) / 3 // see MTry
+	rng := sim.NewRNG(sim.Seed(Seed, 0xF0537))
 	var forest tree.ForestBuilder
 	idx := make([]int, n)
-	for t := 0; t < r.opts.NumTrees; t++ {
+	for t := 0; t < NumTrees; t++ {
 		for i := range idx {
 			idx[i] = rng.Intn(n) // bootstrap sample
 		}
 		err := forest.Add(tree.BuildVariance(x, logy, idx, tree.Options{
-			MaxDepth: r.opts.MaxDepth,
-			MinLeaf:  r.opts.MinLeaf,
+			MaxDepth: MaxDepth,
+			MinLeaf:  MinLeaf,
 			MTry:     mtry,
 			RNG:      rng,
 		}))

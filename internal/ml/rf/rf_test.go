@@ -48,24 +48,6 @@ func TestForestDeterministicWithSeed(t *testing.T) {
 	if a.Predict(probe) != b.Predict(probe) {
 		t.Error("same seed must give identical forests")
 	}
-	c := NewWith(Options{NumTrees: 100, MaxDepth: 20, MinLeaf: 2, Seed: 99})
-	if err := c.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if c.Predict(probe) == a.Predict(probe) {
-		t.Error("different seeds should differ")
-	}
-}
-
-func TestSingleTreeForest(t *testing.T) {
-	x, y := surface(50, 3)
-	r := NewWith(Options{NumTrees: 1, MaxDepth: 3, MinLeaf: 1, Seed: 1})
-	if err := r.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if p := r.Predict([]float64{5, 5}); !(p > 0) {
-		t.Errorf("bad prediction %v", p)
-	}
 }
 
 func TestRejectsBadTargets(t *testing.T) {

@@ -94,9 +94,6 @@ func (r *refBuilder) grow(rows []int, depth int) {
 	}
 	lambda := r.opts.Lambda
 	best, bestFeat, bestThresh := 0.0, -1, 0.0
-	if grad {
-		best = r.opts.Gamma
-	}
 	for _, f := range feats {
 		s := slices.Clone(rows)
 		sort.SliceStable(s, func(a, b int) bool {
@@ -201,7 +198,7 @@ func TestSplitSearchMatchesReference(t *testing.T) {
 		seed := rng.Uint64()
 		opts := func() Options {
 			return Options{MaxDepth: 1 + trial%9, MinLeaf: 1 + trial%3, Lambda: 1,
-				MinChild: 1e-6, Gamma: float64(trial%5) * 0.1, MTry: mtry, RNG: sim.NewRNG(seed)}
+				MinChild: 1e-6, MTry: mtry, RNG: sim.NewRNG(seed)}
 		}
 
 		for _, grad := range []bool{false, true} {

@@ -12,12 +12,12 @@ import (
 	"mpicollpred/internal/sim"
 )
 
-// Options controls tree growth.
+// Options controls tree growth. It is how xgb and rf pass their constants
+// to the shared builders.
 type Options struct {
 	MaxDepth int     // maximum depth; root is depth 0
-	MinLeaf  int     // minimum samples per leaf (variance mode)
+	MinLeaf  int     // minimum samples per leaf, at least 1 (variance mode)
 	Lambda   float64 // L2 regularization on leaf values (grad/hess mode)
-	Gamma    float64 // minimum gain to split (grad/hess mode)
 	MinChild float64 // minimum hessian sum per child (grad/hess mode)
 	// MTry > 0 samples that many candidate features per node (random
 	// forest decorrelation); 0 considers all features.
@@ -105,9 +105,6 @@ func NewSample(x [][]float64, idx []int) *Sample {
 // the tree routes x[i] to, without walking the tree again. The nodes
 // returned are the Sample's buffer, valid until its next build.
 func (s *Sample) BuildGradHess(g, h []float64, opts Options, leaf []float64) []Node {
-	if opts.MinChild <= 0 {
-		opts.MinChild = 1e-12
-	}
 	b := &s.b
 	copy(b.rows, s.rows)
 	b.opts, b.grad, b.g, b.h, b.leaf = opts, true, g, h, leaf
@@ -162,9 +159,6 @@ func (b *builder) block(k, lo, hi int) []int32 { return b.rows[k*b.n+lo : k*b.n+
 // index set idx (duplicates allowed, as in a bootstrap sample), presorting
 // idx for this one tree.
 func BuildVariance(x [][]float64, y []float64, idx []int, opts Options) []Node {
-	if opts.MinLeaf < 1 {
-		opts.MinLeaf = 1
-	}
 	b := newBuilder(x, len(idx))
 	presort(x, idx, b.rows)
 	b.opts, b.y = opts, y
@@ -293,7 +287,7 @@ func (b *builder) bestSplitVar(lo, hi int, total float64) (int, float64, bool) {
 func (b *builder) bestSplitGrad(lo, hi int, G, H float64) (int, float64, bool) {
 	lambda := b.opts.Lambda
 	parent := G * G / (H + lambda)
-	bestGain := b.opts.Gamma
+	bestGain := 0.0
 	bestFeat, bestThresh := -1, 0.0
 	n := hi - lo
 	for _, f := range b.features() {

@@ -13,74 +13,48 @@ import (
 	"mpicollpred/internal/ml/tree"
 )
 
-// Objective selects the loss. All objectives use the log link, so raw tree
-// scores live on log-time scale and predictions are exp(score) — the key to
-// handling targets spanning six orders of magnitude.
-type Objective string
-
+// The hyper-parameters are constants: the paper fits every learner
+// "deliberately without hyper-parameter tuning", at 200 Tweedie rounds and
+// XGBoost's defaults otherwise. Snapshots still carry them, in the slots
+// the format has always had, and a decoder rejects any other value.
 const (
-	// Tweedie is the paper's default objective (variance power rho).
-	Tweedie Objective = "tweedie"
-	// Gamma deviance; the paper notes it "also worked well".
-	Gamma Objective = "gamma"
-	// SquaredLog is plain squared error on log targets, for ablation.
-	SquaredLog Objective = "squaredlog"
+	// Rounds is the number of boosting rounds; a fit stops earlier once a
+	// round is a pure stump.
+	Rounds = 200
+	// Eta is the shrinkage applied to every tree's leaf values.
+	Eta = 0.3
+	// MaxDepth bounds each tree's depth; the root is depth 0.
+	MaxDepth = 6
+	// Lambda is the L2 regularization on leaf values.
+	Lambda = 1.0
+	// MinChild is the minimum hessian sum of a child.
+	MinChild = 1e-6
+	// Tweedie names the loss: Tweedie deviance with a log link, so raw
+	// tree scores live on log-time scale and predictions are exp(score),
+	// the key to targets spanning six orders of magnitude.
+	Tweedie = "tweedie"
+	// TweedieRho is the Tweedie variance power.
+	TweedieRho = 1.5
 )
-
-// Options are the out-of-the-box hyper-parameters (no tuning, per the
-// paper's philosophy).
-type Options struct {
-	Rounds     int
-	Eta        float64
-	MaxDepth   int
-	Lambda     float64
-	MinChild   float64
-	Objective  Objective
-	TweedieRho float64
-}
-
-// DefaultOptions mirrors the paper's setup: 200 rounds, Tweedie objective,
-// XGBoost defaults otherwise.
-func DefaultOptions() Options {
-	return Options{
-		Rounds:     200,
-		Eta:        0.3,
-		MaxDepth:   6,
-		Lambda:     1.0,
-		MinChild:   1e-6,
-		Objective:  Tweedie,
-		TweedieRho: 1.5,
-	}
-}
 
 // Regressor is a boosted ensemble.
 type Regressor struct {
-	opts   Options
 	base   float64 // initial raw score: log(mean y)
 	forest tree.Forest
 }
 
-// New returns an XGBoost-style regressor with the paper's defaults.
-func New() *Regressor { return &Regressor{opts: DefaultOptions()} }
-
-// NewWith returns a regressor with explicit options.
-func NewWith(opts Options) *Regressor {
-	if opts.Rounds < 1 {
-		opts.Rounds = 1
-	}
-	return &Regressor{opts: opts}
-}
+// New returns an unfitted XGBoost-style regressor.
+func New() *Regressor { return &Regressor{} }
 
 // State is the exported fitted-ensemble state, used by the snapshot codec.
 type State struct {
-	Opts  Options
 	Base  float64
 	Trees [][]tree.Node
 }
 
 // State exports the fitted ensemble.
 func (r *Regressor) State() State {
-	return State{Opts: r.opts, Base: r.base, Trees: r.forest.State()}
+	return State{Base: r.base, Trees: r.forest.State()}
 }
 
 // FromState rebuilds a fitted ensemble; tree.NewForest validates every
@@ -90,7 +64,7 @@ func FromState(s State) (*Regressor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xgb: snapshot: %w", err)
 	}
-	return &Regressor{opts: s.Opts, base: s.Base, forest: f}, nil
+	return &Regressor{base: s.Base, forest: f}, nil
 }
 
 // Fit trains the ensemble.
@@ -100,7 +74,7 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 	}
 	for i, v := range y {
 		if !(v > 0) {
-			return fmt.Errorf("xgb: target %d = %g; must be positive for the %s objective", i, v, r.opts.Objective)
+			return fmt.Errorf("xgb: target %d = %g; must be positive for the Tweedie loss", i, v)
 		}
 	}
 	n := len(x)
@@ -122,18 +96,18 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 		idx[i] = i
 	}
 	leaf := make([]float64, n) // leaf[i]: this round's tree at x[i]
-	topt := tree.Options{MaxDepth: r.opts.MaxDepth, Lambda: r.opts.Lambda, MinChild: r.opts.MinChild}
+	topt := tree.Options{MaxDepth: MaxDepth, Lambda: Lambda, MinChild: MinChild}
 	sample := tree.NewSample(x, idx) // every round splits the same rows
 
 	var forest tree.ForestBuilder
-	for round := 0; round < r.opts.Rounds; round++ {
-		r.gradients(y, score, g, h)
+	for round := 0; round < Rounds; round++ {
+		gradients(y, score, g, h)
 		t := sample.BuildGradHess(g, h, topt, leaf)
 		if err := forest.Add(t); err != nil {
 			return fmt.Errorf("xgb: %w", err)
 		}
 		for i := range score {
-			score[i] += r.opts.Eta * leaf[i]
+			score[i] += Eta * leaf[i]
 		}
 		// Pure-stump round: the ensemble has converged; further rounds
 		// only repeat the same shrinkage step.
@@ -145,35 +119,21 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 	return nil
 }
 
-// gradients fills g and h for the configured objective at the current raw
-// scores (log link).
-func (r *Regressor) gradients(y, score, g, h []float64) {
-	switch r.opts.Objective {
-	case Tweedie:
-		rho := r.opts.TweedieRho
-		for i := range y {
-			a := math.Exp((1 - rho) * score[i])
-			b := math.Exp((2 - rho) * score[i])
-			g[i] = -y[i]*a + b
-			h[i] = -(1-rho)*y[i]*a + (2-rho)*b
-		}
-	case Gamma:
-		for i := range y {
-			e := y[i] * math.Exp(-score[i])
-			g[i] = 1 - e
-			h[i] = e
-		}
-	default: // SquaredLog
-		for i := range y {
-			g[i] = score[i] - math.Log(y[i])
-			h[i] = 1
-		}
+// gradients fills g and h with the Tweedie deviance's gradient and hessian
+// at the current raw scores (log link).
+func gradients(y, score, g, h []float64) {
+	const rho = TweedieRho
+	for i := range y {
+		a := math.Exp((1 - rho) * score[i])
+		b := math.Exp((2 - rho) * score[i])
+		g[i] = -y[i]*a + b
+		h[i] = -(1-rho)*y[i]*a + (2-rho)*b
 	}
 }
 
 // Predict returns exp(raw score) for the feature vector.
 func (r *Regressor) Predict(x []float64) float64 {
-	return math.Exp(r.forest.Sum(x, r.base, r.opts.Eta))
+	return math.Exp(r.forest.Sum(x, r.base, Eta))
 }
 
 // NumTrees returns the number of boosted rounds actually performed.

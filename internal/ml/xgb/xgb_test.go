@@ -21,24 +21,21 @@ func noisySurface(n int, seed uint64) ([][]float64, []float64) {
 	return x, y
 }
 
+// TestObjectivesAllLearn checks that the Tweedie loss, the one loss, learns
+// the surface in sample.
 func TestObjectivesAllLearn(t *testing.T) {
 	x, y := noisySurface(400, 3)
-	for _, obj := range []Objective{Tweedie, Gamma, SquaredLog} {
-		opts := DefaultOptions()
-		opts.Objective = obj
-		opts.Rounds = 80
-		r := NewWith(opts)
-		if err := r.Fit(x, y); err != nil {
-			t.Fatalf("%s: %v", obj, err)
-		}
-		// In-sample relative error should be small.
-		sumRel := 0.0
-		for i := range x {
-			sumRel += math.Abs(r.Predict(x[i])-y[i]) / y[i]
-		}
-		if rel := sumRel / float64(len(x)); rel > 0.15 {
-			t.Errorf("%s: in-sample relative error %.3f", obj, rel)
-		}
+	r := New()
+	if err := r.Fit(x, y); err != nil {
+		t.Fatal(err)
+	}
+	// In-sample relative error should be small.
+	sumRel := 0.0
+	for i := range x {
+		sumRel += math.Abs(r.Predict(x[i])-y[i]) / y[i]
+	}
+	if rel := sumRel / float64(len(x)); rel > 0.15 {
+		t.Errorf("in-sample relative error %.3f", rel)
 	}
 }
 
@@ -58,9 +55,7 @@ func TestPredictionsPositive(t *testing.T) {
 func TestBaseScoreIsLogMean(t *testing.T) {
 	x := [][]float64{{1}, {2}, {3}, {4}}
 	y := []float64{2, 2, 2, 2}
-	opts := DefaultOptions()
-	opts.Rounds = 1
-	r := NewWith(opts)
+	r := New()
 	if err := r.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +68,7 @@ func TestBaseScoreIsLogMean(t *testing.T) {
 func TestEarlyStopOnConvergence(t *testing.T) {
 	x := [][]float64{{0}, {1}}
 	y := []float64{1, 1}
-	r := New() // 200 rounds requested
+	r := New() // Rounds = 200
 	if err := r.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +88,11 @@ func TestRejectsNonPositiveTargets(t *testing.T) {
 
 func TestTweedieGradientSigns(t *testing.T) {
 	// At the optimum f = log(y), the Tweedie gradient must vanish.
-	r := NewWith(DefaultOptions())
 	y := []float64{0.001}
 	score := []float64{math.Log(0.001)}
 	g := make([]float64, 1)
 	h := make([]float64, 1)
-	r.gradients(y, score, g, h)
+	gradients(y, score, g, h)
 	if math.Abs(g[0]) > 1e-12 {
 		t.Errorf("gradient at optimum = %v", g[0])
 	}
@@ -107,7 +101,7 @@ func TestTweedieGradientSigns(t *testing.T) {
 	}
 	// Below the optimum the gradient must push predictions up (negative g).
 	score[0] = math.Log(0.001) - 1
-	r.gradients(y, score, g, h)
+	gradients(y, score, g, h)
 	if g[0] >= 0 {
 		t.Errorf("gradient below optimum should be negative, got %v", g[0])
 	}

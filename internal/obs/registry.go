@@ -398,15 +398,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(r.Snapshot())
 }
 
-// ReadSnapshot parses a snapshot previously written by WriteJSON.
-func ReadSnapshot(rd io.Reader) (Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(rd).Decode(&s); err != nil {
-		return Snapshot{}, fmt.Errorf("obs: parsing snapshot: %w", err)
-	}
-	return s, nil
-}
-
 // WriteText writes the snapshot in a prometheus-like one-line-per-series
 // text format.
 func (r *Registry) WriteText(w io.Writer) error {

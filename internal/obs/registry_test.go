@@ -2,6 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"reflect"
@@ -157,4 +160,13 @@ func TestNilLoggerSafe(t *testing.T) {
 	p := NewProgress(l, "x")
 	p.Update(1, 2)
 	p.Finish()
+}
+
+// ReadSnapshot parses a snapshot previously written by WriteJSON.
+func ReadSnapshot(rd io.Reader) (Snapshot, error) {
+	var s Snapshot
+	if err := json.NewDecoder(rd).Decode(&s); err != nil {
+		return Snapshot{}, fmt.Errorf("obs: parsing snapshot: %w", err)
+	}
+	return s, nil
 }

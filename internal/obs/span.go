@@ -66,16 +66,6 @@ func NewSpanRing(capacity int) *SpanRing {
 	return &SpanRing{traces: make([]RequestTrace, capacity), clock: time.Now}
 }
 
-// SetClock injects the time source (tests pin it for golden traces).
-func (r *SpanRing) SetClock(fn func() time.Time) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	r.clock = fn
-	r.mu.Unlock()
-}
-
 func (r *SpanRing) now() time.Time {
 	r.mu.Lock()
 	fn := r.clock

@@ -29,7 +29,7 @@ func newFakeClock() *fakeClock {
 
 func TestSpanTreeAndRing(t *testing.T) {
 	r := NewSpanRing(4)
-	r.SetClock(newFakeClock().now)
+	r.clock = newFakeClock().now
 
 	root := r.StartRequest("req-1", "select")
 	child := root.StartChild("cache")
@@ -68,7 +68,7 @@ func TestSpanTreeAndRing(t *testing.T) {
 
 func TestSpanRingEviction(t *testing.T) {
 	r := NewSpanRing(2)
-	r.SetClock(newFakeClock().now)
+	r.clock = newFakeClock().now
 	for _, id := range []string{"a", "b", "c"} {
 		r.StartRequest(id, "select").End()
 	}
@@ -84,7 +84,7 @@ func TestSpanRingEviction(t *testing.T) {
 
 func TestSpanUnfinishedChildClosedAtRootEnd(t *testing.T) {
 	r := NewSpanRing(1)
-	r.SetClock(newFakeClock().now)
+	r.clock = newFakeClock().now
 	root := r.StartRequest("req", "select")
 	root.StartChild("leaked") // never ended
 	root.End()
@@ -129,7 +129,7 @@ func TestSpanNilSafety(t *testing.T) {
 func TestSpanExportsStable(t *testing.T) {
 	build := func() *SpanRing {
 		r := NewSpanRing(2)
-		r.SetClock(newFakeClock().now)
+		r.clock = newFakeClock().now
 		root := r.StartRequest("req-7", "select")
 		ch := root.StartChild("cache")
 		ch.SetTag("cache", "hit")

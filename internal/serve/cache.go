@@ -164,6 +164,3 @@ func (c *SelectionCache) Len() int {
 func (c *SelectionCache) Stats() (hits, misses, evictions int64) {
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }
-
-// Shards returns the shard count (0 for a disabled cache).
-func (c *SelectionCache) Shards() int { return len(c.shards) }

@@ -72,8 +72,8 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheSharding(t *testing.T) {
 	c := NewSelectionCache(1000, 5)
-	if c.Shards() != 8 {
-		t.Fatalf("5 shards rounded to %d, want 8", c.Shards())
+	if len(c.shards) != 8 {
+		t.Fatalf("5 shards rounded to %d, want 8", len(c.shards))
 	}
 	for n := 0; n < 500; n++ {
 		c.Put(ck("m", n), core.Prediction{ConfigID: n})
@@ -99,7 +99,7 @@ func TestCacheDisabled(t *testing.T) {
 	if _, ok := c.Get(ck("m", 2)); ok {
 		t.Fatal("disabled cache returned a value")
 	}
-	if c.Len() != 0 || c.Shards() != 0 {
+	if c.Len() != 0 || len(c.shards) != 0 {
 		t.Fatal("disabled cache holds state")
 	}
 }

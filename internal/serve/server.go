@@ -200,9 +200,6 @@ func (s *Server) Serve(l net.Listener) error {
 // before Shutdown; the gap between the two is the router's chance to notice.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Ready reports whether the server should receive routed traffic, and if
 // not, why: a server is ready once the first snapshot generation is loaded
 // and until it starts draining.

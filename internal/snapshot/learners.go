@@ -1,11 +1,18 @@
-// Learner codecs: one encode/decode pair per registered regressor. The
+// Learner codecs: one encode/decode pair per learner ml.New builds. The
 // codec works on the exported State of each learner package and tags every
-// encoded learner with its registry name, so a snapshot is self-describing
+// encoded learner with its ml.New name, so a snapshot is self-describing
 // and a decoded model goes back through the same validation wrapper ml.New
 // applies.
+//
+// A learner's encoding starts with its hyper-parameter slots, which keep
+// the format, and so existing snapshots, unchanged. Learners fit only at
+// their packages' constants, so the encoder writes those, and the decoder
+// refuses a slot holding anything else, naming the learner and the field:
+// such a snapshot describes a model this build does not fit.
 package snapshot
 
 import (
+	"bytes"
 	"fmt"
 
 	"mpicollpred/internal/ml"
@@ -17,24 +24,80 @@ import (
 	"mpicollpred/internal/ml/xgb"
 )
 
+// slot is one hyper-parameter slot of a learner's encoding and the
+// constant it holds: an int, a uint64, a float64, a string or a []float64
+// (put writes nothing for any other type, which breaks the pinned snapshot
+// digests and TestDecodeLearnerRejectsChangedSlots).
+type slot struct {
+	field string
+	value any
+}
+
+// slots lists, per learner kind, the hyper-parameter slots that follow the
+// kind tag, in format order; linear regression has none.
+var slots = map[string][]slot{
+	"knn": {{"k", knn.K}},
+	"gam": {{"basis size", gam.NumBasis}, {"lambda grid", gam.Lambdas()}, {"IRLS iterations", gam.MaxIter}},
+	"xgboost": {{"rounds", xgb.Rounds}, {"eta", xgb.Eta}, {"max depth", xgb.MaxDepth}, {"lambda", xgb.Lambda},
+		{"min child weight", xgb.MinChild}, {"loss", xgb.Tweedie}, {"Tweedie power", xgb.TweedieRho}},
+	"rf": {{"trees", rf.NumTrees}, {"max depth", rf.MaxDepth}, {"min leaf", rf.MinLeaf}, {"mtry", rf.MTry},
+		{"seed", uint64(rf.Seed)}},
+}
+
+func (s slot) put(w *Writer) {
+	switch v := s.value.(type) {
+	case int:
+		w.Int(v)
+	case uint64:
+		w.U64(v)
+	case float64:
+		w.F64(v)
+	case string:
+		w.String(v)
+	case []float64:
+		w.F64s(v)
+	}
+}
+
+// putHeader writes a learner's kind tag and its hyper-parameter slots.
+func putHeader(w *Writer, kind string) {
+	w.String(kind)
+	for _, s := range slots[kind] {
+		s.put(w)
+	}
+}
+
+// checkSlots reads the hyper-parameter slots of kind and fails on the
+// first one whose bytes are not those of this build's constant.
+func checkSlots(r *Reader, kind string) error {
+	for _, s := range slots[kind] {
+		var want Writer
+		s.put(&want)
+		got := r.take(len(want.Bytes()), s.field)
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			return fmt.Errorf("snapshot: %s %s slot does not hold %v, the value this build fits at", kind, s.field, s.value)
+		}
+	}
+	return nil
+}
+
 // EncodeLearner appends a fitted regressor (as returned by ml.New and
 // trained via Fit) to the writer.
 func EncodeLearner(w *Writer, r ml.Regressor) error {
 	switch m := ml.Unwrap(r).(type) {
 	case *knn.Regressor:
-		w.String("knn")
+		putHeader(w, "knn")
 		s := m.State()
-		w.Int(s.K)
 		w.F64s(s.Mean)
 		w.F64s(s.Scale)
 		w.F64Rows(s.X)
 		w.F64s(s.Y)
 	case *gam.Regressor:
-		w.String("gam")
+		putHeader(w, "gam")
 		s := m.State()
-		w.Int(s.Opts.NumBasis)
-		w.F64s(s.Opts.Lambdas)
-		w.Int(s.Opts.MaxIter)
 		w.F64s(s.Lo)
 		w.F64s(s.Hi)
 		w.Bools(s.Active)
@@ -42,28 +105,15 @@ func EncodeLearner(w *Writer, r ml.Regressor) error {
 		w.F64(s.Lambda)
 		w.F64(s.EDF)
 	case *xgb.Regressor:
-		w.String("xgboost")
+		putHeader(w, "xgboost")
 		s := m.State()
-		w.Int(s.Opts.Rounds)
-		w.F64(s.Opts.Eta)
-		w.Int(s.Opts.MaxDepth)
-		w.F64(s.Opts.Lambda)
-		w.F64(s.Opts.MinChild)
-		w.String(string(s.Opts.Objective))
-		w.F64(s.Opts.TweedieRho)
 		w.F64(s.Base)
 		encodeTrees(w, s.Trees)
 	case *rf.Regressor:
-		w.String("rf")
-		s := m.State()
-		w.Int(s.Opts.NumTrees)
-		w.Int(s.Opts.MaxDepth)
-		w.Int(s.Opts.MinLeaf)
-		w.Int(s.Opts.MTry)
-		w.U64(s.Opts.Seed)
-		encodeTrees(w, s.Trees)
+		putHeader(w, "rf")
+		encodeTrees(w, m.State().Trees)
 	case *linreg.Regressor:
-		w.String("linear")
+		putHeader(w, "linear")
 		w.F64s(m.State().Beta)
 	default:
 		return fmt.Errorf("snapshot: no codec for learner type %T", m)
@@ -72,10 +122,13 @@ func EncodeLearner(w *Writer, r ml.Regressor) error {
 }
 
 // DecodeLearner reads one regressor written by EncodeLearner and returns it
-// wrapped in the registry's validation layer.
+// wrapped in ml.New's validation layer.
 func DecodeLearner(r *Reader) (ml.Regressor, error) {
 	kind := r.String()
 	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if err := checkSlots(r, kind); err != nil {
 		return nil, err
 	}
 	var (
@@ -85,7 +138,6 @@ func DecodeLearner(r *Reader) (ml.Regressor, error) {
 	switch kind {
 	case "knn":
 		var s knn.State
-		s.K = r.Int()
 		s.Mean = r.F64s()
 		s.Scale = r.F64s()
 		s.X = r.F64Rows()
@@ -95,9 +147,6 @@ func DecodeLearner(r *Reader) (ml.Regressor, error) {
 		}
 	case "gam":
 		var s gam.State
-		s.Opts.NumBasis = r.Int()
-		s.Opts.Lambdas = r.F64s()
-		s.Opts.MaxIter = r.Int()
 		s.Lo = r.F64s()
 		s.Hi = r.F64s()
 		s.Active = r.Bools()
@@ -108,27 +157,12 @@ func DecodeLearner(r *Reader) (ml.Regressor, error) {
 			m, err = gam.FromState(s)
 		}
 	case "xgboost":
-		var s xgb.State
-		s.Opts.Rounds = r.Int()
-		s.Opts.Eta = r.F64()
-		s.Opts.MaxDepth = r.Int()
-		s.Opts.Lambda = r.F64()
-		s.Opts.MinChild = r.F64()
-		s.Opts.Objective = xgb.Objective(r.String())
-		s.Opts.TweedieRho = r.F64()
-		s.Base = r.F64()
-		s.Trees = decodeTrees(r)
+		s := xgb.State{Base: r.F64(), Trees: decodeTrees(r)}
 		if err = r.Err(); err == nil {
 			m, err = xgb.FromState(s)
 		}
 	case "rf":
-		var s rf.State
-		s.Opts.NumTrees = r.Int()
-		s.Opts.MaxDepth = r.Int()
-		s.Opts.MinLeaf = r.Int()
-		s.Opts.MTry = r.Int()
-		s.Opts.Seed = r.U64()
-		s.Trees = decodeTrees(r)
+		s := rf.State{Trees: decodeTrees(r)}
 		if err = r.Err(); err == nil {
 			m, err = rf.FromState(s)
 		}

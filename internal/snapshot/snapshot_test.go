@@ -1,12 +1,18 @@
 package snapshot
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"mpicollpred/internal/floats"
 	"mpicollpred/internal/ml"
+	"mpicollpred/internal/ml/gam"
+	"mpicollpred/internal/ml/knn"
+	"mpicollpred/internal/ml/rf"
+	"mpicollpred/internal/ml/xgb"
 )
 
 func TestPrimitiveRoundTrip(t *testing.T) {
@@ -184,13 +190,13 @@ func TestDecodeLearnerRejectsBrokenTree(t *testing.T) {
 	// must be rejected — otherwise Predict would loop forever.
 	var w Writer
 	w.String("xgboost")
-	w.Int(1)    // rounds
-	w.F64(0.3)  // eta
-	w.Int(6)    // max depth
-	w.F64(1)    // lambda
-	w.F64(1e-6) // min child
-	w.String("tweedie")
-	w.F64(1.5) // rho
+	w.Int(xgb.Rounds)
+	w.F64(xgb.Eta)
+	w.Int(xgb.MaxDepth)
+	w.F64(xgb.Lambda)
+	w.F64(xgb.MinChild)
+	w.String(xgb.Tweedie)
+	w.F64(xgb.TweedieRho)
 	w.F64(-10) // base
 	w.U32(1)   // one tree
 	w.U32(1)   // one node
@@ -199,7 +205,127 @@ func TestDecodeLearnerRejectsBrokenTree(t *testing.T) {
 	w.U32(0) // ...whose left child is itself
 	w.U32(0)
 	w.F64(0)
-	if _, err := DecodeLearner(NewReader(w.Bytes())); err == nil {
-		t.Fatal("self-referential tree accepted")
+	_, err := DecodeLearner(NewReader(w.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "xgb: snapshot") {
+		t.Fatalf("self-referential tree: err %v, want the tree rejected", err)
+	}
+}
+
+// hyperSlot writes one hyper-parameter slot: the constant, or another value
+// when changed is set.
+type hyperSlot struct {
+	field string
+	put   func(w *Writer, changed bool)
+}
+
+func intSlot(field string, v int) hyperSlot {
+	return hyperSlot{field, func(w *Writer, changed bool) {
+		if changed {
+			w.Int(v + 1)
+			return
+		}
+		w.Int(v)
+	}}
+}
+
+func f64Slot(field string, v float64) hyperSlot {
+	return hyperSlot{field, func(w *Writer, changed bool) {
+		if changed {
+			w.F64(v * 1.5)
+			return
+		}
+		w.F64(v)
+	}}
+}
+
+// TestDecodeLearnerRejectsChangedSlots: every learner fits at its package's
+// constants, so a snapshot whose hyper-parameter slot holds anything else
+// describes a model this build does not fit and must be refused, with an
+// error naming the learner and the field. The unchanged slots are the
+// prefix EncodeLearner writes.
+func TestDecodeLearnerRejectsChangedSlots(t *testing.T) {
+	cases := []struct {
+		learner string
+		slots   []hyperSlot
+	}{
+		{"knn", []hyperSlot{intSlot("k", knn.K)}},
+		{"gam", []hyperSlot{
+			intSlot("basis size", gam.NumBasis),
+			{"lambda grid", func(w *Writer, changed bool) {
+				grid := gam.Lambdas()
+				if changed {
+					grid = append([]float64{0}, grid...)
+				}
+				w.F64s(grid)
+			}},
+			intSlot("IRLS iterations", gam.MaxIter),
+		}},
+		{"xgboost", []hyperSlot{
+			intSlot("rounds", xgb.Rounds),
+			f64Slot("eta", xgb.Eta),
+			intSlot("max depth", xgb.MaxDepth),
+			f64Slot("lambda", xgb.Lambda),
+			f64Slot("min child weight", xgb.MinChild),
+			{"loss", func(w *Writer, changed bool) {
+				if changed {
+					w.String("gamma")
+					return
+				}
+				w.String(xgb.Tweedie)
+			}},
+			f64Slot("Tweedie power", xgb.TweedieRho),
+		}},
+		{"rf", []hyperSlot{
+			intSlot("trees", rf.NumTrees),
+			intSlot("max depth", rf.MaxDepth),
+			intSlot("min leaf", rf.MinLeaf),
+			intSlot("mtry", rf.MTry),
+			{"seed", func(w *Writer, changed bool) {
+				if changed {
+					w.U64(rf.Seed + 1)
+					return
+				}
+				w.U64(rf.Seed)
+			}},
+		}},
+	}
+	x, y := trainingSet()
+	for _, c := range cases {
+		m, err := ml.New(c.learner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Fit(x, y); err != nil {
+			t.Fatalf("%s: fit: %v", c.learner, err)
+		}
+		var enc Writer
+		if err := EncodeLearner(&enc, m); err != nil {
+			t.Fatalf("%s: encode: %v", c.learner, err)
+		}
+		// with writes the learner with slot k changed (none for k < 0).
+		with := func(k int) []byte {
+			var w Writer
+			w.String(c.learner)
+			for i, s := range c.slots {
+				s.put(&w, i == k)
+			}
+			return w.Bytes()
+		}
+		head := with(-1)
+		if !bytes.HasPrefix(enc.Bytes(), head) {
+			t.Fatalf("%s: EncodeLearner does not start with the constant slots", c.learner)
+		}
+		body := enc.Bytes()[len(head):]
+		for k, s := range c.slots {
+			data := append(with(k), body...)
+			_, err := DecodeLearner(NewReader(data))
+			if err == nil {
+				t.Errorf("%s: changed %s slot accepted", c.learner, s.field)
+				continue
+			}
+			if msg := err.Error(); !strings.Contains(msg, c.learner+" "+s.field+" slot") {
+				t.Errorf("%s: changed %s slot: error %q does not name the learner and the field", c.learner, s.field, msg)
+			}
+		}
 	}
 }
