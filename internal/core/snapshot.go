@@ -13,6 +13,7 @@ import (
 	"os"
 	"sort"
 
+	"mpicollpred/internal/atomicfile"
 	"mpicollpred/internal/dataset"
 	"mpicollpred/internal/ml"
 	"mpicollpred/internal/mpilib"
@@ -241,34 +242,15 @@ func DecodeSnapshot(data []byte) (*Selector, Fingerprint, error) {
 	return sel, fp, nil
 }
 
-// SaveSnapshot writes the selector to path atomically, in the same
-// crash-safe style as the dataset cache: the bytes go to a tmp file that is
-// synced and closed before it is renamed over path, and a failed save
-// removes the tmp file and leaves whatever was at path untouched.
+// SaveSnapshot writes the selector to path atomically, like the dataset
+// cache (see atomicfile.Write): a failed save leaves whatever was at path
+// untouched.
 func (s *Selector) SaveSnapshot(path string, fp Fingerprint) error {
 	data, err := s.Snapshot(fp)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
+	return atomicfile.WriteBytes(path, data)
 }
 
 // LoadSnapshot reads a selector snapshot from disk.

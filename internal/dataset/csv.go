@@ -10,16 +10,13 @@ import (
 	"sort"
 	"strconv"
 
+	"mpicollpred/internal/atomicfile"
 	"mpicollpred/internal/bench"
 	"mpicollpred/internal/obs"
 )
 
-// csvHeader is the on-disk column layout (v2). v1 files lack the last two
-// accounting columns and are still readable; see ReadCSV.
+// csvHeader is the on-disk column layout.
 var csvHeader = []string{"config_id", "alg_id", "nodes", "ppn", "msize", "time_s", "reps", "consumed_s", "exhausted"}
-
-// csvLegacyCols is the column count of the v1 layout.
-const csvLegacyCols = 7
 
 // WriteCSV serializes the dataset. The first record is a comment-like meta
 // row carrying the spec identity and the consumed benchmark budget.
@@ -43,7 +40,7 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// appendFields renders the sample as its v2 column values.
+// appendFields renders the sample as its column values.
 func (s Sample) appendFields(row []string) []string {
 	return append(row,
 		strconv.Itoa(s.ConfigID),
@@ -58,11 +55,10 @@ func (s Sample) appendFields(row []string) []string {
 	)
 }
 
-// parseSample decodes one data row (v2 or legacy v1 layout) with descriptive
-// per-column errors.
+// parseSample decodes one data row with descriptive per-column errors.
 func parseSample(rec []string) (Sample, error) {
-	if len(rec) != len(csvHeader) && len(rec) != csvLegacyCols {
-		return Sample{}, fmt.Errorf("%d columns, want %d (or %d legacy)", len(rec), len(csvHeader), csvLegacyCols)
+	if len(rec) != len(csvHeader) {
+		return Sample{}, fmt.Errorf("%d columns, want %d", len(rec), len(csvHeader))
 	}
 	var s Sample
 	var err error
@@ -87,17 +83,11 @@ func parseSample(rec []string) (Sample, error) {
 	if s.Reps, err = strconv.Atoi(rec[6]); err != nil {
 		return s, fmt.Errorf("bad reps %q", rec[6])
 	}
-	if len(rec) >= len(csvHeader) {
-		if s.Consumed, err = strconv.ParseFloat(rec[7], 64); err != nil {
-			return s, fmt.Errorf("bad consumed_s %q", rec[7])
-		}
-		if s.Exhausted, err = strconv.ParseBool(rec[8]); err != nil {
-			return s, fmt.Errorf("bad exhausted %q", rec[8])
-		}
-	} else {
-		// v1 rows carry no per-sample accounting; the repetition sum
-		// approximates what the measurement consumed.
-		s.Consumed = s.Time * float64(s.Reps)
+	if s.Consumed, err = strconv.ParseFloat(rec[7], 64); err != nil {
+		return s, fmt.Errorf("bad consumed_s %q", rec[7])
+	}
+	if s.Exhausted, err = strconv.ParseBool(rec[8]); err != nil {
+		return s, fmt.Errorf("bad exhausted %q", rec[8])
 	}
 	return s, nil
 }
@@ -136,7 +126,7 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: line %d: reading header: %w", line, err)
 	}
-	if len(header) != len(csvHeader) && len(header) != csvLegacyCols {
+	if len(header) != len(csvHeader) {
 		return nil, fmt.Errorf("dataset: line %d: unexpected header %v", line, header)
 	}
 	nodesSet := map[int]bool{}
@@ -167,36 +157,10 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	return d, nil
 }
 
-// WriteFile writes the dataset to path atomically: the CSV is serialized to
-// path+".tmp" and renamed into place, so an interrupted or crashed run can
-// never leave a torn file behind — the cache either holds the previous
-// complete dataset or the new one.
-func (d *Dataset) WriteFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := d.WriteCSV(f); err != nil {
-		_ = f.Close() // already failing with the write error
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // already failing with the sync error
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
+// WriteFile writes the dataset to path atomically (see atomicfile.Write), so
+// an interrupted or crashed run can never leave a torn file behind — the
+// cache either holds the previous complete dataset or the new one.
+func (d *Dataset) WriteFile(path string) error { return atomicfile.Write(path, d.WriteCSV) }
 
 // Save writes the dataset to dir/<name>-<scale>.csv (atomically; see
 // WriteFile).

@@ -9,8 +9,8 @@ import (
 // dataset: either it errors, or every sample it admits parses back through
 // the writer.
 func FuzzReadCSV(f *testing.F) {
-	// Seed corpus: a valid v2 file, a legacy v1 file, and the malformed
-	// shapes the parser must reject gracefully.
+	// Seed corpus: a valid file, and the malformed shapes the parser must
+	// reject gracefully, the 7-column layout of early caches among them.
 	f.Add([]byte("#meta,d1,Open MPI,4.0.2,bcast,Hydra,1.5\n" +
 		"config_id,alg_id,nodes,ppn,msize,time_s,reps,consumed_s,exhausted\n" +
 		"1,1,4,8,1024,0.002,5,0.01,false\n" +

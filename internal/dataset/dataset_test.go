@@ -2,8 +2,8 @@ package dataset
 
 import (
 	"bytes"
-	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mpicollpred/internal/bench"
@@ -197,32 +197,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadCSVLegacyFormat(t *testing.T) {
-	// v1 cache files (7 columns, no per-sample accounting) must still load:
-	// Consumed is estimated from time × reps and Exhausted defaults off.
-	legacy := "#meta,d1,Open MPI,4.0.2,bcast,Hydra,12.5\n" +
-		"config_id,alg_id,nodes,ppn,msize,time_s,reps\n" +
-		"1,1,4,8,1024,0.002,5\n" +
-		"2,2,4,8,1024,0.004,2\n"
-	d, err := ReadCSV(bytes.NewBufferString(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Samples) != 2 {
-		t.Fatalf("samples = %d", len(d.Samples))
-	}
-	if d.Consumed != 12.5 {
-		t.Errorf("meta consumed = %v", d.Consumed)
-	}
-	s := d.Samples[0]
-	if math.Abs(s.Consumed-0.002*5) > 1e-12 || s.Exhausted {
-		t.Errorf("legacy accounting defaults wrong: %+v", s)
-	}
-	if _, ok := d.Lookup(2, 4, 8, 1024); !ok {
-		t.Error("legacy rows must index normally")
-	}
-}
-
 func TestCSVAccountingRoundTrip(t *testing.T) {
 	d := smokeDataset(t, "d1")
 	// Force a mix of values through the exhausted/consumed columns.
@@ -250,6 +224,17 @@ func TestReadCSVRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadCSV(bytes.NewBufferString("")); err == nil {
 		t.Error("expected error for empty input")
+	}
+	// The 7-column layout of early caches, without the accounting columns,
+	// is refused at its header, and such a row under the full header too.
+	const meta = "#meta,d1,Open MPI,4.0.2,bcast,Hydra,12.5\n"
+	short := meta + "config_id,alg_id,nodes,ppn,msize,time_s,reps\n1,1,4,8,1024,0.002,5\n"
+	if _, err := ReadCSV(bytes.NewBufferString(short)); err == nil || !strings.Contains(err.Error(), "unexpected header") {
+		t.Errorf("7-column file: %v", err)
+	}
+	row := meta + strings.Join(csvHeader, ",") + "\n1,1,4,8,1024,0.002,5\n"
+	if _, err := ReadCSV(bytes.NewBufferString(row)); err == nil || !strings.Contains(err.Error(), "7 columns") {
+		t.Errorf("7-column row: %v", err)
 	}
 }
 

@@ -130,11 +130,6 @@ func readJournal(path string) (identity string, samples map[sampleKey]Sample, er
 		}
 		rec, err := csv.NewReader(strings.NewReader(ln)).Read()
 		var s Sample
-		if err == nil && len(rec) != len(csvHeader) {
-			// Journals are always written in the v2 layout; a shorter row is
-			// a torn write, not a legacy file.
-			err = fmt.Errorf("%d columns, want %d", len(rec), len(csvHeader))
-		}
 		if err == nil {
 			s, err = parseSample(rec)
 		}

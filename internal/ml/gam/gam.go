@@ -86,14 +86,6 @@ func (r *Regressor) EDF() float64 { return r.edf }
 
 // Fit trains the model.
 func (r *Regressor) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return fmt.Errorf("gam: bad training set (%d rows, %d targets)", len(x), len(y))
-	}
-	for i, v := range y {
-		if !(v > 0) {
-			return fmt.Errorf("gam: target %d = %g; the Gamma family needs positive responses", i, v)
-		}
-	}
 	d := len(x[0])
 	r.lo = make([]float64, d)
 	r.hi = make([]float64, d)

@@ -118,15 +118,6 @@ func TestPredictClampsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestGAMRejectsBadInput(t *testing.T) {
-	if err := New().Fit(nil, nil); err == nil {
-		t.Error("empty input must fail")
-	}
-	if err := New().Fit([][]float64{{1}}, []float64{-1}); err == nil {
-		t.Error("negative response must fail (Gamma family)")
-	}
-}
-
 func TestUnfittedPredictIsNaN(t *testing.T) {
 	if !math.IsNaN(New().Predict([]float64{1})) {
 		t.Error("unfitted model should return NaN")

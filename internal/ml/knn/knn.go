@@ -62,9 +62,6 @@ func FromState(s State) (*Regressor, error) {
 
 // Fit stores the (scaled) training set.
 func (r *Regressor) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return fmt.Errorf("knn: bad training set (%d rows, %d targets)", len(x), len(y))
-	}
 	d := len(x[0])
 	r.mean = make([]float64, d)
 	r.scale = make([]float64, d)

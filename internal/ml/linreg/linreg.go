@@ -37,9 +37,6 @@ func FromState(s State) (*Regressor, error) {
 
 // Fit solves the normal equations for log(y) ~ 1 + x.
 func (r *Regressor) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return fmt.Errorf("linreg: bad training set (%d rows, %d targets)", len(x), len(y))
-	}
 	d := len(x[0])
 	design := linalg.New(len(x), d+1)
 	for i, row := range x {
@@ -49,9 +46,6 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 	}
 	logy := make([]float64, len(y))
 	for i, v := range y {
-		if !(v > 0) {
-			return fmt.Errorf("linreg: target %d = %g; must be positive", i, v)
-		}
 		logy[i] = math.Log(v)
 	}
 	a := design.AtA(nil)

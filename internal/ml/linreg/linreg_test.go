@@ -59,12 +59,3 @@ func TestUnfittedIsNaN(t *testing.T) {
 		t.Error("unfitted model should return NaN")
 	}
 }
-
-func TestRejectsBadInput(t *testing.T) {
-	if err := New().Fit(nil, nil); err == nil {
-		t.Error("empty fit must fail")
-	}
-	if err := New().Fit([][]float64{{1}}, []float64{0}); err == nil {
-		t.Error("non-positive target must fail")
-	}
-}

@@ -18,7 +18,8 @@ import (
 // a feature vector.
 type Regressor interface {
 	// Fit trains on rows x (one feature vector per sample) and targets y
-	// (running times, strictly positive).
+	// (running times, strictly positive). Learners check none of this
+	// themselves: New and the snapshot decoder wrap each in validate.
 	Fit(x [][]float64, y []float64) error
 	// Predict returns the estimated running time for one feature vector.
 	Predict(x []float64) float64

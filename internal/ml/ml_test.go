@@ -126,6 +126,14 @@ func TestValidation(t *testing.T) {
 			t.Errorf("%s: negative target must fail", name)
 		}
 		r, _ = New(name)
+		if err := r.Fit([][]float64{{1}, {2}}, []float64{1, 0}); err == nil {
+			t.Errorf("%s: zero target must fail", name)
+		}
+		r, _ = New(name)
+		if err := r.Fit([][]float64{{1}}, []float64{1, 2}); err == nil {
+			t.Errorf("%s: length mismatch must fail", name)
+		}
+		r, _ = New(name)
 		if err := r.Fit([][]float64{{1}, {2, 3}}, []float64{1, 1}); err == nil {
 			t.Errorf("%s: ragged rows must fail", name)
 		}

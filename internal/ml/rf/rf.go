@@ -62,33 +62,41 @@ func FromState(s State) (*Regressor, error) {
 }
 
 // Fit trains the forest on log targets (bagging + feature subsampling).
+// Squared error is the split search's gain at g = -log y, h = 1 and
+// lambda = 0: H is a node's row count, G minus its log-target sum, both
+// exactly, so the gain is the variance reduction, MinChild = MinLeaf is
+// the leaf-size test and the leaf value is the mean log time: the
+// floating-point operations of a variance search, except that a node whose
+// log times sum to exactly zero holds -0 instead of +0, which no prediction
+// tells apart.
 func (r *Regressor) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return fmt.Errorf("rf: bad training set (%d rows, %d targets)", len(x), len(y))
-	}
-	logy := make([]float64, len(y))
-	for i, v := range y {
-		if !(v > 0) {
-			return fmt.Errorf("rf: target %d = %g; must be positive", i, v)
-		}
-		logy[i] = math.Log(v)
-	}
 	n := len(x)
-	mtry := (2*len(x[0]) + 2) / 3 // see MTry
 	rng := sim.NewRNG(sim.Seed(Seed, 0xF0537))
+	g := make([]float64, n)
+	h := make([]float64, n)
+	for i, v := range y {
+		g[i], h[i] = -math.Log(v), 1
+	}
+	opts := tree.Options{
+		MaxDepth: MaxDepth,
+		MinLeaf:  MinLeaf,
+		MinChild: MinLeaf,
+		MTry:     (2*len(x[0]) + 2) / 3, // see MTry
+		RNG:      rng,
+	}
 	var forest tree.ForestBuilder
+	var sample *tree.Sample
 	idx := make([]int, n)
 	for t := 0; t < NumTrees; t++ {
 		for i := range idx {
 			idx[i] = rng.Intn(n) // bootstrap sample
 		}
-		err := forest.Add(tree.BuildVariance(x, logy, idx, tree.Options{
-			MaxDepth: MaxDepth,
-			MinLeaf:  MinLeaf,
-			MTry:     mtry,
-			RNG:      rng,
-		}))
-		if err != nil {
+		if sample == nil {
+			sample = tree.NewSample(x, idx)
+		} else {
+			sample.Resample(idx)
+		}
+		if err := forest.Add(sample.BuildGradHess(g, h, opts, nil)); err != nil {
 			return fmt.Errorf("rf: %w", err)
 		}
 	}

@@ -50,10 +50,7 @@ func TestForestDeterministicWithSeed(t *testing.T) {
 	}
 }
 
-func TestRejectsBadTargets(t *testing.T) {
-	if err := New().Fit([][]float64{{1}}, []float64{-2}); err == nil {
-		t.Error("negative target must fail (log transform)")
-	}
+func TestUnfittedIsNaN(t *testing.T) {
 	if !math.IsNaN(New().Predict([]float64{1})) {
 		t.Error("unfitted forest should return NaN")
 	}

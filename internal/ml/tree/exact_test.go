@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"bytes"
 	"math"
 	"slices"
 	"sort"
@@ -49,7 +50,9 @@ func sortInput(rng *sim.RNG, shape, n, distinct int) []float64 {
 
 // refBuilder is the split search's reference: it grows a tree the short
 // way, stable-sorting each node's rows by every candidate feature from
-// scratch (NaN last), and emits the exported node list directly.
+// scratch (NaN last), and emits the exported node list directly. Its
+// variance mode, the textbook squared-error search on y, is the oracle
+// for the random forest's trees, which the builder grows at g = -y, h = 1.
 type refBuilder struct {
 	x       [][]float64
 	y, g, h []float64 // y in variance mode, g and h in grad/hess mode
@@ -76,7 +79,7 @@ func (r *refBuilder) grow(rows []int, depth int) {
 	}
 	me := len(r.nodes)
 	r.nodes = append(r.nodes, Node{Feature: -1, Value: value})
-	if depth >= r.opts.MaxDepth || n < 2 || (!grad && n < 2*r.opts.MinLeaf) {
+	if depth >= r.opts.MaxDepth || n < 2*r.opts.MinLeaf {
 		return
 	}
 
@@ -154,9 +157,10 @@ func (r *refBuilder) grow(rows []int, depth int) {
 }
 
 // TestSplitSearchMatchesReference: the presorted builder grows, bit for bit,
-// the trees of the reference builder in both build modes, over heavy ties,
+// the trees of the reference builder in both its modes, over heavy ties,
 // NaNs, sorted runs and bootstrap-duplicated rows, with feature subsampling
-// on and off. No split ever has a NaN threshold.
+// on and off: on g and h as given, and on g = -y, h = 1 as rf grows them.
+// No split ever has a NaN threshold.
 func TestSplitSearchMatchesReference(t *testing.T) {
 	rng := sim.NewRNG(7)
 	const d = 3
@@ -213,7 +217,7 @@ func TestSplitSearchMatchesReference(t *testing.T) {
 				got = s.BuildGradHess(g, h, opts(), nil)
 			} else {
 				ref.y = y
-				got = BuildVariance(x, y, idx, opts())
+				got = squaredError(x, y, idx, opts())
 			}
 			ref.grow(slices.Clone(idx), 0)
 			state := got
@@ -268,4 +272,57 @@ func specialData() (x [][]float64, g, h []float64) {
 		h = append(h, 1)
 	}
 	return x, g, h
+}
+
+// TestResampleMatchesFreshSample: a Sample presorted for one bootstrap
+// sample and re-presorted for another grows, bit for bit, the trees and
+// leaf assignments of a fresh Sample of the second, over heavy ties, NaNs
+// and repeated rows, as rf.Fit relies on for its one Sample per fit.
+func TestResampleMatchesFreshSample(t *testing.T) {
+	rng := sim.NewRNG(11)
+	const d = 3
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(400)
+		x := make([][]float64, n)
+		for i := range x {
+			x[i] = make([]float64, d)
+		}
+		for f := 0; f < d; f++ {
+			for i, v := range sortInput(rng, rng.Intn(8), n, 1+rng.Intn(20)) {
+				x[i][f] = v
+			}
+		}
+		g, h := make([]float64, n), make([]float64, n)
+		for i := range g {
+			g[i], h[i] = rng.Norm(), 1
+		}
+		bootstrap := func() []int {
+			idx := make([]int, n)
+			for i := range idx {
+				idx[i] = rng.Intn(n)
+			}
+			return idx
+		}
+		a, b := bootstrap(), bootstrap()
+		seed := rng.Uint64()
+		opts := func() Options {
+			return Options{MaxDepth: 1 + trial%12, MinLeaf: 1 + trial%3, MinChild: float64(1 + trial%3),
+				MTry: 2, RNG: sim.NewRNG(seed)}
+		}
+
+		s := NewSample(x, a)
+		s.BuildGradHess(g, h, opts(), nil)
+		s.Resample(b)
+		leaf, want := make([]float64, n), make([]float64, n)
+		got := s.BuildGradHess(g, h, opts(), leaf)
+		ref := NewSample(x, b).BuildGradHess(g, h, opts(), want)
+		if !bytes.Equal(stateBytes(t, [][]Node{got}), stateBytes(t, [][]Node{ref})) {
+			t.Fatalf("trial %d (n %d): resampled tree differs from a fresh sample's", trial, n)
+		}
+		for i := range leaf {
+			if math.Float64bits(leaf[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d (n %d): row %d leaf %v, fresh sample %v", trial, n, i, leaf[i], want[i])
+			}
+		}
+	}
 }

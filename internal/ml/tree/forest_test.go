@@ -59,7 +59,7 @@ func boosted(x [][]float64, y []float64, rounds, depth int, eta float64) [][]Nod
 		for i := range g {
 			g[i], h[i] = score[i]-y[i], 1
 		}
-		t := s.BuildGradHess(g, h, Options{MaxDepth: depth, Lambda: 1, MinChild: 1e-6}, leaf)
+		t := s.BuildGradHess(g, h, Options{MaxDepth: depth, MinLeaf: 1, Lambda: 1, MinChild: 1e-6}, leaf)
 		trees = append(trees, slices.Clone(t))
 		for i := range score {
 			score[i] += eta * leaf[i]
@@ -68,7 +68,7 @@ func boosted(x [][]float64, y []float64, rounds, depth int, eta float64) [][]Nod
 	return trees
 }
 
-// bagged grows n variance trees on bootstrap samples with feature
+// bagged grows n squared-error trees on bootstrap samples with feature
 // subsampling, the way rf.Fit does.
 func bagged(x [][]float64, y []float64, n, depth, minLeaf int) [][]Node {
 	rng := sim.NewRNG(9)
@@ -78,7 +78,7 @@ func bagged(x [][]float64, y []float64, n, depth, minLeaf int) [][]Node {
 		for i := range idx {
 			idx[i] = rng.Intn(len(x))
 		}
-		trees[t] = BuildVariance(x, y, idx, Options{MaxDepth: depth, MinLeaf: minLeaf, MTry: 2, RNG: rng})
+		trees[t] = squaredError(x, y, idx, Options{MaxDepth: depth, MinLeaf: minLeaf, MTry: 2, RNG: rng})
 	}
 	return trees
 }
@@ -182,7 +182,7 @@ func TestForestMatchesReference(t *testing.T) {
 		checkForest(t, "bagged", bagged(x, logy, 100, 20, 2), x, 0, 1, 4000)
 	}
 	x, g, h := specialData()
-	tr := NewSample(x, allIdx(len(x))).BuildGradHess(g, h, Options{MaxDepth: 6, Lambda: 1}, nil)
+	tr := NewSample(x, allIdx(len(x))).BuildGradHess(g, h, Options{MaxDepth: 6, MinLeaf: 1, Lambda: 1}, nil)
 	checkForest(t, "special", [][]Node{tr}, x, 0, 1, 4000)
 
 	// More features than Sum ranks on its stack.
@@ -216,7 +216,7 @@ func TestDeepTreeForest(t *testing.T) {
 // and infinite thresholds round-trip and route exactly too.
 func TestSpecialValuesRouteAsBefore(t *testing.T) {
 	x, g, h := specialData()
-	tr := NewSample(x, allIdx(len(x))).BuildGradHess(g, h, Options{MaxDepth: 6, Lambda: 1}, nil)
+	tr := NewSample(x, allIdx(len(x))).BuildGradHess(g, h, Options{MaxDepth: 6, MinLeaf: 1, Lambda: 1}, nil)
 	if len(tr) < 7 {
 		t.Fatalf("tree too small to exercise routing: %d nodes", len(tr))
 	}
@@ -293,7 +293,7 @@ func TestLeafAssignmentEqualsPredict(t *testing.T) {
 	for i := range leaf {
 		leaf[i] = math.NaN()
 	}
-	tr := NewSample(x, allIdx(len(x))).BuildGradHess(g, h, Options{MaxDepth: 6, Lambda: 1}, leaf)
+	tr := NewSample(x, allIdx(len(x))).BuildGradHess(g, h, Options{MaxDepth: 6, MinLeaf: 1, Lambda: 1}, leaf)
 	f, err := NewForest([][]Node{tr})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,9 @@
 // Package tree implements CART-style regression trees, the shared substrate
-// of the Random Forest and XGBoost learners. Trees can be grown either by
-// variance reduction on raw targets (random forest) or by the second-order
-// gain criterion on gradient/hessian statistics (gradient boosting).
+// of the Random Forest and XGBoost learners. Trees grow by one split search,
+// the second-order gain on gradient/hessian statistics. Gradient boosting
+// feeds it its loss's derivatives; the random forest's squared error is the
+// same search with g = -y, h = 1 and lambda = 0, where the gain is the
+// variance reduction and the leaf value the mean of y.
 package tree
 
 import (
@@ -13,12 +15,14 @@ import (
 )
 
 // Options controls tree growth. It is how xgb and rf pass their constants
-// to the shared builders.
+// to the shared builder.
 type Options struct {
-	MaxDepth int     // maximum depth; root is depth 0
-	MinLeaf  int     // minimum samples per leaf, at least 1 (variance mode)
-	Lambda   float64 // L2 regularization on leaf values (grad/hess mode)
-	MinChild float64 // minimum hessian sum per child (grad/hess mode)
+	MaxDepth int // maximum depth; root is depth 0
+	// MinLeaf, at least 1, stops the search at nodes of fewer than
+	// 2*MinLeaf rows.
+	MinLeaf  int
+	Lambda   float64 // L2 regularization on leaf values
+	MinChild float64 // minimum hessian sum per child
 	// MTry > 0 samples that many candidate features per node (random
 	// forest decorrelation); 0 considers all features.
 	MTry int
@@ -46,12 +50,12 @@ type Node struct {
 // rows gives, so the split search reads a node's rows in sorted order off
 // its segment of a block; the order of ties fixes the summation order of
 // the split statistics.
-func presort(x [][]float64, idx []int, rows []int32) {
+// keys, of len(idx), is scratch.
+func presort(x [][]float64, idx []int, rows []int32, keys []float64) {
 	n := len(idx)
 	for k, i := range idx {
 		rows[k] = int32(i)
 	}
-	keys := make([]float64, n)
 	for f := 0; n > 0 && f < len(x[0]); f++ {
 		col := rows[(f+1)*n : (f+2)*n]
 		for k, r := range rows[:n] {
@@ -84,19 +88,26 @@ func presort(x [][]float64, idx []int, rows []int32) {
 // Sample is a training sample presorted for the split search. Every tree
 // built from it partitions a copy of the presort, so the rounds of one
 // boosting fit, which share x and idx, sort nothing and reuse one set of
-// buffers. A Sample serves one build at a time.
+// buffers, and the bootstrap samples of one forest, re-presorted by
+// Resample, reuse them too. A Sample serves one build at a time.
 type Sample struct {
-	rows []int32 // the presort
-	b    builder // its working copy
+	rows []int32   // the presort
+	keys []float64 // presort scratch
+	b    builder   // its working copy
 }
 
 // NewSample presorts the rows idx of x.
 func NewSample(x [][]float64, idx []int) *Sample {
 	s := &Sample{b: newBuilder(x, len(idx))}
 	s.rows = make([]int32, len(s.b.rows))
-	presort(x, idx, s.rows)
+	s.keys = make([]float64, len(idx))
+	s.Resample(idx)
 	return s
 }
+
+// Resample presorts the rows idx of the sample's x in place of its rows,
+// reusing its buffers; idx has as many rows as the sample was made with.
+func (s *Sample) Resample(idx []int) { presort(s.b.x, idx, s.rows, s.keys) }
 
 // BuildGradHess grows a tree maximizing the XGBoost split gain for the
 // gradient/hessian statistics over the sample. Leaf values are
@@ -107,8 +118,10 @@ func NewSample(x [][]float64, idx []int) *Sample {
 func (s *Sample) BuildGradHess(g, h []float64, opts Options, leaf []float64) []Node {
 	b := &s.b
 	copy(b.rows, s.rows)
-	b.opts, b.grad, b.g, b.h, b.leaf = opts, true, g, h, leaf
-	return b.build()
+	b.opts, b.g, b.h, b.leaf = opts, g, h, leaf
+	b.nodes = b.nodes[:0]
+	b.grow(0, b.n, 0)
+	return b.nodes
 }
 
 // builder carries the growth state of one tree. Its buffers are sized once
@@ -116,11 +129,7 @@ func (s *Sample) BuildGradHess(g, h []float64, opts Options, leaf []float64) []N
 type builder struct {
 	x    [][]float64
 	opts Options
-	grad bool
-	// grad/hess mode:
 	g, h []float64
-	// variance mode:
-	y []float64
 	// leaf, when non-nil, receives each row's leaf value.
 	leaf []float64
 
@@ -155,29 +164,6 @@ func newBuilder(x [][]float64, n int) builder {
 // block returns the node rows [lo, hi) of block k.
 func (b *builder) block(k, lo, hi int) []int32 { return b.rows[k*b.n+lo : k*b.n+hi] }
 
-// BuildVariance grows a tree minimizing squared error of y over the sample
-// index set idx (duplicates allowed, as in a bootstrap sample), presorting
-// idx for this one tree.
-func BuildVariance(x [][]float64, y []float64, idx []int, opts Options) []Node {
-	b := newBuilder(x, len(idx))
-	presort(x, idx, b.rows)
-	b.opts, b.y = opts, y
-	// Every leaf holds at least MinLeaf rows and lies at most MaxDepth
-	// deep, which bounds the leaves and so the nodes.
-	leaves := max((len(idx)+opts.MinLeaf-1)/opts.MinLeaf, 1)
-	if d := max(opts.MaxDepth, 0); d < 30 {
-		leaves = min(leaves, 1<<d)
-	}
-	b.nodes = make([]Node, 0, 2*leaves-1)
-	return b.build()
-}
-
-func (b *builder) build() []Node {
-	b.nodes = b.nodes[:0]
-	b.grow(0, b.n, 0)
-	return b.nodes
-}
-
 // grow appends the subtree over the node rows [lo, hi) in preorder.
 func (b *builder) grow(lo, hi, depth int) {
 	idx := b.block(0, lo, hi)
@@ -203,29 +189,18 @@ func (b *builder) grow(lo, hi, depth int) {
 // its best (feature, threshold).
 func (b *builder) split(lo, hi, depth int) (value float64, feat int, thresh float64, ok bool) {
 	idx := b.block(0, lo, hi)
-	if b.grad {
-		var G, H float64
-		for _, i := range idx {
-			G += b.g[i]
-			H += b.h[i]
-		}
-		value = -G / (H + b.opts.Lambda)
-		if depth >= b.opts.MaxDepth || len(idx) < 2 {
-			return value, 0, 0, false
-		}
-		feat, thresh, ok = b.bestSplitGrad(lo, hi, G, H)
-		return value, feat, thresh, ok
-	}
-
-	var sum float64
+	var G, H float64
 	for _, i := range idx {
-		sum += b.y[i]
+		G += b.g[i]
+		H += b.h[i]
 	}
-	value = sum / float64(len(idx))
+	value = -G / (H + b.opts.Lambda)
+	// Only a node that searches draws candidate features, so this test
+	// fixes how far a forest's RNG stream advances.
 	if depth >= b.opts.MaxDepth || len(idx) < 2*b.opts.MinLeaf {
 		return value, 0, 0, false
 	}
-	feat, thresh, ok = b.bestSplitVar(lo, hi, sum)
+	feat, thresh, ok = b.bestSplit(lo, hi, G, H)
 	return value, feat, thresh, ok
 }
 
@@ -247,44 +222,8 @@ func (b *builder) features() []int {
 	return perm[:b.opts.MTry]
 }
 
-// bestSplitVar finds the variance-reduction-optimal (feature, threshold).
-func (b *builder) bestSplitVar(lo, hi int, total float64) (int, float64, bool) {
-	bestGain := 0.0
-	bestFeat, bestThresh := -1, 0.0
-	n := hi - lo
-	parentScore := total * total / float64(n)
-	for _, f := range b.features() {
-		col := b.block(1+f, lo, hi)
-		sumL := 0.0
-		next := b.x[col[0]][f]
-		for i := 0; i < n-1; i++ {
-			v := next
-			next = b.x[col[i+1]][f]
-			sumL += b.y[col[i]]
-			if floats.Exact(v, next) { // duplicate sort keys, copied not computed
-				continue
-			}
-			if math.IsNaN(next) { // NaN rows stay right, where partition sends them
-				break
-			}
-			nl, nr := i+1, n-i-1
-			if nl < b.opts.MinLeaf || nr < b.opts.MinLeaf {
-				continue
-			}
-			sumR := total - sumL
-			gain := sumL*sumL/float64(nl) + sumR*sumR/float64(nr) - parentScore
-			if gain > bestGain+1e-12 {
-				bestGain = gain
-				bestFeat = f
-				bestThresh = (v + next) / 2
-			}
-		}
-	}
-	return bestFeat, bestThresh, bestFeat >= 0
-}
-
-// bestSplitGrad finds the XGBoost-gain-optimal (feature, threshold).
-func (b *builder) bestSplitGrad(lo, hi int, G, H float64) (int, float64, bool) {
+// bestSplit finds the XGBoost-gain-optimal (feature, threshold).
+func (b *builder) bestSplit(lo, hi int, G, H float64) (int, float64, bool) {
 	lambda := b.opts.Lambda
 	parent := G * G / (H + lambda)
 	bestGain := 0.0
@@ -310,7 +249,7 @@ func (b *builder) bestSplitGrad(lo, hi int, G, H float64) (int, float64, bool) {
 				continue
 			}
 			gain := gl*gl/(hl+lambda) + gr*gr/(hr+lambda) - parent
-			if gain > bestGain+1e-12 && !math.IsNaN(gain) {
+			if gain > bestGain+1e-12 { // false for a NaN gain
 				bestGain = gain
 				bestFeat = f
 				bestThresh = (v + next) / 2

@@ -34,9 +34,21 @@ func allIdx(n int) []int {
 	return idx
 }
 
+// squaredError grows a tree minimizing the squared error of y over the
+// sample rows idx the way rf.Fit does: the split search at g = -y, h = 1,
+// lambda = 0 and MinChild = MinLeaf.
+func squaredError(x [][]float64, y []float64, idx []int, opts Options) []Node {
+	g, h := make([]float64, len(y)), make([]float64, len(y))
+	for i, v := range y {
+		g[i], h[i] = -v, 1
+	}
+	opts.Lambda, opts.MinChild = 0, float64(opts.MinLeaf)
+	return NewSample(x, idx).BuildGradHess(g, h, opts, nil)
+}
+
 func TestVarianceTreeRecoversPiecewiseConstant(t *testing.T) {
 	x, y := gridData()
-	tr := BuildVariance(x, y, allIdx(len(x)), Options{MaxDepth: 4, MinLeaf: 1})
+	tr := squaredError(x, y, allIdx(len(x)), Options{MaxDepth: 4, MinLeaf: 1})
 	for i := range x {
 		if got := refPredict(tr, x[i]); math.Abs(got-y[i]) > 1e-9 {
 			t.Fatalf("x=%v: predict %v want %v", x[i], got, y[i])
@@ -46,7 +58,7 @@ func TestVarianceTreeRecoversPiecewiseConstant(t *testing.T) {
 
 func TestDepthZeroIsMean(t *testing.T) {
 	x, y := gridData()
-	tr := BuildVariance(x, y, allIdx(len(x)), Options{MaxDepth: 0, MinLeaf: 1})
+	tr := squaredError(x, y, allIdx(len(x)), Options{MaxDepth: 0, MinLeaf: 1})
 	mean := 0.0
 	for _, v := range y {
 		mean += v
@@ -62,7 +74,7 @@ func TestDepthZeroIsMean(t *testing.T) {
 
 func TestMinLeafRespected(t *testing.T) {
 	x, y := gridData()
-	tr := BuildVariance(x, y, allIdx(len(x)), Options{MaxDepth: 10, MinLeaf: 30})
+	tr := squaredError(x, y, allIdx(len(x)), Options{MaxDepth: 10, MinLeaf: 30})
 	// With MinLeaf 30 of 100 samples, depth is severely limited; count
 	// leaves and ensure no leaf got fewer than 30 training points by
 	// checking the tree is small.
@@ -82,12 +94,12 @@ func TestGradHessLeafValue(t *testing.T) {
 		g[i] = -y[i]
 		h[i] = 1
 	}
-	tr := NewSample(x, allIdx(3)).BuildGradHess(g, h, Options{MaxDepth: 0, Lambda: 0}, nil)
+	tr := NewSample(x, allIdx(3)).BuildGradHess(g, h, Options{MaxDepth: 0, MinLeaf: 1, Lambda: 0}, nil)
 	if got := refPredict(tr, []float64{0}); math.Abs(got-3) > 1e-9 {
 		t.Errorf("leaf = %v, want 3", got)
 	}
 	// With large lambda the leaf shrinks toward zero.
-	tr = NewSample(x, allIdx(3)).BuildGradHess(g, h, Options{MaxDepth: 0, Lambda: 1e9}, nil)
+	tr = NewSample(x, allIdx(3)).BuildGradHess(g, h, Options{MaxDepth: 0, MinLeaf: 1, Lambda: 1e9}, nil)
 	if got := refPredict(tr, []float64{0}); math.Abs(got) > 1e-6 {
 		t.Errorf("shrunk leaf = %v", got)
 	}
@@ -104,7 +116,7 @@ func TestGradHessSplitsOnInformativeFeature(t *testing.T) {
 		g = append(g, -(f0*10 + rng.Norm()*0.01))
 		h = append(h, 1)
 	}
-	tr := NewSample(x, allIdx(len(x))).BuildGradHess(g, h, Options{MaxDepth: 1, Lambda: 1}, nil)
+	tr := NewSample(x, allIdx(len(x))).BuildGradHess(g, h, Options{MaxDepth: 1, MinLeaf: 1, Lambda: 1}, nil)
 	lo := refPredict(tr, []float64{0, 0.5})
 	hi := refPredict(tr, []float64{1, 0.5})
 	if !(hi > lo+5) {
@@ -116,14 +128,14 @@ func TestMTrySubsampling(t *testing.T) {
 	// With MTry=1 and a fixed RNG, the tree still fits something sensible
 	// and never inspects out-of-range features.
 	x, y := gridData()
-	tr := BuildVariance(x, y, allIdx(len(x)), Options{MaxDepth: 6, MinLeaf: 1, MTry: 1, RNG: sim.NewRNG(3)})
+	tr := squaredError(x, y, allIdx(len(x)), Options{MaxDepth: 6, MinLeaf: 1, MTry: 1, RNG: sim.NewRNG(3)})
 	mse := 0.0
 	for i := range x {
 		d := refPredict(tr, x[i]) - y[i]
 		mse += d * d
 	}
 	mse /= float64(len(x))
-	full := BuildVariance(x, y, allIdx(len(x)), Options{MaxDepth: 6, MinLeaf: 1})
+	full := squaredError(x, y, allIdx(len(x)), Options{MaxDepth: 6, MinLeaf: 1})
 	fullMSE := 0.0
 	for i := range x {
 		d := refPredict(full, x[i]) - y[i]
@@ -138,7 +150,7 @@ func TestMTrySubsampling(t *testing.T) {
 func TestConstantFeaturesNoSplit(t *testing.T) {
 	x := [][]float64{{1, 1}, {1, 1}, {1, 1}}
 	y := []float64{1, 2, 3}
-	tr := BuildVariance(x, y, allIdx(3), Options{MaxDepth: 5, MinLeaf: 1})
+	tr := squaredError(x, y, allIdx(3), Options{MaxDepth: 5, MinLeaf: 1})
 	if len(tr) != 1 {
 		t.Errorf("constant features must yield a stump, got %d nodes", len(tr))
 	}

@@ -69,14 +69,6 @@ func FromState(s State) (*Regressor, error) {
 
 // Fit trains the ensemble.
 func (r *Regressor) Fit(x [][]float64, y []float64) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return fmt.Errorf("xgb: bad training set (%d rows, %d targets)", len(x), len(y))
-	}
-	for i, v := range y {
-		if !(v > 0) {
-			return fmt.Errorf("xgb: target %d = %g; must be positive for the Tweedie loss", i, v)
-		}
-	}
 	n := len(x)
 	mean := 0.0
 	for _, v := range y {
@@ -96,7 +88,7 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 		idx[i] = i
 	}
 	leaf := make([]float64, n) // leaf[i]: this round's tree at x[i]
-	topt := tree.Options{MaxDepth: MaxDepth, Lambda: Lambda, MinChild: MinChild}
+	topt := tree.Options{MaxDepth: MaxDepth, MinLeaf: 1, Lambda: Lambda, MinChild: MinChild}
 	sample := tree.NewSample(x, idx) // every round splits the same rows
 
 	var forest tree.ForestBuilder

@@ -77,15 +77,6 @@ func TestEarlyStopOnConvergence(t *testing.T) {
 	}
 }
 
-func TestRejectsNonPositiveTargets(t *testing.T) {
-	if err := New().Fit([][]float64{{1}}, []float64{0}); err == nil {
-		t.Error("zero target must be rejected")
-	}
-	if err := New().Fit([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch must be rejected")
-	}
-}
-
 func TestTweedieGradientSigns(t *testing.T) {
 	// At the optimum f = log(y), the Tweedie gradient must vanish.
 	y := []float64{0.001}

@@ -13,12 +13,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mpicollpred/internal/atomicfile"
 	"mpicollpred/internal/sim"
 )
 
@@ -436,31 +436,12 @@ func quantileUs(sorted []float64, q float64) float64 {
 	return sorted[i] * 1e6
 }
 
-// WriteFile writes the report as indented JSON, atomically and durably: the
-// tmp file is synced and closed before the rename, and removed on failure.
+// WriteFile writes the report as indented JSON, atomically and durably (see
+// atomicfile.Write).
 func (r LoadgenReport) WriteFile(path string) error {
 	data, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
+	return atomicfile.WriteBytes(path, append(data, '\n'))
 }
